@@ -14,144 +14,162 @@ Conventions, fixed once here and used by every downstream module:
   for i < j equals 2 T^k_{ij};
 * curvature components Theta_{ij} = sum_{k,l} Rh[k,l,i,j] psi_k ^ psibar_l
   (first two indices from the 2-form, last two from the endomorphism).
+
+Everything is a dense numpy array computed in closed form from the value,
+first and second derivative arrays of g.  Derivative slots run over the 2n
+Wirtinger directions (d/dz_1 .. d/dz_n, d/dzbar_1 .. d/dzbar_n) and always
+come last: ``dg[i, j, c]``, ``ddg[i, j, c, d]``, ``dT[k, i, j, c]``.  Form
+slots come first and endomorphism slots after them: ``theta[a, i, j]`` is
+the dz_a coefficient of theta_{ij}, ``Theta[a, b, i, j]`` the
+dz_a ^ dzbar_b coefficient of Theta_{ij}, ``theta_u_vals[c, i, j]`` the
+slot-c coefficient of the unitary-frame connection.  The derivatives of L
+and P come from the closed-form Cholesky derivative
+dL = L Phi(L^{-1} dg L^{-*}), Phi = lower triangle with halved diagonal
+(I. Murray, "Differentiation of the Cholesky decomposition", 2016).
+
+An identity residual is the largest coefficient of a (p, q)-form on the
+sorted basis dz_{a_1} ^ .. ^ dz_{a_p} ^ dzbar_{b_1} ^ .. ^ dzbar_{b_q}; a
+form is assembled as an unnormalised sum over all index tuples and
+antisymmetrised by :func:`_max_coefficient`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsl import MetricField
-from .errors import InsufficientJetOrderError
-from .forms import Form
-from .jets import Jet2, JetMatrix
+from .errors import DegenerateMetricError, InsufficientJetOrderError
+from .jets import JetMatrix
 
 
-def _theta_coefficients(g, ginv):
-    """Coefficient matrices of theta = (del g) g^{-1}, one per dz_k slot."""
-    return [g.wirtinger(k) @ ginv for k in range(g.n)]
+def metric_arrays(g):
+    """Value, first and second derivative arrays of a metric jet matrix.
 
-
-def _theta_forms(theta_coeff, n):
-    mats = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
-    for k, M in enumerate(theta_coeff):
-        for i in range(n):
-            for j in range(n):
-                mats[i][j] = mats[i][j] + Form(n, 1, {(k,): M[i, j]})
-    return mats
-
-
-def _coordinate_torsion(theta_forms, n):
-    """tau_i = sum_j theta_{ji} ^ dz_j in the holomorphic coordinate frame."""
-    taus = []
-    for i in range(n):
-        acc = Form(n, 2)
-        for j in range(n):
-            acc = acc + theta_forms[j][i].wedge(Form.dz(n, j))
-        taus.append(acc)
-    return taus
-
-
-def torsion_jets_in_frame(tau_coord, F):
-    """Torsion coefficient jets T^k_{ij} for the frame e_i = sum_a F_{ia} e0_a.
-
-    ``tau_coord`` are the coordinate-frame torsion 2-forms; ``F`` is the
-    jet-valued frame matrix.  Returns a nested list T[k][i][j] of jets,
-    antisymmetric in (i, j).
+    Raises :class:`DegenerateMetricError` when g is not Hermitian (to 1e-6
+    over every jet slot) or not positive definite, and
+    :class:`InsufficientJetOrderError` when an entry lacks second
+    derivatives.
     """
-    n = F.rows
-    K = F.inverse()
-    zero = Jet2.constant(0.0, tau_coord[0].n)
-    T = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        # tau^F_k = sum_j K_{jk} tau0_j
-        combined = {}
-        for j in range(n):
-            for key, jet in tau_coord[j].coeffs.items():
-                term = K[j, k] * jet
-                combined[key] = (combined[key] + term) if key in combined else term
-        for (a, b), c in combined.items():
-            for i in range(n):
-                for jj in range(i + 1, n):
-                    w = F[i, a] * F[jj, b] - F[jj, a] * F[i, b]
-                    T[k][i][jj] = T[k][i][jj] + c * w * 0.5
-    for k in range(n):
-        for i in range(n):
-            for jj in range(i + 1, n):
-                T[k][jj][i] = -T[k][i][jj]
-    return T
+    gv = g.values()
+    if g.hermitian_residual() > 1e-6:
+        raise DegenerateMetricError("matrix is not Hermitian")
+    eigs = np.linalg.eigvalsh((gv + gv.conj().T) / 2)
+    if eigs.min() <= 1e-10:
+        raise DegenerateMetricError(
+            f"matrix is not positive definite (min eigenvalue {eigs.min():.3e})"
+        )
+    if any(e.order < 2 for row in g.entries for e in row):
+        raise InsufficientJetOrderError(
+            "metric jets lack second derivatives; the Chern curvature needs them"
+        )
+    dg = np.array([[e.d1 for e in row] for row in g.entries])
+    ddg = np.array([[e.d2 for e in row] for row in g.entries])
+    return gv, dg, ddg
 
 
-def frame_connection_values(theta_coeff, F):
-    """Chern connection coefficients in an arbitrary frame, value level.
+def cholesky_frame(gv, dg):
+    """Cholesky factor L of g, P = L^{-1}, and their derivatives [i, j, c].
 
-    Returns an array th[c, i, j] over the 2n coordinate cotangent slots with
-    theta^F = F theta0 F^{-1} + dF F^{-1}.
+    L has positive real diagonal.  Phi is complex linear, so Murray's
+    formula holds slot by slot for the Wirtinger derivatives as well as for
+    the real ones.
     """
-    n = F.rows
-    Fv = F.values()
-    Finv = np.linalg.inv(Fv)
-    th = np.zeros((2 * n, n, n), dtype=complex)
-    for c in range(2 * n):
-        dF = F.d1_values(c)
-        th[c] = dF @ Finv
-        if c < n:
-            th[c] += Fv @ theta_coeff[c].values() @ Finv
+    n = gv.shape[0]
+    L = np.linalg.cholesky(gv)
+    P = np.linalg.inv(L)
+    A = np.einsum("ia,abc->ibc", P, dg)
+    A = np.einsum("ibc,jb->ijc", A, P.conj())
+    Phi = A * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))[:, :, None]
+    dL = np.einsum("ia,ajc->ijc", L, Phi)
+    dP = -np.einsum("ia,abc,bj->ijc", P, dL, P)
+    return L, dL, P, dP
+
+
+def connection_arrays(dg, ddg, ginv):
+    """theta[a, i, j] = ((d_a g) g^{-1})_{ij} and its derivatives [a, i, j, c]."""
+    n = ginv.shape[0]
+    dginv = -np.einsum("ik,klc,lj->ijc", ginv, dg, ginv)
+    theta = np.einsum("ila,lj->aij", dg[:, :, :n], ginv)
+    dtheta = np.einsum("ilac,lj->aijc", ddg[:, :, :n], ginv) + np.einsum(
+        "ila,ljc->aijc", dg[:, :, :n], dginv
+    )
+    return theta, dtheta
+
+
+def frame_torsion(theta, dtheta, frame):
+    """Torsion T^k_{ij} and its derivatives [k, i, j, c] in a frame field.
+
+    ``frame`` is the pair (F, dF) of the frame e_i = sum_a F_{ia} e0_a and
+    its first derivatives [i, a, c].  With K = F^{-1}, the coordinate
+    torsion tau0_m = sum_{a,b} theta[a, b, m] dz_a ^ dz_b gives
+    T^k_{ij} = (V_{kij} - V_{kji}) / 2 with
+    V_{kij} = sum K_{mk} theta[a, b, m] F_{ia} F_{jb}.
+    """
+    F, dF = frame
+    K = np.linalg.inv(F)
+    dK = -np.einsum("mx,xyc,yk->mkc", K, dF, K)
+    W = np.einsum("mk,abm->kab", K, theta)
+    dW = np.einsum("mkc,abm->kabc", dK, theta) + np.einsum("mk,abmc->kabc", K, dtheta)
+    FW = np.einsum("ia,kab->kib", F, W)
+    V = np.einsum("kib,jb->kij", FW, F)
+    dV = (
+        np.einsum("kibc,jb->kijc", np.einsum("ia,kabc->kibc", F, dW), F)
+        + np.einsum("iac,kaj->kijc", dF, np.einsum("kab,jb->kaj", W, F))
+        + np.einsum("kib,jbc->kijc", FW, dF)
+    )
+    return 0.5 * (V - V.transpose(0, 2, 1)), 0.5 * (dV - dV.transpose(0, 2, 1, 3))
+
+
+def frame_connection_values(theta, frame):
+    """Chern connection coefficients in a frame field, value level.
+
+    Returns th[c, i, j] over the 2n coordinate cotangent slots with
+    theta^F = F theta0 F^{-1} + dF F^{-1}, for ``frame`` = (F, dF).
+    """
+    F, dF = frame
+    n = F.shape[0]
+    Finv = np.linalg.inv(F)
+    th = np.einsum("iac,aj->cij", dF, Finv)
+    th[:n] += F @ theta @ Finv
     return th
 
 
 @dataclass
 class ChernData:
-    """All Chern-side pointwise data of a metric at one chart point."""
+    """All Chern-side pointwise data of a metric at one chart point.
+
+    ``g`` keeps the metric jets (the Christoffel route and the
+    finite-difference oracle read them); every other field is a dense array
+    in the layouts of the module docstring.
+    """
 
     metric: MetricField
     point: np.ndarray
     n: int
     g: JetMatrix
-    ginv: JetMatrix
-    L: JetMatrix
-    P: JetMatrix
-    theta_coeff: list
-    theta_forms: list
-    Theta_forms: list
-    tau_coord: list
-    T_jets: list
+    gv: np.ndarray
+    dg: np.ndarray
+    ddg: np.ndarray
+    Lv: np.ndarray
+    dL: np.ndarray
+    Pv: np.ndarray
+    dP: np.ndarray
+    theta: np.ndarray
+    dtheta: np.ndarray
+    Theta: np.ndarray
     T: np.ndarray
+    dT: np.ndarray
     Rh: np.ndarray
-    Rh_type_residual: float
-    eta_jets: list
     eta: np.ndarray
     theta_u_vals: np.ndarray
+    # Theta = delbar theta of a (1,0)-form has no (2,0) or (0,2) part
+    Rh_type_residual: float = 0.0
     covT: np.ndarray = field(default=None)
     covT_bar: np.ndarray = field(default=None)
-
-    @property
-    def Pv(self):
-        return self.P.values()
-
-    @property
-    def Lv(self):
-        return self.L.values()
-
-    def omega_form(self):
-        """Kahler form omega = i sum g_{ab} dz_a ^ dzbar_b with jet coefficients."""
-        n = self.n
-        coeffs = {}
-        for a in range(n):
-            for b in range(n):
-                coeffs[(a, n + b)] = self.g[a, b] * 1j
-        return Form(n, 2, coeffs)
-
-    def sigma_form(self):
-        """Torsion (2,2) form sigma = t(tau) ^ g taubar (coordinate frame)."""
-        n = self.n
-        acc = Form(n, 4)
-        taubar = [t.conj() for t in self.tau_coord]
-        for i in range(n):
-            for j in range(n):
-                acc = acc + self.tau_coord[i].wedge(taubar[j].scale(self.g[i, j]))
-        return acc
 
     def torsion_norm_sq(self):
         return float(np.sum(np.abs(self.T) ** 2))
@@ -171,72 +189,36 @@ def chern_at(metric, point, g=None):
     n = metric.n
     if g is None:
         g = metric.evaluate(point)
-    ginv = g.inverse()
-    L = g.cholesky()
-    P = L.inverse()
-    Pv = P.values()
+    gv, dg, ddg = metric_arrays(g)
+    L, dL, P, dP = cholesky_frame(gv, dg)
+    theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))
+    Theta = -dtheta[..., n:].transpose(0, 3, 1, 2)
+    T, dT = frame_torsion(theta, dtheta, (P, dP))
 
-    theta_coeff = _theta_coefficients(g, ginv)
-    theta_forms = _theta_forms(theta_coeff, n)
-    Theta_forms = [
-        [theta_forms[i][j].exterior_d(part="delbar") for j in range(n)] for i in range(n)
-    ]
-    tau_coord = _coordinate_torsion(theta_forms, n)
-
-    T_jets = torsion_jets_in_frame(tau_coord, P)
-    T = np.array(
-        [[[T_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
-    )
-
-    eta_jets = []
-    for j in range(n):
-        acc = Jet2.constant(0.0, n)
-        for i in range(n):
-            acc = acc + T_jets[i][i][j]
-        eta_jets.append(acc)
-    eta = np.array([e.value for e in eta_jets])
-
-    # curvature components in the canonical unitary frame
-    C = Pv.T  # dz_a = sum_i Pv[i, a] psi_i
-    Pinv_v = L.values()
-    Rh = np.zeros((n, n, n, n), dtype=complex)
-    type_residual = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc = Form(n, 2)
-            for a in range(n):
-                for b in range(n):
-                    w = Pv[i, a] * Pinv_v[b, j]
-                    if w != 0:
-                        acc = acc + Theta_forms[a][b].scale(w)
-            conv = acc.to_coframe(C)
-            A20, B11, C02 = conv.blocks_2form()
-            Rh[:, :, i, j] = B11
-            type_residual = max(
-                type_residual, float(np.max(np.abs(A20))), float(np.max(np.abs(C02)))
-            )
-
-    theta_u_vals = frame_connection_values(theta_coeff, P)
+    # Rh[k, l, i, j] = sum P_kc conj(P_ld) (P Theta_cd L)_ij
+    Rh = np.einsum("ka,abij->kbij", P, P @ Theta @ L)
+    Rh = np.einsum("lb,kbij->klij", P.conj(), Rh)
 
     data = ChernData(
         metric=metric,
         point=point,
         n=n,
         g=g,
-        ginv=ginv,
-        L=L,
-        P=P,
-        theta_coeff=theta_coeff,
-        theta_forms=theta_forms,
-        Theta_forms=Theta_forms,
-        tau_coord=tau_coord,
-        T_jets=T_jets,
+        gv=gv,
+        dg=dg,
+        ddg=ddg,
+        Lv=L,
+        dL=dL,
+        Pv=P,
+        dP=dP,
+        theta=theta,
+        dtheta=dtheta,
+        Theta=Theta,
         T=T,
+        dT=dT,
         Rh=Rh,
-        Rh_type_residual=type_residual,
-        eta_jets=eta_jets,
-        eta=eta,
-        theta_u_vals=theta_u_vals,
+        eta=np.einsum("iij->j", T),
+        theta_u_vals=frame_connection_values(theta, (P, dP)),
     )
     data.covT, data.covT_bar = covderiv_torsion(data)
     return data
@@ -245,26 +227,16 @@ def chern_at(metric, point, g=None):
 def covderiv_torsion(data):
     """Covariant derivatives T^k_{ij,l} and T^k_{ij,lbar} in the unitary frame.
 
-    The raw frame-direction derivative of the jet-valued coefficients is
+    The raw frame-direction derivative of the torsion coefficients is
     corrected by the three connection-action terms (two lower indices, one
     upper index).
     """
     n = data.n
     Pv = data.Pv
     T = data.T
-    Tj = data.T_jets
+    dT = data.dT
     th = data.theta_u_vals
 
-    if any(
-        Tj[k][i][j].order < 1 for k in range(n) for i in range(n) for j in range(n)
-    ):
-        raise InsufficientJetOrderError(
-            "torsion jets lost their first derivatives; cannot happen when the "
-            "metric is evaluated at order 2"
-        )
-    dT = np.array(
-        [[[Tj[k][i][j].d1 for j in range(n)] for i in range(n)] for k in range(n)]
-    )  # [k, i, j, slot]
     eT = np.einsum("la,kija->kijl", Pv, dT[..., :n])
     ebT = np.einsum("la,kija->kijl", np.conj(Pv), dT[..., n:])
 
@@ -283,86 +255,111 @@ def covderiv_torsion(data):
 
 # ----------------------------------------------------------------------
 # identity residuals in the holomorphic coordinate frame
+def _max_coefficient(X, p, q):
+    """Largest coefficient of the (p, q)-forms in the last p + q axes of X.
+
+    X[..., a_1..a_p, b_1..b_q] holds sum over all index tuples of
+    X dz_{a_1} ^ .. ^ dz_{a_p} ^ dzbar_{b_1} ^ .. ^ dzbar_{b_q}, one form per
+    leading index; its coefficient on the sorted basis is the signed sum
+    over the orderings of the dz indices and of the dzbar indices.
+    """
+    start = X.ndim - p - q
+    for lo, hi in ((start, start + p), (start + p, X.ndim)):
+        acc = 0
+        for perm in itertools.permutations(range(lo, hi)):
+            order = list(range(X.ndim))
+            order[lo:hi] = perm
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            acc = acc + (-1) ** inversions * X.transpose(order)
+        X = acc
+    return float(np.max(np.abs(X)))
+
+
+def _ddbar_omega(data):
+    """i del delbar omega = sum g_{ab,c dbar} dz_c ^ dz_a ^ dzbar_d ^ dzbar_b.
+
+    Built from the second derivatives of g only.
+    """
+    n = data.n
+    return np.einsum("abcd->cadb", data.ddg[:, :, :n, n:])
+
+
+def _sigma(data):
+    """t(tau) ^ g taubar with tau_i = sum theta[a, b, i] dz_a ^ dz_b."""
+    gtaubar = np.einsum("ij,cdj->icd", data.gv, data.theta.conj())
+    return np.einsum("abi,icd->abcd", data.theta, gtaubar)
+
+
 def bianchi_residual(data):
-    """Residual of d tau + t(theta) ^ tau - t(Theta) ^ phi (coordinate frame)."""
+    """Residual of d tau + t(theta) ^ tau - t(Theta) ^ phi (coordinate frame).
+
+    Only the (3,0) part del tau + t(theta) ^ tau is assembled: the (2,1)
+    part delbar tau - t(Theta) ^ phi vanishes term by term because
+    Theta = delbar theta.
+    """
     n = data.n
-    worst = 0.0
-    for i in range(n):
-        acc = data.tau_coord[i].exterior_d()
-        for j in range(n):
-            acc = acc + data.theta_forms[j][i].wedge(data.tau_coord[j])
-            acc = acc - data.Theta_forms[j][i].wedge(Form.dz(n, j))
-        worst = max(worst, acc.max_abs())
-    return worst
-
-
-def ddbar_omega_form(data):
-    """i del delbar omega as a coordinate-frame (2,2) form."""
-    return data.omega_form().exterior_d(part="delbar").exterior_d(part="del").scale(1j)
-
-
-def phi_Theta_phibar_form(data):
-    """t(phi) ^ Theta ^ g phibar, the frame-invariant curvature (2,2) form."""
-    n = data.n
-    acc = Form(n, 4)
-    for i in range(n):
-        for j in range(n):
-            gbar_j = Form(n, 1)
-            for k in range(n):
-                gbar_j = gbar_j + Form(n, 1, {(n + k,): data.g[j, k]})
-            acc = acc + Form.dz(n, i).wedge(data.Theta_forms[i][j]).wedge(gbar_j)
-    return acc
+    X = np.einsum("abic->icab", data.dtheta[..., :n]) + np.einsum(
+        "cji,abj->icab", data.theta, data.theta
+    )
+    return _max_coefficient(X, 3, 0)
 
 
 def curvature_identity_residual(data):
     """Residual of i del delbar omega = t(tau)^taubar + t(phi)^Theta^phibar."""
-    lhs = ddbar_omega_form(data)
-    rhs = data.sigma_form() + phi_Theta_phibar_form(data)
-    return (lhs - rhs).max_abs()
+    phi_Theta_phibar = np.einsum("adij,jk->iadk", data.Theta, data.gv)
+    return _max_coefficient(_ddbar_omega(data) - _sigma(data) - phi_Theta_phibar, 2, 2)
+
+
+def ddbar_omega_residual(data):
+    """Max coefficient of i del delbar omega (zero on pluriclosed metrics)."""
+    return _max_coefficient(_ddbar_omega(data), 2, 2)
+
+
+def ddbar_omega_sigma_residual(data):
+    """Max coefficient of i del delbar omega - t(tau) ^ taubar."""
+    return _max_coefficient(_ddbar_omega(data) - _sigma(data), 2, 2)
 
 
 def del_omega_residual(data):
     """Residual of del omega = i t(tau) ^ g phibar."""
     n = data.n
-    lhs = data.omega_form().exterior_d(part="del")
-    rhs = Form(n, 3)
-    for i in range(n):
-        for j in range(n):
-            rhs = rhs + data.tau_coord[i].wedge(
-                Form(n, 1, {(n + j,): data.g[i, j]})
-            )
-    return (lhs - rhs.scale(1j)).max_abs()
+    lhs = np.einsum("abc->cab", data.dg[:, :, :n])
+    rhs = np.einsum("abi,ij->abj", data.theta, data.gv)
+    return _max_coefficient(1j * (lhs - rhs), 2, 1)
+
+
+def _eta_coordinate(data):
+    """Coordinate components of eta = sum_j eta_j psi_j and their derivatives."""
+    deta = np.einsum("iijc->jc", data.dT)
+    return data.Lv @ data.eta, np.einsum("ajc,j->ac", data.dL, data.eta) + data.Lv @ deta
 
 
 def balanced_identity_residual(data):
-    """Residual of del(omega^{n-1}) + 2 eta ^ omega^{n-1}."""
-    from .forms import wedge_power
+    """Residual of del(omega^{n-1}) + 2 eta ^ omega^{n-1}.
 
+    Both sides are (n, n-1)-forms.  omega^{n-1} has coefficient
+    (n-1)! (unit phase) times the cofactor cof_{ab} of g on the basis
+    element omitting dz_a and dzbar_b, so the coefficient omitting dzbar_b
+    is, up to a unit phase, (n-1)! sum_a (d_a cof_{ab} + 2 eta_a cof_{ab})
+    with cof = det(g) g^{-T}.
+    """
     n = data.n
-    omega = data.omega_form()
-    om_pow = wedge_power(omega, n - 1)
-    lhs = om_pow.exterior_d(part="del")
-    eta_form = Form(n, 1)
-    for j in range(n):
-        for a in range(n):
-            eta_form = eta_form + Form(n, 1, {(a,): data.L[a, j] * data.eta_jets[j]})
-    resid = lhs + eta_form.wedge(om_pow).scale(2.0)
-    return resid.max_abs()
-
-
-def eta_form(data):
-    """Torsion 1-form eta = sum_j eta_j psi_j in coordinate components."""
-    n = data.n
-    out = Form(n, 1)
-    for j in range(n):
-        for a in range(n):
-            out = out + Form(n, 1, {(a,): data.L[a, j] * data.eta_jets[j]})
-    return out
+    ginv = np.linalg.inv(data.gv)
+    det = np.linalg.det(data.gv)
+    dginv = -np.einsum("ik,kla,lj->ija", ginv, data.dg[:, :, :n], ginv)
+    dlogdet = np.einsum("ij,jia->a", ginv, data.dg[:, :, :n])
+    eta_c, _ = _eta_coordinate(data)
+    # cof_{ab} = det ginv_{ba}, d_a cof_{ab} = det (dlogdet_a ginv_{ba} + d_a ginv_{ba})
+    resid = det * (
+        np.einsum("a,ba->b", dlogdet + 2 * eta_c, ginv) + np.einsum("baa->b", dginv)
+    )
+    return math.factorial(n - 1) * float(np.max(np.abs(resid)))
 
 
 def delbar_eta_residual(data):
     """Max coefficient of delbar(eta); zero when eta is holomorphic."""
-    return eta_form(data).exterior_d(part="delbar").max_abs()
+    _, deta_c = _eta_coordinate(data)
+    return float(np.max(np.abs(deta_c[:, data.n :])))
 
 
 def kahler_like_residual(data):
@@ -372,14 +369,7 @@ def kahler_like_residual(data):
 
 def theta_wedge_phi_residual(data):
     """Max coefficient of t(Theta) ^ phi (coordinate frame)."""
-    n = data.n
-    worst = 0.0
-    for i in range(n):
-        acc = Form(n, 3)
-        for j in range(n):
-            acc = acc + data.Theta_forms[j][i].wedge(Form.dz(n, j))
-        worst = max(worst, acc.max_abs())
-    return worst
+    return _max_coefficient(-np.einsum("adji->iajd", data.Theta), 2, 1)
 
 
 def skew_hermitian_residual(data):
@@ -401,54 +391,39 @@ class NormalFrame:
     C_hol: np.ndarray  # theta-tilde dz_a coefficients at p, [a, i, j]
     C_anti: np.ndarray  # theta-tilde dzbar_a coefficients at p
 
+    def _connection_at(self, q):
+        gv, dg, ddg = metric_arrays(self.metric.evaluate(q))
+        return connection_arrays(dg, ddg, np.linalg.inv(gv))
+
     def frame_jets(self, q):
-        """Jet matrix of the frame field A(z) P(z) at the point q."""
-        metric = self.metric
-        n = metric.n
+        """The frame field A(z) P(z) at q as (value, derivatives [i, a, c])."""
         q = np.asarray(q, dtype=complex)
-        g = metric.evaluate(q)
-        P = g.cholesky().inverse()
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Jet2.constant(1.0 if i == j else 0.0, n)
-                for a in range(n):
-                    za = Jet2.coordinate(a, q[a], n)
-                    dz = za - complex(self.point[a])
-                    dzb = za.conj() - complex(np.conj(self.point[a]))
-                    acc = acc - dz * complex(self.C_hol[a, i, j])
-                    acc = acc - dzb * complex(self.C_anti[a, i, j])
-                row.append(acc)
-            rows.append(row)
-        A = JetMatrix(rows)
-        return A @ P
+        n = self.metric.n
+        gv, dg, _ = metric_arrays(self.metric.evaluate(q))
+        _, _, P, dP = cholesky_frame(gv, dg)
+        dz = q - self.point
+        A = (
+            np.eye(n)
+            - np.einsum("a,aij->ij", dz, self.C_hol)
+            - np.einsum("a,aij->ij", dz.conj(), self.C_anti)
+        )
+        dA = -np.concatenate([self.C_hol, self.C_anti]).transpose(1, 2, 0)
+        return A @ P, np.einsum("ijc,ja->iac", dA, P) + np.einsum("ij,jac->iac", A, dP)
 
     def connection_values_at(self, q):
-        q = np.asarray(q, dtype=complex)
-        g = self.metric.evaluate(q)
-        ginv = g.inverse()
-        theta_coeff = _theta_coefficients(g, ginv)
-        return frame_connection_values(theta_coeff, self.frame_jets(q))
+        theta, _ = self._connection_at(q)
+        return frame_connection_values(theta, self.frame_jets(q))
 
     def theta_norm_at_base(self):
         return float(np.max(np.abs(self.connection_values_at(self.point))))
 
     def torsion_jets_at(self, q):
-        q = np.asarray(q, dtype=complex)
-        g = self.metric.evaluate(q)
-        ginv = g.inverse()
-        theta_coeff = _theta_coefficients(g, ginv)
-        theta_forms = _theta_forms(theta_coeff, self.metric.n)
-        tau = _coordinate_torsion(theta_forms, self.metric.n)
-        return torsion_jets_in_frame(tau, self.frame_jets(q))
+        """Torsion of the frame field at q as (T[k, i, j], dT[k, i, j, c])."""
+        theta, dtheta = self._connection_at(q)
+        return frame_torsion(theta, dtheta, self.frame_jets(q))
 
     def torsion_values_at(self, q):
-        n = self.metric.n
-        Tj = self.torsion_jets_at(q)
-        return np.array(
-            [[[Tj[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
-        )
+        return self.torsion_jets_at(q)[0]
 
 
 def normal_frame_at(metric, point, data=None):

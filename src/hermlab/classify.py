@@ -14,7 +14,8 @@ import numpy as np
 
 from .chern import (
     chern_at,
-    ddbar_omega_form,
+    ddbar_omega_residual,
+    ddbar_omega_sigma_residual,
     delbar_eta_residual,
     kahler_like_residual,
 )
@@ -76,7 +77,7 @@ def curvature_scale(ch, rd):
 def flag_residuals_at(ch, rd):
     """Raw (unnormalized) flag residuals at one point."""
     scale = curvature_scale(ch, rd)
-    ddbar = ddbar_omega_form(ch).max_abs()
+    ddbar = ddbar_omega_residual(ch)
     return {
         "kahler": float(np.max(np.abs(ch.T))) if ch.T.size else 0.0,
         "balanced": float(np.max(np.abs(ch.eta))),
@@ -221,9 +222,7 @@ def eta_trace_residual(ch):
 
 def klike_sigma_residual(ch):
     """On Kahler-like metrics: i del delbar omega = sigma."""
-    lhs = ddbar_omega_form(ch)
-    rhs = ch.sigma_form()
-    return (lhs - rhs).max_abs() / (1.0 + float(np.max(np.abs(ch.Rh))))
+    return ddbar_omega_sigma_residual(ch) / (1.0 + float(np.max(np.abs(ch.Rh))))
 
 
 def holomorphic_eta_residual(ch):

@@ -263,14 +263,8 @@ def run_identities(entry, points, tols, cache):
         if idx < 2:  # frame normalization is costly; two points suffice
             nf = normal_frame_at(metric, p, data=ch)
             frame_w["normal_frame_theta"].update(nf.theta_norm_at_base(), p)
-            Tj = nf.torsion_jets_at(p)
+            _, dT = nf.torsion_jets_at(p)
             n = metric.n
-            dT = np.array(
-                [
-                    [[Tj[k][i][j].d1 for j in range(n)] for i in range(n)]
-                    for k in range(n)
-                ]
-            )
             raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
             raw_lb = np.einsum("la,kija->kijl", np.conj(ch.Pv), dT[..., n:])
             dev = max(

@@ -90,8 +90,8 @@ def connection_transform_residuals(base, factor, point):
     rd0 = riemann_at(base, point)
     rd1 = riemann_at(new, point)
     ch0 = rd0.chern
-    th1_0, th2_0 = levi_civita_frame_connection(rd0, ch0.P)
-    th1_1, th2_1 = levi_civita_frame_connection(rd1, rd1.chern.P)
+    th1_0, th2_0 = levi_civita_frame_connection(rd0, (ch0.Pv, ch0.dP))
+    th1_1, th2_1 = levi_civita_frame_connection(rd1, (rd1.chern.Pv, rd1.chern.dP))
 
     ujet = factor.u_jet(point, n)
     v = _frame_gradient(ch0, ujet)

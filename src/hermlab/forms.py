@@ -5,6 +5,10 @@ Directions are indexed 0..2n-1 in the fixed order
 increasing index tuples.  All sign conventions in the package derive from
 this ordering together with the determinant evaluation convention
 (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
+
+The Chern core works on dense arrays; this module serves the torsion route
+of the two-route Theta_2 check in :mod:`hermlab.levicivita` and the
+finite-difference fallback :func:`fd_exterior_d`.
 """
 
 from __future__ import annotations
@@ -228,10 +232,6 @@ class Form:
         jet = self.coeffs.get(tuple(key))
         return jet.value if jet is not None else 0.0 + 0j
 
-    def coeff_jet(self, key):
-        jet = self.coeffs.get(tuple(key))
-        return jet if jet is not None else Jet2.constant(0.0, self.n)
-
     def max_abs(self):
         if not self.coeffs:
             return 0.0
@@ -293,15 +293,6 @@ def _permutation_sign(order):
     return sign
 
 
-def wedge_power(form, k):
-    if k == 0:
-        return Form.monomial(form.n, (), Jet2.constant(1.0, form.n))
-    out = form
-    for _ in range(k - 1):
-        out = out.wedge(form)
-    return out
-
-
 def mat_wedge(A, B):
     """Product of matrices of forms: (A B)[i][j] = sum_k A[i][k] ^ B[k][j]."""
     rows, inner = len(A), len(B)
@@ -318,10 +309,6 @@ def mat_wedge(A, B):
     return out
 
 
-def mat_transpose(A):
-    return [[A[j][i] for j in range(len(A))] for i in range(len(A[0]))]
-
-
 def mat_conj(A):
     return [[A[i][j].conj() for j in range(len(A[0]))] for i in range(len(A))]
 
@@ -331,17 +318,6 @@ def mat_trace(A):
     for i in range(1, len(A)):
         acc = acc + A[i][i]
     return acc
-
-
-def mat_add(A, B):
-    return [
-        [A[i][j] + B[i][j] for j in range(len(A[0]))]
-        for i in range(len(A))
-    ]
-
-
-def mat_max_abs(A):
-    return max(A[i][j].max_abs() for i in range(len(A)) for j in range(len(A[0])))
 
 
 def fd_exterior_d(builder, p, n, h=1e-4, part="both"):

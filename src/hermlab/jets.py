@@ -296,11 +296,6 @@ class JetMatrix:
         zero = Jet2.constant(0.0, n)
         return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
 
-    @classmethod
-    def zeros(cls, rows, cols, n):
-        zero = Jet2.constant(0.0, n)
-        return cls([[zero for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -308,40 +303,9 @@ class JetMatrix:
     def values(self):
         return np.array([[e.value for e in row] for row in self.entries], dtype=complex)
 
-    def d1_values(self, k):
-        """Matrix of the k-th first-derivative slot of every entry."""
-        return np.array([[e.d1[k] for e in row] for row in self.entries], dtype=complex)
-
-    def map(self, fn):
-        return JetMatrix([[fn(e) for e in row] for row in self.entries])
-
-    def wirtinger(self, k):
-        return self.map(lambda e: e.wirtinger(k))
-
     def conj_transpose(self):
         return JetMatrix(
             [[self.entries[j][i].conj() for j in range(self.rows)] for i in range(self.cols)]
-        )
-
-    def transpose(self):
-        return JetMatrix(
-            [[self.entries[j][i] for j in range(self.rows)] for i in range(self.cols)]
-        )
-
-    def __add__(self, other):
-        return JetMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return JetMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
         )
 
     def __matmul__(self, other):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chern import ChernData, chern_at
 from .forms import Form, fd_exterior_d, mat_conj, mat_trace, mat_wedge
-from .jets import Jet2
+from .jets import Jet2, real_from_wirtinger
 
 _IMAG_TOL = 1e-9
 
@@ -201,6 +201,18 @@ def riemann_at(metric, point, chern_data=None, g=None):
 
 # ----------------------------------------------------------------------
 # torsion route to the mixed connection/curvature of the real metric
+def _order1_jets(n, values, d1):
+    """Object array of order-1 jets from a dense value / derivative pair.
+
+    The torsion route starts from T and L as jets, so its exterior
+    derivatives come from the jet algebra and not from the dense core.
+    """
+    out = np.empty(values.shape, dtype=object)
+    for idx in np.ndindex(values.shape):
+        out[idx] = Jet2(n, values[idx], d1[idx], None, 1)
+    return out
+
+
 def theta2_gamma_forms(ch):
     """(theta_2, gamma) as coordinate-basis form matrices, from torsion.
 
@@ -209,15 +221,15 @@ def theta2_gamma_forms(ch):
     over dz / dzbar with psi_k = sum_a L_{ak} dz_a.
     """
     n = ch.n
-    L = ch.L
+    T, L = _order1_jets(n, ch.T, ch.dT), _order1_jets(n, ch.Lv, ch.dL)
     theta2 = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
     gamma = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ck = ch.T_jets[k][i][j].conj()
-                tk = ch.T_jets[j][i][k]
-                cik = ch.T_jets[i][j][k].conj()
+                ck = T[k, i, j].conj()
+                tk = T[j, i, k]
+                cik = T[i, j, k].conj()
                 for a in range(n):
                     theta2[i][j] = theta2[i][j] + Form(n, 1, {(a,): ck * L[a, k]})
                     gamma[i][j] = gamma[i][j] + Form(n, 1, {(a,): tk * L[a, k]})
@@ -302,28 +314,26 @@ def theta2_two_route_residual(ch, rd):
 
 # ----------------------------------------------------------------------
 # Levi-Civita connection forms of an arbitrary frame field (real route)
-def levi_civita_frame_connection(rd, frame_jets):
+def levi_civita_frame_connection(rd, frame):
     """theta_1 and theta_2 of the frame field, over coordinate cotangent slots.
 
-    ``frame_jets`` holds the frame vectors e_i = sum_a F[i,a] d/dz_a as a
-    jet matrix.  Decomposes nabla e_i = theta_1[i,j] e_j + conj(theta_2)[i,j]
-    ebar_j and nabla ebar_i = theta_2[i,j] e_j + conj(theta_1)[i,j] ebar_j,
+    ``frame`` is the pair (F, dF) of the frame vectors
+    e_i = sum_a F[i,a] d/dz_a and their Wirtinger derivatives [i, a, c].
+    Decomposes nabla e_i = theta_1[i,j] e_j + conj(theta_2)[i,j] ebar_j
+    and nabla ebar_i = theta_2[i,j] e_j + conj(theta_1)[i,j] ebar_j,
     evaluated on all 2n real directions, then re-expressed over
     (dz_1..dz_n, dzbar_1..dzbar_n).
     """
     n = rd.n
     m = 2 * n
-    F = frame_jets
-    Fv = F.values()
+    Fv, dF = frame
+    dF = np.einsum("rc,iac->iar", real_from_wirtinger(n), dF)  # [i, a, rho]
 
     e0 = np.zeros((n, m), dtype=complex)
     for a in range(n):
         e0[a, 2 * a] = 0.5
         e0[a, 2 * a + 1] = -0.5j
     E = Fv @ e0  # frame vectors over the real basis
-    dF = np.array(
-        [[F[i, a].real_d1() for a in range(n)] for i in range(n)]
-    )  # [i, a, rho]
     dE = np.einsum("iar,as->ris", dF, e0)  # [rho, i, sigma]
 
     M = np.vstack([E, np.conj(E)])  # rows decompose results
@@ -355,7 +365,7 @@ def levi_civita_frame_connection(rd, frame_jets):
 
 def theta2_zero_one_part_residual(rd):
     """The (0,1) part of theta_2 must vanish (canonical unitary frame)."""
-    _, theta2 = levi_civita_frame_connection(rd, rd.chern.P)
+    _, theta2 = levi_civita_frame_connection(rd, (rd.chern.Pv, rd.chern.dP))
     return float(np.max(np.abs(theta2[rd.n :])))
 
 
@@ -363,7 +373,7 @@ def theta2_matches_torsion_residual(rd):
     """(theta_2)_{ij} evaluated on e_k equals conj(T^k_{ij})."""
     ch = rd.chern
     n = rd.n
-    _, theta2 = levi_civita_frame_connection(rd, ch.P)
+    _, theta2 = levi_civita_frame_connection(rd, (ch.Pv, ch.dP))
     # slot values on frame vectors: theta2(e_k) = sum_a Pv[k,a] theta2[a]
     on_frame = np.einsum("ka,aij->kij", ch.Pv, theta2[:n])
     expected = np.conj(ch.T)  # [k, i, j]
@@ -383,20 +393,21 @@ def sigma_matrices(ch):
 def sigma2_form(ch):
     """sigma_2 = i tr(conj(theta_2) ^ theta_2) with jet coefficients."""
     n = ch.n
+    T, L = _order1_jets(n, ch.T, ch.dT), _order1_jets(n, ch.Lv, ch.dL)
     S2 = [[Jet2.constant(0.0, n) for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for l in range(n):
             acc = Jet2.constant(0.0, n)
             for i in range(n):
                 for j in range(n):
-                    acc = acc + ch.T_jets[l][i][j] * ch.T_jets[k][i][j].conj()
+                    acc = acc + T[l, i, j] * T[k, i, j].conj()
             S2[k][l] = acc
     out = Form(n, 2)
     for k in range(n):
         for l in range(n):
             for a in range(n):
                 for b in range(n):
-                    coeff = S2[k][l] * ch.L[a, k] * ch.L[b, l].conj() * 1j
+                    coeff = S2[k][l] * L[a, k] * L[b, l].conj() * 1j
                     out = out + Form(n, 2, {(a, n + b): coeff})
     return out
 

@@ -154,8 +154,8 @@ def test_normal_frame_euclidean_is_cholesky(geo, metric):
     m = metric("euclidean")
     p = np.array([0.2 + 0.1j, -0.4 + 0.3j])
     nf = normal_frame_at(m, p)
-    F = nf.frame_jets(p)
-    assert np.allclose(F.values(), np.eye(2))
+    F, _ = nf.frame_jets(p)
+    assert np.allclose(F, np.eye(2))
 
 
 def test_normal_frame_kills_connection(geo, metric):
@@ -171,12 +171,58 @@ def test_normal_frame_covderiv_equals_raw_derivative(geo, metric):
     p = sample_points(m, 1, seed=41)[0]
     ch, _ = geo(m, p)
     nf = normal_frame_at(m, p, data=ch)
-    Tj = nf.torsion_jets_at(p)
+    _, dT = nf.torsion_jets_at(p)
     n = m.n
-    dT = np.array(
-        [[[Tj[k][i][j].d1 for j in range(n)] for i in range(n)] for k in range(n)]
-    )
     raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
     raw_lb = np.einsum("la,kija->kijl", np.conj(ch.Pv), dT[..., n:])
     assert np.max(np.abs(raw_l - ch.covT)) < 1e-7
     assert np.max(np.abs(raw_lb - ch.covT_bar)) < 1e-7
+
+
+def test_dense_coefficients_match_form_algebra(geo, metric):
+    # the dense coefficient tensors against the jet Form algebra on forms
+    # that do not vanish: i del delbar omega and del(omega^{n-1})
+    import dataclasses
+
+    from hermlab.chern import ddbar_omega_residual
+    from hermlab.forms import Form
+
+    for name in ["gkl_surface", "random_polynomial(7)"]:
+        m = metric(name)
+        p = sample_points(m, 1, seed=43)[0]
+        ch, _ = geo(m, p)
+        n = m.n
+        omega = Form(
+            n, 2, {(a, n + b): ch.g[a, b] * 1j for a in range(n) for b in range(n)}
+        )
+        ddbar = omega.exterior_d(part="delbar").exterior_d(part="del").scale(1j)
+        assert ddbar.max_abs() > 1e-3
+        assert ddbar_omega_residual(ch) == pytest.approx(ddbar.max_abs(), rel=1e-12)
+        power = omega
+        for _ in range(n - 2):
+            power = power.wedge(omega)
+        del_power = power.exterior_d(part="del").max_abs()
+        no_eta = dataclasses.replace(ch, eta=np.zeros(n))
+        assert del_power > 1e-3
+        assert balanced_identity_residual(no_eta) == pytest.approx(del_power, rel=1e-12)
+
+
+def test_chern_at_rejects_bad_metric_jets(metric):
+    from hermlab.chern import chern_at
+    from hermlab.errors import DegenerateMetricError, InsufficientJetOrderError
+    from hermlab.jets import Jet2, JetMatrix
+
+    m = metric("gkl_surface")
+    p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
+    entries = m.evaluate(p).entries
+    skewed = [row[:] for row in entries]
+    skewed[0][1] = skewed[0][1] + 1e-3
+    indefinite = [row[:] for row in entries]
+    indefinite[1][1] = Jet2.constant(-1.0, 2)
+    first_order = [[Jet2(2, e.value, e.d1, None, 1) for e in row] for row in entries]
+    with pytest.raises(DegenerateMetricError):
+        chern_at(m, p, g=JetMatrix(skewed))
+    with pytest.raises(DegenerateMetricError):
+        chern_at(m, p, g=JetMatrix(indefinite))
+    with pytest.raises(InsufficientJetOrderError):
+        chern_at(m, p, g=JetMatrix(first_order))

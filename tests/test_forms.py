@@ -6,7 +6,7 @@ import pytest
 
 from hermlab.dsl import eval_expr, parse
 from hermlab.errors import InsufficientJetOrderError
-from hermlab.forms import Form, fd_exterior_d, mat_wedge, wedge_power
+from hermlab.forms import Form, fd_exterior_d, mat_wedge
 from hermlab.jets import Jet2
 
 
@@ -100,7 +100,7 @@ def test_euclidean_volume_power():
     n = 2
     one = Jet2.constant(1j, n)
     omega = Form(n, 2, {(0, 2): one, (1, 3): one})
-    vol = wedge_power(omega, 2).scale(0.5)
+    vol = omega.wedge(omega).scale(0.5)
     dense = _dense_wedge(_dense(omega), 2, _dense(omega), 2) / 2.0
     assert np.max(np.abs(_dense(vol) - dense)) < 1e-12
     # dz1^dz2^dzbar1^dzbar2 = -dz1^dzbar1^dz2^dzbar2, so the standard
