@@ -390,16 +390,14 @@ class NormalFrame:
     point: np.ndarray
     C_hol: np.ndarray  # theta-tilde dz_a coefficients at p, [a, i, j]
     C_anti: np.ndarray  # theta-tilde dzbar_a coefficients at p
+    base_arrays: tuple  # (gv, dg, ddg) of the metric at p
 
-    def _connection_at(self, q):
-        gv, dg, ddg = metric_arrays(self.metric.evaluate(q))
-        return connection_arrays(dg, ddg, np.linalg.inv(gv))
-
-    def frame_jets(self, q):
-        """The frame field A(z) P(z) at q as (value, derivatives [i, a, c])."""
+    def _evaluate(self, q):
+        """Coordinate connection (theta, dtheta) and the frame at q, one evaluation."""
         q = np.asarray(q, dtype=complex)
+        at_base = np.array_equal(q, self.point)
+        gv, dg, ddg = self.base_arrays if at_base else metric_arrays(self.metric.evaluate(q))
         n = self.metric.n
-        gv, dg, _ = metric_arrays(self.metric.evaluate(q))
         _, _, P, dP = cholesky_frame(gv, dg)
         dz = q - self.point
         A = (
@@ -408,19 +406,24 @@ class NormalFrame:
             - np.einsum("a,aij->ij", dz.conj(), self.C_anti)
         )
         dA = -np.concatenate([self.C_hol, self.C_anti]).transpose(1, 2, 0)
-        return A @ P, np.einsum("ijc,ja->iac", dA, P) + np.einsum("ij,jac->iac", A, dP)
+        frame = A @ P, np.einsum("ijc,ja->iac", dA, P) + np.einsum("ij,jac->iac", A, dP)
+        return connection_arrays(dg, ddg, np.linalg.inv(gv)), frame
+
+    def frame_jets(self, q):
+        """The frame field A(z) P(z) at q as (value, derivatives [i, a, c])."""
+        return self._evaluate(q)[1]
 
     def connection_values_at(self, q):
-        theta, _ = self._connection_at(q)
-        return frame_connection_values(theta, self.frame_jets(q))
+        (theta, _), frame = self._evaluate(q)
+        return frame_connection_values(theta, frame)
 
     def theta_norm_at_base(self):
         return float(np.max(np.abs(self.connection_values_at(self.point))))
 
     def torsion_jets_at(self, q):
         """Torsion of the frame field at q as (T[k, i, j], dT[k, i, j, c])."""
-        theta, dtheta = self._connection_at(q)
-        return frame_torsion(theta, dtheta, self.frame_jets(q))
+        (theta, dtheta), frame = self._evaluate(q)
+        return frame_torsion(theta, dtheta, frame)
 
     def torsion_values_at(self, q):
         return self.torsion_jets_at(q)[0]
@@ -431,7 +434,8 @@ def normal_frame_at(metric, point, data=None):
 
     The Cholesky frame is composed with a first-order polynomial unitary
     correction A(z) = I - sum_a C_a (z_a - p_a) - sum_a D_a (zbar_a - pbar_a)
-    whose derivatives cancel the connection at p.
+    whose derivatives cancel the connection at p.  The metric arrays of
+    ``data`` serve every evaluation at p itself.
     """
     if data is None:
         data = chern_at(metric, point)
@@ -441,4 +445,5 @@ def normal_frame_at(metric, point, data=None):
         point=np.asarray(point, dtype=complex),
         C_hol=data.theta_u_vals[:n].copy(),
         C_anti=data.theta_u_vals[n:].copy(),
+        base_arrays=(data.gv, data.dg, data.ddg),
     )

@@ -650,6 +650,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
 
     tolerances = {}
     for item in args.tol:
@@ -660,7 +662,12 @@ def main(argv=None):
             parser.error(
                 f"unknown tolerance {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
-        tolerances[key] = float(value)
+        try:
+            tolerances[key] = float(value)
+        except ValueError:
+            parser.error(f"--tol {key} takes a number, got {value!r}")
+        if np.isnan(tolerances[key]):
+            parser.error(f"--tol {key} must not be NaN")
 
     try:
         entry = load_metric(args.metric)

@@ -6,9 +6,11 @@ increasing index tuples.  All sign conventions in the package derive from
 this ordering together with the determinant evaluation convention
 (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
 
-The Chern core works on dense arrays; this module serves the torsion route
-of the two-route Theta_2 check in :mod:`hermlab.levicivita` and the
-finite-difference fallback :func:`fd_exterior_d`.
+The Chern core and the torsion route work on dense arrays; this module
+serves the finite-difference exterior derivative :func:`fd_exterior_d`,
+which the finite-difference side of the d sigma_2 check in
+:mod:`hermlab.levicivita` applies to :func:`~hermlab.levicivita.sigma2_form`,
+and the ``Form`` methods that ``perfbench/spans.py`` traces.
 """
 
 from __future__ import annotations
@@ -251,28 +253,6 @@ class Form:
                 raise ValueError("form has components outside the (1,1) block")
         return H
 
-    def blocks_2form(self):
-        """Split a 2-form into ((2,0), (1,1), (0,2)) coefficient matrices.
-
-        Returns (A, B, C) with the form equal to
-        sum_{a<b} A[a,b] e_a^e_b + sum_{a,b} B[a,b] e_a^ebar_b
-        + sum_{a<b} C[a,b] ebar_a^ebar_b.
-        """
-        n = self.n
-        A = np.zeros((n, n), dtype=complex)
-        B = np.zeros((n, n), dtype=complex)
-        C = np.zeros((n, n), dtype=complex)
-        for (a, b), jet in self.coeffs.items():
-            if b < n:
-                A[a, b] = jet.value
-                A[b, a] = -jet.value
-            elif a < n:
-                B[a, b - n] = jet.value
-            else:
-                C[a - n, b - n] = jet.value
-                C[b - n, a - n] = -jet.value
-        return A, B, C
-
 
 def _permutation_sign(order):
     """Sign of the permutation given as an index array."""
@@ -307,17 +287,6 @@ def mat_wedge(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_conj(A):
-    return [[A[i][j].conj() for j in range(len(A[0]))] for i in range(len(A))]
-
-
-def mat_trace(A):
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc
 
 
 def fd_exterior_d(builder, p, n, h=1e-4, part="both"):

@@ -8,6 +8,17 @@ Curvature follows R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
 nabla_{[X,Y]} Z with R_{XYZW} = <R(X,Y)Z, W>; this sign is locked by two
 tests: components with four unbarred slots vanish on every Hermitian
 metric, and R agrees with the Chern curvature on Kahler metrics.
+
+The torsion route to the mixed curvature block Theta_2 reads only
+:class:`~hermlab.chern.ChernData` (T, dT, L, dL, P, theta_u_vals), never
+the Christoffel symbols it is checked against.  Its arrays follow the
+:mod:`hermlab.chern` layouts, with the frame indices first and the 2n
+Wirtinger slots (dz_1 .. dz_n, dzbar_1 .. dzbar_n) after them:
+``theta2[i, j, a]`` and ``gamma[i, j, a]`` are the slot-a coefficients of
+(theta_2)_{ij} and gamma_{ij}, ``dtheta2[i, j, a, c]`` the slot-c derivative
+of ``theta2[i, j, a]``, and ``Theta2[i, j, a, b]`` an unnormalised 2-form,
+(Theta_2)_{ij} = sum over all (a, b) of Theta2[i, j, a, b] d_a ^ d_b.
+sigma_2 is ``H[a, b]`` with derivatives ``dH[a, b, c]`` in the same way.
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import ChernData, chern_at
-from .forms import Form, fd_exterior_d, mat_conj, mat_trace, mat_wedge
+from .chern import ChernData, _max_coefficient, chern_at
+from .forms import Form, fd_exterior_d
 from .jets import Jet2, real_from_wirtinger
 
 _IMAG_TOL = 1e-9
@@ -201,78 +212,51 @@ def riemann_at(metric, point, chern_data=None, g=None):
 
 # ----------------------------------------------------------------------
 # torsion route to the mixed connection/curvature of the real metric
-def _order1_jets(n, values, d1):
-    """Object array of order-1 jets from a dense value / derivative pair.
+def _conj_slots(X, *axes):
+    """Complex conjugate of X with the dz / dzbar halves of ``axes`` swapped.
 
-    The torsion route starts from T and L as jets, so its exterior
-    derivatives come from the jet algebra and not from the dense core.
+    On a derivative slot this differentiates the conjugate
+    (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
     """
-    out = np.empty(values.shape, dtype=object)
-    for idx in np.ndindex(values.shape):
-        out[idx] = Jet2(n, values[idx], d1[idx], None, 1)
-    return out
+    return np.roll(X.conj(), X.shape[axes[0]] // 2, axis=axes)
 
 
 def theta2_gamma_forms(ch):
-    """(theta_2, gamma) as coordinate-basis form matrices, from torsion.
+    """(theta_2, gamma, d theta_2) over the coordinate cotangent slots, from torsion.
 
     (theta_2)_{ij} = sum_k conj(T^k_{ij}) psi_k and
     gamma_{ij} = sum_k (T^j_{ik} psi_k - conj(T^i_{jk}) psibar_k), expanded
-    over dz / dzbar with psi_k = sum_a L_{ak} dz_a.
+    over dz / dzbar with psi_k = sum_a L_{ak} dz_a.  Built from T, dT, L and
+    dL only.
     """
     n = ch.n
-    T, L = _order1_jets(n, ch.T, ch.dT), _order1_jets(n, ch.Lv, ch.dL)
-    theta2 = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
-    gamma = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ck = T[k, i, j].conj()
-                tk = T[j, i, k]
-                cik = T[i, j, k].conj()
-                for a in range(n):
-                    theta2[i][j] = theta2[i][j] + Form(n, 1, {(a,): ck * L[a, k]})
-                    gamma[i][j] = gamma[i][j] + Form(n, 1, {(a,): tk * L[a, k]})
-                    gamma[i][j] = gamma[i][j] - Form(
-                        n, 1, {(n + a,): cik * L[a, k].conj()}
-                    )
-    return theta2, gamma
-
-
-def _theta_unitary_forms(ch):
-    """Unitary-frame Chern connection as coordinate-basis forms (values)."""
-    n = ch.n
-    out = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
-    for c in range(2 * n):
-        vals = ch.theta_u_vals[c]
-        for i in range(n):
-            for j in range(n):
-                if vals[i, j] != 0:
-                    out[i][j] = out[i][j] + Form(
-                        n, 1, {(c,): Jet2(n, vals[i, j], None, None, 0)}
-                    )
-    return out
+    T, L = ch.T, ch.Lv
+    theta2 = np.zeros((n, n, 2 * n), dtype=complex)
+    theta2[..., :n] = np.einsum("kij,ak->ija", T.conj(), L)
+    dtheta2 = np.zeros((n, n, 2 * n, 2 * n), dtype=complex)
+    dtheta2[:, :, :n] = np.einsum("kijc,ak->ijac", _conj_slots(ch.dT, 3), L) + np.einsum(
+        "kij,akc->ijac", T.conj(), ch.dL
+    )
+    gamma = np.concatenate(
+        [np.einsum("jik,ak->ija", T, L), -np.einsum("ijk,ak->ija", T.conj(), L.conj())],
+        axis=2,
+    )
+    return theta2, gamma, dtheta2
 
 
 def theta2_structure_route(ch):
     """Theta_2 = d theta_2 - theta_2 ^ theta_1 - conj(theta_1) ^ theta_2.
 
-    Built entirely from torsion data (plus the Chern connection values);
-    independent of the Christoffel route.
+    Built entirely from torsion data (plus the Chern connection values,
+    theta_1 = theta_u + gamma); independent of the Christoffel route.
     """
-    theta2, gamma = theta2_gamma_forms(ch)
-    theta_u = _theta_unitary_forms(ch)
-    theta1 = [
-        [theta_u[i][j] + gamma[i][j] for j in range(ch.n)] for i in range(ch.n)
-    ]
-    d_theta2 = [[f.exterior_d() for f in row] for row in theta2]
-    t2t1 = mat_wedge(theta2, theta1)
-    t1bar_t2 = mat_wedge(mat_conj(theta1), theta2)
-    n = ch.n
-    return [
-        [d_theta2[i][j] - t2t1[i][j] - t1bar_t2[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    theta2, gamma, dtheta2 = theta2_gamma_forms(ch)
+    theta1 = ch.theta_u_vals.transpose(1, 2, 0) + gamma
+    return (
+        dtheta2.transpose(0, 1, 3, 2)
+        - np.einsum("ika,kjb->ijab", theta2, theta1)
+        - np.einsum("ika,kjb->ijab", _conj_slots(theta1, 2), theta2)
+    )
 
 
 def theta2_gamma_check(ch, rd):
@@ -297,19 +281,16 @@ def theta2_two_route_residual(ch, rd):
     """Max deviation between the torsion route and the Christoffel route."""
     n = ch.n
     C = ch.frame_coframe_change()
+    M = np.zeros((2 * n, 2 * n), dtype=complex)  # dz, dzbar over psi, psibar
+    M[:n, :n], M[n:, n:] = C, C.conj()
+    Theta2 = theta2_structure_route(ch)
+    route2 = np.einsum("ijab,aA,bB->ijAB", Theta2 - Theta2.transpose(0, 1, 3, 2), M, M)
     B20, B11, B02 = rd.theta2_blocks()
-    route2 = theta2_structure_route(ch)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            A20, A11, A02 = route2[i][j].to_coframe(C).blocks_2form()
-            worst = max(
-                worst,
-                float(np.max(np.abs(A20 - B20[i, j]))),
-                float(np.max(np.abs(A11 - B11[i, j]))),
-                float(np.max(np.abs(A02 - B02[i, j]))),
-            )
-    return worst
+    return max(
+        float(np.max(np.abs(route2[:, :, :n, :n] - B20))),
+        float(np.max(np.abs(route2[:, :, :n, n:] - B11))),
+        float(np.max(np.abs(route2[:, :, n:, n:] - B02))),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -390,42 +371,59 @@ def sigma_matrices(ch):
     return S1, S2
 
 
-def sigma2_form(ch):
-    """sigma_2 = i tr(conj(theta_2) ^ theta_2) with jet coefficients."""
+def _sigma2_coefficients(ch):
+    """sigma_2 as the unnormalised 2-form H[a, b] and its derivatives dH[a, b, c].
+
+    Only the (dz, dzbar) block is nonzero, H = i L S_2 L^*; both come from
+    T, dT, L and dL.
+    """
     n = ch.n
-    T, L = _order1_jets(n, ch.T, ch.dT), _order1_jets(n, ch.Lv, ch.dL)
-    S2 = [[Jet2.constant(0.0, n) for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            acc = Jet2.constant(0.0, n)
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + T[l, i, j] * T[k, i, j].conj()
-            S2[k][l] = acc
-    out = Form(n, 2)
-    for k in range(n):
-        for l in range(n):
-            for a in range(n):
-                for b in range(n):
-                    coeff = S2[k][l] * L[a, k] * L[b, l].conj() * 1j
-                    out = out + Form(n, 2, {(a, n + b): coeff})
-    return out
+    T, dT, L, dL = ch.T, ch.dT, ch.Lv, ch.dL
+    _, S2 = sigma_matrices(ch)
+    dS2 = np.einsum("lijc,kij->klc", dT, T.conj()) + np.einsum(
+        "lij,kijc->klc", T, _conj_slots(dT, 3)
+    )
+    dLbar = _conj_slots(dL, 2)
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    H[:n, n:] = 1j * L @ S2 @ L.conj().T
+    dH = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    dH[:n, n:] = 1j * (
+        np.einsum("akc,kl,bl->abc", dL, S2, L.conj())
+        + np.einsum("ak,klc,bl->abc", L, dS2, L.conj())
+        + np.einsum("ak,kl,blc->abc", L, S2, dLbar)
+    )
+    return H, dH
+
+
+def sigma2_form(ch):
+    """sigma_2 = i tr(conj(theta_2) ^ theta_2) as a form with value coefficients."""
+    n = ch.n
+    H, _ = _sigma2_coefficients(ch)
+    return Form(
+        n,
+        2,
+        {(a, b): Jet2(n, H[a, b], None, None, 0) for a in range(n) for b in range(n, 2 * n)},
+    )
 
 
 def dsigma2_check(ch, use_fd=False):
-    """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2)."""
+    """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2).
+
+    With ``use_fd`` the left side is the finite-difference exterior
+    derivative of sigma_2 at nearby points rather than its closed form.
+    """
     n = ch.n
     if use_fd:
-        from .chern import chern_at as _chern_at
-
-        lhs = fd_exterior_d(
-            lambda q: sigma2_form(_chern_at(ch.metric, q)), ch.point, n
-        )
+        d_sigma2 = fd_exterior_d(lambda q: sigma2_form(chern_at(ch.metric, q)), ch.point, n)
+        lhs = np.zeros((2 * n,) * 3, dtype=complex)
+        for key, jet in d_sigma2.coeffs.items():
+            lhs[key] = jet.value
     else:
-        lhs = sigma2_form(ch).exterior_d()
-    theta2, _gamma = theta2_gamma_forms(ch)
+        lhs = _sigma2_coefficients(ch)[1].transpose(2, 0, 1)
+    theta2, _, _ = theta2_gamma_forms(ch)
     Theta2 = theta2_structure_route(ch)
-    term1 = mat_wedge(mat_conj(Theta2), theta2)
-    term2 = mat_wedge(mat_conj(theta2), Theta2)
-    rhs = (mat_trace(term1) - mat_trace(term2)).scale(1j)
-    return (lhs - rhs).max_abs()
+    rhs = 1j * (
+        np.einsum("ikab,kic->abc", _conj_slots(Theta2, 2, 3), theta2)
+        - np.einsum("ika,kibc->abc", _conj_slots(theta2, 2), Theta2)
+    )
+    return _max_coefficient(lhs - rhs, 3, 0)

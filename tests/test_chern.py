@@ -226,3 +226,21 @@ def test_chern_at_rejects_bad_metric_jets(metric):
         chern_at(m, p, g=JetMatrix(indefinite))
     with pytest.raises(InsufficientJetOrderError):
         chern_at(m, p, g=JetMatrix(first_order))
+
+
+def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):
+    # at the base point the frame reuses the metric arrays of the Chern data;
+    # elsewhere the connection and the frame share one evaluation
+    m = metric("iwasawa")
+    p = sample_points(m, 1, seed=37)[0]
+    nf = normal_frame_at(m, p)
+    evaluated = []
+    evaluate = m.evaluate
+    monkeypatch.setattr(m, "evaluate", lambda q: evaluated.append(q) or evaluate(q))
+    nf.theta_norm_at_base()
+    nf.torsion_jets_at(p)
+    assert evaluated == []
+    q = p + 0.01
+    for method in (nf.frame_jets, nf.connection_values_at, nf.torsion_jets_at):
+        method(q)
+    assert len(evaluated) == 3

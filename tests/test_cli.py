@@ -130,6 +130,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "bad_args",
+    [["--points", "0"], ["--tol", "flags=abc"], ["--tol", "flags=nan"]],
+    ids=["points_0", "tol_not_a_number", "tol_nan"],
+)
+def test_bad_arguments_are_usage_errors(bad_args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--metric", "euclidean", *bad_args])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_tolerance_override(tmp_path):
     out = tmp_path / "r.json"
     code = main(

@@ -15,11 +15,12 @@ from hermlab.chern import (
 )
 from hermlab.dsl import MetricField
 from hermlab.jets import real_from_wirtinger
-from hermlab.levicivita import riemann_at, theta2_two_route_residual
+from hermlab.levicivita import dsigma2_check, riemann_at, theta2_two_route_residual
 
-# the identities suite's "exact" and "two_route" tolerances
+# the identities suite's "exact", "two_route" and "fd" tolerances
 EXACT = 1e-8
 TWO_ROUTE = 1e-6
+FD = 1e-5
 
 
 def perturbed_metric(n):
@@ -56,6 +57,8 @@ def test_chern_identities(n):
     assert balanced_identity_residual(ch) < EXACT
     assert skew_hermitian_residual(ch) < EXACT
     assert theta2_two_route_residual(ch, rd) < TWO_ROUTE
+    assert dsigma2_check(ch) < FD
+    assert dsigma2_check(ch, use_fd=True) < FD
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -1,8 +1,13 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import sample_points
 from hermlab.dsl import eval_expr, parse
+from hermlab.forms import Form, mat_wedge
+from hermlab.jets import Jet2
 from hermlab.levicivita import (
     dsigma2_check,
     levi_civita_frame_connection,
@@ -10,9 +15,11 @@ from hermlab.levicivita import (
     sigma2_form,
     sigma_matrices,
     theta2_matches_torsion_residual,
+    theta2_structure_route,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
 )
+from test_highdim import base_point, perturbed_metric
 
 
 def test_euclidean_curvature_vanishes(geo, metric):
@@ -123,6 +130,92 @@ def test_dsigma2_trace_identity(geo, metric):
         ch, _ = geo(m, p)
         assert dsigma2_check(ch) < 1e-5
         assert dsigma2_check(ch, use_fd=True) < 1e-5
+
+
+def _torsion_geometry(geo, metric, n):
+    """(ch, rd) on a torsionful metric: iwasawa at n = 3, a generated one above."""
+    if n == 3:
+        m = metric("iwasawa")
+        return geo(m, sample_points(m, 1, seed=20)[0])
+    return geo(perturbed_metric(n), base_point(n))
+
+
+def _antisymmetric_noise(shape, seed, size=1e-3):
+    """Complex noise of the given size, antisymmetric in axes 1 and 2 like T."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    return size / 2 * (X - X.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_theta2_two_route_detects_perturbed_torsion(geo, metric, n):
+    ch, rd = _torsion_geometry(geo, metric, n)
+    assert theta2_two_route_residual(ch, rd) < 1e-7
+    bad = replace(ch, T=ch.T + _antisymmetric_noise(ch.T.shape, seed=n))
+    assert theta2_two_route_residual(bad, rd) > 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_dsigma2_fd_detects_perturbed_torsion_derivative(geo, metric, n):
+    # the finite-difference side sees the metric, the right side the data
+    ch, _ = _torsion_geometry(geo, metric, n)
+    assert dsigma2_check(ch, use_fd=True) < 1e-5
+    bad = replace(ch, dT=ch.dT + _antisymmetric_noise(ch.dT.shape, seed=n))
+    assert dsigma2_check(bad, use_fd=True) > 1e-5
+
+
+def _theta2_by_form_algebra(ch):
+    """Theta_2 = d theta_2 - theta_2 ^ theta_1 - conj(theta_1) ^ theta_2 on jet Forms.
+
+    T and L enter as order-1 jets, so d theta_2 comes from the jet algebra;
+    returns the sorted-basis coefficients as an antisymmetric [i, j, a, b]
+    array.
+    """
+    n = ch.n
+
+    def jets(values, d1):
+        out = np.empty(values.shape, dtype=object)
+        for idx in np.ndindex(values.shape):
+            out[idx] = Jet2(n, values[idx], d1[idx], None, 1)
+        return out
+
+    T, L = jets(ch.T, ch.dT), jets(ch.Lv, ch.dL)
+    theta2 = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
+    theta1 = [[Form(n, 1) for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        for c in range(2 * n):
+            value = Jet2(n, ch.theta_u_vals[c, i, j], None, None, 0)
+            theta1[i][j] = theta1[i][j] + Form(n, 1, {(c,): value})
+        for k, a in itertools.product(range(n), repeat=2):
+            theta2[i][j] = theta2[i][j] + Form(n, 1, {(a,): T[k, i, j].conj() * L[a, k]})
+            theta1[i][j] = theta1[i][j] + Form(n, 1, {(a,): T[j, i, k] * L[a, k]})
+            theta1[i][j] = theta1[i][j] - Form(
+                n, 1, {(n + a,): T[i, j, k].conj() * L[a, k].conj()}
+            )
+    t2t1 = mat_wedge(theta2, theta1)
+    t1bar_t2 = mat_wedge([[f.conj() for f in row] for row in theta1], theta2)
+    out = np.zeros((n, n, 2 * n, 2 * n), dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        form = theta2[i][j].exterior_d() - t2t1[i][j] - t1bar_t2[i][j]
+        for (a, b), jet in form.coeffs.items():
+            out[i, j, a, b], out[i, j, b, a] = jet.value, -jet.value
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_theta2_matches_form_algebra(geo, metric, n):
+    # pins the slot order, the conjugations and the wedge signs of the
+    # dense structure equation against the Form primitives
+    if n == 3:
+        m = metric("random_polynomial(7)")
+        ch, _ = geo(m, sample_points(m, 1, seed=22)[0])
+    else:
+        ch, _ = _torsion_geometry(geo, metric, n)
+    reference = _theta2_by_form_algebra(ch)
+    assert np.max(np.abs(reference)) > 1e-3
+    dense = theta2_structure_route(ch)
+    dense = dense - dense.transpose(0, 1, 3, 2)
+    assert np.max(np.abs(dense - reference)) < 1e-13
 
 
 def test_gkl_equivalence_theta2_blocks(geo, metric):
