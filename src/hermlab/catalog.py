@@ -13,13 +13,14 @@ nothing a chart-based engine could evaluate.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsl import MetricField
-from .errors import UnknownMetricError
+from .errors import InvalidConfigError, UnknownMetricError
 
 DEFAULT_SEED = 0x5EED
 
@@ -281,15 +282,56 @@ def to_config(entry):
     return cfg
 
 
-def from_config(cfg):
-    required = {"name", "n", "entries"}
-    missing = required - set(cfg)
+def _is_box_row(row):
+    return (
+        isinstance(row, list)
+        and len(row) == 4
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        and all(math.isfinite(x) for x in row)
+        and row[0] < row[1]
+        and row[2] < row[3]
+    )
+
+
+def _check_config(cfg):
+    """Raise InvalidConfigError naming the first missing or malformed field."""
+    if not isinstance(cfg, dict):
+        raise InvalidConfigError("metric config must be a JSON object")
+    missing = {"name", "n", "entries"} - set(cfg)
     if missing:
-        raise UnknownMetricError(f"metric config is missing fields: {sorted(missing)}")
+        raise InvalidConfigError(f"metric config is missing fields: {sorted(missing)}")
+    n = cfg["n"]
+    if not isinstance(cfg["name"], str):
+        raise InvalidConfigError("metric config field 'name' must be a string")
+    if not (isinstance(n, int) and not isinstance(n, bool)) or n < 1:
+        raise InvalidConfigError(f"metric config field 'n' must be an integer >= 1, got {n!r}")
+    for key, count in (("entries", n * n), ("constraints", None)):
+        texts = cfg.get(key, [])
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise InvalidConfigError(f"metric config field {key!r} must be a list of strings")
+        if count is not None and len(texts) != count:
+            raise InvalidConfigError(
+                f"metric config field {key!r} has {len(texts)} expressions; n={n} needs {count}"
+            )
+    box = cfg.get("box")
+    if box is not None and not (
+        isinstance(box, list) and len(box) == n and all(_is_box_row(row) for row in box)
+    ):
+        raise InvalidConfigError(
+            f"metric config field 'box' must be {n} rows of 4 finite numbers "
+            "(re_lo, re_hi, im_lo, im_hi) with lo < hi"
+        )
+    flags = cfg.get("expected_flags", {})
+    if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+        raise InvalidConfigError("metric config field 'expected_flags' must map names to booleans")
+
+
+def from_config(cfg):
+    _check_config(cfg)
     metric = MetricField.from_text(
         cfg["name"],
-        int(cfg["n"]),
-        list(cfg["entries"]),
+        cfg["n"],
+        cfg["entries"],
         cfg.get("constraints", ()),
         cfg.get("box"),
     )

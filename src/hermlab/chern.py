@@ -16,7 +16,10 @@ Conventions, fixed once here and used by every downstream module:
   (first two indices from the 2-form, last two from the endomorphism).
 
 Everything is a dense numpy array computed in closed form from the value,
-first and second derivative arrays of g.  Derivative slots run over the 2n
+first and second derivative arrays of g.  :func:`chern_at` takes one point
+or a batch of P points; on a batch every array gains a leading point axis
+(all index patterns below start with ``...``), and one point is the batch
+of one.  Derivative slots run over the 2n
 Wirtinger directions (d/dz_1 .. d/dz_n, d/dzbar_1 .. d/dzbar_n) and always
 come last: ``dg[i, j, c]``, ``ddg[i, j, c, d]``, ``dT[k, i, j, c]``.  Form
 slots come first and endomorphism slots after them: ``theta[a, i, j]`` is
@@ -30,24 +33,26 @@ dL = L Phi(L^{-1} dg L^{-*}), Phi = lower triangle with halved diagonal
 An identity residual is the largest coefficient of a (p, q)-form on the
 sorted basis dz_{a_1} ^ .. ^ dz_{a_p} ^ dzbar_{b_1} ^ .. ^ dzbar_{b_q}; a
 form is assembled as an unnormalised sum over all index tuples and
-antisymmetrised by :func:`_max_coefficient`.
+antisymmetrised by :func:`_coefficients`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .dsl import MetricField
 from .errors import DegenerateMetricError, InsufficientJetOrderError
-from .jets import JetMatrix
 
 
 def metric_arrays(g):
     """Value, first and second derivative arrays of a metric jet matrix.
+
+    :meth:`MetricField.evaluate` checks the metrics it evaluates; this checks
+    jets given from elsewhere (the ``g`` override of :func:`chern_at`).
 
     Raises :class:`DegenerateMetricError` when g is not Hermitian (to 1e-6
     over every jet slot) or not positive definite, and
@@ -78,24 +83,24 @@ def cholesky_frame(gv, dg):
     formula holds slot by slot for the Wirtinger derivatives as well as for
     the real ones.
     """
-    n = gv.shape[0]
+    n = gv.shape[-1]
     L = np.linalg.cholesky(gv)
     P = np.linalg.inv(L)
-    A = np.einsum("ia,abc->ibc", P, dg)
-    A = np.einsum("ibc,jb->ijc", A, P.conj())
+    A = np.einsum("...ia,...abc->...ibc", P, dg)
+    A = np.einsum("...ibc,...jb->...ijc", A, P.conj())
     Phi = A * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))[:, :, None]
-    dL = np.einsum("ia,ajc->ijc", L, Phi)
-    dP = -np.einsum("ia,abc,bj->ijc", P, dL, P)
+    dL = np.einsum("...ia,...ajc->...ijc", L, Phi)
+    dP = -np.einsum("...ia,...abc,...bj->...ijc", P, dL, P)
     return L, dL, P, dP
 
 
 def connection_arrays(dg, ddg, ginv):
     """theta[a, i, j] = ((d_a g) g^{-1})_{ij} and its derivatives [a, i, j, c]."""
-    n = ginv.shape[0]
-    dginv = -np.einsum("ik,klc,lj->ijc", ginv, dg, ginv)
-    theta = np.einsum("ila,lj->aij", dg[:, :, :n], ginv)
-    dtheta = np.einsum("ilac,lj->aijc", ddg[:, :, :n], ginv) + np.einsum(
-        "ila,ljc->aijc", dg[:, :, :n], dginv
+    n = ginv.shape[-1]
+    dginv = -np.einsum("...ik,...klc,...lj->...ijc", ginv, dg, ginv)
+    theta = np.einsum("...ila,...lj->...aij", dg[..., :n], ginv)
+    dtheta = np.einsum("...ilac,...lj->...aijc", ddg[..., :n, :], ginv) + np.einsum(
+        "...ila,...ljc->...aijc", dg[..., :n], dginv
     )
     return theta, dtheta
 
@@ -111,17 +116,19 @@ def frame_torsion(theta, dtheta, frame):
     """
     F, dF = frame
     K = np.linalg.inv(F)
-    dK = -np.einsum("mx,xyc,yk->mkc", K, dF, K)
-    W = np.einsum("mk,abm->kab", K, theta)
-    dW = np.einsum("mkc,abm->kabc", dK, theta) + np.einsum("mk,abmc->kabc", K, dtheta)
-    FW = np.einsum("ia,kab->kib", F, W)
-    V = np.einsum("kib,jb->kij", FW, F)
-    dV = (
-        np.einsum("kibc,jb->kijc", np.einsum("ia,kabc->kibc", F, dW), F)
-        + np.einsum("iac,kaj->kijc", dF, np.einsum("kab,jb->kaj", W, F))
-        + np.einsum("kib,jbc->kijc", FW, dF)
+    dK = -np.einsum("...mx,...xyc,...yk->...mkc", K, dF, K)
+    W = np.einsum("...mk,...abm->...kab", K, theta)
+    dW = np.einsum("...mkc,...abm->...kabc", dK, theta) + np.einsum(
+        "...mk,...abmc->...kabc", K, dtheta
     )
-    return 0.5 * (V - V.transpose(0, 2, 1)), 0.5 * (dV - dV.transpose(0, 2, 1, 3))
+    FW = np.einsum("...ia,...kab->...kib", F, W)
+    V = np.einsum("...kib,...jb->...kij", FW, F)
+    dV = (
+        np.einsum("...kibc,...jb->...kijc", np.einsum("...ia,...kabc->...kibc", F, dW), F)
+        + np.einsum("...iac,...kaj->...kijc", dF, np.einsum("...kab,...jb->...kaj", W, F))
+        + np.einsum("...kib,...jbc->...kijc", FW, dF)
+    )
+    return 0.5 * (V - V.swapaxes(-2, -1)), 0.5 * (dV - dV.swapaxes(-3, -2))
 
 
 def frame_connection_values(theta, frame):
@@ -131,26 +138,33 @@ def frame_connection_values(theta, frame):
     theta^F = F theta0 F^{-1} + dF F^{-1}, for ``frame`` = (F, dF).
     """
     F, dF = frame
-    n = F.shape[0]
+    n = F.shape[-1]
     Finv = np.linalg.inv(F)
-    th = np.einsum("iac,aj->cij", dF, Finv)
-    th[:n] += F @ theta @ Finv
+    th = np.einsum("...iac,...aj->...cij", dF, Finv)
+    th[..., :n, :, :] += F[..., None, :, :] @ theta @ Finv[..., None, :, :]
     return th
+
+
+def arrays_at(data, index):
+    """The array fields of a dataclass instance, each indexed by ``index``."""
+    return {
+        f.name: getattr(data, f.name)[index]
+        for f in fields(data)
+        if isinstance(getattr(data, f.name), np.ndarray)
+    }
 
 
 @dataclass
 class ChernData:
-    """All Chern-side pointwise data of a metric at one chart point.
+    """All Chern-side pointwise data of a metric at one point or a batch.
 
-    ``g`` keeps the metric jets (the Christoffel route and the
-    finite-difference oracle read them); every other field is a dense array
-    in the layouts of the module docstring.
+    ``point`` is [n] or [P, n]; every other array is dense, in the layouts
+    of the module docstring, with the same leading point axes.
     """
 
     metric: MetricField
     point: np.ndarray
     n: int
-    g: JetMatrix
     gv: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
@@ -171,6 +185,19 @@ class ChernData:
     covT: np.ndarray = field(default=None)
     covT_bar: np.ndarray = field(default=None)
 
+    def at(self, index):
+        """The data at point ``index`` of a batch, as views of its arrays."""
+        return replace(self, **arrays_at(self, index))
+
+    def pointwise_max(self, X):
+        """max |X| at each point over the axes after the point axes.
+
+        A float at a single point, an array over the points of a batch.
+        """
+        lead = self.point.shape[:-1]
+        m = np.abs(X).reshape(lead + (-1,)).max(axis=-1)
+        return m if lead else float(m)
+
     def torsion_norm_sq(self):
         return float(np.sum(np.abs(self.T) ** 2))
 
@@ -180,30 +207,40 @@ class ChernData:
 
 
 def chern_at(metric, point, g=None):
-    """Compute connection, curvature and torsion data at ``point``.
+    """Connection, curvature and torsion data at ``point`` [n] or points [P, n].
 
-    ``g`` may override the evaluated metric jets (used by the
-    finite-difference oracle mode).
+    One point is computed as the batch of one.  ``g`` may override the
+    evaluated metric jets at a single point (the finite-difference oracle
+    mode); :func:`metric_arrays` checks it.
     """
     point = np.asarray(point, dtype=complex)
+    if point.ndim == 1:
+        if g is None:
+            arrays = metric.evaluate(point[None])
+        else:
+            arrays = tuple(x[None] for x in metric_arrays(g))
+        return _chern_data(metric, point[None], *arrays).at(0)
+    if g is not None:
+        raise ValueError("a metric jet override applies to a single point")
+    return _chern_data(metric, point, *metric.evaluate(point))
+
+
+def _chern_data(metric, point, gv, dg, ddg):
     n = metric.n
-    if g is None:
-        g = metric.evaluate(point)
-    gv, dg, ddg = metric_arrays(g)
     L, dL, P, dP = cholesky_frame(gv, dg)
     theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))
-    Theta = -dtheta[..., n:].transpose(0, 3, 1, 2)
+    Theta = -np.moveaxis(dtheta[..., n:], -1, -3)
     T, dT = frame_torsion(theta, dtheta, (P, dP))
 
     # Rh[k, l, i, j] = sum P_kc conj(P_ld) (P Theta_cd L)_ij
-    Rh = np.einsum("ka,abij->kbij", P, P @ Theta @ L)
-    Rh = np.einsum("lb,kbij->klij", P.conj(), Rh)
+    Rh = P[..., None, None, :, :] @ Theta @ L[..., None, None, :, :]
+    Rh = np.einsum("...ka,...abij->...kbij", P, Rh)
+    Rh = np.einsum("...lb,...kbij->...klij", P.conj(), Rh)
 
     data = ChernData(
         metric=metric,
         point=point,
         n=n,
-        g=g,
         gv=gv,
         dg=dg,
         ddg=ddg,
@@ -217,7 +254,7 @@ def chern_at(metric, point, g=None):
         T=T,
         dT=dT,
         Rh=Rh,
-        eta=np.einsum("iij->j", T),
+        eta=np.einsum("...iij->...j", T),
         theta_u_vals=frame_connection_values(theta, (P, dP)),
     )
     data.covT, data.covT_bar = covderiv_torsion(data)
@@ -237,17 +274,17 @@ def covderiv_torsion(data):
     dT = data.dT
     th = data.theta_u_vals
 
-    eT = np.einsum("la,kija->kijl", Pv, dT[..., :n])
-    ebT = np.einsum("la,kija->kijl", np.conj(Pv), dT[..., n:])
+    eT = np.einsum("...la,...kija->...kijl", Pv, dT[..., :n])
+    ebT = np.einsum("...la,...kija->...kijl", np.conj(Pv), dT[..., n:])
 
-    th10 = np.einsum("la,aij->lij", Pv, th[:n])
-    th01 = np.einsum("la,aij->lij", np.conj(Pv), th[n:])
+    th10 = np.einsum("...la,...aij->...lij", Pv, th[..., :n, :, :])
+    th01 = np.einsum("...la,...aij->...lij", np.conj(Pv), th[..., n:, :, :])
 
     def corrected(raw, conn):
         out = raw.copy()
-        out -= np.einsum("lir,krj->kijl", conn, T)
-        out -= np.einsum("ljr,kir->kijl", conn, T)
-        out += np.einsum("lrk,rij->kijl", conn, T)
+        out -= np.einsum("...lir,...krj->...kijl", conn, T)
+        out -= np.einsum("...ljr,...kir->...kijl", conn, T)
+        out += np.einsum("...lrk,...rij->...kijl", conn, T)
         return out
 
     return corrected(eT, th10), corrected(ebT, th01)
@@ -255,8 +292,8 @@ def covderiv_torsion(data):
 
 # ----------------------------------------------------------------------
 # identity residuals in the holomorphic coordinate frame
-def _max_coefficient(X, p, q):
-    """Largest coefficient of the (p, q)-forms in the last p + q axes of X.
+def _coefficients(X, p, q):
+    """Sorted-basis coefficients of the (p, q)-forms in the last p + q axes of X.
 
     X[..., a_1..a_p, b_1..b_q] holds sum over all index tuples of
     X dz_{a_1} ^ .. ^ dz_{a_p} ^ dzbar_{b_1} ^ .. ^ dzbar_{b_q}, one form per
@@ -272,7 +309,12 @@ def _max_coefficient(X, p, q):
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
             acc = acc + (-1) ** inversions * X.transpose(order)
         X = acc
-    return float(np.max(np.abs(X)))
+    return X
+
+
+def _max_coefficient(X, p, q):
+    """Largest coefficient of the (p, q)-forms in the last p + q axes of X."""
+    return float(np.max(np.abs(_coefficients(X, p, q))))
 
 
 def _ddbar_omega(data):
@@ -281,7 +323,7 @@ def _ddbar_omega(data):
     Built from the second derivatives of g only.
     """
     n = data.n
-    return np.einsum("abcd->cadb", data.ddg[:, :, :n, n:])
+    return np.einsum("...abcd->...cadb", data.ddg[..., :n, n:])
 
 
 def _sigma(data):
@@ -311,8 +353,8 @@ def curvature_identity_residual(data):
 
 
 def ddbar_omega_residual(data):
-    """Max coefficient of i del delbar omega (zero on pluriclosed metrics)."""
-    return _max_coefficient(_ddbar_omega(data), 2, 2)
+    """Max coefficient of i del delbar omega (zero on pluriclosed metrics), per point."""
+    return data.pointwise_max(_coefficients(_ddbar_omega(data), 2, 2))
 
 
 def ddbar_omega_sigma_residual(data):
@@ -363,8 +405,8 @@ def delbar_eta_residual(data):
 
 
 def kahler_like_residual(data):
-    """Deviation of Rh from its first/third index symmetry."""
-    return float(np.max(np.abs(data.Rh - data.Rh.transpose(2, 1, 0, 3))))
+    """Deviation of Rh from its first/third index symmetry, per point."""
+    return data.pointwise_max(data.Rh - data.Rh.swapaxes(-4, -2))
 
 
 def theta_wedge_phi_residual(data):
@@ -396,7 +438,7 @@ class NormalFrame:
         """Coordinate connection (theta, dtheta) and the frame at q, one evaluation."""
         q = np.asarray(q, dtype=complex)
         at_base = np.array_equal(q, self.point)
-        gv, dg, ddg = self.base_arrays if at_base else metric_arrays(self.metric.evaluate(q))
+        gv, dg, ddg = self.base_arrays if at_base else self.metric.evaluate(q)
         n = self.metric.n
         _, _, P, dP = cholesky_frame(gv, dg)
         dz = q - self.point

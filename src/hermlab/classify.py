@@ -3,7 +3,9 @@
 Residuals are normalized by 1 + (largest curvature magnitude at the point),
 so thresholds behave uniformly across metrics of very different scale.  A
 flag is true when the worst normalized residual over the sampled points
-stays below the tolerance; the report keeps the worst point per flag.
+stays below the tolerance; the report keeps the worst point per flag (the
+first of them on ties).  The flag residuals are computed over whole batches
+of points at once.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chern import (
-    chern_at,
     ddbar_omega_residual,
     ddbar_omega_sigma_residual,
     delbar_eta_residual,
     kahler_like_residual,
 )
-from .levicivita import riemann_at
+from .geometry import GeometryCache
 
 DEFAULT_TOL = 1e-7
 
@@ -71,42 +72,43 @@ class ClassificationReport:
 
 
 def curvature_scale(ch, rd):
-    return 1.0 + max(float(np.max(np.abs(ch.Rh))), float(np.max(np.abs(rd.Rc))))
+    return 1.0 + np.maximum(ch.pointwise_max(ch.Rh), ch.pointwise_max(rd.Rc))
 
 
 def flag_residuals_at(ch, rd):
-    """Raw (unnormalized) flag residuals at one point."""
+    """Raw (unnormalized) flag residuals at one point or at each point of a batch."""
     scale = curvature_scale(ch, rd)
-    ddbar = ddbar_omega_residual(ch)
+    T_max = ch.pointwise_max(ch.T)
     return {
-        "kahler": float(np.max(np.abs(ch.T))) if ch.T.size else 0.0,
-        "balanced": float(np.max(np.abs(ch.eta))),
+        "kahler": T_max,
+        "balanced": ch.pointwise_max(ch.eta),
         "kahler_like": kahler_like_residual(ch) / scale,
         "g_kahler_like": rd.theta2_norm() / scale,
-        "pluriclosed": ddbar / scale,
-        "hermitian_flat": float(np.max(np.abs(ch.Rh))) / (1.0 + float(np.max(np.abs(ch.T)))),
+        "pluriclosed": ddbar_omega_residual(ch) / scale,
+        "hermitian_flat": ch.pointwise_max(ch.Rh) / (1.0 + T_max),
     }
 
 
 def classify_at(metric, points, tol=DEFAULT_TOL, cache=None):
-    """Classify a metric over a nonempty list of points."""
+    """Classify a metric over a nonempty list of points.
+
+    The data come from ``cache`` (a :class:`~hermlab.geometry.GeometryCache`,
+    a fresh one when not given) and the residuals are computed per batch.
+    """
     points = [np.asarray(p, dtype=complex) for p in points]
     if not points:
         raise ValueError("classification needs at least one point")
-    worst = {name: (-1.0, None) for name in FLAG_NAMES}
-    for p in points:
-        if cache is not None:
-            ch, rd = cache(metric, p)
-        else:
-            ch = chern_at(metric, p)
-            rd = riemann_at(metric, p, chern_data=ch)
-        for name, res in flag_residuals_at(ch, rd).items():
-            if res > worst[name][0]:
-                worst[name] = (res, p)
+    filled = (GeometryCache() if cache is None else cache).fill(metric, points)
+    by_batch = {}  # id of a batch -> its flag residual arrays
+    for ch, rd, _ in filled:
+        if id(ch) not in by_batch:
+            by_batch[id(ch)] = flag_residuals_at(ch, rd)
     report = ClassificationReport(metric.name, tol, points)
     for name in FLAG_NAMES:
-        res, p = worst[name]
-        report.flags[name] = FlagResult(res < tol, res, p)
+        residuals = [by_batch[id(ch)][name][index] for ch, _, index in filled]
+        worst = int(np.argmax(residuals))  # the first of equal maxima
+        res = float(residuals[worst])
+        report.flags[name] = FlagResult(res < tol, res, points[worst])
     return report
 
 

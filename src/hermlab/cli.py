@@ -1,8 +1,10 @@
 """Config ingestion, point sampling, check orchestration and reporting.
 
-Exit codes: 0 all checks passed, 1 check failure, 2 usage or parse error,
-3 domain sampling error.  Reports are deterministic for a fixed
-(source, seed) pair except for the timestamp field.
+Exit codes: 0 all checks passed, 1 check failure, 2 usage, config or parse
+error (or an unwritable ``--out``), 3 the sampler found too few admissible
+points or the metric could not be evaluated at a sampled point.  Reports
+are deterministic for a fixed (source, seed) pair except for the timestamp
+field.
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ from .conformal import (
 )
 from .dsl import parse as parse_expr
 from .errors import (
-    DomainSamplingError,
+    ChainExhaustedError,
     HermlabError,
     InvalidFamilyError,
     MetricSyntaxError,
 )
 from .fd import fd_jet
+from .geometry import GeometryCache, sample_points
 from .jets import JetMatrix
 from .levicivita import (
     dsigma2_check,
@@ -91,29 +94,6 @@ DEFAULT_TOLERANCES = {
     "oracle_first": 1e-5,
     "oracle_second": 1e-3,
 }
-
-
-def sample_points(metric, count, seed, oversample=10):
-    """Seeded uniform draws from the metric's box, rejecting by constraints."""
-    rng = np.random.default_rng(seed)
-    points = []
-    attempts = 0
-    limit = max(count * oversample, 32)
-    while len(points) < count and attempts < limit:
-        p = np.array(
-            [
-                rng.uniform(b[0], b[1]) + 1j * rng.uniform(b[2], b[3])
-                for b in metric.box
-            ]
-        )
-        attempts += 1
-        if metric.admissible(p):
-            points.append(p)
-    if len(points) < count:
-        raise DomainSamplingError(
-            f"found {len(points)}/{count} admissible points after {attempts} draws"
-        )
-    return points
 
 
 def _point_list(p):
@@ -156,19 +136,6 @@ class _Worst:
 
     def check(self, name, tol, asserted=True):
         return Check(name, max(self.value, 0.0), tol, self.point, asserted)
-
-
-class _Cache:
-    def __init__(self):
-        self.data = {}
-
-    def __call__(self, metric, p):
-        key = (metric.name, tuple(np.round(np.asarray(p, dtype=complex), 14)))
-        if key not in self.data:
-            ch = chern_at(metric, p)
-            rd = riemann_at(metric, p, chern_data=ch)
-            self.data[key] = (ch, rd)
-        return self.data[key]
 
 
 # ----------------------------------------------------------------------
@@ -477,9 +444,8 @@ def run_oracle(entry, points, tols, cache):
             for j in range(n):
                 expr = metric.entries[i][j]
                 fdj = fd_jet(lambda q, e=expr: eval_value(e, q, n), p, n)
-                adj = ch.g[i, j]
-                w_first.update(float(np.max(np.abs(fdj.d1 - adj.d1))), p)
-                w_second.update(float(np.max(np.abs(fdj.d2 - adj.d2))), p)
+                w_first.update(float(np.max(np.abs(fdj.d1 - ch.dg[i, j]))), p)
+                w_second.update(float(np.max(np.abs(fdj.d2 - ch.ddg[i, j]))), p)
                 row.append(fdj)
             rows.append(row)
         g_fd = JetMatrix(rows)
@@ -506,6 +472,8 @@ def load_metric(source):
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise MetricSyntaxError(f"invalid JSON: {exc.msg}", exc.pos) from None
+            except UnicodeDecodeError as exc:
+                raise MetricSyntaxError("config is not UTF-8 text", exc.start) from None
         return catalog.from_config(cfg)
     return catalog.get(source)
 
@@ -522,7 +490,8 @@ def run(config):
         suites = list(SUITES)
 
     points = sample_points(entry.metric, count, seed)
-    cache = _Cache()
+    cache = GeometryCache()
+    cache.fill(entry.metric, points)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -652,6 +621,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.points < 1:
         parser.error(f"--points must be at least 1, got {args.points}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     tolerances = {}
     for item in args.tol:
@@ -671,9 +642,6 @@ def main(argv=None):
 
     try:
         entry = load_metric(args.metric)
-    except MetricSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (HermlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -689,23 +657,27 @@ def main(argv=None):
     }
     try:
         report, code = run(config)
-    except DomainSamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MetricSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidFamilyError as exc:
+    except (InvalidFamilyError, ChainExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except HermlabError as exc:  # too few admissible points, or a bad sampled point
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     renderer = {"json": render_json, "csv": render_csv, "human": render_human}[
         args.format
     ]
     text = renderer(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -26,8 +26,9 @@ from .errors import (
     DegenerateMetricError,
     MetricSyntaxError,
     OutOfDomainError,
+    SingularEvaluationError,
 )
-from .jets import Jet2, JetMatrix
+from .jets import Jet2
 
 FUNCTIONS = ("exp", "ln", "sqrt", "conj", "re", "im", "abs2")
 
@@ -328,54 +329,233 @@ def to_source(e):
 
 # ----------------------------------------------------------------------
 # evaluation
+#
+# Expressions are evaluated at a batch of points z[..., n] in one walk of
+# the tree.  A batched jet is the triple (v, d1, d2) of the values v[...],
+# the first Wirtinger derivatives d1[..., c] and the second d2[..., c, d],
+# with the derivative slots of :mod:`hermlab.jets`; each rule below is the
+# one of :class:`~hermlab.jets.Jet2`.  A derivative that vanishes
+# identically is None, so constants carry no arrays, and order 0 computes
+# values only.  One point is the batch with no leading axes.
+#
+# Values are multiplied, divided and raised to integer powers as Python
+# complex numbers are (:func:`_cmul`, :func:`_cdiv`, :func:`_cpowi`), not by
+# numpy's complex loops, which may fuse a multiply and an add: so z * conj(z)
+# is exactly real and conj(f) * conj(g) exactly conj(f * g).  Finite
+# differences of values amplify the last bit by 1/h^2, and the oracle's
+# check that the real metric is real relies on these symmetries.
+def _first(mask):
+    """Index of the first true entry of ``mask``, or None."""
+    hits = np.argwhere(mask)
+    return tuple(hits[0]) if len(hits) else None
+
+
+def _singular_where(bad, z, message):
+    """Raise SingularEvaluationError at the first point where ``bad`` holds."""
+    index = _first(np.broadcast_to(bad, z.shape[:-1]))
+    if index is not None:
+        raise SingularEvaluationError(message(index), point=z[index])
+
+
+def _times(s, x, slots):
+    """The batched scalar s times a derivative array with ``slots`` trailing axes."""
+    return None if x is None else s.reshape(s.shape + (1,) * slots) * x
+
+
+def _add(x, y):
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
+def _neg(x):
+    return None if x is None else -x
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _complex(re, im):
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a, b):
+    """a * b rounded as Python's complex product, one rounding per real product."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a, b):
+    """a / b by Python's complex quotient (Smith's method)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        re = np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag)
+        im = np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real)
+        return _complex(re / denom, im / denom)
+
+
+def _cpowi(v, k):
+    """v ** k for an integer k >= 0, by Python's binary powering (|k| <= 100)."""
+    if k > 100:
+        return v**k
+    result, mask = np.ones_like(v), 1
+    while k >= mask:
+        if k & mask:
+            result = _cmul(result, v)
+        mask <<= 1
+        v = _cmul(v, v)
+    return result
+
+
+def _mul(a, b):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    d2 = _add(_times(av, b2, 2), _times(bv, a2, 2))
+    if a1 is not None and b1 is not None:
+        d2 = _add(d2, _outer(a1, b1)) + _outer(b1, a1)
+    return _cmul(av, bv), _add(_times(av, b1, 1), _times(bv, a1, 1)), d2
+
+
+def _scale(a, c):
+    return tuple(None if x is None else x * c for x in a)
+
+
+def _compose(a, f0, f1, f2):
+    """f(a) for a holomorphic f with value f0 and derivatives f1, f2 at a's values."""
+    _, a1, a2 = a
+    d2 = _times(f1, a2, 2)
+    if a1 is not None:
+        d2 = _add(d2, _times(f2, _outer(a1, a1), 2))
+    return f0, _times(f1, a1, 1), d2
+
+
+def _reciprocal(a, z):
+    av, a1, a2 = a
+    _singular_where(av == 0, z, lambda i: "division by a jet with zero value")
+    v = _cdiv(1.0, av)
+    # the array comes first in these products, as in Jet2.reciprocal: numpy's
+    # fused complex product is not commutative in its last bit
+    v1, v2 = v[..., None], v[..., None, None]
+    d1 = None if a1 is None else -a1 * v1 * v1
+    d2 = None if a2 is None else -a2 * v2 * v2
+    if a1 is not None:
+        d2 = _add(d2, 2.0 * _outer(a1, a1) * v2 * v2 * v2)
+    return v, d1, d2
+
+
+def _conj(a, n):
+    """Complex conjugate; swaps the dz and dzbar derivative slots."""
+    v, d1, d2 = a
+    return (
+        np.conj(v),
+        None if d1 is None else np.roll(np.conj(d1), n, axis=-1),
+        None if d2 is None else np.roll(np.conj(d2), (n, n), axis=(-2, -1)),
+    )
+
+
+def _right_halfplane(a, z, name):
+    v = np.broadcast_to(a[0], z.shape[:-1])
+    _singular_where(
+        v.real <= 0,
+        z,
+        lambda i: f"{name} requires an argument with positive real part, got {v[i]}",
+    )
+
+
+def _powi(a, k, z):
+    if k == 0:
+        return np.asarray(1.0 + 0j), None, None
+    if k < 0:
+        return _powi(_reciprocal(a, z), -k, z)
+    v = a[0]
+    f1 = k * _cpowi(v, k - 1)
+    f2 = k * (k - 1) * _cpowi(v, k - 2) if k >= 2 else np.zeros_like(v)
+    return _compose(a, _cpowi(v, k), f1, f2)
+
+
+def _eval(e, z, order):
+    n = z.shape[-1]
+    if isinstance(e, Lit):
+        return np.asarray(e.value, dtype=complex), None, None
+    if isinstance(e, Coord):
+        d1 = None
+        if order:
+            d1 = np.zeros(2 * n, dtype=complex)
+            d1[e.index - 1] = 1.0
+        return z[..., e.index - 1], d1, None
+    if isinstance(e, Neg):
+        return tuple(_neg(x) for x in _eval(e.arg, z, order))
+    if isinstance(e, BinOp):
+        a = _eval(e.left, z, order)
+        b = _eval(e.right, z, order)
+        if e.op == "+":
+            return tuple(_add(x, y) for x, y in zip(a, b))
+        if e.op == "-":
+            return tuple(_add(x, _neg(y)) for x, y in zip(a, b))
+        if e.op == "*":
+            return _mul(a, b)
+        return _mul(a, _reciprocal(b, z))
+    if isinstance(e, Pow):
+        return _powi(_eval(e.base, z, order), e.exponent, z)
+    if isinstance(e, Call):
+        a = _eval(e.arg, z, order)
+        if e.fn == "exp":
+            ev = np.exp(a[0])
+            return _compose(a, ev, ev, ev)
+        if e.fn == "ln":
+            _right_halfplane(a, z, "ln")
+            v = a[0]
+            return _compose(a, np.log(v), _cdiv(1.0, v), _cdiv(-1.0, _cmul(v, v)))
+        if e.fn == "sqrt":
+            _right_halfplane(a, z, "sqrt")
+            r = np.sqrt(a[0])
+            return _compose(a, r, 0.5 / r, -0.25 / _cmul(r, a[0]))
+        if e.fn == "conj":
+            return _conj(a, n)
+        if e.fn == "re":
+            return _scale(tuple(_add(x, y) for x, y in zip(a, _conj(a, n))), 0.5)
+        if e.fn == "im":
+            return _scale(tuple(_add(x, _neg(y)) for x, y in zip(a, _conj(a, n))), -0.5j)
+        return _mul(a, _conj(a, n))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _batch_jet(e, points, order=2):
+    """Batched jet (v, d1, d2) of ``e`` at points [..., n] (None: zero).
+
+    Overflow gives non-finite values rather than a warning; division by
+    zero and ``ln``/``sqrt`` off the right half-plane raise
+    :class:`SingularEvaluationError` at the first such point.
+    """
+    z = np.asarray(points, dtype=complex)
+    if z.ndim == 1:  # numpy scalar arithmetic rounds differently from array loops
+        return tuple(None if x is None else x[0] for x in _batch_jet(e, z[None], order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = _eval(e, z, order)
+    shape = z.shape[:-1]
+    return tuple(
+        None if x is None else np.broadcast_to(x, shape + x.shape[x.ndim - k :])
+        for k, x in enumerate(jet)
+    )
+
+
 def eval_expr(e, point, n=None):
     """Evaluate an expression to an order-2 jet at ``point`` in C^n."""
     point = np.asarray(point, dtype=complex)
-    if n is None:
-        n = len(point)
-    return _eval(e, point, n)
-
-
-def _eval(e, point, n):
-    if isinstance(e, Lit):
-        return Jet2.constant(e.value, n)
-    if isinstance(e, Coord):
-        return Jet2.coordinate(e.index - 1, point[e.index - 1], n)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, point, n)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, point, n)
-        b = _eval(e.right, point, n)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return _eval(e.base, point, n).powi(e.exponent)
-    if isinstance(e, Call):
-        a = _eval(e.arg, point, n)
-        if e.fn == "exp":
-            return a.exp()
-        if e.fn == "ln":
-            return a.log()
-        if e.fn == "sqrt":
-            return a.sqrt()
-        if e.fn == "conj":
-            return a.conj()
-        if e.fn == "re":
-            return a.re()
-        if e.fn == "im":
-            return a.im()
-        return a.abs2()
-    raise TypeError(f"not an expression node: {e!r}")
+    n = len(point) if n is None else n
+    v, d1, d2 = _batch_jet(e, point)
+    d1 = np.zeros(2 * n, dtype=complex) if d1 is None else np.array(d1)
+    d2 = np.zeros((2 * n, 2 * n), dtype=complex) if d2 is None else np.array(d2)
+    return Jet2(n, complex(v), d1, d2, 2)
 
 
 def eval_value(e, point, n=None):
     """Value-only evaluation (used by finite-difference oracles)."""
-    return eval_expr(e, point, n).value
+    return complex(_batch_jet(e, point, order=0)[0])
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +569,8 @@ class MetricField:
 
     ``constraints`` are expressions whose real part must be positive at
     every admissible point.  ``box`` gives a per-coordinate sampling
-    rectangle (re_lo, re_hi, im_lo, im_hi).
+    rectangle (re_lo, re_hi, im_lo, im_hi).  Points are one point [n] or a
+    batch [..., n]; batched answers carry the same leading axes.
     """
 
     name: str
@@ -417,53 +598,102 @@ class MetricField:
     def constraint_sources(self):
         return [to_source(c) for c in self.constraints]
 
+    def _violations(self, z):
+        """Per constraint, where its real part is not positive at the points z."""
+        return [_batch_jet(c, z, order=0)[0].real <= 0 for c in self.constraints]
+
+    def admissible_mask(self, points):
+        """Whether each point satisfies every constraint."""
+        z = np.asarray(points, dtype=complex)
+        if not self.constraints:
+            return np.ones(z.shape[:-1], dtype=bool)
+        return ~np.any(self._violations(z), axis=0)
+
     def admissible(self, p):
-        p = np.asarray(p, dtype=complex)
-        for c in self.constraints:
-            if eval_value(c, p, self.n).real <= 0:
-                return False
-        return True
+        return bool(self.admissible_mask(p))
 
-    def check_point(self, p):
-        p = np.asarray(p, dtype=complex)
-        for c in self.constraints:
-            if eval_value(c, p, self.n).real <= 0:
-                raise OutOfDomainError(
-                    f"point {p} violates constraint {to_source(c)!r} of metric {self.name!r}"
-                )
-        return p
+    def check_point(self, points):
+        z = np.asarray(points, dtype=complex)
+        violations = self._violations(z)
+        index = _first(np.any(violations, axis=0)) if violations else None
+        if index is not None:
+            c = next(c for c, bad in zip(self.constraints, violations) if bad[index])
+            raise OutOfDomainError(
+                f"point {z[index]} violates constraint {to_source(c)!r} of metric {self.name!r}"
+            )
+        return z
 
-    def evaluate(self, p):
-        """Hermitian positive-definite jet matrix of the metric at ``p``."""
-        p = self.check_point(p)
-        rows = []
-        for i in range(self.n):
-            rows.append([eval_expr(self.entries[i][j], p, self.n) for j in range(self.n)])
-        g = JetMatrix(rows)
-        herm = g.hermitian_residual()
-        if herm > HERMITIAN_TOL:
-            raise DegenerateMetricError(
-                f"metric {self.name!r} is not Hermitian at {p} (residual {herm:.3e})"
-            )
-        vals = g.values()
-        eigs = np.linalg.eigvalsh((vals + vals.conj().T) / 2)
-        if eigs.min() <= MIN_EIGENVALUE:
-            raise DegenerateMetricError(
-                f"metric {self.name!r} is not positive definite at {p} "
-                f"(min eigenvalue {eigs.min():.3e})"
-            )
-        return g
+    def _reject(self, bad, z, message):
+        index = _first(bad)
+        if index is not None:
+            raise DegenerateMetricError(f"metric {self.name!r} is {message(index)}")
+
+    def evaluate(self, points):
+        """Value, first and second derivative arrays of the metric.
+
+        Returns gv[..., i, j], dg[..., i, j, c] and ddg[..., i, j, c, d]
+        over the derivative slots of :mod:`hermlab.jets`.  Raises
+        :class:`OutOfDomainError` where a constraint fails and
+        :class:`DegenerateMetricError` where g is not finite, not Hermitian
+        over every jet slot or not positive definite, naming the first such
+        point.
+        """
+        z = np.asarray(points, dtype=complex)
+        arrays = self._evaluate(self.check_point(z[None] if z.ndim == 1 else z))
+        return tuple(x[0] for x in arrays) if z.ndim == 1 else arrays
+
+    def _evaluate(self, z):
+        n, m = self.n, 2 * self.n
+        shape = z.shape[:-1]
+        gv = np.empty(shape + (n, n), dtype=complex)
+        dg = np.zeros(shape + (n, n, m), dtype=complex)
+        ddg = np.zeros(shape + (n, n, m, m), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                gv[..., i, j], d1, d2 = _batch_jet(self.entries[i][j], z)
+                if d1 is not None:
+                    dg[..., i, j, :] = d1
+                if d2 is not None:
+                    ddg[..., i, j, :, :] = d2
+        finite = (
+            np.isfinite(gv).all(axis=(-2, -1))
+            & np.isfinite(dg).all(axis=(-3, -2, -1))
+            & np.isfinite(ddg).all(axis=(-4, -3, -2, -1))
+        )
+        self._reject(~finite, z, lambda i: f"not finite at {z[i]}")
+        # entry (i, j) against the conjugate of entry (j, i), slot by slot
+        herm = np.maximum(
+            np.abs(gv - gv.conj().swapaxes(-2, -1)).max(axis=(-2, -1)),
+            np.maximum(
+                np.abs(dg - np.roll(dg.conj(), n, axis=-1).swapaxes(-3, -2)).max(
+                    axis=(-3, -2, -1)
+                ),
+                np.abs(
+                    ddg - np.roll(ddg.conj(), (n, n), axis=(-2, -1)).swapaxes(-4, -3)
+                ).max(axis=(-4, -3, -2, -1)),
+            ),
+        )
+        self._reject(
+            herm > HERMITIAN_TOL,
+            z,
+            lambda i: f"not Hermitian at {z[i]} (residual {herm[i]:.3e})",
+        )
+        eigs = np.linalg.eigvalsh((gv + gv.conj().swapaxes(-2, -1)) / 2).min(axis=-1)
+        self._reject(
+            eigs <= MIN_EIGENVALUE,
+            z,
+            lambda i: f"not positive definite at {z[i]} (min eigenvalue {eigs[i]:.3e})",
+        )
+        return gv, dg, ddg
 
     def values_at(self, p):
         """Value-only metric matrix (no admissibility or shape checks)."""
-        p = np.asarray(p, dtype=complex)
-        return np.array(
-            [
-                [eval_value(self.entries[i][j], p, self.n) for j in range(self.n)]
-                for i in range(self.n)
-            ],
-            dtype=complex,
-        )
+        z = np.asarray(p, dtype=complex)
+        rows = [
+            np.stack([_batch_jet(e, z, order=0)[0] for e in row], axis=-1)
+            for row in self.entries
+        ]
+        return np.stack(rows, axis=-2)
 
 
 def conformal_scale(base, u_expr, name=None):

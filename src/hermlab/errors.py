@@ -43,6 +43,10 @@ class UnknownMetricError(HermlabError):
     """Catalog lookup with an unrecognized name."""
 
 
+class InvalidConfigError(UnknownMetricError):
+    """Metric config with a missing or malformed field."""
+
+
 class InvalidFamilyError(HermlabError):
     """Matrix family violates the square-zero / anti-commutation contract."""
 

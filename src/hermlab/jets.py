@@ -179,7 +179,7 @@ class Jet2:
         return b * self.reciprocal()
 
     # ------------------------------------------------------------------
-    # conjugation and derived real-valued operations
+    # conjugation
     def conj(self):
         """Complex conjugate; swaps the dz and dzbar derivative slots."""
         s = _swap_perm(self.n)
@@ -189,15 +189,6 @@ class Jet2:
         if self.order >= 2:
             d2 = np.conj(self.d2[np.ix_(s, s)])
         return Jet2(self.n, np.conj(self.value), d1, d2, self.order)
-
-    def re(self):
-        return (self + self.conj()) * 0.5
-
-    def im(self):
-        return (self - self.conj()) * complex(0, -0.5)
-
-    def abs2(self):
-        return self * self.conj()
 
     # ------------------------------------------------------------------
     # holomorphic function application (chain rule through order 2)

@@ -9,6 +9,11 @@ nabla_{[X,Y]} Z with R_{XYZW} = <R(X,Y)Z, W>; this sign is locked by two
 tests: components with four unbarred slots vanish on every Hermitian
 metric, and R agrees with the Chern curvature on Kahler metrics.
 
+:func:`riemann_at` reads only the metric arrays gv, dg, ddg of
+:class:`~hermlab.chern.ChernData` (and P for the unitary frame), and like
+:func:`~hermlab.chern.chern_at` it takes one point or a batch: every array
+then gains the leading point axes of the Chern data.
+
 The torsion route to the mixed curvature block Theta_2 reads only
 :class:`~hermlab.chern.ChernData` (T, dT, L, dL, P, theta_u_vals), never
 the Christoffel symbols it is checked against.  Its arrays follow the
@@ -23,93 +28,114 @@ sigma_2 is ``H[a, b]`` with derivatives ``dH[a, b, c]`` in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chern import ChernData, _max_coefficient, chern_at
+from .chern import ChernData, _max_coefficient, arrays_at, chern_at
 from .forms import Form, fd_exterior_d
 from .jets import Jet2, real_from_wirtinger
 
 _IMAG_TOL = 1e-9
 
 
-def _real_metric_arrays(g):
-    """Value, gradient and Hessian arrays of the real metric G.
+@functools.lru_cache(maxsize=None)
+def _real_entry_map(n):
+    """K[(A, B), (i, j)]: the real metric entry G_AB as a combination of the g_ij.
 
-    Returns (G, dG, d2G) with shapes (2n, 2n), (2n, 2n, 2n), and
-    (2n, 2n, 2n, 2n); derivative indices come first.
+    G(dx_i, dx_j) = G(dy_i, dy_j) = g_ij + g_ji (2 Re g_ij) and
+    G(dx_i, dy_j) = -G(dy_i, dx_j) = -i (g_ij - g_ji) (2 Im g_ij).
     """
-    n = g.n
     m = 2 * n
-    G = np.zeros((m, m))
-    dG = np.zeros((m, m, m))
-    d2G = np.zeros((m, m, m, m))
-
-    def store(a, b, jet):
-        val = jet.value
-        rd1 = jet.real_d1()
-        rd2 = jet.real_d2()
-        if max(abs(val.imag), np.max(np.abs(rd1.imag)), np.max(np.abs(rd2.imag))) > _IMAG_TOL:
-            raise ValueError("real metric entry has a non-real jet")
-        G[a, b] = val.real
-        dG[:, a, b] = rd1.real
-        d2G[:, :, a, b] = rd2.real
-
+    K = np.zeros((m, m, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            sym = g[i, j] + g[j, i]  # 2 Re g_{ij}
-            asym = (g[i, j] - g[j, i]) * (-1j)  # 2 Im g_{ij}
-            store(2 * i, 2 * j, sym)
-            store(2 * i + 1, 2 * j + 1, sym)
-            store(2 * i, 2 * j + 1, asym)
-            store(2 * i + 1, 2 * j, -asym)
-    return G, dG, d2G
+            for (A, B), (cij, cji) in (
+                ((2 * i, 2 * j), (1, 1)),
+                ((2 * i + 1, 2 * j + 1), (1, 1)),
+                ((2 * i, 2 * j + 1), (-1j, 1j)),
+                ((2 * i + 1, 2 * j), (1j, -1j)),
+            ):
+                K[A, B, i, j] += cij
+                K[A, B, j, i] += cji
+    return K.reshape(m * m, n * n)
+
+
+def _real_metric_arrays(gv, dg, ddg):
+    """Value, gradient and Hessian arrays of the real metric G at each point.
+
+    Returns G[..., A, B], dG[..., r, A, B] and d2G[..., r, s, A, B] over the
+    real coordinates, derivative indices first: the fixed entry map
+    :func:`_real_entry_map` applied to g, and the Wirtinger slots of dg and
+    ddg moved to real directions by ``real_from_wirtinger``.  Raises
+    ValueError when any of them has an imaginary part above ``_IMAG_TOL``.
+    """
+    n = gv.shape[-1]
+    m = 2 * n
+    lead = gv.shape[:-2]
+    K = _real_entry_map(n)
+    C = real_from_wirtinger(n)
+    G = gv.reshape(lead + (n * n, 1))
+    dG = dg.reshape(lead + (n * n, m)) @ C.T
+    d2G = (C @ ddg @ C.T).reshape(lead + (n * n, m * m))
+    G, dG, d2G = (K @ X for X in (G, dG, d2G))
+    if max(float(np.max(np.abs(X.imag))) for X in (G, dG, d2G)) > _IMAG_TOL:
+        raise ValueError("real metric entry has a non-real jet")
+    return (
+        G.real.reshape(lead + (m, m)),
+        dG.real.swapaxes(-2, -1).reshape(lead + (m,) * 3),
+        d2G.real.swapaxes(-2, -1).reshape(lead + (m,) * 4),
+    )
 
 
 def _christoffel(G, dG, d2G):
     Gi = np.linalg.inv(G)
-    # Gamma[c, a, b] = Gamma^c_{ab}
-    sym = np.einsum("aeb->aeb", dG) + np.einsum("bea->aeb", dG) - np.einsum("eab->aeb", dG)
-    Gamma = 0.5 * np.einsum("ce,aeb->cab", Gi, sym)
-    dGi = -np.einsum("cd,edf,fg->ecg", Gi, dG, Gi)
-    dsym = (
-        np.einsum("eafb->eafb", d2G)
-        + np.einsum("ebfa->eafb", d2G)
-        - np.einsum("efab->eafb", d2G)
-    )
-    dGamma = 0.5 * (
-        np.einsum("ecf,afb->ecab", dGi, sym) + np.einsum("cf,eafb->ecab", Gi, dsym)
-    )
-    return Gi, Gamma, dGamma
+    # Gamma[c, a, b] = Gamma^c_{ab}; sym[a, e, b] = d_a G_eb + d_b G_ea - d_e G_ab
+    sym = dG + dG.swapaxes(-3, -1) - dG.swapaxes(-3, -2)
+    Gi1 = Gi[..., None, :, :]
+    Gamma = 0.5 * np.swapaxes(Gi1 @ sym, -3, -2)  # Gi @ sym[a] is [c, b]
+    dGi = -(Gi1 @ dG @ Gi1)  # [e, c, g]
+    # dsym[e, a, f, b] = d_e sym[a, f, b]; both products below are [e, a, c, b]
+    dsym = d2G + d2G.swapaxes(-3, -1) - d2G.swapaxes(-3, -2)
+    dGamma = dGi[..., :, None, :, :] @ sym[..., None, :, :, :] + Gi1[..., None, :, :] @ dsym
+    return Gi, Gamma, 0.5 * np.swapaxes(dGamma, -3, -2)
 
 
 def _riemann_real(G, Gamma, dGamma):
     # R(d_a, d_b) d_c = Rup[e, a, b, c] d_e
-    Rup = (
-        np.einsum("aebc->eabc", dGamma)
-        - np.einsum("beac->eabc", dGamma)
-        + np.einsum("eaf,fbc->eabc", Gamma, Gamma)
-        - np.einsum("ebf,fac->eabc", Gamma, Gamma)
-    )
-    return np.einsum("eabc,ed->abcd", Rup, G)
+    GG = np.einsum("...eaf,...fbc->...eabc", Gamma, Gamma)
+    Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG
+    Rup -= GG.swapaxes(-3, -2)
+    return np.einsum("...eabc,...ed->...abcd", Rup, G)
 
 
 def complex_frame_coefficients(Pv):
     """Rows of (e_1..e_n, ebar_1..ebar_n) over the 2n real coordinate basis."""
-    n = Pv.shape[0]
-    W = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        for a in range(n):
-            W[i, 2 * a] = 0.5 * Pv[i, a]
-            W[i, 2 * a + 1] = -0.5j * Pv[i, a]
-    W[n:] = np.conj(W[:n])
-    return W
+    E = Pv[..., None] * np.array([0.5, -0.5j])  # d/dz_a = (d/dx_a - i d/dy_a) / 2
+    E = E.reshape(Pv.shape[:-1] + (-1,))
+    return np.concatenate([E, E.conj()], axis=-2)
+
+
+def _frame_components(W, R4):
+    """Rc[..., A, B, C, D] = sum W[A, a] W[B, b] W[C, c] W[D, d] R4[..., a, b, c, d].
+
+    As matrices over slot pairs, Rc = M R4 M^T with M = W (x) W.
+    """
+    m = W.shape[-1]
+    lead = W.shape[:-2]
+    M = (W[..., :, None, :, None] * W[..., None, :, None, :]).reshape(lead + (m * m, m * m))
+    R = R4.reshape(lead + (m * m, m * m))
+    return (M @ R @ M.swapaxes(-2, -1)).reshape(R4.shape)
 
 
 @dataclass
 class RiemannData:
-    """Riemannian curvature data of a metric at one chart point."""
+    """Riemannian curvature data of a metric at one point or a batch.
+
+    The arrays carry the leading point axes of ``chern``; ``Scal`` is a
+    float at one point and an array over a batch.
+    """
 
     chern: ChernData
     G: np.ndarray
@@ -120,6 +146,10 @@ class RiemannData:
     Rc: np.ndarray  # complexified components in the unitary frame, (2n)^4
     Ric: np.ndarray
     Scal: float
+
+    def at(self, index):
+        """The data at point ``index`` of a batch, as views of its arrays."""
+        return replace(self, chern=self.chern.at(index), **arrays_at(self, index))
 
     @property
     def n(self):
@@ -134,19 +164,19 @@ class RiemannData:
     # 2-form slots, last two the endomorphism slots
     def R_1111(self):
         n = self.n
-        return self.Rc[:n, :n, :n, :n]
+        return self.Rc[..., :n, :n, :n, :n]
 
     def R_11bar(self):  # R_{i jbar k lbar}
         n = self.n
-        return self.Rc[:n, n:, :n, n:]
+        return self.Rc[..., :n, n:, :n, n:]
 
     def R_20_mixed(self):  # R_{i j k lbar}
         n = self.n
-        return self.Rc[:n, :n, :n, n:]
+        return self.Rc[..., :n, :n, :n, n:]
 
     def R_02_mixed(self):  # R_{i j kbar lbar}
         n = self.n
-        return self.Rc[:n, :n, n:, n:]
+        return self.Rc[..., :n, :n, n:, n:]
 
     def gray_residual(self):
         """Four-unbarred components must vanish on any Hermitian metric."""
@@ -172,14 +202,14 @@ class RiemannData:
         sum_{k<l} B20 psi_k^psi_l + sum B11 psi_k^psibar_l + ...
         """
         n = self.n
-        B20 = np.einsum("klij->ijkl", self.Rc[:n, :n, n:, n:])
-        B11 = np.einsum("klij->ijkl", self.Rc[:n, n:, n:, n:])
-        B02 = np.einsum("klij->ijkl", self.Rc[n:, n:, n:, n:])
+        B20 = np.einsum("...klij->...ijkl", self.Rc[..., :n, :n, n:, n:])
+        B11 = np.einsum("...klij->...ijkl", self.Rc[..., :n, n:, n:, n:])
+        B02 = np.einsum("...klij->...ijkl", self.Rc[..., n:, n:, n:, n:])
         return B20, B11, B02
 
     def theta2_norm(self):
-        B20, B11, B02 = self.theta2_blocks()
-        return max(float(np.max(np.abs(B))) for B in (B20, B11, B02))
+        """Largest curvature component of Theta_2, per point."""
+        return np.maximum.reduce([self.chern.pointwise_max(B) for B in self.theta2_blocks()])
 
     def ricci_direction(self, u):
         """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for a real vector."""
@@ -188,26 +218,34 @@ class RiemannData:
 
 
 def riemann_at(metric, point, chern_data=None, g=None):
-    if chern_data is None:
-        chern_data = chern_at(metric, point, g=g)
-    G, dG, d2G = _real_metric_arrays(chern_data.g)
+    """Riemannian curvature at ``point`` [n] or points [P, n].
+
+    Built from the metric arrays of ``chern_data`` (computed when not
+    given); one point is computed as the batch of one.
+    """
+    ch = chern_at(metric, point, g=g) if chern_data is None else chern_data
+    arrays = ch.gv, ch.dg, ch.ddg, ch.Pv
+    single = ch.point.ndim == 1
+    if single:
+        arrays = [x[None] for x in arrays]
+    G, dG, d2G = _real_metric_arrays(*arrays[:3])
     Gi, Gamma, dGamma = _christoffel(G, dG, d2G)
     R4 = _riemann_real(G, Gamma, dGamma)
-    W = complex_frame_coefficients(chern_data.Pv)
-    Rc = np.einsum("Aa,Bb,Cc,Dd,abcd->ABCD", W, W, W, W, R4, optimize=True)
-    Ric = np.einsum("cd,cabd->ab", Gi, R4)
-    Scal = float(np.einsum("ab,ab->", Gi, Ric))
-    return RiemannData(
-        chern=chern_data,
+    W = complex_frame_coefficients(arrays[3])
+    Ric = np.einsum("...cd,...cabd->...ab", Gi, R4)
+    fields = dict(
         G=G,
         Gi=Gi,
         Gamma=Gamma,
         R4=R4,
         W=W,
-        Rc=Rc,
+        Rc=_frame_components(W, R4),
         Ric=Ric,
-        Scal=Scal,
+        Scal=np.einsum("...ab,...ab->...", Gi, Ric),
     )
+    if single:
+        fields = {name: x[0] for name, x in fields.items()}
+    return RiemannData(chern=ch, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -1,40 +1,7 @@
-import numpy as np
 import pytest
 
 from hermlab import catalog
-from hermlab.chern import chern_at
-from hermlab.levicivita import riemann_at
-
-
-def sample_points(metric, count, seed=0x5EED):
-    rng = np.random.default_rng(seed)
-    pts = []
-    attempts = 0
-    while len(pts) < count:
-        p = np.array(
-            [rng.uniform(b[0], b[1]) + 1j * rng.uniform(b[2], b[3]) for b in metric.box]
-        )
-        attempts += 1
-        if attempts > 100 * count:
-            raise RuntimeError(f"cannot sample {metric.name}")
-        if metric.admissible(p):
-            pts.append(p)
-    return pts
-
-
-class GeometryCache:
-    """Memoizes the per-point curvature computations across tests."""
-
-    def __init__(self):
-        self.data = {}
-
-    def __call__(self, metric, p):
-        key = (metric.name, tuple(np.round(np.asarray(p, dtype=complex), 14)))
-        if key not in self.data:
-            ch = chern_at(metric, p)
-            rd = riemann_at(metric, p, chern_data=ch)
-            self.data[key] = (ch, rd)
-        return self.data[key]
+from hermlab.geometry import GeometryCache
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ each; classification criteria use fifty points.
 import numpy as np
 import pytest
 
-from conftest import GeometryCache, sample_points
 from hermlab import catalog
 from hermlab.classify import (
     DEFAULT_TOL,
@@ -39,6 +38,7 @@ from hermlab.conformal import (
 )
 from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.fd import fd_jet
+from hermlab.geometry import GeometryCache, sample_points
 from hermlab.levicivita import theta2_two_route_residual
 from hermlab.nilker import (
     common_kernel_constructive,

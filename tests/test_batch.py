@@ -1,0 +1,210 @@
+"""The batched core: a batch of points against one point at a time, the
+dense real metric against the jet-built one, the vectorised sampler
+against a draw-by-draw loop, and the worst point of the batched flags."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from hermlab import catalog
+from hermlab.chern import ChernData, chern_at
+from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
+from hermlab.dsl import MetricField
+from hermlab.errors import DomainSamplingError
+from hermlab.geometry import CHUNK, GeometryCache, sample_points
+from hermlab.jets import Jet2
+from hermlab.levicivita import _IMAG_TOL, RiemannData, _real_metric_arrays, riemann_at
+
+from test_highdim import base_point, perturbed_metric
+
+CATALOG = ["fubini_study_chart", "euclidean", "gkl_surface", "conformal_gklike", "iwasawa",
+           "random_polynomial(7)"]
+
+
+def _arrays(data):
+    return {
+        f.name: getattr(data, f.name)
+        for f in dataclasses.fields(data)
+        if isinstance(getattr(data, f.name), np.ndarray)
+    }
+
+
+def _batch_cases():
+    for name in CATALOG:
+        m = catalog.get(name).metric
+        yield pytest.param(m, np.array(sample_points(m, 5, seed=61)), id=name)
+    for n in (4, 5):
+        m = perturbed_metric(n)
+        rng = np.random.default_rng(n)
+        step = rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n))
+        yield pytest.param(m, base_point(n) + 0.2 * step, id=m.name)
+
+
+@pytest.mark.parametrize("m,points", list(_batch_cases()))
+def test_batch_equals_single_points(m, points):
+    ch = chern_at(m, points)
+    rd = riemann_at(m, points, chern_data=ch)
+    assert ch.point.shape == points.shape
+    assert np.shape(rd.Scal) == (len(points),)
+    for i, p in enumerate(points):
+        one_ch = chern_at(m, p)
+        one_rd = riemann_at(m, p, chern_data=one_ch)
+        for one, batch in ((one_ch, ch.at(i)), (one_rd, rd.at(i))):
+            got, want = _arrays(batch), _arrays(one)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.shape(got[key]) == np.shape(want[key]), key
+                assert np.max(np.abs(got[key] - want[key]), initial=0.0) <= 1e-12, key
+        assert abs(rd.Scal[i] - one_rd.Scal) <= 1e-12
+
+
+def _jet_real_metric_arrays(g):
+    """The real metric built entry by entry from Wirtinger jets (the old route)."""
+    n = len(g)
+    m = 2 * n
+    G = np.zeros((m, m))
+    dG = np.zeros((m, m, m))
+    d2G = np.zeros((m, m, m, m))
+
+    def store(a, b, jet):
+        val, rd1, rd2 = jet.value, jet.real_d1(), jet.real_d2()
+        if max(abs(val.imag), np.max(np.abs(rd1.imag)), np.max(np.abs(rd2.imag))) > _IMAG_TOL:
+            raise ValueError("real metric entry has a non-real jet")
+        G[a, b] = val.real
+        dG[:, a, b] = rd1.real
+        d2G[:, :, a, b] = rd2.real
+
+    for i in range(n):
+        for j in range(n):
+            sym = g[i][j] + g[j][i]  # 2 Re g_ij
+            asym = (g[i][j] - g[j][i]) * (-1j)  # 2 Im g_ij
+            store(2 * i, 2 * j, sym)
+            store(2 * i + 1, 2 * j + 1, sym)
+            store(2 * i, 2 * j + 1, asym)
+            store(2 * i + 1, 2 * j, -asym)
+    return G, dG, d2G
+
+
+def _jets(gv, dg, ddg):
+    n = gv.shape[0]
+    return [[Jet2(n, gv[i, j], dg[i, j], ddg[i, j]) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "gkl_surface", "random_polynomial(3)", "perturbed5"])
+def test_dense_real_metric_matches_jet_route(name):
+    m = perturbed_metric(5) if name == "perturbed5" else catalog.get(name).metric
+    points = np.array(sample_points(m, 4, seed=67))
+    batch = _real_metric_arrays(*m.evaluate(points))
+    for i, p in enumerate(points):
+        want = _jet_real_metric_arrays(_jets(*m.evaluate(p)))
+        for got, ref in zip(batch, want):
+            assert got[i].shape == ref.shape
+            assert np.max(np.abs(got[i] - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("slot", ["value", "d1", "d2"])
+def test_dense_real_metric_rejects_non_real_jets(slot):
+    m = catalog.get("iwasawa").metric
+    arrays = [x.copy() for x in m.evaluate(np.array([0.1 + 0.2j, -0.3j, 0.4 + 0.1j]))]
+    k = ("value", "d1", "d2").index(slot)
+    # a jet that breaks Hermitian symmetry by 10 * _IMAG_TOL in one slot
+    arrays[k][(1, 2) + (0,) * k] += 10 * _IMAG_TOL * 1j
+    with pytest.raises(ValueError, match="non-real jet"):
+        _real_metric_arrays(*arrays)
+    with pytest.raises(ValueError, match="non-real jet"):
+        _jet_real_metric_arrays(_jets(*arrays))
+    arrays[k][(1, 2) + (0,) * k] -= 9.5 * _IMAG_TOL * 1j  # 0.5 * _IMAG_TOL: accepted
+    _real_metric_arrays(*arrays)
+
+
+def _draw_by_draw(metric, count, seed, oversample=10):
+    rng = np.random.default_rng(seed)
+    points = []
+    attempts = 0
+    limit = max(count * oversample, 32)
+    while len(points) < count and attempts < limit:
+        p = np.array([rng.uniform(b[0], b[1]) + 1j * rng.uniform(b[2], b[3]) for b in metric.box])
+        attempts += 1
+        if metric.admissible(p):
+            points.append(p)
+    if len(points) < count:
+        raise DomainSamplingError(
+            f"found {len(points)}/{count} admissible points after {attempts} draws"
+        )
+    return points
+
+
+HALFPLANE = MetricField.from_text(
+    "halfplane", 2, ["1", "0", "0", "1"], ["re(0.6*z1 - 0.8*i*z2) - 0.05"],
+    [(-0.9, 0.9, -0.5, 0.7), (-0.2, 0.3, -0.9, 0.9)],
+)
+
+
+@pytest.mark.parametrize("metric", [HALFPLANE, catalog.get("conformal_gklike").metric,
+                                    catalog.get("random_polynomial(5)").metric], ids=lambda m: m.name)
+@pytest.mark.parametrize("count", [1, 7, 200])
+def test_sampler_matches_draw_by_draw_loop(metric, count):
+    for seed in (0, 42):
+        got = sample_points(metric, count, seed=seed)
+        want = _draw_by_draw(metric, count, seed)
+        assert len(got) == count
+        assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
+
+
+def test_sampler_rejects_and_reports_starvation():
+    draws = _draw_by_draw(dataclasses.replace(HALFPLANE, constraints=[]), 400, 3)
+    mask = HALFPLANE.admissible_mask(np.array(draws))
+    assert mask.tolist() == [HALFPLANE.admissible(p) for p in draws]
+    assert 0.2 < mask.mean() < 0.8
+    # 0.6 re(z1) + 0.8 im(z2) > 0.05 holds on a small corner of this box only
+    starved = dataclasses.replace(HALFPLANE, box=[(-0.9, -0.5, -0.5, 0.7), (-0.2, 0.3, -0.9, 0.8)])
+    for count, oversample in ((20, 1), (40, 3)):
+        with pytest.raises(DomainSamplingError) as got:
+            sample_points(starved, count, seed=1, oversample=oversample)
+        with pytest.raises(DomainSamplingError) as want:
+            _draw_by_draw(starved, count, 1, oversample=oversample)
+        assert str(got.value) == str(want.value)
+
+
+def test_flags_keep_the_first_worst_point():
+    m = catalog.get("iwasawa").metric
+    points = sample_points(m, 2 * CHUNK + 3, seed=71)
+    points = points + points[:5]  # repeated points tie with their first copy
+    report = classify_at(m, points)
+    for name in FLAG_NAMES:
+        residuals = []
+        for p in points:
+            ch = chern_at(m, p)
+            residuals.append(flag_residuals_at(ch, riemann_at(m, p, chern_data=ch))[name])
+        worst = int(np.argmax(residuals))
+        assert report[name].residual == residuals[worst]
+        assert report[name].worst_point is points[worst]
+
+
+def test_cache_computes_each_point_once_in_chunks(monkeypatch):
+    import hermlab.geometry as geometry
+
+    m = catalog.get("gkl_surface").metric
+    points = sample_points(m, CHUNK + 4, seed=73)
+    calls = []
+    real = geometry.chern_at
+    monkeypatch.setattr(geometry, "chern_at", lambda metric, z: calls.append(len(z)) or real(metric, z))
+    cache = GeometryCache()
+    filled = cache.fill(m, points)
+    assert calls == [CHUNK, 4]
+    assert cache.fill(m, points[::-1])  # all cached now
+    assert calls == [CHUNK, 4]
+    ch, rd = cache(m, points[CHUNK + 1])
+    assert isinstance(ch, ChernData) and isinstance(rd, RiemannData)
+    assert ch.point.shape == (m.n,) and np.array_equal(ch.point, points[CHUNK + 1])
+    assert filled[CHUNK + 1][2] == 1
+
+
+def test_values_keep_exact_conjugate_symmetry():
+    # finite differences amplify the last bit of a value by 1/h^2; the
+    # oracle's check that the real metric is real needs g_ji = conj(g_ij)
+    # and real diagonal entries exactly, as Python complex arithmetic gives
+    m = catalog.get("fubini_study_chart_n2").metric
+    gv = m.values_at(np.array(sample_points(m, 100, seed=79)))
+    assert np.array_equal(gv, gv.conj().swapaxes(-2, -1))

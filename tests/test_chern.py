@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab import catalog
 from hermlab.chern import (
     balanced_identity_residual,
@@ -15,6 +14,7 @@ from hermlab.chern import (
     theta_wedge_phi_residual,
 )
 from hermlab.fd import fd_direction_derivative
+from hermlab.geometry import sample_points
 
 
 def test_euclidean_everything_vanishes(geo, metric):
@@ -186,15 +186,15 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
 
     from hermlab.chern import ddbar_omega_residual
     from hermlab.forms import Form
+    from hermlab.jets import Jet2
 
     for name in ["gkl_surface", "random_polynomial(7)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=43)[0]
         ch, _ = geo(m, p)
         n = m.n
-        omega = Form(
-            n, 2, {(a, n + b): ch.g[a, b] * 1j for a in range(n) for b in range(n)}
-        )
+        g = {(a, b): Jet2(n, ch.gv[a, b], ch.dg[a, b], ch.ddg[a, b]) for a in range(n) for b in range(n)}
+        omega = Form(n, 2, {(a, n + b): g[a, b] * 1j for a in range(n) for b in range(n)})
         ddbar = omega.exterior_d(part="delbar").exterior_d(part="del").scale(1j)
         assert ddbar.max_abs() > 1e-3
         assert ddbar_omega_residual(ch) == pytest.approx(ddbar.max_abs(), rel=1e-12)
@@ -214,7 +214,8 @@ def test_chern_at_rejects_bad_metric_jets(metric):
 
     m = metric("gkl_surface")
     p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
-    entries = m.evaluate(p).entries
+    gv, dg, ddg = m.evaluate(p)
+    entries = [[Jet2(2, gv[i, j], dg[i, j], ddg[i, j]) for j in range(2)] for i in range(2)]
     skewed = [row[:] for row in entries]
     skewed[0][1] = skewed[0][1] + 1e-3
     indefinite = [row[:] for row in entries]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab.classify import (
     KAHLER_IMPLIES,
     bothlike_residuals,
@@ -9,6 +8,7 @@ from hermlab.classify import (
     curvature_difference_suite,
     eta_trace_residual,
 )
+from hermlab.geometry import sample_points
 
 
 def test_euclidean_all_flags_true(geo, metric):

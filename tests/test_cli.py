@@ -175,3 +175,59 @@ def test_exported_configs_match_committed(tmp_path):
         ref = committed / path.name
         assert ref.exists(), f"missing committed config {path.name}"
         assert ref.read_text() == path.read_text()
+
+
+def _config_file(tmp_path, **fields):
+    cfg = {"name": "c", "n": 2, "entries": ["1", "0", "0", "1"], **fields}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"entries": ["1", "0", "1"]},
+        {"box": [[-0.9, 0.9], [-0.9, 0.9, -0.9, 0.9]]},
+        {"box": [[-0.9, 0.9, -0.9, 0.9]]},
+        {"box": [[-0.9, 0.9, 0.9, -0.9], [-0.9, 0.9, -0.9, 0.9]]},
+        {"box": [[-0.9, float("inf"), -0.9, 0.9], [-0.9, 0.9, -0.9, 0.9]]},
+        {"n": 0, "entries": []},
+        {"n": "2"},
+        {"entries": ["1", "0", "0", 1]},
+        {"expected_flags": ["kahler"]},
+    ],
+    ids=["short_entries", "box_row_of_2", "box_rows_short", "box_lo_above_hi", "box_inf",
+         "n_0", "n_string", "entry_not_string", "flags_not_object"],
+)
+def test_malformed_configs_are_usage_errors(tmp_path, capsys, fields):
+    code = main(["--metric", _config_file(tmp_path, **fields), "--points", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "n,entries,detail",
+    [
+        (1, ["re(z1)"], "not positive definite at"),
+        (1, ["1 + exp(1000*re(z1))"], "not finite at"),
+        (2, ["1", "z1", "0", "1"], "not Hermitian at"),
+        (1, ["1 + ln(re(z1))^2"], "(at point"),
+    ],
+    ids=["indefinite", "overflow", "non_hermitian", "singular"],
+)
+def test_bad_metric_at_a_sampled_point_exits_3(tmp_path, capsys, n, entries, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "n": n, "entries": entries}))
+    code = main(["--metric", str(path), "--points", "20", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and detail in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    code = main(["--metric", "euclidean", "--points", "2", "--out", str(out)])
+    assert code == 2
+    assert "cannot write --out" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab.compare import (
     RIGIDITY_FLOOR,
     DegeneratePlaneError,
@@ -15,6 +14,7 @@ from hermlab.compare import (
     scalar_relation_residual,
     bisectional_difference_residuals,
 )
+from hermlab.geometry import sample_points
 
 
 def _unit(n, rng):

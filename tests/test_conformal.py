@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab import catalog
 from hermlab.classify import classify_at
 from hermlab.conformal import (
@@ -14,6 +13,7 @@ from hermlab.conformal import (
 )
 from hermlab.dsl import MetricField, parse
 from hermlab.errors import HermlabError
+from hermlab.geometry import sample_points
 
 TOL = 1e-7
 

@@ -10,7 +10,6 @@ from hermlab.chern import (
     cholesky_frame,
     curvature_identity_residual,
     del_omega_residual,
-    metric_arrays,
     skew_hermitian_residual,
 )
 from hermlab.dsl import MetricField
@@ -67,7 +66,7 @@ def test_cholesky_derivative_against_central_differences(n):
     # real coordinate, independent of both jet paths
     m = perturbed_metric(n)
     p = base_point(n)
-    gv, dg, _ = metric_arrays(m.evaluate(p))
+    gv, dg, _ = m.evaluate(p)
     L, dL, P, dP = cholesky_frame(gv, dg)
     C = real_from_wirtinger(n)
     dL_real = np.einsum("rc,ijc->ijr", C, dL)

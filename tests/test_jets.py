@@ -181,7 +181,8 @@ def test_cholesky_reconstructs_heisenberg_fixture():
     # full coordinate dependence through |z1|^2
     from hermlab import catalog
 
-    g = catalog.get("iwasawa").metric.evaluate([1.0 + 0j, 0.3 - 0.2j, 0.1j])
+    gv, dg, ddg = catalog.get("iwasawa").metric.evaluate([1.0 + 0j, 0.3 - 0.2j, 0.1j])
+    g = JetMatrix([[Jet2(3, gv[i, j], dg[i, j], ddg[i, j]) for j in range(3)] for i in range(3)])
     assert np.allclose(g.values(), [[1, 0, 0], [0, 2, -1], [0, -1, 1]])
     L = g.cholesky()
     rec = L @ L.conj_transpose()

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab.dsl import eval_expr, parse
 from hermlab.forms import Form, mat_wedge
+from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
 from hermlab.levicivita import (
     dsigma2_check,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
 from hermlab.errors import InvalidFamilyError
+from hermlab.geometry import sample_points
 from hermlab.nilker import (
     NilpotentFamily,
     common_kernel_constructive,
