@@ -4,51 +4,62 @@ torsion rigidity search.
 
 Direction vectors live in the canonical unitary frame, where |X|^2 is the
 plain Hermitian square norm of the coefficient vector.
+
+Every direction function is batched.  It takes one point's data (``rd`` from
+``riemann_at`` at a point) or a batch of P points, and stacked vectors
+``[..., n]`` (``[..., 2n]`` for real tangent vectors) whose leading axes
+broadcast against the point axes of ``rd`` as numpy broadcasts: at a batch
+of P points, ``[P, n]`` is one vector per point and ``[D, P, n]`` is D
+vectors per point.  One vector is the batch of one.  Results carry the
+broadcast leading axes.  The four-index contractions run as staged
+``matmul`` over ``Rh`` and the block ``Rc[:n, n:, :n, n:]``.
+
+The CLI's compare suite draws all of a point's random directions first,
+in a fixed ``rng`` order (see ``hermlab.cli.compare_draws``), then runs each
+function once per chunk of points over all of its directions, and reduces
+each check to its largest residual and the first point that reaches it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 _MIN_NORM = 1e-12
 
 
-class DegeneratePlaneError(Exception):
-    """The plane's angle factors cannot be formed; the caller should resample."""
+def _norm(X):
+    return np.linalg.norm(X, axis=-1)
 
 
 def _check_pair(X, Y):
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
-    if np.linalg.norm(X) <= _MIN_NORM or np.linalg.norm(Y) <= _MIN_NORM:
+    if np.any(_norm(X) <= _MIN_NORM) or np.any(_norm(Y) <= _MIN_NORM):
         raise ValueError("direction vectors must be nonzero")
     return X, Y
 
 
-def _contract(R, *vecs):
-    """Contract a (2n)^4 complexified tensor with four (1,0) frame vectors.
+def _contract4(R, a, b, c, d):
+    """sum R[..., i, j, k, l] a_i b_j c_k d_l, one slot at a time by ``matmul``.
 
-    Each argument is (vec, barred); barred slots use the conjugate
-    coefficients in the barred index range.
+    ``R`` is ``[L..., m, m, m, m]`` and the vectors ``[..., m]``, with
+    leading axes broadcasting against ``L``.
     """
-    n = R.shape[0] // 2
-    full = []
-    for vec, barred in vecs:
-        w = np.zeros(2 * n, dtype=complex)
-        if barred:
-            w[n:] = np.conj(vec)
-        else:
-            w[:n] = vec
-        full.append(w)
-    return np.einsum("abcd,a,b,c,d->", R, *full)
+    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
+    m = R.shape[-1]
+    t = a[..., None, :] @ R.reshape(R.shape[:-4] + (m, m**3))
+    t = b[..., None, :] @ t.reshape(t.shape[:-2] + (m, m * m))
+    t = c[..., None, :] @ t.reshape(t.shape[:-2] + (m, m))
+    return (t @ d[..., :, None])[..., 0, 0]
 
 
-def hermitian_pairing(Rh, X, Y, Z, W):
-    """Chern-curvature pairing R^h_{X Ybar Z Wbar} in the unitary frame."""
-    return np.einsum(
-        "klij,k,l,i,j->", Rh, X, np.conj(Y), Z, np.conj(W)
-    )
+def hermitian_pairing(R, X, Y, Z, W):
+    """R_{X Ybar Z Wbar} for a tensor of layout [k, lbar, i, jbar] in the unitary frame.
+
+    Takes ``Rh`` (the Chern curvature) or ``Rc[..., :n, n:, :n, n:]`` (the
+    Riemannian one).
+    """
+    return _contract4(R, X, np.conj(Y), Z, np.conj(W))
 
 
 def bisectional(rd, X, Y, a):
@@ -57,24 +68,19 @@ def bisectional(rd, X, Y, a):
     B_a = [a R_{X Xbar Y Ybar} + (1-a) R_{X Ybar Y Xbar}] / (|X|^2 |Y|^2).
     """
     X, Y = _check_pair(X, Y)
-    ch = rd.chern
-    norm = (np.linalg.norm(X) * np.linalg.norm(Y)) ** 2
-    rxxyy = _contract(rd.Rc, (X, False), (X, True), (Y, False), (Y, True))
-    rxyyx = _contract(rd.Rc, (X, False), (Y, True), (Y, False), (X, True))
+    Rh, B = rd.chern.Rh, rd.R_11bar()
+    norm = (_norm(X) * _norm(Y)) ** 2
+    rxxyy = hermitian_pairing(B, X, X, Y, Y)
+    rxyyx = hermitian_pairing(B, X, Y, Y, X)
     Ba = (a * rxxyy + (1 - a) * rxyyx) / norm
-    Bh_xy = hermitian_pairing(ch.Rh, X, X, Y, Y) / norm
-    Bh_yx = hermitian_pairing(ch.Rh, Y, Y, X, X) / norm
+    Bh_xy = hermitian_pairing(Rh, X, X, Y, Y) / norm
+    Bh_yx = hermitian_pairing(Rh, Y, Y, X, X) / norm
     return {
         "B_a": Ba,
         "Bh_XY": Bh_xy,
         "Bh_YX": Bh_yx,
-        "imag_max": max(abs(Ba.imag), abs(Bh_xy.imag), abs(Bh_yx.imag)),
+        "imag_max": np.maximum.reduce([abs(Ba.imag), abs(Bh_xy.imag), abs(Bh_yx.imag)]),
     }
-
-
-def torsion_contraction(T, X, Y, Z):
-    """T^X_{YZ} = sum T^i_{jk} conj(X_i) Y_j Z_k."""
-    return np.einsum("ijk,i,j,k->", T, np.conj(X), Y, Z)
 
 
 def bisectional_difference_residuals(rd, X, Y):
@@ -84,68 +90,66 @@ def bisectional_difference_residuals(rd, X, Y):
     contractions; both sides are normalized by |X|^2 |Y|^2.
     """
     X, Y = _check_pair(X, Y)
-    ch = rd.chern
-    T = ch.T
-    norm = (np.linalg.norm(X) * np.linalg.norm(Y)) ** 2
+    T, Rh, B = rd.chern.T, rd.chern.Rh, rd.R_11bar()
+    norm = (_norm(X) * _norm(Y)) ** 2
 
-    TkXY = np.einsum("kij,i,j->k", T, X, Y)
-    TY_kY = np.einsum("ikj,i,j->k", T, np.conj(Y), Y)
-    TX_kX = np.einsum("ikj,i,j->k", T, np.conj(X), X)
-    TY_kX = np.einsum("ikj,i,j->k", T, np.conj(Y), X)
-    TX_kY = np.einsum("ikj,i,j->k", T, np.conj(X), Y)
+    TkXY = np.einsum("...kij,...i,...j->...k", T, X, Y)
+    TY_kY = np.einsum("...ikj,...i,...j->...k", T, np.conj(Y), Y)
+    TX_kX = np.einsum("...ikj,...i,...j->...k", T, np.conj(X), X)
+    TY_kX = np.einsum("...ikj,...i,...j->...k", T, np.conj(Y), X)
+    TX_kY = np.einsum("...ikj,...i,...j->...k", T, np.conj(X), Y)
 
-    rh_xxyy = hermitian_pairing(ch.Rh, X, X, Y, Y)
-    rh_yyxx = hermitian_pairing(ch.Rh, Y, Y, X, X)
-    rh_xyyx = hermitian_pairing(ch.Rh, X, Y, Y, X)
-    rh_yxxy = hermitian_pairing(ch.Rh, Y, X, X, Y)
-    r_xyyx = _contract(rd.Rc, (X, False), (Y, True), (Y, False), (X, True))
-    r_xxyy = _contract(rd.Rc, (X, False), (X, True), (Y, False), (Y, True))
+    def sq(v):
+        return np.sum(np.abs(v) ** 2, axis=-1)
+
+    rh_xxyy = hermitian_pairing(Rh, X, X, Y, Y)
+    rh_yyxx = hermitian_pairing(Rh, Y, Y, X, X)
+    rh_xyyx = hermitian_pairing(Rh, X, Y, Y, X)
+    rh_yxxy = hermitian_pairing(Rh, Y, X, X, Y)
+    r_xyyx = hermitian_pairing(B, X, Y, Y, X)
+    r_xxyy = hermitian_pairing(B, X, X, Y, Y)
 
     lhs41 = 0.5 * (rh_xxyy + rh_yyxx) - r_xyyx
-    rhs41 = np.sum(np.abs(TkXY) ** 2) + 2 * np.real(np.sum(TY_kY * np.conj(TX_kX)))
+    rhs41 = sq(TkXY) + 2 * np.real(np.sum(TY_kY * np.conj(TX_kX), axis=-1))
     # the cross pairing enters symmetrized (its two orderings are complex
     # conjugates, so this is just the real part); only then is the left
     # side real and the identity exact for every Hermitian metric
     lhs42 = 0.5 * (rh_xyyx + rh_yxxy) - r_xxyy
-    rhs42 = np.sum(np.abs(TY_kX) ** 2) + np.sum(np.abs(TX_kY) ** 2) - np.sum(
-        np.abs(TkXY) ** 2
-    )
+    rhs42 = sq(TY_kX) + sq(TX_kY) - sq(TkXY)
 
-    rh_xxxx = hermitian_pairing(ch.Rh, X, X, X, X)
-    r_xxxx = _contract(rd.Rc, (X, False), (X, True), (X, False), (X, True))
+    rh_xxxx = hermitian_pairing(Rh, X, X, X, X)
+    r_xxxx = hermitian_pairing(B, X, X, X, X)
     lhs43 = rh_xxxx - r_xxxx
-    rhs43 = 2 * np.sum(np.abs(TX_kX) ** 2)
-    norm4 = np.linalg.norm(X) ** 4
+    rhs43 = 2 * sq(TX_kX)
+    norm4 = _norm(X) ** 4
 
     return {
         "sym_bisectional": abs(lhs41 - rhs41) / norm,
         "cross_bisectional": abs(lhs42 - rhs42) / norm,
         "holo_sectional": abs(lhs43 - rhs43) / norm4,
-        "monotonicity_gap": float((lhs43 / norm4).real),
+        "monotonicity_gap": (lhs43 / norm4).real,
     }
 
 
 def monotonicity_gap(rd, X):
     """H^h(X) - H(X), computed from the two curvature tensors only."""
     X = np.asarray(X, dtype=complex)
-    ch = rd.chern
-    rh = hermitian_pairing(ch.Rh, X, X, X, X)
-    r = _contract(rd.Rc, (X, False), (X, True), (X, False), (X, True))
-    return float((rh - r).real) / np.linalg.norm(X) ** 4
+    rh = hermitian_pairing(rd.chern.Rh, X, X, X, X)
+    r = hermitian_pairing(rd.R_11bar(), X, X, X, X)
+    return (rh - r).real / _norm(X) ** 4
 
 
 # ----------------------------------------------------------------------
 # Ricci combinations and the scalar-curvature relation
+def _frame(n, axes):
+    """The unitary frame vectors e_1..e_n on a new leading axis, before ``axes`` more."""
+    return np.eye(n, dtype=complex).reshape((n,) + (1,) * axes + (n,))
+
+
 def ricci_a(rd, X, a):
     """Ric_a(X) = sum_i B_a(X, e_i) over the unitary frame."""
-    n = rd.n
     X = np.asarray(X, dtype=complex)
-    total = 0.0 + 0j
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        total += bisectional(rd, X, e, a)["B_a"]
-    return total
+    return np.sum(bisectional(rd, X, _frame(rd.n, X.ndim - 1), a)["B_a"], axis=0)
 
 
 def real_vector_from_holomorphic(rd, X):
@@ -155,11 +159,8 @@ def real_vector_from_holomorphic(rd, X):
     the imaginary part cancels exactly because the barred frame rows are
     the conjugates of the unbarred ones.
     """
-    n = rd.n
-    ucplx = np.zeros(2 * n, dtype=complex)
-    ucplx[:n] = X / np.sqrt(2)
-    ucplx[n:] = np.conj(X) / np.sqrt(2)
-    return np.real(np.einsum("A,As->s", ucplx, rd.W))
+    ucplx = np.concatenate([X / np.sqrt(2), np.conj(X) / np.sqrt(2)], axis=-1)
+    return np.real(np.einsum("...A,...As->...s", ucplx, rd.W))
 
 
 def J_action(n):
@@ -171,6 +172,11 @@ def J_action(n):
     return J
 
 
+def _apply(M, u):
+    """M @ u for each vector of a stack ``[..., m]``."""
+    return u @ M.T
+
+
 def ricci_identity_residuals(rd, X):
     """Checks the affine identity in a and the J-invariant Ricci relation.
 
@@ -178,104 +184,107 @@ def ricci_identity_residuals(rd, X):
     nontrivial content is that Ric_{-1} equals the J-invariant average of
     the real Ricci curvature.
     """
-    X = np.asarray(X, dtype=complex) / np.linalg.norm(X)
+    X = np.asarray(X, dtype=complex)
+    X = X / _norm(X)[..., None]
     r0 = ricci_a(rd, X, 0.0)
     r1 = ricci_a(rd, X, 1.0)
     rm1 = ricci_a(rd, X, -1.0)
     affine = abs(rm1 - (2 * r0 - r1))
 
     u = real_vector_from_holomorphic(rd, X)
-    Ju = J_action(rd.n) @ u
-    ric_u = rd.ricci_direction(u)
-    ric_Ju = rd.ricci_direction(Ju)
-    j_invariant = abs(rm1 - 0.5 * (ric_u + ric_Ju))
-    return {"affine": float(affine), "j_invariant_ricci": float(j_invariant)}
+    Ju = _apply(J_action(rd.n), u)
+    j_invariant = abs(rm1 - 0.5 * (rd.ricci_direction(u) + rd.ricci_direction(Ju)))
+    return {"affine": affine, "j_invariant_ricci": j_invariant}
 
 
 def scalar_relation_residual(rd):
-    """sum_{ij} B_{-1}(e_i, e_j) = Scal / 2."""
-    n = rd.n
-    total = 0.0 + 0j
-    for i in range(n):
-        for j in range(n):
-            ei = np.zeros(n, dtype=complex)
-            ej = np.zeros(n, dtype=complex)
-            ei[i] = 1.0
-            ej[j] = 1.0
-            total += bisectional(rd, ei, ej, -1.0)["B_a"]
-    return float(abs(total - 0.5 * rd.Scal)) / (1.0 + abs(rd.Scal))
+    """sum_{ij} B_{-1}(e_i, e_j) = Scal / 2, at each point of ``rd``."""
+    n, axes = rd.n, rd.point.ndim - 1
+    E = _frame(n, axes + 1)
+    B = bisectional(rd, E, np.swapaxes(E, 0, 1), -1.0)["B_a"]  # [i, j, points]
+    total = np.sum(B.reshape((n * n,) + B.shape[2:]), axis=0)
+    return abs(total - 0.5 * rd.Scal) / (1.0 + abs(rd.Scal))
 
 
 # ----------------------------------------------------------------------
 # sectional-curvature decomposition of B_{-1}
+def _gram(u, G, v):
+    """u^T G v for stacked real vectors."""
+    return np.einsum("...a,...ab,...b->...", u, G, v)
+
+
 def sectional_curvature(rd, u, v):
-    """K = -R_{uvuv} / |u ^ v|^2 for real vectors; raises when u || v."""
+    """K = -R_{uvuv} / |u ^ v|^2 for real vectors; NaN where u || v."""
     G = rd.G
-    gram = (u @ G @ u) * (v @ G @ v) - (u @ G @ v) ** 2
-    if gram < 1e-10:
-        raise DegeneratePlaneError("plane is numerically degenerate")
-    r = np.einsum("abcd,a,b,c,d->", rd.R4, u, v, u, v)
-    return float(-r / gram)
+    gram = _gram(u, G, u) * _gram(v, G, v) - _gram(u, G, v) ** 2
+    flat = gram < 1e-10
+    r = _contract4(rd.R4, u, v, u, v)
+    return np.where(flat, np.nan, -r / np.where(flat, 1.0, gram))
 
 
 def plane_decomposition_check(rd, u, v):
     """Residuals of the real/complex sectional decomposition for B_{-1}.
 
-    ``u``, ``v`` are real tangent vectors (over (x_1, y_1, ...)).  Raises
-    DegeneratePlaneError when all four angle factors collapse.
+    ``u``, ``v`` are real tangent vectors (over (x_1, y_1, ...)).  A plane
+    is ``degenerate`` where an input vector is numerically zero or all four
+    angle factors collapse; its residuals are NaN there.
     """
     n = rd.n
     G = rd.G
     J = J_action(n)
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    nu = float(u @ G @ u)
-    nv = float(v @ G @ v)
-    if min(nu, nv) < 1e-12:
-        raise DegeneratePlaneError("input vector is numerically zero")
-    u = u / np.sqrt(nu)
-    v = v / np.sqrt(nv)
-    Ju, Jv = J @ u, J @ v
+    nu = _gram(u, G, u)
+    nv = _gram(v, G, v)
+    degenerate = np.minimum(nu, nv) < 1e-12
+    u = u / np.sqrt(np.where(degenerate, 1.0, nu))[..., None]
+    v = v / np.sqrt(np.where(degenerate, 1.0, nv))[..., None]
+    Ju, Jv = _apply(J, u), _apply(J, v)
 
-    # X = (u - iJu)/sqrt2 over the unitary frame: solve from real components
+    # X = (u - iJu)/sqrt2 over the unitary frame: solve the real components
+    # against all 2n frame rows; the barred coefficients vanish
+    WT = np.swapaxes(rd.W, -1, -2)
+
     def holomorphic_part(w):
-        comp = (w - 1j * (J @ w)) / np.sqrt(2)
-        # comp = sum_i X_i frame_i with frame rows rd.W[:n]
-        sol, *_ = np.linalg.lstsq(rd.W[: n].T, comp.astype(complex), rcond=None)
-        return sol
+        comp = (w - 1j * _apply(J, w)) / np.sqrt(2)
+        return np.linalg.solve(WT, comp[..., None])[..., :n, 0]
 
     X = holomorphic_part(u)
     Y = holomorphic_part(v)
 
-    r_xxyy = _contract(rd.Rc, (X, False), (X, True), (Y, False), (Y, True))
-    r_xyyx = _contract(rd.Rc, (X, False), (Y, True), (Y, False), (X, True))
-    lhs = -r_xxyy + 2 * r_xyyx
+    B = rd.R_11bar()
+    lhs = -hermitian_pairing(B, X, X, Y, Y) + 2 * hermitian_pairing(B, X, Y, Y, X)
 
     def R(a, b):
-        return np.einsum("abcd,a,b,c,d->", rd.R4, a, b, a, b)
+        return _contract4(rd.R4, a, b, a, b)
 
     rhs = -0.5 * (R(u, v) + R(Ju, Jv) + R(Ju, v) + R(u, Jv))
     first = abs(lhs - rhs)
 
     def angle_sq(a, b):
-        na = a @ G @ a
-        nb = b @ G @ b
-        dot = a @ G @ b
-        return 1.0 - dot * dot / (na * nb)
+        return 1.0 - _gram(a, G, b) ** 2 / (_gram(a, G, a) * _gram(b, G, b))
 
-    s_uv = angle_sq(u, v)
-    s_uJv = angle_sq(u, Jv)
-    if max(s_uv, s_uJv) < 1e-8:
-        raise DegeneratePlaneError("all angle factors vanish")
-    terms = 0.0
-    if s_uv > 1e-10:
-        terms += 0.5 * s_uv * (sectional_curvature(rd, u, v) + sectional_curvature(rd, Ju, Jv))
-    if s_uJv > 1e-10:
-        terms += 0.5 * s_uJv * (sectional_curvature(rd, Ju, v) + sectional_curvature(rd, u, Jv))
-    norm = (u @ G @ u) * (v @ G @ v)
-    b_m1 = (lhs / norm).real
+    # a zero input divides 0 by 0 here; its plane is masked as degenerate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_uv = angle_sq(u, v)
+        s_uJv = angle_sq(u, Jv)
+        b_m1 = (lhs / (_gram(u, G, u) * _gram(v, G, v))).real
+    degenerate |= ~(np.maximum(s_uv, s_uJv) >= 1e-8)
+    terms = np.where(
+        s_uv > 1e-10,
+        0.5 * s_uv * (sectional_curvature(rd, u, v) + sectional_curvature(rd, Ju, Jv)),
+        0.0,
+    ) + np.where(
+        s_uJv > 1e-10,
+        0.5 * s_uJv * (sectional_curvature(rd, Ju, v) + sectional_curvature(rd, u, Jv)),
+        0.0,
+    )
     second = abs(b_m1 - terms)
-    return {"complexified_vs_real": float(first), "angle_decomposition": float(second)}
+    return {
+        "complexified_vs_real": np.where(degenerate, np.nan, first),
+        "angle_decomposition": np.where(degenerate, np.nan, second),
+        "degenerate": degenerate,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -289,25 +298,36 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 RIGIDITY_FLOOR = 0.5
 
 
+_I, _J, _K = (np.array(slots) for slots in zip(*_CYCLIC))
+
+
+def _slots(X):
+    """(a_i, a_j, a_k, b_i, b_j, b_k) over the cyclic triples, each [..., 3], at rows X [..., 6]."""
+    a, b = X[..., :3], X[..., 3:]
+    return a[..., _I], a[..., _J], a[..., _K], b[..., _I], b[..., _J], b[..., _K]
+
+
+def _abs2(z):
+    return z.real**2 + z.imag**2
+
+
+def _equations(ai, aj, ak, bi, bj, bk):
+    """The diagonal norm identity, the two product identities and the mixed
+    conjugate trace identity, per cyclic triple."""
+    e1 = _abs2(ai) + _abs2(aj) - 2 * _abs2(ak) - (_abs2(bi) + _abs2(bj) - 2 * _abs2(bk))
+    e2 = bi * bj - bk * ak
+    e3 = ai * aj - bk**2
+    e4 = bj * np.conj(bk) + bi * np.conj(aj) + ak * np.conj(bi)
+    return e1, e2, e3, e4
+
+
 def rigidity_equations(x):
     """Complex residual vector of the cyclic quadratic system at x in C^6.
 
-    x packs (a_1, a_2, a_3, b_1, b_2, b_3).  The system combines the
-    diagonal norm identity, the two product identities and the mixed
-    conjugate trace identity over all cyclic index triples.
+    x packs (a_1, a_2, a_3, b_1, b_2, b_3); the four equations of each
+    cyclic index triple come in turn.
     """
-    a = x[:3]
-    b = x[3:]
-    out = []
-    for i, j, k in _CYCLIC:
-        out.append(
-            abs(a[i]) ** 2 + abs(a[j]) ** 2 - 2 * abs(a[k]) ** 2
-            - (abs(b[i]) ** 2 + abs(b[j]) ** 2 - 2 * abs(b[k]) ** 2)
-        )
-        out.append(b[i] * b[j] - b[k] * a[k])
-        out.append(a[i] * a[j] - b[k] ** 2)
-        out.append(b[j] * np.conj(b[k]) + b[i] * np.conj(a[j]) + a[k] * np.conj(b[i]))
-    return np.array(out, dtype=complex)
+    return np.stack(_equations(*_slots(np.asarray(x, dtype=complex))), axis=-1).reshape(12)
 
 
 def rigidity_residual(x):
@@ -320,70 +340,73 @@ def rigidity_residual(x):
 
 
 def _batch_residual_sq(X):
-    """Vectorized squared residual for unit rows of X (shape (m, 6))."""
-    a, b = X[:, :3], X[:, 3:]
-    total = np.zeros(len(X))
-    for i, j, k in _CYCLIC:
-        e1 = (
-            np.abs(a[:, i]) ** 2
-            + np.abs(a[:, j]) ** 2
-            - 2 * np.abs(a[:, k]) ** 2
-            - np.abs(b[:, i]) ** 2
-            - np.abs(b[:, j]) ** 2
-            + 2 * np.abs(b[:, k]) ** 2
-        )
-        e2 = b[:, i] * b[:, j] - b[:, k] * a[:, k]
-        e3 = a[:, i] * a[:, j] - b[:, k] ** 2
-        e4 = (
-            b[:, j] * np.conj(b[:, k])
-            + b[:, i] * np.conj(a[:, j])
-            + a[:, k] * np.conj(b[:, i])
-        )
-        total += e1**2 + np.abs(e2) ** 2 + np.abs(e3) ** 2 + np.abs(e4) ** 2
-    return total
+    """Vectorized squared residual for unit rows of X (shape (..., 6))."""
+    e1, e2, e3, e4 = _equations(*_slots(X))
+    return np.sum(e1**2 + _abs2(e2) + _abs2(e3) + _abs2(e4), axis=-1)
+
+
+def _residual_sq_grad(X):
+    """Gradient d/dRe + i d/dIm (= 2 d/dXbar) of ``_batch_residual_sq`` at rows X [..., 6].
+
+    Closed-form Wirtinger derivatives of the four equations, for all three
+    cyclic triples at once; column c of each per-triple term lands on slot
+    i, j or k of triple c.
+    """
+    ai, aj, ak, bi, bj, bk = _slots(X)
+    e1, e2, e3, e4 = _equations(ai, aj, ak, bi, bj, bk)
+    e4c = np.conj(e4)
+    ga_i = 4 * e1 * ai + 2 * e3 * np.conj(aj)
+    ga_j = 4 * e1 * aj + 2 * e3 * np.conj(ai) + 2 * bi * e4c
+    ga_k = -8 * e1 * ak - 2 * e2 * np.conj(bk) + 2 * e4 * bi
+    gb_i = -4 * e1 * bi + 2 * e2 * np.conj(bj) + 2 * ak * e4c + 2 * e4 * aj
+    gb_j = -4 * e1 * bj + 2 * e2 * np.conj(bi) + 2 * e4 * bk
+    gb_k = 8 * e1 * bk - 2 * e2 * np.conj(ak) - 4 * e3 * np.conj(bk) + 2 * bj * e4c
+    # slot j of triple c is slot _J[c], reached from c = _K[slot]; slot k from c = _J[slot]
+    return np.concatenate(
+        [ga_i + ga_j[..., _K] + ga_k[..., _J], gb_i + gb_j[..., _K] + gb_k[..., _J]], axis=-1
+    )
+
+
+def _polish_objective(v):
+    """(value, gradient) of the squared residual at z / |z|, z = v[:6] + i v[6:]."""
+    z = v[:6] + 1j * v[6:]
+    r = np.linalg.norm(z)
+    if r < 1e-9:
+        return 1.0, np.zeros(12)
+    u = z / r
+    g = _residual_sq_grad(u)
+    g = (g - np.real(np.vdot(u, g)) * u) / r  # the value does not depend on |z|
+    return float(_batch_residual_sq(u)), np.concatenate([g.real, g.imag])
 
 
 def n3_rigidity_search(trials=10_000, seed=0, polish=64, steps=150, lr=0.05):
     """Random-restart minimization of the system residual on the unit sphere.
 
-    Runs vectorized projected gradient descent (finite-difference gradient)
-    on all starts, then polishes the best candidates with BFGS.  Returns the
-    smallest residual found and its argmin.
+    Runs vectorized projected gradient descent on all starts, then polishes
+    the best candidates with BFGS; both use the closed-form gradient.
+    Returns the smallest residual found and its argmin.
     """
+    from scipy import optimize  # only this search needs scipy; keep it off the CLI import
+
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(trials, 6)) + 1j * rng.normal(size=(trials, 6))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
 
-    h = 1e-6
     for _ in range(steps):
-        grad = np.zeros_like(X)
-        base = _batch_residual_sq(X)
-        for c in range(6):
-            for im in (0, 1):
-                step = np.zeros(6, dtype=complex)
-                step[c] = 1j * h if im else h
-                fp = _batch_residual_sq(X + step)
-                fm = _batch_residual_sq(X - step)
-                grad[:, c] += ((fp - fm) / (2 * h)) * (1j if im else 1)
-        X = X - lr * grad
+        X = X - lr * _residual_sq_grad(X)
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         lr *= 0.985
 
     vals = _batch_residual_sq(X)
     order = np.argsort(vals)[:polish]
 
-    def objective(v):
-        z = v[:6] + 1j * v[6:]
-        nz = np.linalg.norm(z)
-        if nz < 1e-9:
-            return 1.0
-        return float(np.linalg.norm(rigidity_equations(z / nz)) ** 2)
-
     best_val = np.inf
     best_x = None
     for idx in order:
         v0 = np.concatenate([X[idx].real, X[idx].imag])
-        res = optimize.minimize(objective, v0, method="BFGS", options={"maxiter": 200})
+        res = optimize.minimize(
+            _polish_objective, v0, jac=True, method="BFGS", options={"maxiter": 200}
+        )
         if res.fun < best_val:
             best_val = res.fun
             z = res.x[:6] + 1j * res.x[6:]

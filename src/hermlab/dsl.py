@@ -12,11 +12,13 @@ Grammar (EBNF, also documented in the README):
     COORD    = "z" DIGITS ;                   (* 1-based, index <= n *)
 
 "^" binds tighter than unary minus, so "-z1^2" is "-(z1^2)".  Chained
-exponents fold right-associatively over the integer exponents.
+exponents fold right-associatively over the integer exponents, into one
+integer of magnitude at most ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +36,11 @@ FUNCTIONS = ("exp", "ln", "sqrt", "conj", "re", "im", "abs2")
 
 HERMITIAN_TOL = 1e-10
 MIN_EIGENVALUE = 1e-10
+
+
+# largest |e^k| that a chained exponent a^e^k may fold to; e^k has about
+# |k| log10|e| digits, so the bound is checked before the power is taken
+MAX_EXPONENT = 10**6
 
 
 # ----------------------------------------------------------------------
@@ -196,20 +203,21 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        exponents = []
+        exponents = []  # (offset of the "^", exponent)
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "^":
                 self.advance()
-                exponents.append(self.intexp())
+                exponents.append((tok.offset, self.intexp()))
             else:
                 break
         if not exponents:
             return base
-        # fold right-associatively over the integer exponents
-        k = exponents[-1]
-        for e in reversed(exponents[:-1]):
-            k = e**k
+        # fold right-associatively over the integer exponents; a bad fold
+        # is reported at the "^" that joins its two operands
+        k = exponents[-1][1]
+        for i in range(len(exponents) - 2, -1, -1):
+            k = _fold_power(exponents[i][1], k, exponents[i + 1][0])
         return Pow(base, k)
 
     def intexp(self):
@@ -264,6 +272,19 @@ class _Parser:
             tok.offset,
             expected=["number", "identifier", "("],
         )
+
+
+def _fold_power(e, k, offset):
+    """e^k of a chained exponent, as an integer of magnitude at most ``MAX_EXPONENT``."""
+    if k < 0 and abs(e) != 1:
+        raise MetricSyntaxError(f"exponent {e}^{k} is not an integer", offset)
+    # the estimate passes at most e * MAX_EXPONENT on to the exact power
+    if abs(e) > 1 and (
+        abs(k) * math.log(abs(e)) > math.log(MAX_EXPONENT) + 1
+        or abs(e) ** abs(k) > MAX_EXPONENT
+    ):
+        raise MetricSyntaxError(f"exponent {e}^{k} exceeds {MAX_EXPONENT}", offset)
+    return e ** abs(k)  # for k < 0, e is 1 or -1 and e^k = e^|k|
 
 
 def parse(src, n):

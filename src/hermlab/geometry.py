@@ -2,10 +2,13 @@
 
 The CLI samples a report's points once and fills one :class:`GeometryCache`
 with their data, ``CHUNK`` points per call of the batched cores; the
-suites then read the data point by point.
+suites then read the data point by point, or a chunk of points at a time
+as one batch (:meth:`GeometryCache.stacked`).
 """
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -82,6 +85,23 @@ class GeometryCache:
             for index, row in enumerate(rows):
                 self.data[keys[row]] = (ch, rd, index)
         return [self.data[k] for k in keys]
+
+    def stacked(self, metric, points):
+        """(ChernData, RiemannData) over ``points``, batched along one point axis."""
+
+        def stack(items):  # [(batch, index)] -> one batch in that order
+            first = items[0][0]
+            arrays = {
+                f.name: np.stack([getattr(batch, f.name)[i] for batch, i in items])
+                for f in fields(first)
+                if isinstance(getattr(first, f.name), np.ndarray)
+            }
+            return replace(first, **arrays)
+
+        filled = self.fill(metric, points)
+        ch = stack([(c, i) for c, _, i in filled])
+        rd = replace(stack([(r, i) for _, r, i in filled]), chern=ch)
+        return ch, rd
 
     def __call__(self, metric, p):
         """(ChernData, RiemannData) at one point."""

@@ -212,9 +212,9 @@ class RiemannData:
         return np.maximum.reduce([self.chern.pointwise_max(B) for B in self.theta2_blocks()])
 
     def ricci_direction(self, u):
-        """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for a real vector."""
-        q = float(u @ self.Ric @ u)
-        return q / float(u @ self.G @ u)
+        """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for real vectors ``[..., 2n]``."""
+        q = np.einsum("...a,...ab,...b->...", u, self.Ric, u)
+        return q / np.einsum("...a,...ab,...b->...", u, self.G, u)
 
 
 def riemann_at(metric, point, chern_data=None, g=None):

@@ -1,13 +1,14 @@
 """The batched core: a batch of points against one point at a time, the
 dense real metric against the jet-built one, the vectorised sampler
-against a draw-by-draw loop, and the worst point of the batched flags."""
+against a draw-by-draw loop, the worst point of the batched flags, and
+the batched compare suite against one direction at a time."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hermlab import catalog
+from hermlab import catalog, cli, compare
 from hermlab.chern import ChernData, chern_at
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.dsl import MetricField
@@ -208,3 +209,161 @@ def test_values_keep_exact_conjugate_symmetry():
     m = catalog.get("fubini_study_chart_n2").metric
     gv = m.values_at(np.array(sample_points(m, 100, seed=79)))
     assert np.array_equal(gv, gv.conj().swapaxes(-2, -1))
+
+
+# ----------------------------------------------------------------------
+# the compare suite: stacked directions against one direction at a time
+def _compare_cases():
+    for name in ("gkl_surface", "iwasawa"):
+        m = catalog.get(name).metric
+        yield pytest.param(m, np.array(sample_points(m, 3, seed=83)), id=f"n{m.n}-{name}")
+    for n in (4, 5):
+        m = perturbed_metric(n)
+        rng = np.random.default_rng(n + 10)
+        step = rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n))
+        yield pytest.param(m, base_point(n) + 0.2 * step, id=f"n{n}-{m.name}")
+
+
+def _close(got, want, key):
+    # NaN marks a degenerate plane and must sit in the same places
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    assert got.shape == want.shape, key
+    live = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~live), key
+    assert np.max(np.abs(got - want)[live], initial=0.0) <= 1e-12, key
+
+
+@pytest.mark.parametrize("m,points", list(_compare_cases()))
+def test_compare_batch_equals_single_directions(m, points):
+    n, D = m.n, 4
+    ch = chern_at(m, points)
+    rd = riemann_at(m, points, chern_data=ch)
+    rng = np.random.default_rng(89)
+
+    def cvec(*shape):
+        return rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+
+    P = len(points)
+    X, Y, Z, W = (cvec(D, P) for _ in range(4))
+    a = rng.uniform(-1.5, 1.5, (D, P))
+    u, v = rng.normal(size=(2, D, P, 2 * n))
+    v[0, 0] = 0.0  # one degenerate plane
+    R = rd.R_11bar()
+    batched = {
+        "pairing_Rh": compare.hermitian_pairing(ch.Rh, X, Y, Z, W),
+        "pairing_Rc": compare.hermitian_pairing(R, X, Y, Z, W),
+        "bisectional": compare.bisectional(rd, X, Y, a),
+        "difference": compare.bisectional_difference_residuals(rd, X, Y),
+        "gap": compare.monotonicity_gap(rd, X),
+        "ricci": compare.ricci_identity_residuals(rd, X[0]),
+        "scalar": compare.scalar_relation_residual(rd),
+        "plane": compare.plane_decomposition_check(rd, u, v),
+    }
+    assert batched["plane"]["degenerate"].sum() == 1
+    for i in range(P):
+        one = rd.at(i)
+        assert np.shape(compare.scalar_relation_residual(one)) == ()
+        _close(batched["scalar"][i], compare.scalar_relation_residual(one), "scalar")
+        for key, value in compare.ricci_identity_residuals(one, X[0, i]).items():
+            _close(batched["ricci"][key][i], value, key)
+        for d in range(D):
+            x, y, z, w = X[d, i], Y[d, i], Z[d, i], W[d, i]
+            _close(batched["pairing_Rh"][d, i], compare.hermitian_pairing(one.chern.Rh, x, y, z, w), "Rh")
+            _close(batched["pairing_Rc"][d, i], compare.hermitian_pairing(one.R_11bar(), x, y, z, w), "Rc")
+            _close(batched["gap"][d, i], compare.monotonicity_gap(one, x), "gap")
+            singles = (
+                ("bisectional", compare.bisectional(one, x, y, a[d, i])),
+                ("difference", compare.bisectional_difference_residuals(one, x, y)),
+                ("plane", compare.plane_decomposition_check(one, u[d, i], v[d, i])),
+            )
+            for group, single in singles:
+                assert single.keys() == batched[group].keys()
+                for key, value in single.items():
+                    assert np.shape(value) == (), key
+                    _close(batched[group][key][d, i], value, key)
+
+
+def _parent_compare(m, points, seed):
+    """The compare suite's per-point, per-direction loop as it ran before batching:
+    one rng call per vector part, a skipped degenerate plane, strict-max worst points."""
+    n = m.n
+    cache = GeometryCache()
+    rng = np.random.default_rng(seed + 1)
+    worst = {}
+
+    def update(name, value, p):
+        if value > worst.get(name, (-1.0, None))[0]:
+            worst[name] = (float(value), p)
+
+    max_T, best_gap, gap_point = 0.0, -np.inf, None
+    for p in points:
+        ch, rd = cache(m, p)
+        max_T = max(max_T, float(np.max(np.abs(ch.T))))
+        for _ in range(50):
+            X = rng.normal(size=n) + 1j * rng.normal(size=n)
+            Y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            X /= np.linalg.norm(X)
+            Y /= np.linalg.norm(Y)
+            res = compare.bisectional_difference_residuals(rd, X, Y)
+            for name in ("sym_bisectional", "cross_bisectional", "holo_sectional"):
+                update(name, res[name], p)
+            gap = compare.monotonicity_gap(rd, X)
+            update("monotonicity_floor", -gap, p)
+            if gap > best_gap:
+                best_gap, gap_point = gap, p
+            a = float(rng.uniform(-1.5, 1.5))
+            bxy = compare.bisectional(rd, X, Y, a)
+            byx = compare.bisectional(rd, Y, X, a)
+            update("bisectional_symmetry", abs(bxy["B_a"] - byx["B_a"]), p)
+            update("bisectional_reality", bxy["imag_max"], p)
+        rr = compare.ricci_identity_residuals(rd, rng.normal(size=n) + 1j * rng.normal(size=n))
+        update("ricci_affine", rr["affine"], p)
+        update("j_invariant_ricci", rr["j_invariant_ricci"], p)
+        update("scalar_half_trace", compare.scalar_relation_residual(rd), p)
+        for _ in range(5):
+            plane = compare.plane_decomposition_check(rd, rng.normal(size=2 * n), rng.normal(size=2 * n))
+            if plane["degenerate"]:
+                continue
+            update("plane_complexified", plane["complexified_vs_real"], p)
+            update("plane_angles", plane["angle_decomposition"], p)
+    out = {name: (max(value, 0.0), p) for name, (value, p) in worst.items()}
+    if max_T > 1e-3:
+        out["monotonicity_strict_gap"] = (1e-6 / max(best_gap, 1e-300), gap_point)
+    rig = compare.n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
+    out["rigidity_floor"] = (compare.RIGIDITY_FLOOR / rig["min_residual"], None)
+    return out, rng
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "conformal_klike", "random_polynomial(12)"])
+def test_run_compare_matches_the_per_direction_loop(name):
+    entry = catalog.get(name)
+    seed = 42
+    points = sample_points(entry.metric, CHUNK + 3, seed=seed)
+    checks, _ = cli.run_compare(entry, points, cli.DEFAULT_TOLERANCES, GeometryCache(), seed)
+    want, want_rng = _parent_compare(entry.metric, points, seed)
+    assert sorted(c.name for c in checks) == sorted(want)
+    for c in checks:
+        residual, point = want[c.name]
+        assert abs(c.residual - residual) <= c.tol / 1000, c.name
+        if residual > 1e-13 and point is not None:  # below that, worst points are roundoff
+            assert c.worst_point is point, c.name
+    # the draws leave the stream where the loop left it
+    rng = np.random.default_rng(seed + 1)
+    cli.compare_draws(rng, len(points), entry.metric.n)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_compare_keeps_the_first_worst_point():
+    # the scalar relation reads no random draw, so a repeated point ties
+    # with its first copy, which must be the one reported
+    entry = catalog.get("gkl_surface")
+    points = sample_points(entry.metric, 5, seed=97)
+    points = points + [p.copy() for p in points]
+    checks, _ = cli.run_compare(entry, points, cli.DEFAULT_TOLERANCES, GeometryCache(), 3)
+    got = {c.name: c for c in checks}["scalar_half_trace"]
+    cache = GeometryCache()
+    residuals = [compare.scalar_relation_residual(cache(entry.metric, p)[1]) for p in points]
+    worst = int(np.argmax(residuals))
+    assert worst < 5 and residuals[worst] == residuals[worst + 5]
+    assert got.residual == residuals[worst]
+    assert got.worst_point is points[worst]

@@ -196,9 +196,10 @@ def _config_file(tmp_path, **fields):
         {"n": "2"},
         {"entries": ["1", "0", "0", 1]},
         {"expected_flags": ["kahler"]},
+        {"entries": ["1 + abs2(z1)^2^200", "0", "0", "1"]},
     ],
     ids=["short_entries", "box_row_of_2", "box_rows_short", "box_lo_above_hi", "box_inf",
-         "n_0", "n_string", "entry_not_string", "flags_not_object"],
+         "n_0", "n_string", "entry_not_string", "flags_not_object", "chained_exponent"],
 )
 def test_malformed_configs_are_usage_errors(tmp_path, capsys, fields):
     code = main(["--metric", _config_file(tmp_path, **fields), "--points", "2"])

@@ -3,7 +3,6 @@ import pytest
 
 from hermlab.compare import (
     RIGIDITY_FLOOR,
-    DegeneratePlaneError,
     bisectional,
     plane_decomposition_check,
     monotonicity_gap,
@@ -160,26 +159,31 @@ def test_plane_decomposition(geo, metric):
         _, rd = geo(m, p)
         done = 0
         while done < 10:
-            try:
-                res = plane_decomposition_check(rd, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n))
-            except DegeneratePlaneError:
+            res = plane_decomposition_check(rd, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n))
+            if res["degenerate"]:
                 continue
             assert res["complexified_vs_real"] < 1e-7
             assert res["angle_decomposition"] < 1e-7
             done += 1
 
 
-def test_degenerate_plane_raises(geo, metric):
-    # parallel or vanishing draws cannot form the angle factors; the check
-    # signals a resample instead of dividing by zero
+def test_degenerate_plane_is_masked(geo, metric):
+    # vanishing draws cannot form the angle factors; the check masks the
+    # plane instead of dividing by zero
     m = metric("euclidean")
     _, rd = geo(m, [0.1 + 0j, 0.2 + 0j])
     u = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DegeneratePlaneError):
-        plane_decomposition_check(rd, u, np.zeros(4))
+    res = plane_decomposition_check(rd, u, np.zeros(4))
+    assert res["degenerate"]
+    assert np.isnan(res["complexified_vs_real"]) and np.isnan(res["angle_decomposition"])
     # v parallel to u is fine: the vanishing angle factor drops that plane
     res = plane_decomposition_check(rd, u, 2.0 * u)
+    assert not res["degenerate"]
     assert res["angle_decomposition"] < 1e-12
+    # in a stack, the mask marks only the degenerate plane
+    res = plane_decomposition_check(rd, np.stack([u, u]), np.stack([np.zeros(4), 2.0 * u]))
+    assert res["degenerate"].tolist() == [True, False]
+    assert res["angle_decomposition"][1] < 1e-12
 
 
 def test_nonnegative_sectional_gives_nonnegative_b_minus_one(geo, metric):
@@ -194,15 +198,14 @@ def test_nonnegative_sectional_gives_nonnegative_b_minus_one(geo, metric):
     for _ in range(20):
         u = rng.normal(size=2 * m.n)
         v = rng.normal(size=2 * m.n)
-        try:
-            ks = [
-                sectional_curvature(rd, u, v),
-                sectional_curvature(rd, J @ u, J @ v),
-                sectional_curvature(rd, J @ u, v),
-                sectional_curvature(rd, u, J @ v),
-            ]
-            res = plane_decomposition_check(rd, u, v)
-        except DegeneratePlaneError:
+        ks = [
+            sectional_curvature(rd, u, v),
+            sectional_curvature(rd, J @ u, J @ v),
+            sectional_curvature(rd, J @ u, v),
+            sectional_curvature(rd, u, J @ v),
+        ]
+        res = plane_decomposition_check(rd, u, v)
+        if np.any(np.isnan(ks)) or res["degenerate"]:
             continue
         if min(ks) >= 0:
             X_b = res  # decomposition already verified; recompute B_{-1}
@@ -229,3 +232,29 @@ def test_rigidity_uniform_vector_fails_the_system():
 def test_rigidity_floor_quick_search():
     out = n3_rigidity_search(trials=500, seed=3, polish=16, steps=100)
     assert out["min_residual"] > RIGIDITY_FLOOR
+
+
+def test_rigidity_gradient_matches_central_differences():
+    from hermlab.compare import _batch_residual_sq, _residual_sq_grad
+
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+    h = 1e-6
+    fd = np.zeros_like(X)
+    for c in range(6):
+        for step in (h, 1j * h):
+            e = np.zeros(6, dtype=complex)
+            e[c] = step
+            slope = (_batch_residual_sq(X + e) - _batch_residual_sq(X - e)) / (2 * h)
+            fd[:, c] += slope * (step / h)  # d/dRe into the real part, d/dIm into the imaginary
+    grad = _residual_sq_grad(X)
+    assert grad.shape == X.shape
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+def test_rigidity_search_at_cli_parameters_reaches_the_floor(seed):
+    # the minimum of the cyclic system on the unit sphere is 1/sqrt(3)
+    out = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
+    assert abs(out["min_residual"] - 1 / np.sqrt(3)) <= 1e-9
+    assert abs(rigidity_residual(out["argmin"]) - out["min_residual"]) <= 1e-9

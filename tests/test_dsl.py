@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermlab.dsl import (
+    MAX_EXPONENT,
     BinOp,
     Call,
     MetricField,
@@ -34,6 +35,16 @@ def test_syntax_error_carries_offset_and_expected_tokens():
     with pytest.raises(MetricSyntaxError) as exc:
         parse("(z1 + z2", 2)
     assert exc.value.expected == (")",)
+
+
+def test_chained_exponents_fold_to_bounded_integers():
+    assert parse("z1^10^6", 1).exponent == MAX_EXPONENT
+    assert parse("z1^-1^-3", 1).exponent == -1
+    # each bad fold is reported at the "^" joining its operands
+    for src, offset in (("z1^2^200", 4), ("z1^1001^2", 7), ("z1^0^-1", 4), ("z1^2^-1", 4)):
+        with pytest.raises(MetricSyntaxError) as exc:
+            parse(src, 1)
+        assert exc.value.offset == offset, src
 
 
 def test_unknown_identifier_and_bad_coordinate():

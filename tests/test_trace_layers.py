@@ -1,7 +1,9 @@
-"""Every callable the benchmark tracer wraps still exists under its name."""
+"""Every callable the benchmark tracer wraps still exists under its name,
+and a compare run still calls each callable of the compare layers."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -28,3 +30,31 @@ def test_every_traced_name_resolves():
             if not callable(owner.__dict__.get(attr)):
                 missing.append(target)
     assert not missing
+
+
+def test_compare_run_calls_every_compare_target(monkeypatch, capsys):
+    # a layer whose callables the suite no longer calls reads 0 in every
+    # traced round; count calls the way Tracer.install wraps them, under
+    # every name in the package that refers to the function
+    from hermlab import cli
+
+    layers = _layers()
+    targets = layers["compare.directions"] + layers["compare.rigidity"]
+    calls = dict.fromkeys(targets, 0)
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("hermlab") and m]
+    for target in targets:
+        module_name, _, attr = target.partition(":")
+        original = getattr(importlib.import_module(module_name), attr)
+
+        def counted(*args, _target=target, _original=original, **kwargs):
+            calls[_target] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    code = cli.main(["--metric", "iwasawa", "--suite", "compare", "--points", "3", "--format", "csv"])
+    capsys.readouterr()
+    assert code == 0
+    assert all(calls.values()), calls
