@@ -283,14 +283,18 @@ def to_config(entry):
 
 
 def _is_box_row(row):
-    return (
+    if not (
         isinstance(row, list)
         and len(row) == 4
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        and all(math.isfinite(x) for x in row)
-        and row[0] < row[1]
-        and row[2] < row[3]
-    )
+    ):
+        return False
+    try:
+        bounds = [float(x) for x in row]
+    except OverflowError:  # an integer beyond the float range
+        return False
+    # the sampler draws lo + (hi - lo) * U, so the width must be finite too
+    return all(lo < hi and math.isfinite(hi - lo) for lo, hi in (bounds[:2], bounds[2:]))
 
 
 def _check_config(cfg):
@@ -318,8 +322,8 @@ def _check_config(cfg):
         isinstance(box, list) and len(box) == n and all(_is_box_row(row) for row in box)
     ):
         raise InvalidConfigError(
-            f"metric config field 'box' must be {n} rows of 4 finite numbers "
-            "(re_lo, re_hi, im_lo, im_hi) with lo < hi"
+            f"metric config field 'box' must be {n} rows of 4 numbers "
+            "(re_lo, re_hi, im_lo, im_hi) with lo < hi and a finite width hi - lo"
         )
     flags = cfg.get("expected_flags", {})
     if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):

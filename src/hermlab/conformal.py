@@ -10,6 +10,13 @@ with respect to the real metric of the base; on a unitary frame the (1,0)
 gradient satisfies sum_k |e_k(f)|^2 = |grad f|^2 / 2, which fixes the
 constant in the Hessian criterion below (locked by the |z - p|^{-4} worked
 example and by the trace consequence lambda * lap(lambda) = n |grad lambda|^2).
+
+The transformation-law residuals take precomputed data over a batch of
+points (leading point axes): the base metric's Chern/Riemann data (the
+CLI reads them from its ``GeometryCache``), the scaled metric's, computed
+by one batched ``chern_at``/``riemann_at`` call per exponent, and the
+exponent's value and first derivatives (:meth:`ConformalFactor.u_values`).
+They return one residual per point.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import chern_at
-from .dsl import conformal_scale, eval_expr, to_source
+from .dsl import _batch_jet, conformal_scale, eval_expr, to_source
 from .errors import HermlabError
 from .levicivita import levi_civita_frame_connection, riemann_at
 
@@ -41,6 +48,20 @@ class ConformalFactor:
             )
         return jet
 
+    def u_values(self, points):
+        """u and its first derivatives [..., 2n] at points [..., n], one batch."""
+        z = np.asarray(points, dtype=complex)
+        value, du, _ = _batch_jet(self.u_expr, z)
+        bad = np.flatnonzero(np.abs(np.ravel(value.imag)) > _REAL_TOL)
+        if len(bad):
+            point = z.reshape(-1, z.shape[-1])[bad[0]]
+            raise HermlabError(
+                f"conformal exponent {to_source(self.u_expr)!r} is not real at {point}"
+            )
+        if du is None:  # a constant exponent
+            du = np.zeros(z.shape[:-1] + (2 * z.shape[-1],), dtype=complex)
+        return value, du
+
     def lambda_jet(self, point, n):
         return (-self.u_jet(point, n)).exp()
 
@@ -50,66 +71,66 @@ def conformal_metric(base, factor, name=None):
     return conformal_scale(base, factor.u_expr, name or f"{base.name}*e^2u")
 
 
-def _frame_gradient(ch, jet):
-    """Frame-direction derivatives u_j = e_j(u) for a scalar jet."""
-    return np.einsum("ja,a->j", ch.Pv, jet.d1[: ch.n])
+def _frame_gradient(ch, du):
+    """Frame-direction derivatives u_j = e_j(u) from u's Wirtinger derivatives."""
+    return np.einsum("...ja,...a->...j", ch.Pv, du[..., : ch.n])
 
 
-def torsion_transform_residual(base, factor, point, base_ch=None, new_ch=None):
-    """Residual of e^u T~^i_{jk} = T^i_{jk} + u_j delta_ik - u_k delta_ij."""
-    point = np.asarray(point, dtype=complex)
-    n = base.n
-    if base_ch is None:
-        base_ch = chern_at(base, point)
-    if new_ch is None:
-        new_ch = chern_at(conformal_metric(base, factor), point)
-    ujet = factor.u_jet(point, n)
-    uj = _frame_gradient(base_ch, ujet)
-    eu = np.exp(ujet.value.real)
-    eye = np.eye(n)
+def torsion_transform_residual(base_ch, new_ch, u):
+    """Residual of e^u T~^i_{jk} = T^i_{jk} + u_j delta_ik - u_k delta_ij, per point.
+
+    ``base_ch`` and ``new_ch`` hold the Chern data of the base and the
+    transformed metric at the same points; ``u`` is the exponent's value
+    and first derivatives there (:meth:`ConformalFactor.u_values`).
+    """
+    value, du = u
+    uj = _frame_gradient(base_ch, du)
+    eye = np.eye(base_ch.n)
     expected = (
         base_ch.T
-        + np.einsum("j,ik->ijk", uj, eye)
-        - np.einsum("k,ij->ijk", uj, eye)
+        + np.einsum("...j,ik->...ijk", uj, eye)
+        - np.einsum("...k,ij->...ijk", uj, eye)
     )
-    return float(np.max(np.abs(eu * new_ch.T - expected)))
+    eu = np.exp(value.real)[..., None, None, None]
+    return np.abs(eu * new_ch.T - expected).max(axis=(-3, -2, -1))
 
 
-def connection_transform_residuals(base, factor, point):
-    """Residuals of the mixed-connection transformation laws.
+def connection_transform_residuals(base_rd, new_rd, u):
+    """Residuals of the mixed-connection transformation laws, per point.
 
     theta~_1 = theta_1 + v tphi - phibar v*  and
     theta~_2 = theta_2 + vbar tphi - phi v*, with v = t(u_1, ..., u_n),
     in the matched unitary frames.  Both sides are evaluated over the
     coordinate cotangent slots; the base-frame coframe phi is expanded as
-    psi_i = sum_a L_{ai} dz_a.
+    psi_i = sum_a L_{ai} dz_a.  The arguments are as for
+    :func:`torsion_transform_residual`, with Riemann data.
     """
-    point = np.asarray(point, dtype=complex)
-    n = base.n
-    new = conformal_metric(base, factor)
-    rd0 = riemann_at(base, point)
-    rd1 = riemann_at(new, point)
-    ch0 = rd0.chern
-    th1_0, th2_0 = levi_civita_frame_connection(rd0, (ch0.Pv, ch0.dP))
-    th1_1, th2_1 = levi_civita_frame_connection(rd1, (rd1.chern.Pv, rd1.chern.dP))
+    n = base_rd.n
+    ch0, ch1 = base_rd.chern, new_rd.chern
+    th1_0, th2_0 = levi_civita_frame_connection(base_rd, (ch0.Pv, ch0.dP))
+    th1_1, th2_1 = levi_civita_frame_connection(new_rd, (ch1.Pv, ch1.dP))
 
-    ujet = factor.u_jet(point, n)
-    v = _frame_gradient(ch0, ujet)
-    Lv = ch0.Lv  # psi_i = sum_a L[a, i] dz_a
+    v = _frame_gradient(ch0, u[1])
+    vbar, Lv = np.conj(v), ch0.Lv  # psi_i = sum_a L[a, i] dz_a
+    # over slot c: (v tphi)_{ij} has dz_a coefficient v_i L[a, j]
+    vtphi = np.einsum("...i,...aj->...aij", v, Lv)
+    vbar_tphi = np.einsum("...i,...aj->...aij", vbar, Lv)
+    phi_vstar = np.einsum("...ai,...j->...aij", Lv, vbar)
+    phibar_vstar = np.einsum("...ai,...j->...aij", np.conj(Lv), vbar)
+    zero = np.zeros_like(vtphi)
 
-    # v tphi over slot c: (v tphi)_{ij} has dz_a coefficient v_i L[a, j]
-    vtphi = np.zeros((2 * n, n, n), dtype=complex)
-    phibar_vstar = np.zeros((2 * n, n, n), dtype=complex)
-    vbar_tphi = np.zeros((2 * n, n, n), dtype=complex)
-    phi_vstar = np.zeros((2 * n, n, n), dtype=complex)
-    for a in range(n):
-        vtphi[a] = np.einsum("i,j->ij", v, Lv[a])
-        vbar_tphi[a] = np.einsum("i,j->ij", np.conj(v), Lv[a])
-        phibar_vstar[n + a] = np.einsum("i,j->ij", np.conj(Lv[a]), np.conj(v))
-        phi_vstar[a] = np.einsum("i,j->ij", Lv[a], np.conj(v))
-    r1 = float(np.max(np.abs(th1_1 - (th1_0 + vtphi - phibar_vstar))))
-    r2 = float(np.max(np.abs(th2_1 - (th2_0 + vbar_tphi - phi_vstar))))
-    return {"theta1": r1, "theta2": r2}
+    def dz(x):  # dz_a coefficients, no dzbar part
+        return np.concatenate([x, zero], axis=-3)
+
+    def dzbar(x):
+        return np.concatenate([zero, x], axis=-3)
+
+    r1 = th1_1 - (th1_0 + dz(vtphi) - dzbar(phibar_vstar))
+    r2 = th2_1 - (th2_0 + dz(vbar_tphi) - dz(phi_vstar))
+    return {
+        "theta1": np.abs(r1).max(axis=(-3, -2, -1)),
+        "theta2": np.abs(r2).max(axis=(-3, -2, -1)),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,25 @@
 
 These rebuild jet data from value-only evaluations on a real-coordinate
 stencil, independently of the jet arithmetic they are used to check.
+
+The whole stencil is one array of 1 + 4n + 4 C(2n, 2) points: the base
+point, then +h and -h along each of the 2n real coordinates, then the four
+corners (++, +-, -+, --) of each coordinate pair a < b.  The field is
+evaluated once on it, mapping [S, n] to values [S, ...] with any trailing
+value axes (one metric entry, or the whole matrix).  Each stencil point is
+made by the same ``_shift`` additions as a point-by-point loop, each
+difference quotient is the same elementwise expression, and the Wirtinger
+change of basis is one matrix product per value entry, so a batched
+evaluator that rounds every point as it would alone gives the jets of the
+loop bit for bit.  That matters: whether the oracle's real-metric check
+raises depends on the last bits of these jets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet2, wirtinger_from_real
+from .jets import wirtinger_from_real
 
 DEFAULT_STEP = 1e-4
 
@@ -21,37 +33,52 @@ def _shift(p, a, h):
     return q
 
 
-def fd_real_derivatives(f, p, n, h=DEFAULT_STEP):
-    """First and second derivatives of ``f`` along the 2n real coordinates."""
+def _stencil(p, n, h=DEFAULT_STEP):
+    """The stencil points [S, n] around ``p``, in the order described above."""
     m = 2 * n
-    f0 = complex(f(np.asarray(p, dtype=complex)))
-    d1 = np.zeros(m, dtype=complex)
-    d2 = np.zeros((m, m), dtype=complex)
-    plus = np.zeros(m, dtype=complex)
-    minus = np.zeros(m, dtype=complex)
+    points = [np.asarray(p, dtype=complex)]
     for a in range(m):
-        plus[a] = f(_shift(p, a, h))
-        minus[a] = f(_shift(p, a, -h))
-        d1[a] = (plus[a] - minus[a]) / (2 * h)
-        d2[a, a] = (plus[a] - 2 * f0 + minus[a]) / (h * h)
+        points += [_shift(p, a, h), _shift(p, a, -h)]
     for a in range(m):
         for b in range(a + 1, m):
-            fpp = f(_shift(_shift(p, a, h), b, h))
-            fpm = f(_shift(_shift(p, a, h), b, -h))
-            fmp = f(_shift(_shift(p, a, -h), b, h))
-            fmm = f(_shift(_shift(p, a, -h), b, -h))
-            d2[a, b] = d2[b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
-    return f0, d1, d2
+            points += [
+                _shift(_shift(p, a, sa), b, sb) for sa in (h, -h) for sb in (h, -h)
+            ]
+    return np.array(points)
+
+
+def fd_real_derivatives(f, p, n, h=DEFAULT_STEP):
+    """Value and first and second derivatives of ``f`` along the 2n real coordinates.
+
+    ``f`` maps stencil points [S, n] to values [S, ...].  Returns the value
+    [...], first derivatives [..., 2n] and second derivatives [..., 2n, 2n].
+    """
+    m = 2 * n
+    values = np.moveaxis(np.asarray(f(_stencil(p, n, h)), dtype=complex), 0, -1)
+    f0 = values[..., 0]
+    plus, minus = values[..., 1 : 1 + 2 * m : 2], values[..., 2 : 2 + 2 * m : 2]
+    corners = values[..., 1 + 2 * m :].reshape(values.shape[:-1] + (-1, 4))
+    fpp, fpm, fmp, fmm = np.moveaxis(corners, -1, 0)
+    d2 = np.zeros(f0.shape + (m, m), dtype=complex)
+    d2[..., range(m), range(m)] = (plus - 2 * f0[..., None] + minus) / (h * h)
+    a, b = np.triu_indices(m, 1)
+    d2[..., a, b] = d2[..., b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+    return f0, (plus - minus) / (2 * h), d2
 
 
 def fd_jet(f, p, n, h=DEFAULT_STEP):
-    """Order-2 jet of the scalar field ``f`` built by finite differences."""
+    """Order-2 Wirtinger jet (value, d1, d2) of ``f`` built by finite differences.
+
+    ``f`` maps stencil points [S, n] to values [S, ...]; the jet arrays are
+    [...], [..., 2n] and [..., 2n, 2n], the layout of ``MetricField.evaluate``.
+    """
     f0, rd1, rd2 = fd_real_derivatives(f, p, n, h)
     B = wirtinger_from_real(n)
-    d1 = B @ rd1
+    # one contiguous matrix-vector product per entry, as for a single entry
+    d1 = (B @ np.ascontiguousarray(rd1)[..., None])[..., 0]
     d2 = B @ rd2 @ B.T
-    d2 = (d2 + d2.T) / 2
-    return Jet2(n, f0, d1, d2, 2)
+    d2 = (d2 + np.swapaxes(d2, -1, -2)) / 2
+    return f0, d1, d2
 
 
 def fd_direction_derivative(f, p, direction, h=DEFAULT_STEP):

@@ -341,45 +341,39 @@ def levi_civita_frame_connection(rd, frame):
     Decomposes nabla e_i = theta_1[i,j] e_j + conj(theta_2)[i,j] ebar_j
     and nabla ebar_i = theta_2[i,j] e_j + conj(theta_1)[i,j] ebar_j,
     evaluated on all 2n real directions, then re-expressed over
-    (dz_1..dz_n, dzbar_1..dzbar_n).
+    (dz_1..dz_n, dzbar_1..dzbar_n).  Leading point axes of ``rd`` and the
+    frame carry through: theta_1, theta_2 are [..., 2n, n, n].
     """
     n = rd.n
     m = 2 * n
     Fv, dF = frame
-    dF = np.einsum("rc,iac->iar", real_from_wirtinger(n), dF)  # [i, a, rho]
+    dF = np.einsum("rc,...iac->...iar", real_from_wirtinger(n), dF)  # [i, a, rho]
 
     e0 = np.zeros((n, m), dtype=complex)
     for a in range(n):
         e0[a, 2 * a] = 0.5
         e0[a, 2 * a + 1] = -0.5j
     E = Fv @ e0  # frame vectors over the real basis
-    dE = np.einsum("iar,as->ris", dF, e0)  # [rho, i, sigma]
+    dE = np.einsum("...iar,as->...ris", dF, e0)  # [rho, i, sigma]
 
-    M = np.vstack([E, np.conj(E)])  # rows decompose results
+    # rows of M decompose results; per direction rho, coeff M = nabla_rho e
+    Mt = np.swapaxes(np.concatenate([E, np.conj(E)], axis=-2), -1, -2)[..., None, :, :]
 
-    theta1_rho = np.zeros((m, n, n), dtype=complex)
-    theta2_rho = np.zeros((m, n, n), dtype=complex)
-    for rho in range(m):
-        # nabla_rho e_i
-        covE = dE[rho] + np.einsum("ik,sk->is", E, rd.Gamma[:, rho, :])
-        coeff = np.linalg.solve(M.T, covE.T).T  # rows i, cols over (e, ebar)
-        theta1_rho[rho] = coeff[:, :n]
-        # nabla_rho ebar_i
-        covEbar = np.conj(dE[rho]) + np.einsum(
-            "ik,sk->is", np.conj(E), rd.Gamma[:, rho, :]
-        )
-        coeff2 = np.linalg.solve(M.T, covEbar.T).T
-        theta2_rho[rho] = coeff2[:, :n]
+    def coefficients(cov):  # [rho, i, sigma] -> [rho, i, (e, ebar)]
+        return np.swapaxes(np.linalg.solve(Mt, np.swapaxes(cov, -1, -2)), -1, -2)
+
+    # nabla_rho e_i and nabla_rho ebar_i
+    theta1_rho = coefficients(dE + np.einsum("...ik,...srk->...ris", E, rd.Gamma))[..., :n]
+    theta2_rho = coefficients(
+        np.conj(dE) + np.einsum("...ik,...srk->...ris", np.conj(E), rd.Gamma)
+    )[..., :n]
 
     # convert real-direction values to dz / dzbar coefficients
-    theta1 = np.zeros((m, n, n), dtype=complex)
-    theta2 = np.zeros((m, n, n), dtype=complex)
-    for a in range(n):
-        theta1[a] = 0.5 * (theta1_rho[2 * a] - 1j * theta1_rho[2 * a + 1])
-        theta1[n + a] = 0.5 * (theta1_rho[2 * a] + 1j * theta1_rho[2 * a + 1])
-        theta2[a] = 0.5 * (theta2_rho[2 * a] - 1j * theta2_rho[2 * a + 1])
-        theta2[n + a] = 0.5 * (theta2_rho[2 * a] + 1j * theta2_rho[2 * a + 1])
-    return theta1, theta2
+    def wirtinger(t):
+        x, y = t[..., 0::2, :, :], t[..., 1::2, :, :]
+        return np.concatenate([0.5 * (x - 1j * y), 0.5 * (x + 1j * y)], axis=-3)
+
+    return wirtinger(theta1_rho), wirtinger(theta2_rho)
 
 
 def theta2_zero_one_part_residual(rd):

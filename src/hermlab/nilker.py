@@ -3,7 +3,14 @@
 Two algorithms produce a common kernel vector: an inductive block-reduction
 on the image of a maximal-rank element, and a constructive chain walk that
 applies the family to a preimage basis of that image.  A brute-force
-nullspace-intersection oracle (stacked SVD) validates both.
+nullspace-intersection oracle (stacked SVD) validates both; a caller that
+checks several vectors against one family computes its kernel basis once
+and passes it to :func:`oracle_contains`.
+
+The maximal-rank search is one batch: every candidate combination comes
+from one contraction of the coefficient rows with the stacked family, and
+one stacked ``svd(compute_uv=False)`` ranks them all.  The family
+relations are checked with one stacked product of every pair.
 
 The constructive walk needs the family presented through a torsion-type
 tensor A_X = (sum_i X_i T^k_{ij}), for which A_X Y = -A_Y X; general
@@ -38,15 +45,18 @@ class NilpotentFamily:
         n = mats[0].shape[0]
         if any(A.shape != (n, n) for A in mats):
             raise InvalidFamilyError("family matrices must share a square shape")
-        scale = max(1.0, max(np.max(np.abs(A)) for A in mats))
-        for i, A in enumerate(mats):
-            for j, B in enumerate(mats[: i + 1]):
-                resid = np.max(np.abs(A @ B + B @ A))
-                if resid > FAMILY_TOL * scale * scale:
-                    kind = "square-zero" if i == j else "anti-commutation"
-                    raise InvalidFamilyError(
-                        f"{kind} violated by matrices {j}, {i} (residual {resid:.3e})"
-                    )
+        stack = np.stack(mats)
+        scale = max(1.0, np.max(np.abs(stack)))
+        # every product A_i A_j at once; pairs j <= i, checked in loop order
+        prods = stack[:, None] @ stack[None, :]
+        resid = np.abs(prods + prods.swapaxes(0, 1)).max(axis=(-2, -1))
+        bad = np.argwhere(np.tril(resid > FAMILY_TOL * scale * scale))
+        if len(bad):
+            i, j = bad[0]
+            kind = "square-zero" if i == j else "anti-commutation"
+            raise InvalidFamilyError(
+                f"{kind} violated by matrices {j}, {i} (residual {resid[i, j]:.3e})"
+            )
         self.matrices = mats
 
     @property
@@ -56,12 +66,6 @@ class NilpotentFamily:
     @property
     def m(self):
         return len(self.matrices)
-
-    def combo(self, coeffs):
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c, A in zip(coeffs, self.matrices):
-            out += c * A
-        return out
 
     def kernel_residual(self, w):
         return max(float(np.linalg.norm(A @ w)) for A in self.matrices)
@@ -121,8 +125,10 @@ def kernel_intersection_basis(family, rcond=RANK_RCOND):
     return Vh[rank:].conj().T
 
 
-def oracle_contains(family, w, tol=KERNEL_TOL):
-    basis = kernel_intersection_basis(family)
+def oracle_contains(family, w, tol=KERNEL_TOL, basis=None):
+    """Whether ``w`` lies in the common kernel (``basis``: the family's, if known)."""
+    if basis is None:
+        basis = kernel_intersection_basis(family)
     if basis.shape[1] == 0:
         return False
     w = np.asarray(w, dtype=complex)
@@ -154,20 +160,19 @@ def _max_rank_element(family, rng, atol, samples=50):
 
     Random sampling finds the generic (maximal) rank with overwhelming
     probability; the basis elements themselves are swept as a
-    deterministic fallback.
+    deterministic fallback.  All candidates are drawn at once (one
+    ``normal`` call gives the stream of two per sample, real then
+    imaginary part), combined by one contraction and ranked by one stacked
+    SVD; the first candidate of maximal rank is kept.
     """
-    best, best_rank = None, -1
-    candidates = [np.eye(family.m)[i] for i in range(family.m)]
-    candidates += [
-        rng.normal(size=family.m) + 1j * rng.normal(size=family.m)
-        for _ in range(samples)
-    ]
-    for c in candidates:
-        A = family.combo(c)
-        r = _numerical_rank(A, atol=atol)
-        if r > best_rank:
-            best, best_rank = A, r
-    return best, best_rank
+    m = family.m
+    draws = rng.normal(size=(samples, 2, m))
+    coeffs = np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]])
+    combos = np.tensordot(coeffs, np.stack(family.matrices), axes=1)
+    s = np.linalg.svd(combos, compute_uv=False)
+    ranks = np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1)
+    best = int(np.argmax(ranks))
+    return combos[best], int(ranks[best])
 
 
 def common_kernel_inductive(family, seed=0, _depth=0, _zero_tol=None):

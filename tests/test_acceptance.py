@@ -30,6 +30,7 @@ from hermlab.compare import (
 )
 from hermlab.conformal import (
     ConformalFactor,
+    conformal_metric,
     connection_transform_residuals,
     gk_conformal_conditions,
     klike_conformal_conditions,
@@ -38,7 +39,7 @@ from hermlab.conformal import (
 from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.fd import fd_jet
 from hermlab.geometry import GeometryCache, sample_points
-from hermlab.levicivita import theta2_two_route_residual
+from hermlab.levicivita import riemann_at, theta2_two_route_residual
 from hermlab.nilker import (
     common_kernel_constructive,
     common_kernel_inductive,
@@ -260,9 +261,13 @@ def test_criterion_07_conformal_biconditional():
     worst = 0.0
     for base, src in [(eu, "re(z1)"), (catalog.get("iwasawa").metric, "ln(1 + abs2(z1)) / 2")]:
         f = ConformalFactor(parse(src, base.n))
-        for p in sample_points(base, 3, seed=SEED):
-            worst = max(worst, torsion_transform_residual(base, f, p))
-            worst = max(worst, *connection_transform_residuals(base, f, p).values())
+        pts = np.array(sample_points(base, 3, seed=SEED))
+        base_rd = riemann_at(base, pts)
+        new_rd = riemann_at(conformal_metric(base, f), pts)
+        u = f.u_values(pts)
+        worst = max(worst, *torsion_transform_residual(base_rd.chern, new_rd.chern, u))
+        for res in connection_transform_residuals(base_rd, new_rd, u).values():
+            worst = max(worst, *res)
     assert worst < 1e-8
     print(
         "[PASS] criterion 7: conformal biconditional on 6 control pairs; "
@@ -314,9 +319,9 @@ def test_criterion_10_jet_derivatives_vs_finite_differences():
         for expr in exprs:
             for p in pts:
                 jet = eval_expr(expr, p, m.n)
-                fd = fd_jet(lambda q, e=expr: eval_value(e, q, m.n), p, m.n)
-                worst1 = max(worst1, float(np.max(np.abs(jet.d1 - fd.d1))))
-                worst2 = max(worst2, float(np.max(np.abs(jet.d2 - fd.d2))))
+                _, d1, d2 = fd_jet(lambda qs, e=expr: [eval_value(e, q, m.n) for q in qs], p, m.n)
+                worst1 = max(worst1, float(np.max(np.abs(jet.d1 - d1))))
+                worst2 = max(worst2, float(np.max(np.abs(jet.d2 - d2))))
     assert worst1 < 1e-6
     assert worst2 < 1e-4
     print(

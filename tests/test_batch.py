@@ -1,21 +1,31 @@
 """The batched core: a batch of points against one point at a time, the
 dense real metric against the jet-built one, the vectorised sampler
-against a draw-by-draw loop, the worst point of the batched flags, and
-the batched compare suite against one direction at a time."""
+against a draw-by-draw loop, the worst point of the batched flags, the
+batched compare suite against one direction at a time, and the batched FD
+stencil, nilker rank search and conformal suite against the loops they
+replaced."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hermlab import catalog, cli, compare
+from hermlab import catalog, cli, compare, nilker
 from hermlab.chern import ChernData, chern_at
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
-from hermlab.dsl import MetricField
+from hermlab.conformal import ConformalFactor, conformal_metric
+from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.errors import DomainSamplingError
+from hermlab.fd import DEFAULT_STEP, _shift, fd_jet
 from hermlab.geometry import CHUNK, GeometryCache, sample_points
-from hermlab.jets import Jet2
-from hermlab.levicivita import _IMAG_TOL, RiemannData, _real_metric_arrays, riemann_at
+from hermlab.jets import Jet2, wirtinger_from_real
+from hermlab.levicivita import (
+    _IMAG_TOL,
+    RiemannData,
+    _real_metric_arrays,
+    levi_civita_frame_connection,
+    riemann_at,
+)
 
 from test_highdim import base_point, perturbed_metric
 
@@ -367,3 +377,208 @@ def test_compare_keeps_the_first_worst_point():
     assert worst < 5 and residuals[worst] == residuals[worst + 5]
     assert got.residual == residuals[worst]
     assert got.worst_point is points[worst]
+
+
+# ----------------------------------------------------------------------
+# the FD oracle: one stencil evaluation against one eval_value per point
+def _per_point_fd_jet(expr, p, n, h=DEFAULT_STEP):
+    """fd_jet of one entry as it ran before batching: a scalar call per stencil point."""
+    m = 2 * n
+    f0 = complex(eval_value(expr, np.asarray(p, dtype=complex), n))
+    d1 = np.zeros(m, dtype=complex)
+    d2 = np.zeros((m, m), dtype=complex)
+    # numpy scalars, not Python complex: Python's complex quotient rounds differently
+    plus = np.zeros(m, dtype=complex)
+    minus = np.zeros(m, dtype=complex)
+    for a in range(m):
+        plus[a] = eval_value(expr, _shift(p, a, h), n)
+        minus[a] = eval_value(expr, _shift(p, a, -h), n)
+        d1[a] = (plus[a] - minus[a]) / (2 * h)
+        d2[a, a] = (plus[a] - 2 * f0 + minus[a]) / (h * h)
+    for a in range(m):
+        for b in range(a + 1, m):
+            fpp = eval_value(expr, _shift(_shift(p, a, h), b, h), n)
+            fpm = eval_value(expr, _shift(_shift(p, a, h), b, -h), n)
+            fmp = eval_value(expr, _shift(_shift(p, a, -h), b, h), n)
+            fmm = eval_value(expr, _shift(_shift(p, a, -h), b, -h), n)
+            d2[a, b] = d2[b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+    B = wirtinger_from_real(n)
+    d2 = B @ d2 @ B.T
+    return f0, B @ d1, (d2 + d2.T) / 2
+
+
+FD_METRICS = [name for name in catalog.names() if "(" not in name]
+FD_METRICS += [f"random_polynomial({s})" for s in range(32)]
+
+
+@pytest.mark.parametrize("name", FD_METRICS)
+def test_fd_jet_matches_the_per_point_stencil(name):
+    # bit for bit: whether the oracle's real-metric check raises depends
+    # on the last bits of these jets
+    m = catalog.get(name).metric
+    for p in sample_points(m, 5, seed=42):
+        gv, dg, ddg = fd_jet(m.values_at, p, m.n)
+        for i, j in np.ndindex(m.n, m.n):
+            value, d1, d2 = _per_point_fd_jet(m.entries[i][j], p, m.n)
+            assert np.array_equal(gv[i, j], value), (i, j)
+            assert np.array_equal(dg[i, j], d1), (i, j)
+            assert np.array_equal(ddg[i, j], d2), (i, j)
+
+
+# ----------------------------------------------------------------------
+# nilker: the stacked rank search against one SVD per candidate
+def _per_candidate_max_rank_element(family, rng, atol, samples=50):
+    """The rank search as it ran before batching; also returns the chosen index."""
+    candidates = list(np.eye(family.m))
+    candidates += [
+        rng.normal(size=family.m) + 1j * rng.normal(size=family.m) for _ in range(samples)
+    ]
+    best, best_index, best_rank = None, None, -1
+    for index, c in enumerate(candidates):
+        A = np.zeros((family.n, family.n), dtype=complex)
+        for coeff, M in zip(c, family.matrices):
+            A += coeff * M
+        rank = nilker._numerical_rank(A, atol=atol)
+        if rank > best_rank:
+            best, best_index, best_rank = A, index, rank
+    return best, best_rank, best_index
+
+
+def _fixture_families(seed):
+    """The 20 random families of the nilker suite at ``seed``."""
+    rng = np.random.default_rng(seed + 2)
+    for trial in range(20):
+        if trial % 2 == 0:
+            yield trial, nilker.random_general_family(rng)
+        else:
+            yield trial, nilker.family_from_torsion(nilker.random_torsion_tensor(rng))
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+def test_max_rank_element_matches_the_candidate_loop(seed):
+    # the fixtures' basis elements mostly reach the generic rank; the
+    # two-block family's have rank 1 and a random combination rank 2, so
+    # the search keeps a drawn candidate
+    families = list(_fixture_families(seed))
+    families.append((20, nilker.family_from_torsion(nilker.two_block_chain_tensor())))
+    for trial, fam in families:
+        atol = 1e-9 * max(1.0, nilker._family_scale(fam))
+        got_rng = np.random.default_rng(seed + trial)
+        want_rng = np.random.default_rng(seed + trial)
+        A, rank = nilker._max_rank_element(fam, got_rng, atol)
+        want, want_rank, index = _per_candidate_max_rank_element(fam, want_rng, atol)
+        assert rank == want_rank, trial
+        assert trial < 20 or index >= fam.m
+        # candidates differ at O(1); the same one differs only by roundoff
+        assert np.max(np.abs(A - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (trial, index)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, trial
+
+
+def test_family_check_names_the_first_bad_pair():
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    D = np.diag([1.0, -1.0])  # anti-commutes with A and A.T, squares to 1
+    with pytest.raises(nilker.InvalidFamilyError, match="anti-commutation violated by matrices 0, 1"):
+        nilker.NilpotentFamily([A, A.T, D])  # pairs (1, 0) and (2, 2) fail
+    with pytest.raises(nilker.InvalidFamilyError, match="square-zero violated by matrices 1, 1"):
+        nilker.NilpotentFamily([A, D])
+
+
+PARENT_SUITE_METRICS = ["iwasawa", "conformal_klike", "fubini_study_chart_n2", "random_polynomial(12)"]
+
+
+def _parent_nilker(entry, points, cache, seed):
+    """The nilker suite as it ran before batching: (residual, worst point) per check."""
+    rng = np.random.default_rng(seed + 2)
+    out = {}
+    ch, _rd = cache(entry.metric, points[0])
+    sym = nilker.torsion_symmetry_residual(ch.T)
+    out["metric_torsion_symmetry"] = (sym, points[0])
+    scale = float(np.max(np.abs(ch.T)))
+    if sym < 1e-8 * (1.0 + scale**2) and scale > 1e-8:
+        fam = nilker.family_from_torsion(ch.T)
+        w1 = nilker.common_kernel_inductive(fam, seed=seed)
+        w2 = nilker.common_kernel_constructive(fam, seed=seed)
+        resid = max(fam.kernel_residual(w1), fam.kernel_residual(w2))
+        member = nilker.oracle_contains(fam, w1) and nilker.oracle_contains(fam, w2)
+        out["metric_family_kernel"] = (resid, points[0])
+        out["metric_family_membership"] = (0.0 if member else 1.0, points[0])
+    worst_res, worst_dim = -1.0, -1.0
+    for trial in range(20):
+        if trial % 2 == 0:
+            fam = nilker.random_general_family(rng)
+            vecs = [nilker.common_kernel_inductive(fam, seed=seed + trial)]
+        else:
+            fam = nilker.family_from_torsion(nilker.random_torsion_tensor(rng))
+            vecs = [
+                nilker.common_kernel_inductive(fam, seed=seed + trial),
+                nilker.common_kernel_constructive(fam, seed=seed + trial),
+            ]
+        worst_dim = max(worst_dim, 1.0 if nilker.kernel_intersection_basis(fam).shape[1] < 1 else 0.0)
+        for w in vecs:
+            worst_res = max(worst_res, fam.kernel_residual(w))
+            if not nilker.oracle_contains(fam, w):
+                worst_res = 1.0
+    out["fixture_kernel_residual"] = (worst_res, None)
+    out["fixture_oracle_dimension"] = (worst_dim, None)
+    return out
+
+
+def _parent_conformal(entry, points):
+    """The conformal suite as it ran before batching: single-point data per (point, exponent)."""
+    base = entry.metric
+    n = base.n
+    out = {}
+    for src in cli._CONFORMAL_EXPONENTS:
+        factor = ConformalFactor(parse(src, n), name=src)
+        new = conformal_metric(base, factor)
+        tag = src.replace(" ", "")
+        for p in points[:5]:
+            base_rd, new_rd = riemann_at(base, p), riemann_at(new, p)
+            base_ch, new_ch = base_rd.chern, new_rd.chern
+            ujet = factor.u_jet(p, n)
+            v = base_ch.Pv @ ujet.d1[:n]
+            eye = np.eye(n)
+            expected = base_ch.T + np.einsum("j,ik->ijk", v, eye) - np.einsum("k,ij->ijk", v, eye)
+            torsion = np.max(np.abs(np.exp(ujet.value.real) * new_ch.T - expected))
+            th1_0, th2_0 = levi_civita_frame_connection(base_rd, (base_ch.Pv, base_ch.dP))
+            th1_1, th2_1 = levi_civita_frame_connection(new_rd, (new_ch.Pv, new_ch.dP))
+            vtphi, phibar_vstar, vbar_tphi, phi_vstar = np.zeros((4, 2 * n, n, n), dtype=complex)
+            for a in range(n):
+                L = base_ch.Lv[a]
+                vtphi[a] = np.outer(v, L)
+                vbar_tphi[a] = np.outer(np.conj(v), L)
+                phibar_vstar[n + a] = np.outer(np.conj(L), np.conj(v))
+                phi_vstar[a] = np.outer(L, np.conj(v))
+            for name, value in (
+                ("torsion_transform", torsion),
+                ("theta1_transform", np.max(np.abs(th1_1 - (th1_0 + vtphi - phibar_vstar)))),
+                ("theta2_transform", np.max(np.abs(th2_1 - (th2_0 + vbar_tphi - phi_vstar)))),
+            ):
+                key = f"{name}[{tag}]"
+                if value > out.get(key, (-1.0, None))[0]:
+                    out[key] = (float(value), p)
+    return out
+
+
+@pytest.mark.parametrize("name", PARENT_SUITE_METRICS)
+def test_run_nilker_and_conformal_match_the_parent_loops(name, monkeypatch):
+    entry = catalog.get(name)
+    seed = 42
+    points = sample_points(entry.metric, 7, seed=seed)
+    cache = GeometryCache()
+    with monkeypatch.context() as patched:
+        patched.setattr(nilker, "_max_rank_element", lambda *a, **k: _per_candidate_max_rank_element(*a, **k)[:2])
+        want_nilker = _parent_nilker(entry, points, cache, seed)
+    for (checks, _), want in (
+        (cli.run_nilker(entry, points, cli.DEFAULT_TOLERANCES, cache, seed), want_nilker),
+        (cli.run_conformal(entry, points, cli.DEFAULT_TOLERANCES, cache), _parent_conformal(entry, points)),
+    ):
+        assert [c.name for c in checks] == list(want)
+        for c in checks:
+            residual, point = want[c.name]
+            if np.isfinite(c.tol):
+                assert abs(c.residual - residual) <= c.tol / 1000, c.name
+            else:
+                assert c.residual == residual, c.name
+            if residual > 1e-13:  # below that, worst points are roundoff
+                assert c.worst_point is point, c.name

@@ -192,6 +192,8 @@ def _config_file(tmp_path, **fields):
         {"box": [[-0.9, 0.9, -0.9, 0.9]]},
         {"box": [[-0.9, 0.9, 0.9, -0.9], [-0.9, 0.9, -0.9, 0.9]]},
         {"box": [[-0.9, float("inf"), -0.9, 0.9], [-0.9, 0.9, -0.9, 0.9]]},
+        {"box": [[-1e308, 1e308, -1, 1], [-0.9, 0.9, -0.9, 0.9]]},
+        {"box": [[-(10**400), 1, -1, 1], [-0.9, 0.9, -0.9, 0.9]]},
         {"n": 0, "entries": []},
         {"n": "2"},
         {"entries": ["1", "0", "0", 1]},
@@ -199,6 +201,7 @@ def _config_file(tmp_path, **fields):
         {"entries": ["1 + abs2(z1)^2^200", "0", "0", "1"]},
     ],
     ids=["short_entries", "box_row_of_2", "box_rows_short", "box_lo_above_hi", "box_inf",
+         "box_width_overflows", "box_bound_beyond_float",
          "n_0", "n_string", "entry_not_string", "flags_not_object", "chained_exponent"],
 )
 def test_malformed_configs_are_usage_errors(tmp_path, capsys, fields):

@@ -14,12 +14,25 @@ from hermlab.conformal import (
 from hermlab.dsl import MetricField, parse
 from hermlab.errors import HermlabError
 from hermlab.geometry import sample_points
+from hermlab.levicivita import riemann_at
 
 TOL = 1e-7
 
 
 def _factor(src, n):
     return ConformalFactor(parse(src, n), name=src)
+
+
+def _transform(base, f, points):
+    """Base and scaled Riemann data and the exponent's value and derivatives, one batch."""
+    points = np.atleast_2d(points)
+    new = riemann_at(conformal_metric(base, f), points)
+    return riemann_at(base, points), new, f.u_values(points)
+
+
+def _torsion_residual(base, f, points):
+    base_rd, new_rd, u = _transform(base, f, points)
+    return torsion_transform_residual(base_rd.chern, new_rd.chern, u)
 
 
 def _euclidean_shifted():
@@ -35,7 +48,7 @@ def test_zero_exponent_is_identity(geo, metric):
     m = metric("euclidean")
     f = _factor("0", 2)
     p = np.array([0.2 + 0.3j, -0.1 + 0.4j])
-    assert torsion_transform_residual(m, f, p) < 1e-14
+    assert _torsion_residual(m, f, p).max() < 1e-14
     mc = conformal_metric(m, f)
     assert np.allclose(mc.values_at(p), m.values_at(p))
 
@@ -54,25 +67,24 @@ def test_constant_exponent_preserves_classification(geo, metric):
 def test_torsion_transformation_law(geo, metric):
     m = metric("euclidean")
     f = _factor("re(z1)", 2)
-    for p in sample_points(m, 5, seed=63):
-        assert torsion_transform_residual(m, f, p) < 1e-8
+    assert np.all(_torsion_residual(m, f, sample_points(m, 5, seed=63)) < 1e-8)
     iw = metric("iwasawa")
     f3 = _factor("ln(1 + abs2(z1)) / 2", 3)
-    for p in sample_points(iw, 5, seed=65):
-        assert torsion_transform_residual(iw, f3, p) < 1e-8
+    assert np.all(_torsion_residual(iw, f3, sample_points(iw, 5, seed=65)) < 1e-8)
 
 
 def test_connection_transformation_laws(geo, metric):
     m = metric("euclidean")
     f = _factor("re(z1)", 2)
     p = sample_points(m, 1, seed=67)[0]
-    res = connection_transform_residuals(m, f, p)
+    res = connection_transform_residuals(*_transform(m, f, p))
+    assert res["theta1"].shape == (1,)
     assert res["theta1"] < 1e-8 and res["theta2"] < 1e-8
 
     gs = metric("gkl_surface")
     fs = _factor("ln(im(z2))", 2)
     p = sample_points(gs, 1, seed=69)[0]
-    res = connection_transform_residuals(gs, fs, p)
+    res = connection_transform_residuals(*_transform(gs, fs, p))
     assert res["theta1"] < 1e-8 and res["theta2"] < 1e-8
 
 
@@ -80,6 +92,8 @@ def test_nonreal_exponent_rejected():
     f = _factor("i*z1", 1)
     with pytest.raises(HermlabError):
         f.u_jet([0.3 + 0.2j], 1)
+    with pytest.raises(HermlabError, match=r"not real at \[0\.3\+0\.2j\]"):
+        f.u_values([[0j], [0.3 + 0.2j]])
 
 
 def test_hessian_criterion_positive_control():

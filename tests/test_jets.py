@@ -41,9 +41,9 @@ def test_division_against_finite_differences():
         return z1.exp() / (1 + z1 * z1.conj())
 
     jet = build(p)
-    oracle = fd_jet(lambda q: build(q).value, p, 1)
-    assert np.max(np.abs(jet.d1 - oracle.d1)) < 1e-6
-    assert np.max(np.abs(jet.d2 - oracle.d2)) < 1e-4
+    _, d1, d2 = fd_jet(lambda qs: [build(q).value for q in qs], p, 1)
+    assert np.max(np.abs(jet.d1 - d1)) < 1e-6
+    assert np.max(np.abs(jet.d2 - d2)) < 1e-4
 
 
 def test_exp_at_zero():

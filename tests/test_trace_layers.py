@@ -1,10 +1,13 @@
 """Every callable the benchmark tracer wraps still exists under its name,
-and a compare run still calls each callable of the compare layers."""
+and a report of every suite with the oracle still calls each callable of
+the compare, FD, conformal and nilker layers."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,14 +35,23 @@ def test_every_traced_name_resolves():
     assert not missing
 
 
-def test_compare_run_calls_every_compare_target(monkeypatch, capsys):
-    # a layer whose callables the suite no longer calls reads 0 in every
+@pytest.mark.parametrize(
+    "layers",
+    [
+        ("compare.directions", "compare.rigidity"),
+        ("fd.jet",),
+        ("conformal.transform",),
+        ("nilker.kernel",),
+    ],
+    ids=lambda layers: layers[0].partition(".")[0],
+)
+def test_run_calls_every_traced_target(monkeypatch, capsys, layers):
+    # a layer whose callables the suites no longer call reads 0 in every
     # traced round; count calls the way Tracer.install wraps them, under
     # every name in the package that refers to the function
     from hermlab import cli
 
-    layers = _layers()
-    targets = layers["compare.directions"] + layers["compare.rigidity"]
+    targets = [target for layer in layers for target in _layers()[layer]]
     calls = dict.fromkeys(targets, 0)
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("hermlab") and m]
     for target in targets:
@@ -54,7 +66,8 @@ def test_compare_run_calls_every_compare_target(monkeypatch, capsys):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name, counted)
-    code = cli.main(["--metric", "iwasawa", "--suite", "compare", "--points", "3", "--format", "csv"])
+    argv = ["--metric", "iwasawa", "--suite", "all", "--oracle", "--points", "3", "--format", "csv"]
+    code = cli.main(argv)
     capsys.readouterr()
     assert code == 0
     assert all(calls.values()), calls
