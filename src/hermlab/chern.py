@@ -49,30 +49,37 @@ from .errors import DegenerateMetricError, InsufficientJetOrderError
 
 
 def metric_arrays(g):
-    """Value, first and second derivative arrays of a metric jet matrix.
+    """Check the (value, first, second derivative) arrays of a metric at a point.
 
     :meth:`MetricField.evaluate` checks the metrics it evaluates; this checks
-    jets given from elsewhere (the ``g`` override of :func:`chern_at`).
+    jets given from elsewhere (the ``g`` override of :func:`chern_at`), laid
+    out as :meth:`MetricField.evaluate` lays out one point: gv [i, j],
+    dg [i, j, c], ddg [i, j, c, d].
 
     Raises :class:`DegenerateMetricError` when g is not Hermitian (to 1e-6
-    over every jet slot) or not positive definite, and
-    :class:`InsufficientJetOrderError` when an entry lacks second
-    derivatives.
+    over every jet slot, g_ji against the conjugate of g_ij with the dz and
+    dzbar slots swapped) or not positive definite, and
+    :class:`InsufficientJetOrderError` when the second derivatives are
+    missing (``ddg`` is None).
     """
-    gv = g.values()
-    if g.hermitian_residual() > 1e-6:
+    gv, dg, ddg = (None if x is None else np.asarray(x, dtype=complex) for x in g)
+    n = gv.shape[-1]
+
+    def conjugate(X):  # the jet of conj(g_ji) at slot (i, j)
+        return np.roll(X.conj(), n, axis=tuple(range(2, X.ndim))).swapaxes(0, 1)
+
+    jets = [x for x in (gv, dg, ddg) if x is not None]
+    if max(float(np.max(np.abs(x - conjugate(x)))) for x in jets) > 1e-6:
         raise DegenerateMetricError("matrix is not Hermitian")
     eigs = np.linalg.eigvalsh((gv + gv.conj().T) / 2)
     if eigs.min() <= 1e-10:
         raise DegenerateMetricError(
             f"matrix is not positive definite (min eigenvalue {eigs.min():.3e})"
         )
-    if any(e.order < 2 for row in g.entries for e in row):
+    if ddg is None:
         raise InsufficientJetOrderError(
             "metric jets lack second derivatives; the Chern curvature needs them"
         )
-    dg = np.array([[e.d1 for e in row] for row in g.entries])
-    ddg = np.array([[e.d2 for e in row] for row in g.entries])
     return gv, dg, ddg
 
 
@@ -154,6 +161,16 @@ def arrays_at(data, index):
     }
 
 
+def pointwise_max(X, lead):
+    """max |X| over the axes after the leading point axes ``lead``.
+
+    A float at a single point (``lead`` empty), an array over the points of
+    a batch.
+    """
+    m = np.abs(X).reshape(lead + (-1,)).max(axis=-1)
+    return m if lead else float(m)
+
+
 @dataclass
 class ChernData:
     """All Chern-side pointwise data of a metric at one point or a batch.
@@ -190,28 +207,23 @@ class ChernData:
         return replace(self, **arrays_at(self, index))
 
     def pointwise_max(self, X):
-        """max |X| at each point over the axes after the point axes.
-
-        A float at a single point, an array over the points of a batch.
-        """
-        lead = self.point.shape[:-1]
-        m = np.abs(X).reshape(lead + (-1,)).max(axis=-1)
-        return m if lead else float(m)
+        """max |X| at each point over the axes after the point axes."""
+        return pointwise_max(X, self.point.shape[:-1])
 
     def torsion_norm_sq(self):
         return float(np.sum(np.abs(self.T) ** 2))
 
     def frame_coframe_change(self):
         """Matrix C with dz_a = sum_i C[a, i] psi_i for the canonical coframe."""
-        return self.Pv.T
+        return self.Pv.swapaxes(-2, -1)
 
 
 def chern_at(metric, point, g=None):
     """Connection, curvature and torsion data at ``point`` [n] or points [P, n].
 
     One point is computed as the batch of one.  ``g`` may override the
-    evaluated metric jets at a single point (the finite-difference oracle
-    mode); :func:`metric_arrays` checks it.
+    evaluated metric jets at a single point with (gv, dg, ddg) arrays (the
+    finite-difference oracle mode); :func:`metric_arrays` checks them.
     """
     point = np.asarray(point, dtype=complex)
     if point.ndim == 1:
@@ -312,9 +324,9 @@ def _coefficients(X, p, q):
     return X
 
 
-def _max_coefficient(X, p, q):
-    """Largest coefficient of the (p, q)-forms in the last p + q axes of X."""
-    return float(np.max(np.abs(_coefficients(X, p, q))))
+def _max_coefficient(data, X, p, q):
+    """Largest coefficient of the (p, q)-forms in the last p + q axes of X, per point."""
+    return data.pointwise_max(_coefficients(X, p, q))
 
 
 def _ddbar_omega(data):
@@ -328,8 +340,10 @@ def _ddbar_omega(data):
 
 def _sigma(data):
     """t(tau) ^ g taubar with tau_i = sum theta[a, b, i] dz_a ^ dz_b."""
-    gtaubar = np.einsum("ij,cdj->icd", data.gv, data.theta.conj())
-    return np.einsum("abi,icd->abcd", data.theta, gtaubar)
+    n = data.n
+    theta = data.theta.reshape(data.theta.shape[:-3] + (n * n, n))  # [ab, i]
+    gtaubar = data.gv @ theta.conj().swapaxes(-2, -1)  # [i, cd]
+    return (theta @ gtaubar).reshape(data.theta.shape[:-1] + (n, n))
 
 
 def bianchi_residual(data):
@@ -340,40 +354,48 @@ def bianchi_residual(data):
     Theta = delbar theta.
     """
     n = data.n
-    X = np.einsum("abic->icab", data.dtheta[..., :n]) + np.einsum(
-        "cji,abj->icab", data.theta, data.theta
+    theta = data.theta
+    lead = theta.shape[:-3]
+    # [c, ab, i] = sum_j theta[a, b, j] theta[c, j, i]
+    tt = theta.reshape(lead + (n * n, n))[..., None, :, :] @ theta
+    X = np.moveaxis(data.dtheta[..., :n], (-4, -3), (-2, -1)) + np.moveaxis(
+        tt.reshape(lead + (n,) * 4), -1, -4
     )
-    return _max_coefficient(X, 3, 0)
+    return _max_coefficient(data, X, 3, 0)
 
 
 def curvature_identity_residual(data):
     """Residual of i del delbar omega = t(tau)^taubar + t(phi)^Theta^phibar."""
-    phi_Theta_phibar = np.einsum("adij,jk->iadk", data.Theta, data.gv)
-    return _max_coefficient(_ddbar_omega(data) - _sigma(data) - phi_Theta_phibar, 2, 2)
+    phi_Theta_phibar = np.moveaxis(data.Theta @ data.gv[..., None, None, :, :], -2, -4)
+    X = _ddbar_omega(data) - _sigma(data) - phi_Theta_phibar
+    return _max_coefficient(data, X, 2, 2)
 
 
 def ddbar_omega_residual(data):
     """Max coefficient of i del delbar omega (zero on pluriclosed metrics), per point."""
-    return data.pointwise_max(_coefficients(_ddbar_omega(data), 2, 2))
+    return _max_coefficient(data, _ddbar_omega(data), 2, 2)
 
 
 def ddbar_omega_sigma_residual(data):
-    """Max coefficient of i del delbar omega - t(tau) ^ taubar."""
-    return _max_coefficient(_ddbar_omega(data) - _sigma(data), 2, 2)
+    """Max coefficient of i del delbar omega - t(tau) ^ taubar, per point."""
+    return _max_coefficient(data, _ddbar_omega(data) - _sigma(data), 2, 2)
 
 
 def del_omega_residual(data):
     """Residual of del omega = i t(tau) ^ g phibar."""
     n = data.n
-    lhs = np.einsum("abc->cab", data.dg[:, :, :n])
-    rhs = np.einsum("abi,ij->abj", data.theta, data.gv)
-    return _max_coefficient(1j * (lhs - rhs), 2, 1)
+    lhs = np.moveaxis(data.dg[..., :n], -1, -3)
+    rhs = data.theta @ data.gv[..., None, :, :]
+    return _max_coefficient(data, 1j * (lhs - rhs), 2, 1)
 
 
 def _eta_coordinate(data):
     """Coordinate components of eta = sum_j eta_j psi_j and their derivatives."""
-    deta = np.einsum("iijc->jc", data.dT)
-    return data.Lv @ data.eta, np.einsum("ajc,j->ac", data.dL, data.eta) + data.Lv @ deta
+    deta = np.einsum("...iijc->...jc", data.dT)
+    eta = data.eta[..., None, :]
+    value = (eta @ data.Lv.swapaxes(-2, -1))[..., 0, :]
+    # sum_j dL[a, j, c] eta_j + L[a, j] deta[j, c]
+    return value, (eta[..., None, :] @ data.dL)[..., 0, :] + data.Lv @ deta
 
 
 def balanced_identity_residual(data):
@@ -388,20 +410,23 @@ def balanced_identity_residual(data):
     n = data.n
     ginv = np.linalg.inv(data.gv)
     det = np.linalg.det(data.gv)
-    dginv = -np.einsum("ik,kla,lj->ija", ginv, data.dg[:, :, :n], ginv)
-    dlogdet = np.einsum("ij,jia->a", ginv, data.dg[:, :, :n])
+    dg = np.moveaxis(data.dg[..., :n], -1, -3)  # [a, k, l]
+    gdg = ginv[..., None, :, :] @ dg  # [a, i, l]
+    # d_a ginv = -ginv d_a g ginv; the trace below needs its [b, a] entries
+    dginv = -(gdg @ ginv[..., None, :, :])  # [a, i, j]
+    dlogdet = np.einsum("...aii->...a", gdg)
     eta_c, _ = _eta_coordinate(data)
     # cof_{ab} = det ginv_{ba}, d_a cof_{ab} = det (dlogdet_a ginv_{ba} + d_a ginv_{ba})
-    resid = det * (
-        np.einsum("a,ba->b", dlogdet + 2 * eta_c, ginv) + np.einsum("baa->b", dginv)
+    resid = det[..., None] * (
+        (ginv @ (dlogdet + 2 * eta_c)[..., None])[..., 0] + np.einsum("...aba->...b", dginv)
     )
-    return math.factorial(n - 1) * float(np.max(np.abs(resid)))
+    return math.factorial(n - 1) * data.pointwise_max(resid)
 
 
 def delbar_eta_residual(data):
-    """Max coefficient of delbar(eta); zero when eta is holomorphic."""
+    """Max coefficient of delbar(eta); zero when eta is holomorphic, per point."""
     _, deta_c = _eta_coordinate(data)
-    return float(np.max(np.abs(deta_c[:, data.n :])))
+    return data.pointwise_max(deta_c[..., data.n :])
 
 
 def kahler_like_residual(data):
@@ -410,8 +435,8 @@ def kahler_like_residual(data):
 
 
 def theta_wedge_phi_residual(data):
-    """Max coefficient of t(Theta) ^ phi (coordinate frame)."""
-    return _max_coefficient(-np.einsum("adji->iajd", data.Theta), 2, 1)
+    """Max coefficient of t(Theta) ^ phi (coordinate frame), per point."""
+    return _max_coefficient(data, -np.einsum("...adji->...iajd", data.Theta), 2, 1)
 
 
 def skew_hermitian_residual(data):
@@ -421,35 +446,41 @@ def skew_hermitian_residual(data):
     pair) this reads Rh[k,l,i,j] = conj(Rh[l,k,j,i]).
     """
     Rh = data.Rh
-    return float(np.max(np.abs(Rh - np.conj(Rh.transpose(1, 0, 3, 2)))))
+    return data.pointwise_max(Rh - Rh.swapaxes(-4, -3).swapaxes(-2, -1).conj())
 
 
 # ----------------------------------------------------------------------
 # frame normalization: a unitary frame field whose connection vanishes at p
 @dataclass
 class NormalFrame:
+    """The normal frame field around ``point`` [n], or one per point of [P, n].
+
+    On a batch every array gains the leading point axis, and so must every
+    argument ``q`` and every result.
+    """
+
     metric: MetricField
     point: np.ndarray
     C_hol: np.ndarray  # theta-tilde dz_a coefficients at p, [a, i, j]
     C_anti: np.ndarray  # theta-tilde dzbar_a coefficients at p
-    base_arrays: tuple  # (gv, dg, ddg) of the metric at p
+    base: tuple  # (theta, dtheta, P, dP) of the metric at p
 
     def _evaluate(self, q):
         """Coordinate connection (theta, dtheta) and the frame at q, one evaluation."""
         q = np.asarray(q, dtype=complex)
-        at_base = np.array_equal(q, self.point)
-        gv, dg, ddg = self.base_arrays if at_base else self.metric.evaluate(q)
-        n = self.metric.n
-        _, _, P, dP = cholesky_frame(gv, dg)
-        dz = q - self.point
-        A = (
-            np.eye(n)
-            - np.einsum("a,aij->ij", dz, self.C_hol)
-            - np.einsum("a,aij->ij", dz.conj(), self.C_anti)
-        )
-        dA = -np.concatenate([self.C_hol, self.C_anti]).transpose(1, 2, 0)
-        frame = A @ P, np.einsum("ijc,ja->iac", dA, P) + np.einsum("ij,jac->iac", A, dP)
-        return connection_arrays(dg, ddg, np.linalg.inv(gv)), frame
+        if np.array_equal(q, self.point):
+            theta, dtheta, P, dP = self.base
+        else:
+            gv, dg, ddg = self.metric.evaluate(q)
+            _, _, P, dP = cholesky_frame(gv, dg)
+            theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))
+        dz = (q - self.point)[..., None, None, :]
+        A = np.eye(self.metric.n) - (dz @ self.C_hol.swapaxes(-3, -2))[..., 0, :]
+        A -= (dz.conj() @ self.C_anti.swapaxes(-3, -2))[..., 0, :]
+        dA = -np.concatenate([self.C_hol, self.C_anti], axis=-3)  # [c, i, j]
+        # d(A P)[i, a, c] = sum_j dA[c, i, j] P[j, a] + A[i, j] dP[j, a, c]
+        dF = np.moveaxis(dA @ P[..., None, :, :], -3, -1) + np.einsum("...ij,...jac->...iac", A, dP)
+        return (theta, dtheta), (A @ P, dF)
 
     def frame_jets(self, q):
         """The frame field A(z) P(z) at q as (value, derivatives [i, a, c])."""
@@ -460,7 +491,8 @@ class NormalFrame:
         return frame_connection_values(theta, frame)
 
     def theta_norm_at_base(self):
-        return float(np.max(np.abs(self.connection_values_at(self.point))))
+        """Largest connection coefficient of the frame at its base point, per point."""
+        return pointwise_max(self.connection_values_at(self.point), self.point.shape[:-1])
 
     def torsion_jets_at(self, q):
         """Torsion of the frame field at q as (T[k, i, j], dT[k, i, j, c])."""
@@ -472,12 +504,13 @@ class NormalFrame:
 
 
 def normal_frame_at(metric, point, data=None):
-    """Unitary frame field with vanishing connection matrix at ``point``.
+    """Unitary frame field with vanishing connection matrix at ``point`` [n] or each of [P, n].
 
     The Cholesky frame is composed with a first-order polynomial unitary
     correction A(z) = I - sum_a C_a (z_a - p_a) - sum_a D_a (zbar_a - pbar_a)
-    whose derivatives cancel the connection at p.  The metric arrays of
-    ``data`` serve every evaluation at p itself.
+    whose derivatives cancel the connection at p.  The coordinate connection
+    and the Cholesky frame of ``data`` serve every evaluation at p itself:
+    they are what the same evaluation would compute.
     """
     if data is None:
         data = chern_at(metric, point)
@@ -485,7 +518,7 @@ def normal_frame_at(metric, point, data=None):
     return NormalFrame(
         metric=metric,
         point=np.asarray(point, dtype=complex),
-        C_hol=data.theta_u_vals[:n].copy(),
-        C_anti=data.theta_u_vals[n:].copy(),
-        base_arrays=(data.gv, data.dg, data.ddg),
+        C_hol=data.theta_u_vals[..., :n, :, :].copy(),
+        C_anti=data.theta_u_vals[..., n:, :, :].copy(),
+        base=(data.theta, data.dtheta, data.Pv, data.dP),
     )

@@ -4,8 +4,8 @@ Residuals are normalized by 1 + (largest curvature magnitude at the point),
 so thresholds behave uniformly across metrics of very different scale.  A
 flag is true when the worst normalized residual over the sampled points
 stays below the tolerance; the report keeps the worst point per flag (the
-first of them on ties).  The flag residuals are computed over whole batches
-of points at once.
+first of them on ties).  The flag and identity residuals take the data of
+one point or of a batch and return one value per point.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .chern import (
     delbar_eta_residual,
     kahler_like_residual,
 )
-from .geometry import GeometryCache
+from .geometry import geometry_chunks
 
 DEFAULT_TOL = 1e-7
 
@@ -89,33 +89,35 @@ def flag_residuals_at(ch, rd):
     }
 
 
-def classify_at(metric, points, tol=DEFAULT_TOL, cache=None):
+def classification(metric, points, tol, residuals):
+    """The report from each flag's residual at every point (arrays over ``points``)."""
+    report = ClassificationReport(metric.name, tol, points)
+    for name in FLAG_NAMES:
+        worst = int(np.argmax(residuals[name]))  # the first of equal maxima
+        res = float(residuals[name][worst])
+        report.flags[name] = FlagResult(res < tol, res, points[worst])
+    return report
+
+
+def classify_at(metric, points, tol=DEFAULT_TOL):
     """Classify a metric over a nonempty list of points.
 
-    The data come from ``cache`` (a :class:`~hermlab.geometry.GeometryCache`,
-    a fresh one when not given) and the residuals are computed per batch.
+    The data are computed and dropped chunk by chunk
+    (:func:`~hermlab.geometry.geometry_chunks`); the residuals are computed
+    per chunk.
     """
     points = [np.asarray(p, dtype=complex) for p in points]
     if not points:
         raise ValueError("classification needs at least one point")
-    filled = (GeometryCache() if cache is None else cache).fill(metric, points)
-    by_batch = {}  # id of a batch -> its flag residual arrays
-    for ch, rd, _ in filled:
-        if id(ch) not in by_batch:
-            by_batch[id(ch)] = flag_residuals_at(ch, rd)
-    report = ClassificationReport(metric.name, tol, points)
-    for name in FLAG_NAMES:
-        residuals = [by_batch[id(ch)][name][index] for ch, _, index in filled]
-        worst = int(np.argmax(residuals))  # the first of equal maxima
-        res = float(residuals[worst])
-        report.flags[name] = FlagResult(res < tol, res, points[worst])
-    return report
+    parts = [flag_residuals_at(c.ch, c.rd) for c in geometry_chunks(metric, points)]
+    residuals = {name: np.concatenate([part[name] for part in parts]) for name in FLAG_NAMES}
+    return classification(metric, points, tol, residuals)
 
 
 # ----------------------------------------------------------------------
 # curvature-torsion difference identities (two independent routes per side)
 def curvature_difference_suite(rd):
-    """Residuals of the four curvature difference identities at a point.
+    """Residuals of the four curvature difference identities, per point.
 
     Each left side comes from the Christoffel route (or the Chern-curvature
     transform for the first), each right side from torsion data and its
@@ -124,43 +126,43 @@ def curvature_difference_suite(rd):
     ch = rd.chern
     n = ch.n
     T, cT, cTb, Rh, Rc = ch.T, ch.covT, ch.covT_bar, ch.Rh, rd.Rc
+    Tb = T.conj()
     scale = curvature_scale(ch, rd)
 
+    def residual(lhs, rhs):
+        return ch.pointwise_max(lhs - rhs) / scale
+
     res = {}
-    lhs = 2 * cTb
-    rhs = np.einsum("jlik->kijl", Rh) - np.einsum("iljk->kijl", Rh)
-    res["covT_vs_chern"] = float(np.max(np.abs(lhs - rhs))) / scale
+    rhs = np.einsum("...jlik->...kijl", Rh) - np.einsum("...iljk->...kijl", Rh)
+    res["covT_vs_chern"] = residual(2 * cTb, rhs)
 
-    lhs = Rc[:n, :n, :n, n:]
     rhs = (
-        np.einsum("lijk->ijkl", cT)
-        + np.einsum("lri,rjk->ijkl", T, T)
-        - np.einsum("lrj,rik->ijkl", T, T)
+        np.einsum("...lijk->...ijkl", cT)
+        + np.einsum("...lri,...rjk->...ijkl", T, T)
+        - np.einsum("...lrj,...rik->...ijkl", T, T)
     )
-    res["mixed_20"] = float(np.max(np.abs(lhs - rhs))) / scale
+    res["mixed_20"] = residual(Rc[..., :n, :n, :n, n:], rhs)
 
-    lhs = Rc[:n, :n, n:, n:]
     rhs = (
-        np.einsum("lijk->ijkl", cTb)
-        - np.einsum("kijl->ijkl", cTb)
-        + 2 * np.einsum("rij,rkl->ijkl", T, np.conj(T))
-        + np.einsum("kri,jrl->ijkl", T, np.conj(T))
-        + np.einsum("lrj,irk->ijkl", T, np.conj(T))
-        - np.einsum("lri,jrk->ijkl", T, np.conj(T))
-        - np.einsum("krj,irl->ijkl", T, np.conj(T))
+        np.einsum("...lijk->...ijkl", cTb)
+        - np.einsum("...kijl->...ijkl", cTb)
+        + 2 * np.einsum("...rij,...rkl->...ijkl", T, Tb)
+        + np.einsum("...kri,...jrl->...ijkl", T, Tb)
+        + np.einsum("...lrj,...irk->...ijkl", T, Tb)
+        - np.einsum("...lri,...jrk->...ijkl", T, Tb)
+        - np.einsum("...krj,...irl->...ijkl", T, Tb)
     )
-    res["mixed_02"] = float(np.max(np.abs(lhs - rhs))) / scale
+    res["mixed_02"] = residual(Rc[..., :n, :n, n:, n:], rhs)
 
-    lhs = Rc[:n, n:, :n, n:]
     rhs = (
         Rh
-        - np.einsum("jikl->klij", cTb)
-        - np.conj(np.einsum("ijlk->klij", cTb))
-        + np.einsum("rik,rjl->klij", T, np.conj(T))
-        - np.einsum("jrk,irl->klij", T, np.conj(T))
-        - np.einsum("lri,krj->klij", T, np.conj(T))
+        - np.einsum("...jikl->...klij", cTb)
+        - np.conj(np.einsum("...ijlk->...klij", cTb))
+        + np.einsum("...rik,...rjl->...klij", T, Tb)
+        - np.einsum("...jrk,...irl->...klij", T, Tb)
+        - np.einsum("...lri,...krj->...klij", T, Tb)
     )
-    res["riemann_vs_chern"] = float(np.max(np.abs(lhs - rhs))) / scale
+    res["riemann_vs_chern"] = residual(Rc[..., :n, n:, :n, n:], rhs)
     return res
 
 
@@ -216,17 +218,17 @@ def bothlike_residuals(T, covT=None, covT_bar=None):
 
 
 def eta_trace_residual(ch):
-    """On G-Kahler-like metrics: sum_i eta_{i,ibar} = sum_r |eta_r|^2."""
-    lhs = np.einsum("iijj->", ch.covT_bar)
-    rhs = np.sum(np.abs(ch.eta) ** 2)
-    return float(abs(lhs - rhs)) / (1.0 + float(abs(rhs)))
+    """On G-Kahler-like metrics: sum_i eta_{i,ibar} = sum_r |eta_r|^2, per point."""
+    lhs = np.einsum("...iijj->...", ch.covT_bar)
+    rhs = np.sum(np.abs(ch.eta) ** 2, axis=-1)
+    return np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
 
 
 def klike_sigma_residual(ch):
-    """On Kahler-like metrics: i del delbar omega = sigma."""
-    return ddbar_omega_sigma_residual(ch) / (1.0 + float(np.max(np.abs(ch.Rh))))
+    """On Kahler-like metrics: i del delbar omega = sigma, per point."""
+    return ddbar_omega_sigma_residual(ch) / (1.0 + ch.pointwise_max(ch.Rh))
 
 
 def holomorphic_eta_residual(ch):
-    """On Kahler-like metrics the torsion 1-form is holomorphic."""
-    return delbar_eta_residual(ch) / (1.0 + float(np.max(np.abs(ch.Rh))))
+    """On Kahler-like metrics the torsion 1-form is holomorphic, per point."""
+    return delbar_eta_residual(ch) / (1.0 + ch.pointwise_max(ch.Rh))

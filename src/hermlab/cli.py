@@ -28,7 +28,7 @@ from .chern import (
 )
 from .classify import (
     DEFAULT_TOL,
-    classify_at,
+    classification,
     curvature_difference_suite,
     eta_trace_residual,
     flag_residuals_at,
@@ -59,15 +59,16 @@ from .errors import (
     MetricSyntaxError,
 )
 from .fd import fd_jet
-from .geometry import CHUNK, GeometryCache, sample_points
-from .jets import Jet2, JetMatrix
+from .geometry import geometry_chunks, sample_points
 from .levicivita import (
+    canonical_theta2,
     dsigma2_check,
     riemann_at,
     sigma_matrices,
     theta2_matches_torsion_residual,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
+    torsion_route,
 )
 from .nilker import (
     common_kernel_constructive,
@@ -122,154 +123,162 @@ class Check:
         return out
 
 
-class _Worst:
-    """Track the maximum residual and the point where it happened."""
+def _first_max(name, residuals, points, tol):
+    """The check on the largest residual, at the first point that reaches it.
 
-    def __init__(self):
-        self.value = -1.0
-        self.point = None
-
-    def update(self, value, point):
-        if value > self.value:
-            self.value = float(value)
-            self.point = point
-
-    def check(self, name, tol, asserted=True):
-        return Check(name, max(self.value, 0.0), tol, self.point, asserted)
+    The same reduction as ``classify_at``; a check with nothing to reduce
+    (every residual -inf: every plane degenerate) reads 0 with no worst point.
+    """
+    i = int(np.argmax(residuals))
+    if residuals[i] == -np.inf:
+        return Check(name, 0.0, tol)
+    return Check(name, max(residuals[i], 0.0), tol, points[i])
 
 
 # ----------------------------------------------------------------------
 # suites
-def run_classify(entry, points, tols, cache):
-    metric = entry.metric
-    report = classify_at(metric, points, tol=tols["flags"], cache=cache)
-    checks = []
-    for name, flag in sorted(report.flags.items()):
-        expected = entry.expected_flags.get(name)
-        if expected is None:
-            checks.append(
-                Check(f"flag_{name}", flag.residual, tols["flags"], flag.worst_point, asserted=False)
-            )
-        else:
-            ok = flag.value == expected
-            checks.append(
-                Check(
-                    f"flag_{name}_expected_{expected}",
-                    0.0 if ok else 1.0,
-                    0.5,
-                    flag.worst_point,
-                )
-            )
-    return checks, report.as_dict()
+class Suite:
+    """One suite's checks over a report's points, fed one geometry chunk at a time.
+
+    :meth:`add` takes each :class:`~hermlab.geometry.Chunk` in point order.
+    A suite with ``head = k`` keeps the data of the report's first k points
+    only; any other suite keeps only the residual arrays of :meth:`rows`.
+    :meth:`checks` reduces what was kept to ``(checks, extra)``.
+    """
+
+    head = 0
+
+    def __init__(self, entry, points, tols, seed):
+        self.entry, self.metric, self.points = entry, entry.metric, points
+        self.tols, self.seed = tols, seed
+        self.parts = []
+
+    def add(self, chunk):
+        if not self.head:
+            self.parts.append(self.rows(chunk))
+        elif chunk.start == 0:
+            self.first = chunk.head(self.head)
+
+    def residuals(self):
+        """Each row's residuals over all points, the chunks' arrays joined."""
+        return {name: np.concatenate([part[name] for part in self.parts]) for name in self.parts[0]}
 
 
-def run_identities(entry, points, tols, cache):
-    metric = entry.metric
-    worsts = {
-        name: _Worst()
-        for name in (
-            "gray_vanishing",
-            "riemann_symmetries",
-            "structure_bianchi",
-            "ddbar_omega_vs_torsion_curvature",
-            "del_omega_vs_torsion",
-            "balanced_trace",
-            "theta2_two_route",
-            "theta2_type",
-            "theta2_vs_torsion",
-            "curvature_type",
-            "curvature_skew_hermitian",
-            "dsigma2_trace",
-            "sigma1_psd",
-            "sigma2_psd",
-            "covT_vs_chern",
-            "mixed_20",
-            "mixed_02",
-            "riemann_vs_chern",
+class Classify(Suite):
+    def rows(self, chunk):
+        return chunk.once(flag_residuals_at, chunk.ch, chunk.rd)
+
+    def checks(self):
+        tol = self.tols["flags"]
+        report = classification(self.metric, self.points, tol, self.residuals())
+        checks = []
+        for name, flag in sorted(report.flags.items()):
+            expected = self.entry.expected_flags.get(name)
+            if expected is None:
+                checks.append(Check(f"flag_{name}", flag.residual, tol, flag.worst_point, asserted=False))
+            else:
+                wrong = 0.0 if flag.value == expected else 1.0
+                checks.append(Check(f"flag_{name}_expected_{expected}", wrong, 0.5, flag.worst_point))
+        return checks, report.as_dict()
+
+
+def _sigma_psd(ch):
+    """How far sigma_1 and sigma_2 fall below 0, [2, P], from one stacked eigvalsh."""
+    return np.maximum(0.0, -np.linalg.eigvalsh(np.stack(sigma_matrices(ch))).min(axis=-1))
+
+
+def _route(chunk):
+    """The torsion route's forms and Theta_2, shared by two rows."""
+    return chunk.once(torsion_route, chunk.ch)
+
+
+def _theta2(chunk):
+    """theta_2 of the canonical frame, shared by two rows."""
+    return chunk.once(canonical_theta2, chunk.rd)
+
+
+def _difference(chunk):
+    """The four curvature difference residuals, one row each."""
+    return chunk.once(curvature_difference_suite, chunk.rd)
+
+
+def _normal_frame_residuals(chunk):
+    """The normal frame's checks at the report's first two points; -inf elsewhere.
+
+    Frame normalization is costly, so two points suffice: the connection of
+    the normal frame at its base point, and the covariant torsion
+    derivatives from its raw derivatives against the Chern data's.
+    """
+    out = np.full((2, len(chunk.points)), -np.inf)
+    k = min(2 - chunk.start, len(chunk.points))
+    if k > 0:
+        points, ch = np.array(chunk.points[:k]), chunk.ch.at(slice(0, k))
+        nf = normal_frame_at(ch.metric, points, data=ch)
+        _, dT = nf.torsion_jets_at(points)
+        n = ch.n
+        Pt = ch.Pv.swapaxes(-2, -1)[:, None, None]
+        out[0, :k] = nf.theta_norm_at_base()
+        out[1, :k] = np.maximum(
+            ch.pointwise_max(dT[..., :n] @ Pt - ch.covT),
+            ch.pointwise_max(dT[..., n:] @ Pt.conj() - ch.covT_bar),
         )
-    }
-    cond = {
-        name: _Worst()
-        for name in ("klike_ddbar_sigma", "klike_eta_holomorphic", "gklike_eta_trace")
-    }
-    cond_seen = {name: False for name in cond}
-    frame_w = {"normal_frame_theta": _Worst(), "normal_frame_covT": _Worst()}
+    return out
 
-    for idx, p in enumerate(points):
-        ch, rd = cache(metric, p)
-        worsts["gray_vanishing"].update(rd.gray_residual(), p)
-        worsts["riemann_symmetries"].update(max(rd.symmetry_residuals().values()), p)
-        worsts["structure_bianchi"].update(bianchi_residual(ch), p)
-        worsts["ddbar_omega_vs_torsion_curvature"].update(
-            curvature_identity_residual(ch), p
-        )
-        worsts["del_omega_vs_torsion"].update(del_omega_residual(ch), p)
-        worsts["balanced_trace"].update(balanced_identity_residual(ch), p)
-        worsts["theta2_two_route"].update(theta2_two_route_residual(ch, rd), p)
-        worsts["theta2_type"].update(theta2_zero_one_part_residual(rd), p)
-        worsts["theta2_vs_torsion"].update(theta2_matches_torsion_residual(rd), p)
-        worsts["curvature_type"].update(ch.Rh_type_residual, p)
-        worsts["curvature_skew_hermitian"].update(skew_hermitian_residual(ch), p)
-        worsts["dsigma2_trace"].update(dsigma2_check(ch), p)
-        S1, S2 = sigma_matrices(ch)
-        worsts["sigma1_psd"].update(max(0.0, -float(np.linalg.eigvalsh(S1).min())), p)
-        worsts["sigma2_psd"].update(max(0.0, -float(np.linalg.eigvalsh(S2).min())), p)
-        for name, value in curvature_difference_suite(rd).items():
-            worsts[name].update(value, p)
 
-        flags = flag_residuals_at(ch, rd)
-        if flags["kahler_like"] < tols["flags"]:
-            cond_seen["klike_ddbar_sigma"] = True
-            cond_seen["klike_eta_holomorphic"] = True
-            cond["klike_ddbar_sigma"].update(klike_sigma_residual(ch), p)
-            cond["klike_eta_holomorphic"].update(holomorphic_eta_residual(ch), p)
-        if flags["g_kahler_like"] < tols["flags"]:
-            cond_seen["gklike_eta_trace"] = True
-            cond["gklike_eta_trace"].update(eta_trace_residual(ch), p)
+# identities check -> tolerance key and residual per point of one chunk, in
+# report order; each row looks its functions up when it runs
+_IDENTITY_CHECKS = (
+    ("gray_vanishing", "exact", lambda c: c.rd.gray_residual()),
+    ("riemann_symmetries", "exact", lambda c: np.maximum.reduce([*c.rd.symmetry_residuals().values()])),
+    ("structure_bianchi", "exact", lambda c: bianchi_residual(c.ch)),
+    ("ddbar_omega_vs_torsion_curvature", "exact", lambda c: curvature_identity_residual(c.ch)),
+    ("del_omega_vs_torsion", "exact", lambda c: del_omega_residual(c.ch)),
+    ("balanced_trace", "exact", lambda c: balanced_identity_residual(c.ch)),
+    ("theta2_two_route", "two_route", lambda c: theta2_two_route_residual(c.ch, c.rd, _route(c)[1])),
+    ("theta2_type", "exact", lambda c: theta2_zero_one_part_residual(c.rd, _theta2(c))),
+    ("theta2_vs_torsion", "identities", lambda c: theta2_matches_torsion_residual(c.rd, _theta2(c))),
+    ("curvature_type", "exact", lambda c: np.full(len(c.points), c.ch.Rh_type_residual)),
+    ("curvature_skew_hermitian", "exact", lambda c: skew_hermitian_residual(c.ch)),
+    ("dsigma2_trace", "fd", lambda c: dsigma2_check(c.ch, route=_route(c))),
+    ("sigma1_psd", "psd", lambda c: c.once(_sigma_psd, c.ch)[0]),
+    ("sigma2_psd", "psd", lambda c: c.once(_sigma_psd, c.ch)[1]),
+    ("covT_vs_chern", "identities", lambda c: _difference(c)["covT_vs_chern"]),
+    ("mixed_20", "identities", lambda c: _difference(c)["mixed_20"]),
+    ("mixed_02", "identities", lambda c: _difference(c)["mixed_02"]),
+    ("riemann_vs_chern", "identities", lambda c: _difference(c)["riemann_vs_chern"]),
+    ("normal_frame_theta", "frame", lambda c: c.once(_normal_frame_residuals, c)[0]),
+    ("normal_frame_covT", "identities", lambda c: c.once(_normal_frame_residuals, c)[1]),
+    ("klike_ddbar_sigma", "identities", lambda c: klike_sigma_residual(c.ch)),
+    ("klike_eta_holomorphic", "identities", lambda c: holomorphic_eta_residual(c.ch)),
+    ("gklike_eta_trace", "identities", lambda c: eta_trace_residual(c.ch)),
+)
+# conditional check -> the flag that must hold at a point for it to apply
+# there; a conditional check is reported only when some point qualifies
+_IDENTITY_CONDITIONS = {
+    "klike_ddbar_sigma": "kahler_like",
+    "klike_eta_holomorphic": "kahler_like",
+    "gklike_eta_trace": "g_kahler_like",
+}
 
-        if idx < 2:  # frame normalization is costly; two points suffice
-            nf = normal_frame_at(metric, p, data=ch)
-            frame_w["normal_frame_theta"].update(nf.theta_norm_at_base(), p)
-            _, dT = nf.torsion_jets_at(p)
-            n = metric.n
-            raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
-            raw_lb = np.einsum("la,kija->kijl", np.conj(ch.Pv), dT[..., n:])
-            dev = max(
-                float(np.max(np.abs(raw_l - ch.covT))),
-                float(np.max(np.abs(raw_lb - ch.covT_bar))),
-            )
-            frame_w["normal_frame_covT"].update(dev, p)
 
-    checks = [
-        worsts["gray_vanishing"].check("gray_vanishing", tols["exact"]),
-        worsts["riemann_symmetries"].check("riemann_symmetries", tols["exact"]),
-        worsts["structure_bianchi"].check("structure_bianchi", tols["exact"]),
-        worsts["ddbar_omega_vs_torsion_curvature"].check(
-            "ddbar_omega_vs_torsion_curvature", tols["exact"]
-        ),
-        worsts["del_omega_vs_torsion"].check("del_omega_vs_torsion", tols["exact"]),
-        worsts["balanced_trace"].check("balanced_trace", tols["exact"]),
-        worsts["theta2_two_route"].check("theta2_two_route", tols["two_route"]),
-        worsts["theta2_type"].check("theta2_type", tols["exact"]),
-        worsts["theta2_vs_torsion"].check("theta2_vs_torsion", tols["identities"]),
-        worsts["curvature_type"].check("curvature_type", tols["exact"]),
-        worsts["curvature_skew_hermitian"].check(
-            "curvature_skew_hermitian", tols["exact"]
-        ),
-        worsts["dsigma2_trace"].check("dsigma2_trace", tols["fd"]),
-        worsts["sigma1_psd"].check("sigma1_psd", tols["psd"]),
-        worsts["sigma2_psd"].check("sigma2_psd", tols["psd"]),
-        worsts["covT_vs_chern"].check("covT_vs_chern", tols["identities"]),
-        worsts["mixed_20"].check("mixed_20", tols["identities"]),
-        worsts["mixed_02"].check("mixed_02", tols["identities"]),
-        worsts["riemann_vs_chern"].check("riemann_vs_chern", tols["identities"]),
-        frame_w["normal_frame_theta"].check("normal_frame_theta", tols["frame"]),
-        frame_w["normal_frame_covT"].check("normal_frame_covT", tols["identities"]),
-    ]
-    for name in cond:
-        if cond_seen[name]:
-            checks.append(cond[name].check(name, tols["identities"]))
-    return checks, None
+class Identities(Suite):
+    def rows(self, chunk):
+        flags = chunk.once(flag_residuals_at, chunk.ch, chunk.rd)
+        rows = {}
+        for name, _key, row in _IDENTITY_CHECKS:
+            flag = _IDENTITY_CONDITIONS.get(name)
+            live = True if flag is None else flags[flag] < self.tols["flags"]
+            # a conditional row with no qualifying point is not computed
+            rows[name] = np.where(live, row(chunk) if np.any(live) else 0.0, -np.inf)
+        return rows
+
+    def checks(self):
+        res = self.residuals()
+        return [
+            _first_max(name, res[name], self.points, self.tols[key])
+            for name, key, _row in _IDENTITY_CHECKS
+            if name not in _IDENTITY_CONDITIONS or (res[name] != -np.inf).any()
+        ], None
 
 
 # random draws per point in the compare suite: (X, Y, a) triples and real planes
@@ -348,151 +357,149 @@ def _compare_residuals(rd, X, Y, a, ricci_dir, u, v):
     }
 
 
-def _first_max(name, residuals, points, tol):
-    """The check on the largest residual, at the first point that reaches it.
+class Compare(Suite):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rng = np.random.default_rng(self.seed + 1)
 
-    The same reduction as ``classify_at``; a check with nothing to reduce
-    (every plane degenerate) reads 0 with no worst point.
-    """
-    i = int(np.argmax(residuals))
-    if residuals[i] == -np.inf:
-        return Check(name, 0.0, tol)
-    return Check(name, max(residuals[i], 0.0), tol, points[i])
+    def rows(self, chunk):
+        draws = compare_draws(self.rng, len(chunk.points), self.metric.n)
+        return _compare_residuals(chunk.rd, *draws)
 
-
-def run_compare(entry, points, tols, cache, seed):
-    metric = entry.metric
-    rng = np.random.default_rng(seed + 1)
-    parts = []
-    for start in range(0, len(points), CHUNK):
-        chunk = points[start : start + CHUNK]
-        _ch, rd = cache.stacked(metric, chunk)
-        parts.append(_compare_residuals(rd, *compare_draws(rng, len(chunk), metric.n)))
-    res = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-
-    checks = [
-        _first_max(name, res[name], points, tols[key] * scale)
-        for name, (key, scale) in _COMPARE_TOLERANCES.items()
-    ]
-    if res["max_T"].max() > 1e-3:
-        i = int(np.argmax(res["best_gap"]))
-        checks.append(
-            Check("monotonicity_strict_gap", 1e-6 / max(res["best_gap"][i], 1e-300), 1.0, points[i])
-        )
-    # quick regression run of the dimension-3 torsion rigidity floor
-    rig = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
-    checks.append(
-        Check("rigidity_floor", RIGIDITY_FLOOR / max(rig["min_residual"], 1e-300), 1.0)
-    )
-    return checks, None
+    def checks(self):
+        res, points, tols = self.residuals(), self.points, self.tols
+        checks = [
+            _first_max(name, res[name], points, tols[key] * scale)
+            for name, (key, scale) in _COMPARE_TOLERANCES.items()
+        ]
+        if res["max_T"].max() > 1e-3:
+            i = int(np.argmax(res["best_gap"]))
+            gap = 1e-6 / max(res["best_gap"][i], 1e-300)
+            checks.append(Check("monotonicity_strict_gap", gap, 1.0, points[i]))
+        # quick regression run of the dimension-3 torsion rigidity floor
+        rig = n3_rigidity_search(trials=400, seed=self.seed, polish=8, steps=80)
+        floor = RIGIDITY_FLOOR / max(rig["min_residual"], 1e-300)
+        return checks + [Check("rigidity_floor", floor, 1.0)], None
 
 
 _CONFORMAL_EXPONENTS = ("re(z1)", "ln(1 + abs2(z1)) / 2")
 
 
-def run_conformal(entry, points, tols, cache):
-    metric = entry.metric
-    points = points[:5]
-    base_ch, base_rd = cache.stacked(metric, points)
-    batch = np.array(points)
-    checks = []
-    for src in _CONFORMAL_EXPONENTS:
-        factor = ConformalFactor(parse_expr(src, metric.n), name=src)
-        # the scaled metric once per exponent, over all the points at once
-        scaled = conformal_metric(metric, factor)
-        new_ch = chern_at(scaled, batch)
-        u = factor.u_values(batch)
-        new_rd = riemann_at(scaled, batch, chern_data=new_ch)
-        res = connection_transform_residuals(base_rd, new_rd, u)
-        tag = src.replace(" ", "")
-        for name, residuals in (
-            ("torsion_transform", torsion_transform_residual(base_ch, new_ch, u)),
-            ("theta1_transform", res["theta1"]),
-            ("theta2_transform", res["theta2"]),
-        ):
-            checks.append(_first_max(f"{name}[{tag}]", residuals, points, tols["exact"]))
-    return checks, None
+class Conformal(Suite):
+    head = 5
+
+    def checks(self):
+        metric, first, tol = self.metric, self.first, self.tols["exact"]
+        batch = np.array(first.points)
+        checks = []
+        for src in _CONFORMAL_EXPONENTS:
+            factor = ConformalFactor(parse_expr(src, metric.n), name=src)
+            # the scaled metric once per exponent, over all the points at once
+            scaled = conformal_metric(metric, factor)
+            new_ch = chern_at(scaled, batch)
+            u = factor.u_values(batch)
+            new_rd = riemann_at(scaled, batch, chern_data=new_ch)
+            res = connection_transform_residuals(first.rd, new_rd, u)
+            tag = src.replace(" ", "")
+            for name, residuals in (
+                ("torsion_transform", torsion_transform_residual(first.ch, new_ch, u)),
+                ("theta1_transform", res["theta1"]),
+                ("theta2_transform", res["theta2"]),
+            ):
+                checks.append(_first_max(f"{name}[{tag}]", residuals, first.points, tol))
+        return checks, None
 
 
-def run_nilker(entry, points, tols, cache, seed):
-    metric = entry.metric
-    rng = np.random.default_rng(seed + 2)
-    checks = []
+class Nilker(Suite):
+    head = 1
 
-    # torsion of the metric at the first point: the family construction
-    # applies only when the quadratic symmetry holds
-    ch, _rd = cache(metric, points[0])
-    sym = torsion_symmetry_residual(ch.T)
-    applicable = sym < 1e-8 * (1.0 + float(np.max(np.abs(ch.T))) ** 2)
-    checks.append(
-        Check("metric_torsion_symmetry", sym, np.inf, points[0], asserted=False)
-    )
-    # torsion below the noise floor would feed pure roundoff to the solver
-    if applicable and float(np.max(np.abs(ch.T))) > 1e-8:
-        fam = family_from_torsion(ch.T)
-        w1 = common_kernel_inductive(fam, seed=seed)
-        w2 = common_kernel_constructive(fam, seed=seed)
-        resid = max(fam.kernel_residual(w1), fam.kernel_residual(w2))
-        basis = kernel_intersection_basis(fam)
-        member = oracle_contains(fam, w1, basis=basis) and oracle_contains(fam, w2, basis=basis)
-        checks.append(Check("metric_family_kernel", resid, tols["exact"], points[0]))
-        checks.append(
-            Check("metric_family_membership", 0.0 if member else 1.0, 0.5, points[0])
-        )
+    def checks(self):
+        seed, tols, p = self.seed, self.tols, self.points[0]
+        rng = np.random.default_rng(seed + 2)
+        # torsion of the metric at the first point: the family construction
+        # applies only when the quadratic symmetry holds
+        T = self.first.ch.T[0]
+        sym = torsion_symmetry_residual(T)
+        applicable = sym < 1e-8 * (1.0 + float(np.max(np.abs(T))) ** 2)
+        checks = [Check("metric_torsion_symmetry", sym, np.inf, p, asserted=False)]
+        # torsion below the noise floor would feed pure roundoff to the solver
+        if applicable and float(np.max(np.abs(T))) > 1e-8:
+            fam = family_from_torsion(T)
+            w1 = common_kernel_inductive(fam, seed=seed)
+            w2 = common_kernel_constructive(fam, seed=seed)
+            resid = max(fam.kernel_residual(w1), fam.kernel_residual(w2))
+            basis = kernel_intersection_basis(fam)
+            member = oracle_contains(fam, w1, basis=basis) and oracle_contains(fam, w2, basis=basis)
+            checks.append(Check("metric_family_kernel", resid, tols["exact"], p))
+            checks.append(Check("metric_family_membership", 0.0 if member else 1.0, 0.5, p))
 
-    worst_res = _Worst()
-    worst_dim = _Worst()
-    for trial in range(20):
-        if trial % 2 == 0:
-            fam = random_general_family(rng)
-            vecs = [common_kernel_inductive(fam, seed=seed + trial)]
-        else:
-            fam = family_from_torsion(random_torsion_tensor(rng))
-            vecs = [
-                common_kernel_inductive(fam, seed=seed + trial),
-                common_kernel_constructive(fam, seed=seed + trial),
-            ]
-        basis = kernel_intersection_basis(fam)
-        worst_dim.update(1.0 if basis.shape[1] < 1 else 0.0, None)
-        for w in vecs:
-            worst_res.update(fam.kernel_residual(w), None)
-            if not oracle_contains(fam, w, basis=basis):
-                worst_res.update(1.0, None)
-    checks.append(worst_res.check("fixture_kernel_residual", tols["exact"]))
-    checks.append(worst_dim.check("fixture_oracle_dimension", 0.5))
-    return checks, None
+        worst_res = worst_dim = 0.0
+        for trial in range(20):
+            if trial % 2 == 0:
+                fam = random_general_family(rng)
+                vecs = [common_kernel_inductive(fam, seed=seed + trial)]
+            else:
+                fam = family_from_torsion(random_torsion_tensor(rng))
+                vecs = [
+                    common_kernel_inductive(fam, seed=seed + trial),
+                    common_kernel_constructive(fam, seed=seed + trial),
+                ]
+            basis = kernel_intersection_basis(fam)
+            worst_dim = max(worst_dim, 1.0 if basis.shape[1] < 1 else 0.0)
+            for w in vecs:
+                worst_res = max(worst_res, fam.kernel_residual(w))
+                if not oracle_contains(fam, w, basis=basis):
+                    worst_res = max(worst_res, 1.0)
+        checks.append(Check("fixture_kernel_residual", worst_res, tols["exact"]))
+        checks.append(Check("fixture_oracle_dimension", worst_dim, 0.5))
+        return checks, None
 
 
-def run_oracle(entry, points, tols, cache):
+class Oracle(Suite):
     """Rerun derivative-dependent quantities on finite-difference jets."""
-    metric = entry.metric
-    n = metric.n
-    w_first = _Worst()
-    w_second = _Worst()
-    w_T = _Worst()
-    w_Rh = _Worst()
-    w_Rc = _Worst()
-    for p in points[: min(len(points), 5)]:
-        ch, rd = cache(metric, p)
-        # every entry's stencil in one evaluation of the metric's values
-        gv, dg, ddg = fd_jet(metric.values_at, p, n)
-        w_first.update(float(np.max(np.abs(dg - ch.dg))), p)
-        w_second.update(float(np.max(np.abs(ddg - ch.ddg))), p)
-        g_fd = JetMatrix(
-            [[Jet2(n, gv[i, j], dg[i, j], ddg[i, j]) for j in range(n)] for i in range(n)]
-        )
-        ch_fd = chern_at(metric, p, g=g_fd)
-        rd_fd = riemann_at(metric, p, chern_data=ch_fd)
-        w_T.update(float(np.max(np.abs(ch_fd.T - ch.T))), p)
-        w_Rh.update(float(np.max(np.abs(ch_fd.Rh - ch.Rh))), p)
-        w_Rc.update(float(np.max(np.abs(rd_fd.Rc - rd.Rc))), p)
-    return [
-        w_first.check("jet_first_vs_fd", 1e-6),
-        w_second.check("jet_second_vs_fd", 1e-4),
-        w_T.check("torsion_vs_fd", tols["oracle_first"]),
-        w_Rh.check("chern_curvature_vs_fd", tols["oracle_second"]),
-        w_Rc.check("riemann_curvature_vs_fd", tols["oracle_second"]),
-    ], None
+
+    head = 5
+
+    def checks(self):
+        metric, first, tols = self.metric, self.first, self.tols
+        ch, rd = first.ch, first.rd
+        rows = []
+        for i, p in enumerate(first.points):
+            # every entry's stencil in one evaluation of the metric's values
+            gv, dg, ddg = fd_jet(metric.values_at, p, metric.n)
+            ch_fd = chern_at(metric, p, g=(gv, dg, ddg))
+            rd_fd = riemann_at(metric, p, chern_data=ch_fd)
+            pairs = (dg, ch.dg), (ddg, ch.ddg), (ch_fd.T, ch.T), (ch_fd.Rh, ch.Rh), (rd_fd.Rc, rd.Rc)
+            rows.append([np.max(np.abs(fd - exact[i])) for fd, exact in pairs])
+        names = ("jet_first_vs_fd", "jet_second_vs_fd", "torsion_vs_fd",
+                 "chern_curvature_vs_fd", "riemann_curvature_vs_fd")
+        second = tols["oracle_second"]
+        checks = zip(names, (1e-6, 1e-4, tols["oracle_first"], second, second), np.array(rows).T)
+        return [_first_max(name, r, first.points, tol) for name, tol, r in checks], None
+
+
+_SUITE_CLASSES = {
+    "classify": Classify,
+    "identities": Identities,
+    "compare": Compare,
+    "conformal": Conformal,
+    "nilker": Nilker,
+    "oracle": Oracle,
+}
+
+
+def run_suites(entry, points, tols, names, seed=catalog.DEFAULT_SEED):
+    """``{name: (checks, extra)}`` of the named suites over ``points``.
+
+    Every suite reads a chunk of geometry before the next chunk is computed
+    (:func:`~hermlab.geometry.geometry_chunks`), so the suites hold the
+    geometry of one chunk at a time.
+    """
+    suites = {name: _SUITE_CLASSES[name](entry, points, tols, seed) for name in names}
+    for chunk in geometry_chunks(entry.metric, points):
+        for suite in suites.values():
+            suite.add(chunk)
+    return {name: suite.checks() for name, suite in suites.items()}
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +529,6 @@ def run(config):
         suites = list(SUITES)
 
     points = sample_points(entry.metric, count, seed)
-    cache = GeometryCache()
-    cache.fill(entry.metric, points)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -540,35 +545,21 @@ def run(config):
         "suites": {},
     }
 
+    names = sorted(set(suites))
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+    if config.get("oracle"):
+        names.append("oracle")
+
     all_passed = True
-    for suite in sorted(set(suites)):
-        if suite == "classify":
-            checks, extra = run_classify(entry, points, tols, cache)
-        elif suite == "identities":
-            checks, extra = run_identities(entry, points, tols, cache)
-        elif suite == "compare":
-            checks, extra = run_compare(entry, points, tols, cache, seed)
-        elif suite == "conformal":
-            checks, extra = run_conformal(entry, points, tols, cache)
-        elif suite == "nilker":
-            checks, extra = run_nilker(entry, points, tols, cache, seed)
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+    for name, (checks, extra) in run_suites(entry, points, tols, names, seed).items():
         passed = all(c.passed for c in checks)
         all_passed &= passed
         block = {"passed": passed, "checks": [c.as_dict() for c in checks]}
         if extra is not None:
             block["classification"] = extra
-        report["suites"][suite] = block
-
-    if config.get("oracle"):
-        checks, _ = run_oracle(entry, points, tols, cache)
-        passed = all(c.passed for c in checks)
-        all_passed &= passed
-        report["suites"]["oracle"] = {
-            "passed": passed,
-            "checks": [c.as_dict() for c in checks],
-        }
+        report["suites"][name] = block
 
     report["passed"] = bool(all_passed)
     return report, (0 if all_passed else 1)

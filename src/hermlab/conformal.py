@@ -13,7 +13,7 @@ example and by the trace consequence lambda * lap(lambda) = n |grad lambda|^2).
 
 The transformation-law residuals take precomputed data over a batch of
 points (leading point axes): the base metric's Chern/Riemann data (the
-CLI reads them from its ``GeometryCache``), the scaled metric's, computed
+CLI takes them from the report's first chunk), the scaled metric's, computed
 by one batched ``chern_at``/``riemann_at`` call per exponent, and the
 exponent's value and first derivatives (:meth:`ConformalFactor.u_values`).
 They return one residual per point.

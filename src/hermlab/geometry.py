@@ -1,21 +1,21 @@
 """Sample points and the Chern and Riemann data at them, a batch at a time.
 
-The CLI samples a report's points once and fills one :class:`GeometryCache`
-with their data, ``CHUNK`` points per call of the batched cores; the
-suites then read the data point by point, or a chunk of points at a time
-as one batch (:meth:`GeometryCache.stacked`).
+The CLI samples a report's points once and streams their data through
+:func:`geometry_chunks`: one :class:`Chunk` of ``CHUNK`` points per call
+of the batched cores, which every suite reads before the next chunk is
+computed, so a report holds the data of one chunk at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import DEFAULT_SEED
-from .chern import chern_at
+from .chern import ChernData, chern_at
 from .errors import DomainSamplingError, SingularEvaluationError
-from .levicivita import riemann_at
+from .levicivita import RiemannData, riemann_at
 
 # points per batched chern_at / riemann_at call: large enough to amortise
 # the per-call overhead, small enough to keep the temporaries small
@@ -59,51 +59,39 @@ def sample_points(metric, count, seed=DEFAULT_SEED, oversample=10):
     return points
 
 
-class GeometryCache:
-    """Chern and Riemann data per (metric name, point), computed in batches."""
+@dataclass
+class Chunk:
+    """Consecutive points of a report and their Chern and Riemann data, as one batch.
 
-    def __init__(self):
-        self.data = {}  # key -> (ChernData batch, RiemannData batch, index in it)
+    ``start`` is the index of the first of ``points`` among the report's
+    points; ``ch`` and ``rd`` carry one leading point axis.
+    """
 
-    @staticmethod
-    def _key(metric, p):
-        return (metric.name, tuple(np.round(np.asarray(p, dtype=complex), 14)))
+    start: int
+    points: list
+    ch: ChernData
+    rd: RiemannData
+    memo: dict = field(default_factory=dict, repr=False)
 
-    def fill(self, metric, points):
-        """(ch, rd, index) for each point, computing the missing ones ``CHUNK`` at a time."""
-        points = np.asarray(points, dtype=complex).reshape(-1, metric.n)
-        keys = [self._key(metric, p) for p in points]
-        first = {}
-        for row, key in enumerate(keys):
-            if key not in self.data:
-                first.setdefault(key, row)
-        todo = list(first.values())
-        for start in range(0, len(todo), CHUNK):
-            rows = todo[start : start + CHUNK]
-            ch = chern_at(metric, points[rows])
-            rd = riemann_at(metric, points[rows], chern_data=ch)
-            for index, row in enumerate(rows):
-                self.data[keys[row]] = (ch, rd, index)
-        return [self.data[k] for k in keys]
+    def once(self, fn, *args):
+        """``fn(*args)`` on this chunk's data, computed on the first call for ``fn`` only."""
+        if fn not in self.memo:
+            self.memo[fn] = fn(*args)
+        return self.memo[fn]
 
-    def stacked(self, metric, points):
-        """(ChernData, RiemannData) over ``points``, batched along one point axis."""
+    def head(self, count):
+        """The chunk's first ``count`` points, as a chunk of views."""
+        part = slice(0, count)
+        return Chunk(self.start, self.points[part], self.ch.at(part), self.rd.at(part))
 
-        def stack(items):  # [(batch, index)] -> one batch in that order
-            first = items[0][0]
-            arrays = {
-                f.name: np.stack([getattr(batch, f.name)[i] for batch, i in items])
-                for f in fields(first)
-                if isinstance(getattr(first, f.name), np.ndarray)
-            }
-            return replace(first, **arrays)
 
-        filled = self.fill(metric, points)
-        ch = stack([(c, i) for c, _, i in filled])
-        rd = replace(stack([(r, i) for _, r, i in filled]), chern=ch)
-        return ch, rd
+def geometry_chunks(metric, points):
+    """The data of ``points`` in point order, one :class:`Chunk` of ``CHUNK`` points at a time.
 
-    def __call__(self, metric, p):
-        """(ChernData, RiemannData) at one point."""
-        ch, rd, index = self.fill(metric, [p])[0]
-        return ch.at(index), rd.at(index)
+    Nothing is kept between chunks.
+    """
+    for start in range(0, len(points), CHUNK):
+        part = points[start : start + CHUNK]
+        batch = np.asarray(part, dtype=complex).reshape(-1, metric.n)
+        ch = chern_at(metric, batch)
+        yield Chunk(start, part, ch, riemann_at(metric, batch, chern_data=ch))

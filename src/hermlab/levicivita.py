@@ -179,20 +179,18 @@ class RiemannData:
         return self.Rc[..., :n, :n, n:, n:]
 
     def gray_residual(self):
-        """Four-unbarred components must vanish on any Hermitian metric."""
-        return float(np.max(np.abs(self.R_1111())))
+        """Four-unbarred components must vanish on any Hermitian metric, per point."""
+        return self.chern.pointwise_max(self.R_1111())
 
     def symmetry_residuals(self):
+        """The algebraic symmetries of R_{abcd}, each per point."""
         R = self.R4
+        out = self.chern.pointwise_max
         return {
-            "antisym_first": float(np.max(np.abs(R + R.transpose(1, 0, 2, 3)))),
-            "antisym_last": float(np.max(np.abs(R + R.transpose(0, 1, 3, 2)))),
-            "pair_swap": float(np.max(np.abs(R - R.transpose(2, 3, 0, 1)))),
-            "first_bianchi": float(
-                np.max(
-                    np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3))
-                )
-            ),
+            "antisym_first": out(R + R.swapaxes(-4, -3)),
+            "antisym_last": out(R + R.swapaxes(-2, -1)),
+            "pair_swap": out(R - np.moveaxis(R, (-2, -1), (-4, -3))),
+            "first_bianchi": out(R + np.moveaxis(R, -4, -2) + np.moveaxis(R, -2, -4)),
         }
 
     def theta2_blocks(self):
@@ -259,6 +257,17 @@ def _conj_slots(X, *axes):
     return np.roll(X.conj(), X.shape[axes[0]] // 2, axis=axes)
 
 
+def _from_frame(X, L):
+    """sum_k X[k, i, j, ...] L[a, k]: the frame index k becomes the dz slot a.
+
+    [k, i, j] gives [i, j, a] and [k, i, j, c] gives [i, j, a, c].
+    """
+    if X.ndim - L.ndim == 1:  # [k, i, j]
+        return np.moveaxis(X, -3, -1) @ L.swapaxes(-2, -1)[..., None, :, :]
+    Y = np.moveaxis(X, -4, -1) @ L.swapaxes(-2, -1)[..., None, None, :, :]  # [i, j, c, a]
+    return Y.swapaxes(-2, -1)
+
+
 def theta2_gamma_forms(ch):
     """(theta_2, gamma, d theta_2) over the coordinate cotangent slots, from torsion.
 
@@ -268,33 +277,52 @@ def theta2_gamma_forms(ch):
     dL only.
     """
     n = ch.n
-    T, L = ch.T, ch.Lv
-    theta2 = np.zeros((n, n, 2 * n), dtype=complex)
-    theta2[..., :n] = np.einsum("kij,ak->ija", T.conj(), L)
-    dtheta2 = np.zeros((n, n, 2 * n, 2 * n), dtype=complex)
-    dtheta2[:, :, :n] = np.einsum("kijc,ak->ijac", _conj_slots(ch.dT, 3), L) + np.einsum(
-        "kij,akc->ijac", T.conj(), ch.dL
-    )
+    T, L, dL = ch.T, ch.Lv, ch.dL
+    lead = T.shape[:-3]
+    theta2 = np.zeros(lead + (n, n, 2 * n), dtype=complex)
+    theta2[..., :n] = _from_frame(T.conj(), L)
+    # sum_k conj(T[k, i, j]) dL[a, k, c]: [ij, k] @ [k, (a, c)]
+    Tc = T.conj().reshape(lead + (n, n * n)).swapaxes(-2, -1)
+    TdL = (Tc @ np.moveaxis(dL, -2, -3).reshape(lead + (n, -1))).reshape(lead + (n, n, n, 2 * n))
+    dtheta2 = np.zeros(lead + (n, n, 2 * n, 2 * n), dtype=complex)
+    dtheta2[..., :n, :] = _from_frame(_conj_slots(ch.dT, -1), L) + TdL
+    # T^j_{ik} psi_k and conj(T^i_{jk}) psibar_k
     gamma = np.concatenate(
-        [np.einsum("jik,ak->ija", T, L), -np.einsum("ijk,ak->ija", T.conj(), L.conj())],
-        axis=2,
+        [(T @ L.swapaxes(-2, -1)[..., None, :, :]).swapaxes(-3, -2),
+         -(T.conj() @ L.conj().swapaxes(-2, -1)[..., None, :, :])],
+        axis=-1,
     )
     return theta2, gamma, dtheta2
 
 
-def theta2_structure_route(ch):
+def _slot_product(A, B):
+    """sum_k A[i, k, a] B[k, j, b] as [i, j, a, b], for 1-forms over the slots."""
+    n, m = A.shape[-2], A.shape[-1]
+    lead = A.shape[:-3]
+    AB = np.moveaxis(A, -1, -2).reshape(lead + (n * m, n)) @ B.reshape(lead + (n, n * m))
+    return np.moveaxis(AB.reshape(lead + (n, m, n, m)), -2, -3)
+
+
+def theta2_structure_route(ch, forms=None):
     """Theta_2 = d theta_2 - theta_2 ^ theta_1 - conj(theta_1) ^ theta_2.
 
     Built entirely from torsion data (plus the Chern connection values,
     theta_1 = theta_u + gamma); independent of the Christoffel route.
+    ``forms`` is :func:`theta2_gamma_forms` of ``ch``, computed when not given.
     """
-    theta2, gamma, dtheta2 = theta2_gamma_forms(ch)
-    theta1 = ch.theta_u_vals.transpose(1, 2, 0) + gamma
+    theta2, gamma, dtheta2 = theta2_gamma_forms(ch) if forms is None else forms
+    theta1 = np.moveaxis(ch.theta_u_vals, -3, -1) + gamma
     return (
-        dtheta2.transpose(0, 1, 3, 2)
-        - np.einsum("ika,kjb->ijab", theta2, theta1)
-        - np.einsum("ika,kjb->ijab", _conj_slots(theta1, 2), theta2)
+        dtheta2.swapaxes(-2, -1)
+        - _slot_product(theta2, theta1)
+        - _slot_product(_conj_slots(theta1, -1), theta2)
     )
+
+
+def torsion_route(ch):
+    """(:func:`theta2_gamma_forms`, :func:`theta2_structure_route`) of ``ch``, built once."""
+    forms = theta2_gamma_forms(ch)
+    return forms, theta2_structure_route(ch, forms)
 
 
 def theta2_gamma_check(ch, rd):
@@ -303,31 +331,39 @@ def theta2_gamma_check(ch, rd):
     Rebuilds theta_2 and gamma from the torsion coefficients, reassembles
     the mixed curvature block through the structure equation, and compares
     against the Christoffel route; also checks that theta_2 carries no
-    (0,1) part and that sigma_1, sigma_2 are nonnegative.
+    (0,1) part and that sigma_1, sigma_2 are nonnegative.  Each entry is per
+    point.
     """
     S1, S2 = sigma_matrices(ch)
     return {
         "theta2_vs_christoffel": theta2_two_route_residual(ch, rd),
         "theta2_01_part": theta2_zero_one_part_residual(rd),
         "theta2_vs_torsion": theta2_matches_torsion_residual(rd),
-        "sigma1_min_eig": float(np.linalg.eigvalsh(S1).min()),
-        "sigma2_min_eig": float(np.linalg.eigvalsh(S2).min()),
+        "sigma1_min_eig": np.linalg.eigvalsh(S1).min(axis=-1),
+        "sigma2_min_eig": np.linalg.eigvalsh(S2).min(axis=-1),
     }
 
 
-def theta2_two_route_residual(ch, rd):
-    """Max deviation between the torsion route and the Christoffel route."""
+def theta2_two_route_residual(ch, rd, Theta2=None):
+    """Max deviation between the torsion route and the Christoffel route, per point.
+
+    ``Theta2`` is :func:`theta2_structure_route` of ``ch``, computed when not given.
+    """
     n = ch.n
     C = ch.frame_coframe_change()
-    M = np.zeros((2 * n, 2 * n), dtype=complex)  # dz, dzbar over psi, psibar
-    M[:n, :n], M[n:, n:] = C, C.conj()
-    Theta2 = theta2_structure_route(ch)
-    route2 = np.einsum("ijab,aA,bB->ijAB", Theta2 - Theta2.transpose(0, 1, 3, 2), M, M)
+    M = np.zeros(C.shape[:-2] + (2 * n, 2 * n), dtype=complex)  # dz, dzbar over psi, psibar
+    M[..., :n, :n], M[..., n:, n:] = C, C.conj()
+    M = M[..., None, None, :, :]
+    Theta2 = theta2_structure_route(ch) if Theta2 is None else Theta2
+    # route2[i, j] = M^T (Theta2 - Theta2^T)[i, j] M
+    route2 = M.swapaxes(-2, -1) @ (Theta2 - Theta2.swapaxes(-2, -1)) @ M
     B20, B11, B02 = rd.theta2_blocks()
-    return max(
-        float(np.max(np.abs(route2[:, :, :n, :n] - B20))),
-        float(np.max(np.abs(route2[:, :, :n, n:] - B11))),
-        float(np.max(np.abs(route2[:, :, n:, n:] - B02))),
+    return np.maximum.reduce(
+        [
+            ch.pointwise_max(route2[..., :n, :n] - B20),
+            ch.pointwise_max(route2[..., :n, n:] - B11),
+            ch.pointwise_max(route2[..., n:, n:] - B02),
+        ]
     )
 
 
@@ -376,53 +412,70 @@ def levi_civita_frame_connection(rd, frame):
     return wirtinger(theta1_rho), wirtinger(theta2_rho)
 
 
-def theta2_zero_one_part_residual(rd):
-    """The (0,1) part of theta_2 must vanish (canonical unitary frame)."""
-    _, theta2 = levi_civita_frame_connection(rd, (rd.chern.Pv, rd.chern.dP))
-    return float(np.max(np.abs(theta2[rd.n :])))
+def canonical_theta2(rd):
+    """theta_2 of the canonical unitary frame, from the Christoffel symbols."""
+    return levi_civita_frame_connection(rd, (rd.chern.Pv, rd.chern.dP))[1]
 
 
-def theta2_matches_torsion_residual(rd):
-    """(theta_2)_{ij} evaluated on e_k equals conj(T^k_{ij})."""
+def theta2_zero_one_part_residual(rd, theta2=None):
+    """The (0,1) part of theta_2 must vanish (canonical unitary frame), per point.
+
+    ``theta2`` is :func:`canonical_theta2` of ``rd``, computed when not given.
+    """
+    theta2 = canonical_theta2(rd) if theta2 is None else theta2
+    return rd.chern.pointwise_max(theta2[..., rd.n :, :, :])
+
+
+def theta2_matches_torsion_residual(rd, theta2=None):
+    """(theta_2)_{ij} evaluated on e_k equals conj(T^k_{ij}), per point.
+
+    ``theta2`` is :func:`canonical_theta2` of ``rd``, computed when not given.
+    """
     ch = rd.chern
     n = rd.n
-    _, theta2 = levi_civita_frame_connection(rd, (ch.Pv, ch.dP))
+    theta2 = canonical_theta2(rd) if theta2 is None else theta2
     # slot values on frame vectors: theta2(e_k) = sum_a Pv[k,a] theta2[a]
-    on_frame = np.einsum("ka,aij->kij", ch.Pv, theta2[:n])
-    expected = np.conj(ch.T)  # [k, i, j]
-    return float(np.max(np.abs(on_frame - expected)))
+    on_frame = ch.Pv @ theta2[..., :n, :, :].reshape(ch.Pv.shape[:-2] + (n, n * n))
+    return ch.pointwise_max(on_frame - ch.T.conj().reshape(on_frame.shape))
 
 
 # ----------------------------------------------------------------------
 # nonnegative (1,1) forms built from torsion
 def sigma_matrices(ch):
     """Hermitian coefficient matrices of sigma_1 and sigma_2 (unitary frame)."""
-    T = ch.T
-    S2 = np.einsum("lij,kij->kl", T, np.conj(T))
-    S1 = np.einsum("jik,jil->kl", T, np.conj(T))
+    n = ch.n
+    lead = ch.T.shape[:-3]
+    Tk = ch.T.reshape(lead + (n, n * n))  # [l, ij]
+    Tij = ch.T.reshape(lead + (n * n, n))  # [ji, k]
+    S2 = Tk.conj() @ Tk.swapaxes(-2, -1)  # sum_ij T[l, i, j] conj(T[k, i, j])
+    S1 = Tij.swapaxes(-2, -1) @ Tij.conj()  # sum_ji T[j, i, k] conj(T[j, i, l])
     return S1, S2
 
 
 def _sigma2_coefficients(ch):
-    """sigma_2 as the unnormalised 2-form H[a, b] and its derivatives dH[a, b, c].
+    """sigma_2 as the unnormalised 2-form H[a, b] and its derivatives dH[c, a, b].
 
     Only the (dz, dzbar) block is nonzero, H = i L S_2 L^*; both come from
     T, dT, L and dL.
     """
     n = ch.n
-    T, dT, L, dL = ch.T, ch.dT, ch.Lv, ch.dL
+    T, L = ch.T, ch.Lv
+    lead = T.shape[:-3]
     _, S2 = sigma_matrices(ch)
-    dS2 = np.einsum("lijc,kij->klc", dT, T.conj()) + np.einsum(
-        "lij,kijc->klc", T, _conj_slots(dT, 3)
-    )
-    dLbar = _conj_slots(dL, 2)
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, n:] = 1j * L @ S2 @ L.conj().T
-    dH = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-    dH[:n, n:] = 1j * (
-        np.einsum("akc,kl,bl->abc", dL, S2, L.conj())
-        + np.einsum("ak,klc,bl->abc", L, dS2, L.conj())
-        + np.einsum("ak,kl,blc->abc", L, S2, dLbar)
+    # derivative slot first: dT [c, l, ij], dL [c, a, k]
+    dT = np.moveaxis(ch.dT, -1, -4).reshape(lead + (2 * n, n, n * n))
+    dL = np.moveaxis(ch.dL, -1, -3)
+    Tk = T.reshape(lead + (n, n * n))[..., None, :, :]
+    # dS2[k, l] = sum_ij dT[l, ij] conj(T[k, ij]) + T[l, ij] conj(d T[k, ij])
+    dS2 = Tk.conj() @ dT.swapaxes(-2, -1) + _conj_slots(dT, -3) @ Tk.swapaxes(-2, -1)  # [c, k, l]
+    Lh = L.conj().swapaxes(-2, -1)[..., None, :, :]
+    dLbar = _conj_slots(dL, -3)  # [c, b, l] = d_c conj(L[b, l])
+    H = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
+    H[..., :n, n:] = 1j * L @ S2 @ L.conj().swapaxes(-2, -1)
+    L1, S21 = L[..., None, :, :], S2[..., None, :, :]
+    dH = np.zeros(lead + (2 * n, 2 * n, 2 * n), dtype=complex)
+    dH[..., :n, n:] = 1j * (
+        dL @ S21 @ Lh + L1 @ dS2 @ Lh + L1 @ S21 @ dLbar.swapaxes(-2, -1)
     )
     return H, dH
 
@@ -438,24 +491,31 @@ def sigma2_form(ch):
     )
 
 
-def dsigma2_check(ch, use_fd=False):
-    """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2).
+def dsigma2_check(ch, use_fd=False, route=None):
+    """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2), per point.
 
     With ``use_fd`` the left side is the finite-difference exterior
-    derivative of sigma_2 at nearby points rather than its closed form.
+    derivative of sigma_2 at nearby points rather than its closed form
+    (single points only).  ``route`` is :func:`torsion_route` of ``ch``,
+    computed when not given.
     """
     n = ch.n
+    m = 2 * n
     if use_fd:
         d_sigma2 = fd_exterior_d(lambda q: sigma2_form(chern_at(ch.metric, q)), ch.point, n)
-        lhs = np.zeros((2 * n,) * 3, dtype=complex)
+        lhs = np.zeros((m,) * 3, dtype=complex)
         for key, jet in d_sigma2.coeffs.items():
             lhs[key] = jet.value
     else:
-        lhs = _sigma2_coefficients(ch)[1].transpose(2, 0, 1)
-    theta2, _, _ = theta2_gamma_forms(ch)
-    Theta2 = theta2_structure_route(ch)
+        lhs = _sigma2_coefficients(ch)[1]
+    (theta2, _, _), Theta2 = torsion_route(ch) if route is None else route
+    lead = theta2.shape[:-3]
+    # sum_{i,k} X[i, k, ...] Y[k, i, ...]: flatten (i, k) and contract it
+    ik = lead + (n * n, -1)
+    t2 = theta2.swapaxes(-3, -2).reshape(ik)  # [(i, k), c] of theta2[k, i, c]
+    T2 = Theta2.swapaxes(-4, -3).reshape(ik)  # [(i, k), (b, c)] of Theta2[k, i, b, c]
     rhs = 1j * (
-        np.einsum("ikab,kic->abc", _conj_slots(Theta2, 2, 3), theta2)
-        - np.einsum("ika,kibc->abc", _conj_slots(theta2, 2), Theta2)
+        (_conj_slots(Theta2, -2, -1).reshape(ik).swapaxes(-2, -1) @ t2).reshape(lead + (m,) * 3)
+        - (_conj_slots(theta2, -1).reshape(ik).swapaxes(-2, -1) @ T2).reshape(lead + (m,) * 3)
     )
-    return _max_coefficient(lhs - rhs, 3, 0)
+    return _max_coefficient(ch, lhs - rhs, 3, 0)

@@ -358,7 +358,9 @@ def random_torsion_tensor(rng, n=None):
         T[k, :s, :s] = block - block.T
     P = np.eye(n) + 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     Pinv = np.linalg.inv(P)
-    return np.einsum("ia,jb,ck,cab->kij", P, P, Pinv, T)
+    # sum_{a,b,c} P_ia P_jb Pinv_ck T^c_ab, one index at a time
+    T = P @ T @ P.T  # [c, i, j]
+    return (Pinv.T @ T.reshape(n, n * n)).reshape(n, n, n)
 
 
 def two_block_chain_tensor():

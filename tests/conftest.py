@@ -1,7 +1,47 @@
+import numpy as np
 import pytest
 
 from hermlab import catalog
-from hermlab.geometry import GeometryCache
+from hermlab.chern import chern_at
+from hermlab.geometry import CHUNK
+from hermlab.levicivita import riemann_at
+
+
+class GeometryCache:
+    """Chern and Riemann data per (metric name, point), computed in batches.
+
+    The tests' per-point reference: a point's data are computed once, ``CHUNK``
+    points per call of the batched cores, and kept for every later test.
+    """
+
+    def __init__(self):
+        self.data = {}  # key -> (ChernData batch, RiemannData batch, index in it)
+
+    @staticmethod
+    def _key(metric, p):
+        return (metric.name, tuple(np.round(np.asarray(p, dtype=complex), 14)))
+
+    def fill(self, metric, points):
+        """(ch, rd, index) for each point, computing the missing ones ``CHUNK`` at a time."""
+        points = np.asarray(points, dtype=complex).reshape(-1, metric.n)
+        keys = [self._key(metric, p) for p in points]
+        first = {}
+        for row, key in enumerate(keys):
+            if key not in self.data:
+                first.setdefault(key, row)
+        todo = list(first.values())
+        for start in range(0, len(todo), CHUNK):
+            rows = todo[start : start + CHUNK]
+            ch = chern_at(metric, points[rows])
+            rd = riemann_at(metric, points[rows], chern_data=ch)
+            for index, row in enumerate(rows):
+                self.data[keys[row]] = (ch, rd, index)
+        return [self.data[k] for k in keys]
+
+    def __call__(self, metric, p):
+        """(ChernData, RiemannData) at one point."""
+        ch, rd, index = self.fill(metric, [p])[0]
+        return ch.at(index), rd.at(index)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,8 @@ from hermlab.conformal import (
 )
 from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.fd import fd_jet
-from hermlab.geometry import GeometryCache, sample_points
+from conftest import GeometryCache
+from hermlab.geometry import sample_points
 from hermlab.levicivita import riemann_at, theta2_two_route_residual
 from hermlab.nilker import (
     common_kernel_constructive,
@@ -79,8 +80,7 @@ def sweep():
     return entries, cache
 
 
-def test_criterion_01_catalog_classification(sweep):
-    _, cache = sweep
+def test_criterion_01_catalog_classification():
     expectations = {
         "iwasawa": {
             "kahler": False,
@@ -115,7 +115,7 @@ def test_criterion_01_catalog_classification(sweep):
     for name, expected in expectations.items():
         m = catalog.get(name).metric
         pts = sample_points(m, CLASSIFY_POINTS, seed=SEED)
-        rep = classify_at(m, pts, tol=DEFAULT_TOL, cache=cache)
+        rep = classify_at(m, pts, tol=DEFAULT_TOL)
         for flag, value in expected.items():
             assert rep[flag].value == value, (name, flag, rep[flag].residual)
     print("[PASS] criterion 1: catalog classification on 50 seeded points")
@@ -356,7 +356,7 @@ def test_criterion_11_balanced_identity_and_klike_content(sweep):
 def test_criterion_12_no_double_flag_with_torsion(sweep):
     entries, cache = sweep
     for name, m, pts in entries:
-        rep = classify_at(m, pts, tol=DEFAULT_TOL, cache=cache)
+        rep = classify_at(m, pts, tol=DEFAULT_TOL)
         max_T = 0.0
         for p in pts:
             ch, _ = cache(m, p)

@@ -1,9 +1,10 @@
 """The batched core: a batch of points against one point at a time, the
 dense real metric against the jet-built one, the vectorised sampler
 against a draw-by-draw loop, the worst point of the batched flags, the
-batched compare suite against one direction at a time, and the batched FD
+batched compare suite against one direction at a time, the batched FD
 stencil, nilker rank search and conformal suite against the loops they
-replaced."""
+replaced, and the identities and oracle check tables against the
+per-point loops."""
 
 import dataclasses
 
@@ -17,7 +18,8 @@ from hermlab.conformal import ConformalFactor, conformal_metric
 from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.errors import DomainSamplingError
 from hermlab.fd import DEFAULT_STEP, _shift, fd_jet
-from hermlab.geometry import CHUNK, GeometryCache, sample_points
+from conftest import GeometryCache
+from hermlab.geometry import CHUNK, sample_points
 from hermlab.jets import Jet2, wirtinger_from_real
 from hermlab.levicivita import (
     _IMAG_TOL,
@@ -194,13 +196,13 @@ def test_flags_keep_the_first_worst_point():
 
 
 def test_cache_computes_each_point_once_in_chunks(monkeypatch):
-    import hermlab.geometry as geometry
+    import conftest
 
     m = catalog.get("gkl_surface").metric
     points = sample_points(m, CHUNK + 4, seed=73)
     calls = []
-    real = geometry.chern_at
-    monkeypatch.setattr(geometry, "chern_at", lambda metric, z: calls.append(len(z)) or real(metric, z))
+    real = conftest.chern_at
+    monkeypatch.setattr(conftest, "chern_at", lambda metric, z: calls.append(len(z)) or real(metric, z))
     cache = GeometryCache()
     filled = cache.fill(m, points)
     assert calls == [CHUNK, 4]
@@ -223,6 +225,11 @@ def test_values_keep_exact_conjugate_symmetry():
 
 # ----------------------------------------------------------------------
 # the compare suite: stacked directions against one direction at a time
+def _run(suite, entry, points, tols, seed):
+    """(checks, extra) of one suite, as ``cli.run`` computes it."""
+    return cli.run_suites(entry, points, tols, [suite], seed)[suite]
+
+
 def _compare_cases():
     for name in ("gkl_surface", "iwasawa"):
         m = catalog.get(name).metric
@@ -349,7 +356,7 @@ def test_run_compare_matches_the_per_direction_loop(name):
     entry = catalog.get(name)
     seed = 42
     points = sample_points(entry.metric, CHUNK + 3, seed=seed)
-    checks, _ = cli.run_compare(entry, points, cli.DEFAULT_TOLERANCES, GeometryCache(), seed)
+    checks, _ = _run("compare", entry, points, cli.DEFAULT_TOLERANCES, seed)
     want, want_rng = _parent_compare(entry.metric, points, seed)
     assert sorted(c.name for c in checks) == sorted(want)
     for c in checks:
@@ -369,7 +376,7 @@ def test_compare_keeps_the_first_worst_point():
     entry = catalog.get("gkl_surface")
     points = sample_points(entry.metric, 5, seed=97)
     points = points + [p.copy() for p in points]
-    checks, _ = cli.run_compare(entry, points, cli.DEFAULT_TOLERANCES, GeometryCache(), 3)
+    checks, _ = _run("compare", entry, points, cli.DEFAULT_TOLERANCES, 3)
     got = {c.name: c for c in checks}["scalar_half_trace"]
     cache = GeometryCache()
     residuals = [compare.scalar_relation_residual(cache(entry.metric, p)[1]) for p in points]
@@ -570,8 +577,8 @@ def test_run_nilker_and_conformal_match_the_parent_loops(name, monkeypatch):
         patched.setattr(nilker, "_max_rank_element", lambda *a, **k: _per_candidate_max_rank_element(*a, **k)[:2])
         want_nilker = _parent_nilker(entry, points, cache, seed)
     for (checks, _), want in (
-        (cli.run_nilker(entry, points, cli.DEFAULT_TOLERANCES, cache, seed), want_nilker),
-        (cli.run_conformal(entry, points, cli.DEFAULT_TOLERANCES, cache), _parent_conformal(entry, points)),
+        (_run("nilker", entry, points, cli.DEFAULT_TOLERANCES, seed), want_nilker),
+        (_run("conformal", entry, points, cli.DEFAULT_TOLERANCES, seed), _parent_conformal(entry, points)),
     ):
         assert [c.name for c in checks] == list(want)
         for c in checks:
@@ -582,3 +589,147 @@ def test_run_nilker_and_conformal_match_the_parent_loops(name, monkeypatch):
                 assert c.residual == residual, c.name
             if residual > 1e-13:  # below that, worst points are roundoff
                 assert c.worst_point is point, c.name
+
+
+# ----------------------------------------------------------------------
+# the identities and oracle check tables against the per-point loops
+_IDENTITY_ORDER = [
+    "gray_vanishing", "riemann_symmetries", "structure_bianchi", "ddbar_omega_vs_torsion_curvature",
+    "del_omega_vs_torsion", "balanced_trace", "theta2_two_route", "theta2_type", "theta2_vs_torsion",
+    "curvature_type", "curvature_skew_hermitian", "dsigma2_trace", "sigma1_psd", "sigma2_psd",
+    "covT_vs_chern", "mixed_20", "mixed_02", "riemann_vs_chern", "normal_frame_theta", "normal_frame_covT",
+]
+_CONDITIONAL = ["klike_ddbar_sigma", "klike_eta_holomorphic", "gklike_eta_trace"]
+
+
+def _parent_identities(entry, points, cache, tols=cli.DEFAULT_TOLERANCES):
+    """The identities suite as it ran before the check table: one point at a
+    time, strict-max worst points, conditional checks where their flag holds."""
+    from hermlab import chern, classify, levicivita
+
+    m = entry.metric
+    n = m.n
+    worst = {}
+
+    def update(name, value, p):
+        if value > worst.get(name, (-1.0, None))[0]:
+            worst[name] = (float(value), p)
+
+    for idx, p in enumerate(points):
+        ch, rd = cache(m, p)
+        update("gray_vanishing", rd.gray_residual(), p)
+        update("riemann_symmetries", max(rd.symmetry_residuals().values()), p)
+        update("structure_bianchi", chern.bianchi_residual(ch), p)
+        update("ddbar_omega_vs_torsion_curvature", chern.curvature_identity_residual(ch), p)
+        update("del_omega_vs_torsion", chern.del_omega_residual(ch), p)
+        update("balanced_trace", chern.balanced_identity_residual(ch), p)
+        update("theta2_two_route", levicivita.theta2_two_route_residual(ch, rd), p)
+        update("theta2_type", levicivita.theta2_zero_one_part_residual(rd), p)
+        update("theta2_vs_torsion", levicivita.theta2_matches_torsion_residual(rd), p)
+        update("curvature_type", ch.Rh_type_residual, p)
+        update("curvature_skew_hermitian", chern.skew_hermitian_residual(ch), p)
+        update("dsigma2_trace", levicivita.dsigma2_check(ch), p)
+        S1, S2 = levicivita.sigma_matrices(ch)
+        update("sigma1_psd", max(0.0, -float(np.linalg.eigvalsh(S1).min())), p)
+        update("sigma2_psd", max(0.0, -float(np.linalg.eigvalsh(S2).min())), p)
+        for name, value in classify.curvature_difference_suite(rd).items():
+            update(name, value, p)
+        flags = flag_residuals_at(ch, rd)
+        if flags["kahler_like"] < tols["flags"]:
+            update("klike_ddbar_sigma", classify.klike_sigma_residual(ch), p)
+            update("klike_eta_holomorphic", classify.holomorphic_eta_residual(ch), p)
+        if flags["g_kahler_like"] < tols["flags"]:
+            update("gklike_eta_trace", classify.eta_trace_residual(ch), p)
+        if idx < 2:
+            nf = chern.normal_frame_at(m, p, data=ch)
+            update("normal_frame_theta", nf.theta_norm_at_base(), p)
+            _, dT = nf.torsion_jets_at(p)
+            raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
+            raw_lb = np.einsum("la,kija->kijl", np.conj(ch.Pv), dT[..., n:])
+            dev = max(np.max(np.abs(raw_l - ch.covT)), np.max(np.abs(raw_lb - ch.covT_bar)))
+            update("normal_frame_covT", dev, p)
+    names = _IDENTITY_ORDER + [name for name in _CONDITIONAL if name in worst]
+    return {name: (max(worst[name][0], 0.0), worst[name][1]) for name in names}
+
+
+def _parent_oracle(entry, points, cache):
+    """The FD oracle as it ran before the check table: one point at a time."""
+    m = entry.metric
+    worst = {}
+
+    def update(name, value, p):
+        if value > worst.get(name, (-1.0, None))[0]:
+            worst[name] = (float(value), p)
+
+    for p in points[:5]:
+        ch, rd = cache(m, p)
+        gv, dg, ddg = fd_jet(m.values_at, p, m.n)
+        update("jet_first_vs_fd", np.max(np.abs(dg - ch.dg)), p)
+        update("jet_second_vs_fd", np.max(np.abs(ddg - ch.ddg)), p)
+        ch_fd = chern_at(m, p, g=(gv, dg, ddg))
+        rd_fd = riemann_at(m, p, chern_data=ch_fd)
+        update("torsion_vs_fd", np.max(np.abs(ch_fd.T - ch.T)), p)
+        update("chern_curvature_vs_fd", np.max(np.abs(ch_fd.Rh - ch.Rh)), p)
+        update("riemann_curvature_vs_fd", np.max(np.abs(rd_fd.Rc - rd.Rc)), p)
+    return worst
+
+
+def _table_cases():
+    for name in ("iwasawa", "conformal_klike", "conformal_gklike", "random_polynomial(12)"):
+        entry = catalog.get(name)
+        yield pytest.param(entry, sample_points(entry.metric, CHUNK + 3, seed=42), id=name)
+    for n in (4, 5):
+        entry = catalog.CatalogEntry(perturbed_metric(n))
+        rng = np.random.default_rng(n + 20)
+        steps = rng.uniform(-1, 1, (CHUNK + 3, n)) + 1j * rng.uniform(-1, 1, (CHUNK + 3, n))
+        yield pytest.param(entry, list(base_point(n) + 0.2 * steps), id=entry.name)
+
+
+@pytest.mark.parametrize("entry,points", list(_table_cases()))
+def test_run_identities_nilker_and_oracle_match_the_parent_loops(entry, points):
+    seed = 42
+    cache = GeometryCache()
+    tols = cli.DEFAULT_TOLERANCES
+    want_identities = _parent_identities(entry, points, cache)
+    conditional = {"iwasawa": "klike_ddbar_sigma", "conformal_gklike": "gklike_eta_trace"}
+    if entry.name in conditional:  # both kinds of conditional check appear
+        assert conditional[entry.name] in want_identities
+    got = cli.run_suites(entry, points, tols, ["identities", "nilker", "oracle"], seed)
+    for (checks, _), want in (
+        (got["identities"], want_identities),
+        (got["nilker"], _parent_nilker(entry, points, cache, seed)),
+        (got["oracle"], _parent_oracle(entry, points, cache)),
+    ):
+        assert [c.name for c in checks] == list(want)
+        for c in checks:
+            residual, point = want[c.name]
+            if np.isfinite(c.tol):
+                assert abs(c.residual - residual) <= c.tol / 1000, c.name
+            else:
+                assert c.residual == residual, c.name
+            if residual > 1e-13:  # below that, worst points are roundoff
+                assert c.worst_point is point, c.name
+    # the normal frame is built at the first two points only
+    frame = [c for c in got["identities"][0] if c.name.startswith("normal_frame")]
+    assert len(frame) == 2 and all(any(c.worst_point is p for p in points[:2]) for c in frame)
+
+
+@pytest.mark.parametrize("flag", ["kahler_like", "g_kahler_like"])
+def test_conditional_identities_apply_where_their_flag_holds(flag):
+    # a flag tolerance at the median of the points' flag residuals: the
+    # conditional checks reduce over the points where their flag holds only
+    entry = catalog.get("random_polynomial(12)")
+    points = sample_points(entry.metric, CHUNK + 3, seed=42)
+    cache = GeometryCache()
+    residuals = [flag_residuals_at(*cache(entry.metric, p))[flag] for p in points]
+    tols = dict(cli.DEFAULT_TOLERANCES, flags=float(np.median(residuals)))
+    assert 0 < sum(r < tols["flags"] for r in residuals) < len(points)
+    got, _ = _run("identities", entry, points, tols, 42)
+    want = _parent_identities(entry, points, cache, tols)
+    assert [c.name for c in got] == list(want)
+    assert any(name in want for name in _CONDITIONAL)
+    for c in got:
+        residual, point = want[c.name]
+        assert abs(c.residual - residual) <= c.tol / 1000, c.name
+        if residual > 1e-13:
+            assert c.worst_point is point, c.name

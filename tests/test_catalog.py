@@ -53,13 +53,13 @@ def test_catalog_hermitian_symmetry_hundred_points():
             assert np.max(np.abs(v - v.conj().T)) < 1e-12, name
 
 
-def test_expected_flags_reproduced_on_seeded_sample(geo):
+def test_expected_flags_reproduced_on_seeded_sample():
     for name in catalog._BUILDERS:
         entry = catalog.get(name)
         if not entry.expected_flags:
             continue
         pts = sample_points(entry.metric, 10, seed=catalog.DEFAULT_SEED)
-        rep = classify_at(entry.metric, pts, cache=geo)
+        rep = classify_at(entry.metric, pts)
         for flag, expected in entry.expected_flags.items():
             assert rep[flag].value == expected, (name, flag, rep[flag].residual)
 

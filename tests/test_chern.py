@@ -210,23 +210,26 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
 def test_chern_at_rejects_bad_metric_jets(metric):
     from hermlab.chern import chern_at
     from hermlab.errors import DegenerateMetricError, InsufficientJetOrderError
-    from hermlab.jets import Jet2, JetMatrix
 
     m = metric("gkl_surface")
     p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
     gv, dg, ddg = m.evaluate(p)
-    entries = [[Jet2(2, gv[i, j], dg[i, j], ddg[i, j]) for j in range(2)] for i in range(2)]
-    skewed = [row[:] for row in entries]
-    skewed[0][1] = skewed[0][1] + 1e-3
-    indefinite = [row[:] for row in entries]
-    indefinite[1][1] = Jet2.constant(-1.0, 2)
-    first_order = [[Jet2(2, e.value, e.d1, None, 1) for e in row] for row in entries]
-    with pytest.raises(DegenerateMetricError):
-        chern_at(m, p, g=JetMatrix(skewed))
-    with pytest.raises(DegenerateMetricError):
-        chern_at(m, p, g=JetMatrix(indefinite))
+    chern_at(m, p, g=(gv, dg, ddg))  # the evaluated jets pass
+    skewed = gv.copy()
+    skewed[0, 1] += 1e-3
+    skewed_d2 = ddg.copy()
+    skewed_d2[0, 1, 0, 2] += 1e-3  # a second-derivative slot alone
+    indefinite = [x.copy() for x in (gv, dg, ddg)]
+    indefinite[0][1, 1] = -1.0  # the constant jet -1
+    indefinite[1][1, 1] = indefinite[2][1, 1] = 0.0
+    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
+        chern_at(m, p, g=(skewed, dg, ddg))
+    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
+        chern_at(m, p, g=(gv, dg, skewed_d2))
+    with pytest.raises(DegenerateMetricError, match="not positive definite"):
+        chern_at(m, p, g=tuple(indefinite))
     with pytest.raises(InsufficientJetOrderError):
-        chern_at(m, p, g=JetMatrix(first_order))
+        chern_at(m, p, g=(gv, dg, None))
 
 
 def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):

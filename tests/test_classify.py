@@ -11,26 +11,26 @@ from hermlab.classify import (
 from hermlab.geometry import sample_points
 
 
-def test_euclidean_all_flags_true(geo, metric):
+def test_euclidean_all_flags_true(metric):
     m = metric("euclidean")
-    rep = classify_at(m, sample_points(m, 5), cache=geo)
+    rep = classify_at(m, sample_points(m, 5))
     assert all(f.value for f in rep.flags.values())
 
 
-def test_kahler_implies_the_derived_flags(geo, metric):
+def test_kahler_implies_the_derived_flags(metric):
     # hermitian_flat is excluded: a curved Kahler metric is not flat
     for name in ["fubini_study_chart", "fubini_study_chart_n2"]:
         m = metric(name)
-        rep = classify_at(m, sample_points(m, 4), cache=geo)
+        rep = classify_at(m, sample_points(m, 4))
         assert rep["kahler"].value
         for other in KAHLER_IMPLIES:
             assert rep[other].value, other
         assert not rep["hermitian_flat"].value
 
 
-def test_iwasawa_flags(geo, metric):
+def test_iwasawa_flags(metric):
     m = metric("iwasawa")
-    rep = classify_at(m, sample_points(m, 6), cache=geo)
+    rep = classify_at(m, sample_points(m, 6))
     assert not rep["kahler"].value
     assert rep["balanced"].value
     assert rep["kahler_like"].value
@@ -38,9 +38,9 @@ def test_iwasawa_flags(geo, metric):
     assert not rep["g_kahler_like"].value
 
 
-def test_surface_flags(geo, metric):
+def test_surface_flags(metric):
     m = metric("gkl_surface")
-    rep = classify_at(m, sample_points(m, 6), cache=geo)
+    rep = classify_at(m, sample_points(m, 6))
     assert rep["g_kahler_like"].value
     assert not rep["kahler"].value
     assert not rep["kahler_like"].value
@@ -51,9 +51,9 @@ def test_empty_point_list_rejected(metric):
         classify_at(metric("euclidean"), [])
 
 
-def test_report_serialization(geo, metric):
+def test_report_serialization(metric):
     m = metric("euclidean")
-    rep = classify_at(m, sample_points(m, 2), cache=geo)
+    rep = classify_at(m, sample_points(m, 2))
     d = rep.as_dict()
     assert d["metric"] == "euclidean"
     assert set(d["flags"]) == {

@@ -235,3 +235,31 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     code = main(["--metric", "euclidean", "--points", "2", "--out", str(out)])
     assert code == 2
     assert "cannot write --out" in capsys.readouterr().err
+
+
+def _peak_rss_mb(argv):
+    """Peak RSS of one CLI process, in MB (Linux reports ru_maxrss in kB)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'hermlab.cli', *sys.argv[1:]],"
+        " check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], check=True, capture_output=True, text=True, env=env)
+    return int(out.stdout.split()[-1]) / 1024
+
+
+def test_report_memory_does_not_grow_with_points():
+    # the suites read each chunk of geometry before the next is computed, so a
+    # report holds the data of one chunk, not of every point
+    argv = ["--metric", "iwasawa", "--suite", "classify", "--format", "csv", "--points"]
+    small = _peak_rss_mb(argv + ["20"])
+    large = _peak_rss_mb(argv + ["2000"])
+    assert large - small <= 15, (small, large)
