@@ -83,6 +83,9 @@ from .nilker import (
 
 SCHEMA_VERSION = 1
 SUITES = ("classify", "identities", "compare", "conformal", "nilker")
+# the largest --points accepted; a larger count is a usage error, refused
+# before the sampler allocates its draws
+MAX_POINTS = 10**6
 
 DEFAULT_TOLERANCES = {
     "flags": DEFAULT_TOL,
@@ -644,6 +647,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.points < 1:
         parser.error(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_POINTS:
+        parser.error(f"--points must be at most {MAX_POINTS}, got {args.points}")
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
 

@@ -170,14 +170,6 @@ class RiemannData:
         n = self.n
         return self.Rc[..., :n, n:, :n, n:]
 
-    def R_20_mixed(self):  # R_{i j k lbar}
-        n = self.n
-        return self.Rc[..., :n, :n, :n, n:]
-
-    def R_02_mixed(self):  # R_{i j kbar lbar}
-        n = self.n
-        return self.Rc[..., :n, :n, n:, n:]
-
     def gray_residual(self):
         """Four-unbarred components must vanish on any Hermitian metric, per point."""
         return self.chern.pointwise_max(self.R_1111())

@@ -132,8 +132,13 @@ def test_main_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad_args",
-    [["--points", "0"], ["--tol", "flags=abc"], ["--tol", "flags=nan"]],
-    ids=["points_0", "tol_not_a_number", "tol_nan"],
+    [
+        ["--points", "0"],
+        ["--points", "100000000000000"],
+        ["--tol", "flags=abc"],
+        ["--tol", "flags=nan"],
+    ],
+    ids=["points_0", "points_above_max", "tol_not_a_number", "tol_nan"],
 )
 def test_bad_arguments_are_usage_errors(bad_args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -82,7 +82,7 @@ def arguments(draw):
         return draw(st.sampled_from(bad if _rarely(draw) else good))
 
     return {
-        "points": value(["1", "3"], ["0", "-1", "x"]),
+        "points": value(["1", "3"], ["0", "-1", "x", "100000000000000"]),
         "seed": value([str(draw(st.integers(0, 2**33)))], ["-1", "1.5"]),
         "tol": draw(st.lists(st.sampled_from(TOLERANCES), max_size=2)) if _rarely(draw) else [],
         "format": value(["json", "csv", "human"], ["xml"]),

@@ -252,7 +252,7 @@ def test_rigidity_gradient_matches_central_differences():
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
-@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+@pytest.mark.parametrize("seed", [42, 43, 44, 45, 1, 2024])
 def test_rigidity_search_at_cli_parameters_reaches_the_floor(seed):
     # the minimum of the cyclic system on the unit sphere is 1/sqrt(3)
     out = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
