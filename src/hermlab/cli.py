@@ -117,7 +117,7 @@ class Check:
         out = {
             "name": self.name,
             "residual": self.residual,
-            "tolerance": self.tol,
+            "tolerance": None if self.tol == np.inf else self.tol,  # no bound: null in JSON
             "passed": bool(self.passed),
             "asserted": bool(self.asserted),
         }
@@ -571,7 +571,12 @@ def run(config):
 # ----------------------------------------------------------------------
 # rendering
 def render_json(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _tolerance(check):
+    """A check's tolerance as a float: inf for an informational row with no bound."""
+    return np.inf if check["tolerance"] is None else check["tolerance"]
 
 
 def render_csv(report):
@@ -579,7 +584,7 @@ def render_csv(report):
     for suite in sorted(report["suites"]):
         for c in report["suites"][suite]["checks"]:
             lines.append(
-                f"{suite},{c['name']},{c['residual']:.12e},{c['tolerance']:.3e},{c['passed']}"
+                f"{suite},{c['name']},{c['residual']:.12e},{_tolerance(c):.3e},{c['passed']}"
             )
     return "\n".join(lines) + "\n"
 
@@ -599,7 +604,7 @@ def render_human(report):
             asserted = "" if c.get("asserted", True) else " (informational)"
             lines.append(
                 f"  {mark} {c['name']:42s} residual {c['residual']:.3e}"
-                f" tol {c['tolerance']:.1e}{asserted}"
+                f" tol {_tolerance(c):.1e}{asserted}"
             )
         lines.append("")
     lines.append("overall: " + ("PASS" if report["passed"] else "FAIL"))
@@ -665,8 +670,8 @@ def main(argv=None):
             tolerances[key] = float(value)
         except ValueError:
             parser.error(f"--tol {key} takes a number, got {value!r}")
-        if np.isnan(tolerances[key]):
-            parser.error(f"--tol {key} must not be NaN")
+        if not np.isfinite(tolerances[key]):
+            parser.error(f"--tol {key} must be finite, got {value!r}")
 
     try:
         entry = load_metric(args.metric)

@@ -17,6 +17,12 @@ CLI takes them from the report's first chunk), the scaled metric's, computed
 by one batched ``chern_at``/``riemann_at`` call per exponent, and the
 exponent's value and first derivatives (:meth:`ConformalFactor.u_values`).
 They return one residual per point.
+
+The preservation criteria take one point [n] or a batch [..., n] and also
+return one residual per point.  They read u, lambda = e^{-u} and
+e^{(n-1)u} as batched jets of expression trees (``dsl._batch_jet``), the
+last two built the way :func:`conformal_metric` builds e^{2u}, and move
+their derivatives to real directions with ``real_from_wirtinger``.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import chern_at
-from .dsl import _batch_jet, conformal_scale, eval_expr, to_source
+from .chern import chern_at, kahler_like_residual
+from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, to_source
 from .errors import HermlabError
+from .jets import real_from_wirtinger
 from .levicivita import levi_civita_frame_connection, riemann_at
 
 _REAL_TOL = 1e-12
@@ -39,14 +46,6 @@ class ConformalFactor:
 
     u_expr: object
     name: str = "u"
-
-    def u_jet(self, point, n):
-        jet = eval_expr(self.u_expr, point, n)
-        if abs(jet.value.imag) > _REAL_TOL:
-            raise HermlabError(
-                f"conformal exponent {to_source(self.u_expr)!r} is not real at {point}"
-            )
-        return jet
 
     def u_values(self, points):
         """u and its first derivatives [..., 2n] at points [..., n], one batch."""
@@ -61,9 +60,6 @@ class ConformalFactor:
         if du is None:  # a constant exponent
             du = np.zeros(z.shape[:-1] + (2 * z.shape[-1],), dtype=complex)
         return value, du
-
-    def lambda_jet(self, point, n):
-        return (-self.u_jet(point, n)).exp()
 
 
 def conformal_metric(base, factor, name=None):
@@ -135,55 +131,58 @@ def connection_transform_residuals(base_rd, new_rd, u):
 
 # ----------------------------------------------------------------------
 # preservation criteria for the two curvature symmetries
-def pluriharmonic_residual(factor, point, n):
-    """Max |del delbar u| at the point (criterion for the Chern symmetry)."""
-    jet = factor.u_jet(point, n)
-    return float(np.max(np.abs(jet.d2[:n, n:])))
+def pluriharmonic_residual(factor, points):
+    """Max |del delbar u| per point (criterion for the Chern symmetry)."""
+    z = np.asarray(points, dtype=complex)
+    n = z.shape[-1]
+    factor.u_values(z)  # raises unless u is real at every point
+    d2 = _batch_jet(factor.u_expr, z)[2]
+    if d2 is None:  # u is at most affine
+        return np.zeros(z.shape[:-1])
+    return np.abs(d2[..., :n, n:]).max(axis=(-2, -1))
 
 
-def _real_gradient_sq(rd, jet):
-    grad = np.real(jet.real_d1())
-    return float(grad @ rd.Gi @ grad)
+def _exp_times(c, expr):
+    """The expression e^{c expr}, built as conformal_scale builds e^{2u}."""
+    return Call("exp", BinOp("*", Lit(complex(c)), expr))
 
 
-def _real_hessian(rd, jet):
-    grad = np.real(jet.real_d1())
-    hess = np.real(jet.real_d2())
-    return hess - np.einsum("cab,c->ab", rd.Gamma, grad)
+def _real_hessian(rd, expr, z):
+    """Value, real gradient [..., 2n] and covariant real Hessian of a real ``expr``."""
+    n = z.shape[-1]
+    C = real_from_wirtinger(n)
+    value, d1, d2 = _batch_jet(expr, z)
+    grad = np.zeros(z.shape[:-1] + (2 * n,)) if d1 is None else np.real(d1 @ C.T)
+    hess = np.zeros(grad.shape + (2 * n,)) if d2 is None else np.real(C @ d2 @ C.T)
+    hess = hess - np.einsum("...cab,...c->...ab", rd.Gamma, grad)
+    return np.real(value), grad, hess
 
 
-def hessian_conditions(base_rd, factor, point):
-    """Conditions on lambda = e^{-u} preserving the Riemannian symmetry.
+def hessian_conditions(base_rd, factor, points):
+    """Conditions on lambda = e^{-u} preserving the Riemannian symmetry, per point.
 
     H(X, Y) = 0 and lambda H(X, Ybar) = <X, Ybar> |grad lambda|^2 / 2 for
     (1,0) frame vectors, with the Hessian and gradient of the base metric.
     Returns the residual report, scalar consequences included.
     """
-    point = np.asarray(point, dtype=complex)
-    ch = base_rd.chern
-    n = ch.n
-    lam = factor.lambda_jet(point, n)
-    hess = _real_hessian(base_rd, lam)
-    gradsq = _real_gradient_sq(base_rd, lam)
-    lam0 = lam.value.real
+    z = np.asarray(points, dtype=complex)
+    n = z.shape[-1]
+    factor.u_values(z)  # raises unless u is real at every point
+    lam, grad, hess = _real_hessian(base_rd, _exp_times(-1, factor.u_expr), z)
+    Gi, W = base_rd.Gi, base_rd.W
+    gradsq = np.einsum("...a,...ab,...b->...", grad, Gi, grad)
 
-    W = base_rd.W
-    Hc = np.einsum("Aa,Bb,ab->AB", W, W, hess.astype(complex))
-    H_hol = Hc[:n, :n]
-    H_mixed = Hc[:n, n:]
-
-    holo = float(np.max(np.abs(H_hol)))
-    mixed = float(np.max(np.abs(lam0 * H_mixed - 0.5 * gradsq * np.eye(n))))
-
-    lap = float(np.einsum("ab,ab->", base_rd.Gi, hess))
-    scalar = abs(lam0 * lap - n * gradsq)
+    Hc = W @ hess @ W.swapaxes(-2, -1)
+    holo = np.abs(Hc[..., :n, :n]).max(axis=(-2, -1))
+    mixed = lam[..., None, None] * Hc[..., :n, n:] - 0.5 * gradsq[..., None, None] * np.eye(n)
+    mixed = np.abs(mixed).max(axis=(-2, -1))
+    scalar = np.abs(lam * np.einsum("...ab,...ab->...", Gi, hess) - n * gradsq)
 
     # harmonicity of e^{(n-1)u} = lambda^{-(n-1)}
-    w = lam.powi(-(n - 1))
-    hess_w = _real_hessian(base_rd, w)
-    harmonic = abs(float(np.einsum("ab,ab->", base_rd.Gi, hess_w)))
+    hess_w = _real_hessian(base_rd, _exp_times(n - 1, factor.u_expr), z)[2]
+    harmonic = np.abs(np.einsum("...ab,...ab->...", Gi, hess_w))
 
-    scale = 1.0 + abs(lam0) + gradsq
+    scale = 1.0 + np.abs(lam) + gradsq
     return {
         "hessian_holomorphic": holo / scale,
         "hessian_mixed": mixed / scale,
@@ -192,50 +191,47 @@ def hessian_conditions(base_rd, factor, point):
     }
 
 
-def gk_conformal_conditions(base, factor, point, base_rd=None):
-    """Evaluate the Riemannian-symmetry preservation criterion at a point.
+def _relative_theta2(rd):
+    return rd.theta2_norm() / (1.0 + rd.chern.pointwise_max(rd.Rc))
 
-    Requires the base metric to satisfy the symmetry itself; raises
-    otherwise.  Returns condition residuals together with the transformed
-    metric's actual symmetry residual, so callers can check the
-    biconditional.
+
+def _relative_kahler_like(ch):
+    return kahler_like_residual(ch) / (1.0 + ch.pointwise_max(ch.Rh))
+
+
+def gk_conformal_conditions(base, factor, points, base_rd=None):
+    """Evaluate the Riemannian-symmetry preservation criterion, per point.
+
+    Requires the base metric to satisfy the symmetry itself at every point;
+    raises otherwise.  Returns condition residuals together with the
+    transformed metric's actual symmetry residual, so callers can check
+    the biconditional.
     """
-    point = np.asarray(point, dtype=complex)
+    z = np.asarray(points, dtype=complex)
     if base_rd is None:
-        base_rd = riemann_at(base, point)
-    base_theta2 = base_rd.theta2_norm()
-    scale = 1.0 + float(np.max(np.abs(base_rd.Rc)))
-    if base_theta2 / scale > 1e-6:
-        raise HermlabError(
-            "base metric does not have the Riemannian Kahler symmetry at this point"
-        )
-    conditions = hessian_conditions(base_rd, factor, point)
-    new_rd = riemann_at(conformal_metric(base, factor), point)
-    new_scale = 1.0 + float(np.max(np.abs(new_rd.Rc)))
-    conditions["transformed_theta2"] = new_rd.theta2_norm() / new_scale
+        base_rd = riemann_at(base, z)
+    if np.any(_relative_theta2(base_rd) > 1e-6):
+        raise HermlabError("base metric lacks the Riemannian Kahler symmetry at some point")
+    conditions = hessian_conditions(base_rd, factor, z)
+    new_rd = riemann_at(conformal_metric(base, factor), z)
+    conditions["transformed_theta2"] = _relative_theta2(new_rd)
     return conditions
 
 
-def klike_conformal_conditions(base, factor, point, base_ch=None):
-    """Evaluate the Chern-symmetry preservation criterion at a point.
+def klike_conformal_conditions(base, factor, points, base_ch=None):
+    """Evaluate the Chern-symmetry preservation criterion, per point.
 
     The criterion is del delbar u = 0; the report carries the transformed
     metric's actual symmetry residual for the biconditional check.
     """
-    from .classify import kahler_like_residual
-
-    point = np.asarray(point, dtype=complex)
-    n = base.n
+    z = np.asarray(points, dtype=complex)
     if base_ch is None:
-        base_ch = chern_at(base, point)
-    base_res = kahler_like_residual(base_ch) / (1.0 + float(np.max(np.abs(base_ch.Rh))))
-    if base_res > 1e-6:
-        raise HermlabError(
-            "base metric does not have the Chern Kahler symmetry at this point"
-        )
-    new_ch = chern_at(conformal_metric(base, factor), point)
+        base_ch = chern_at(base, z)
+    if np.any(_relative_kahler_like(base_ch) > 1e-6):
+        raise HermlabError("base metric lacks the Chern Kahler symmetry at some point")
+    pluriharmonic = pluriharmonic_residual(factor, z)  # raises unless u is real
+    new_ch = chern_at(conformal_metric(base, factor), z)
     return {
-        "pluriharmonic": pluriharmonic_residual(factor, point, n),
-        "transformed_kahler_like": kahler_like_residual(new_ch)
-        / (1.0 + float(np.max(np.abs(new_ch.Rh)))),
+        "pluriharmonic": pluriharmonic,
+        "transformed_kahler_like": _relative_kahler_like(new_ch),
     }

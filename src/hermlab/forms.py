@@ -6,11 +6,9 @@ increasing index tuples.  All sign conventions in the package derive from
 this ordering together with the determinant evaluation convention
 (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
 
-The Chern core and the torsion route work on dense arrays; this module
-serves the finite-difference exterior derivative :func:`fd_exterior_d`,
-which the finite-difference side of the d sigma_2 check in
-:mod:`hermlab.levicivita` applies to :func:`~hermlab.levicivita.sigma2_form`,
-and the ``Form`` methods that ``perfbench/spans.py`` traces.
+Every production path works on dense arrays; no module of the package
+uses this one.  It stays as an independent reference for the tests and for
+the ``Form`` methods that ``perfbench/spans.py`` traces.
 """
 
 from __future__ import annotations

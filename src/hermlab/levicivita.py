@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chern import ChernData, _max_coefficient, arrays_at, chern_at
-from .forms import Form, fd_exterior_d
-from .jets import Jet2, real_from_wirtinger
+from .fd import fd_jet
+from .jets import real_from_wirtinger
 
 _IMAG_TOL = 1e-9
 
@@ -472,32 +472,20 @@ def _sigma2_coefficients(ch):
     return H, dH
 
 
-def sigma2_form(ch):
-    """sigma_2 = i tr(conj(theta_2) ^ theta_2) as a form with value coefficients."""
-    n = ch.n
-    H, _ = _sigma2_coefficients(ch)
-    return Form(
-        n,
-        2,
-        {(a, b): Jet2(n, H[a, b], None, None, 0) for a in range(n) for b in range(n, 2 * n)},
-    )
-
-
 def dsigma2_check(ch, use_fd=False, route=None):
     """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2), per point.
 
     With ``use_fd`` the left side is the finite-difference exterior
-    derivative of sigma_2 at nearby points rather than its closed form
-    (single points only).  ``route`` is :func:`torsion_route` of ``ch``,
-    computed when not given.
+    derivative of sigma_2, from one batched ``chern_at`` of the metric on
+    the :func:`~hermlab.fd.fd_jet` stencil around the point, rather than its
+    closed form (single points only; it never reads ``ch.dT``).  ``route``
+    is :func:`torsion_route` of ``ch``, computed when not given.
     """
     n = ch.n
     m = 2 * n
     if use_fd:
-        d_sigma2 = fd_exterior_d(lambda q: sigma2_form(chern_at(ch.metric, q)), ch.point, n)
-        lhs = np.zeros((m,) * 3, dtype=complex)
-        for key, jet in d_sigma2.coeffs.items():
-            lhs[key] = jet.value
+        d1 = fd_jet(lambda qs: _sigma2_coefficients(chern_at(ch.metric, qs))[0], ch.point, n)[1]
+        lhs = np.moveaxis(d1, -1, -3)  # H[a, b] derivatives [a, b, c] as dH[c, a, b]
     else:
         lhs = _sigma2_coefficients(ch)[1]
     (theta2, _, _), Theta2 = torsion_route(ch) if route is None else route

@@ -3,6 +3,7 @@ import pytest
 
 from hermlab import catalog
 from hermlab.chern import chern_at
+from hermlab.dsl import _batch_jet
 from hermlab.geometry import CHUNK
 from hermlab.levicivita import riemann_at
 
@@ -42,6 +43,24 @@ class GeometryCache:
         """(ChernData, RiemannData) at one point."""
         ch, rd, index = self.fill(metric, [p])[0]
         return ch.at(index), rd.at(index)
+
+
+def jet_arrays(expr, points):
+    """Value [P], first [P, 2n] and second derivatives [P, 2n, 2n] of ``expr`` at points [P, n].
+
+    One batched evaluation, with zeros where the jet has no derivative.
+    """
+    m = 2 * points.shape[-1]
+    value, d1, d2 = _batch_jet(expr, points)
+    lead = points.shape[:-1]
+    d1 = np.zeros(lead + (m,), dtype=complex) if d1 is None else d1
+    d2 = np.zeros(lead + (m, m), dtype=complex) if d2 is None else d2
+    return value, d1, d2
+
+
+def fd_values(expr):
+    """The value-only field of ``expr`` for :func:`hermlab.fd.fd_jet`: one batched call per stencil."""
+    return lambda qs: _batch_jet(expr, qs, order=0)[0]
 
 
 @pytest.fixture(scope="session")

@@ -36,9 +36,9 @@ from hermlab.conformal import (
     klike_conformal_conditions,
     torsion_transform_residual,
 )
-from hermlab.dsl import MetricField, eval_value, parse
+from hermlab.dsl import MetricField, parse
 from hermlab.fd import fd_jet
-from conftest import GeometryCache
+from conftest import GeometryCache, fd_values, jet_arrays
 from hermlab.geometry import sample_points
 from hermlab.levicivita import riemann_at, theta2_two_route_residual
 from hermlab.nilker import (
@@ -308,20 +308,18 @@ def test_criterion_09_rigidity_floor():
 
 
 def test_criterion_10_jet_derivatives_vs_finite_differences():
-    from hermlab.dsl import eval_expr
-
     worst1 = worst2 = 0.0
     for name in CATALOG_NAMES:
         m = catalog.get(name).metric
         exprs = [m.entries[i][j] for i in range(m.n) for j in range(m.n)]
         exprs += list(m.constraints)
-        pts = sample_points(m, 100, seed=SEED + 4)
+        pts = np.array(sample_points(m, 100, seed=SEED + 4))
         for expr in exprs:
-            for p in pts:
-                jet = eval_expr(expr, p, m.n)
-                _, d1, d2 = fd_jet(lambda qs, e=expr: [eval_value(e, q, m.n) for q in qs], p, m.n)
-                worst1 = max(worst1, float(np.max(np.abs(jet.d1 - d1))))
-                worst2 = max(worst2, float(np.max(np.abs(jet.d2 - d2))))
+            _, jet_d1s, jet_d2s = jet_arrays(expr, pts)
+            for p, jet_d1, jet_d2 in zip(pts, jet_d1s, jet_d2s):
+                _, d1, d2 = fd_jet(fd_values(expr), p, m.n)
+                worst1 = max(worst1, float(np.max(np.abs(jet_d1 - d1))))
+                worst2 = max(worst2, float(np.max(np.abs(jet_d2 - d2))))
     assert worst1 < 1e-6
     assert worst2 < 1e-4
     print(

@@ -15,7 +15,7 @@ from hermlab import catalog, cli, compare, nilker
 from hermlab.chern import ChernData, chern_at
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.conformal import ConformalFactor, conformal_metric
-from hermlab.dsl import MetricField, eval_value, parse
+from hermlab.dsl import MetricField, eval_expr, eval_value, parse
 from hermlab.errors import DomainSamplingError
 from hermlab.fd import DEFAULT_STEP, _shift, fd_jet
 from conftest import GeometryCache
@@ -542,7 +542,7 @@ def _parent_conformal(entry, points):
         for p in points[:5]:
             base_rd, new_rd = riemann_at(base, p), riemann_at(new, p)
             base_ch, new_ch = base_rd.chern, new_rd.chern
-            ujet = factor.u_jet(p, n)
+            ujet = eval_expr(factor.u_expr, p, n)
             v = base_ch.Pv @ ujet.d1[:n]
             eye = np.eye(n)
             expected = base_ch.T + np.einsum("j,ik->ijk", v, eye) - np.einsum("k,ij->ijk", v, eye)

@@ -82,6 +82,27 @@ def test_renderers_smoke():
     assert "overall: PASS" in human
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("suite", ["classify", "identities", "compare", "conformal", "nilker", "all"])
+def test_reports_are_strict_json(suite, capsys):
+    # json.loads accepts NaN and Infinity; jq and JSON.parse do not
+    argv = ["--metric", "iwasawa", "--points", "3", "--suite", suite, "--format", "json"]
+    assert main(argv + (["--oracle"] if suite == "all" else [])) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    checks = [c for block in report["suites"].values() for c in block["checks"]]
+    unbounded = [c["name"] for c in checks if c["tolerance"] is None]
+    assert unbounded == (["metric_torsion_symmetry"] if suite in ("nilker", "all") else [])
+    assert all(not c["asserted"] for c in checks if c["tolerance"] is None)
+    # the other formats still print the missing bound as inf
+    if unbounded:
+        row = next(r for r in render_csv(report).splitlines() if ",metric_torsion_symmetry," in r)
+        assert row.split(",")[3] == "inf"
+        assert re.search(r"metric_torsion_symmetry .* tol inf \(informational\)", render_human(report))
+
+
 def test_oracle_mode_bounds():
     report, code = _run_config("gkl_surface", ["classify"], points=3, oracle=True)
     assert code == 0
@@ -137,8 +158,10 @@ def test_main_exit_codes(tmp_path, capsys):
         ["--points", "100000000000000"],
         ["--tol", "flags=abc"],
         ["--tol", "flags=nan"],
+        ["--tol", "flags=inf"],
+        ["--tol", "identities=-inf"],
     ],
-    ids=["points_0", "points_above_max", "tol_not_a_number", "tol_nan"],
+    ids=["points_0", "points_above_max", "tol_not_a_number", "tol_nan", "tol_inf", "tol_minus_inf"],
 )
 def test_bad_arguments_are_usage_errors(bad_args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -90,8 +90,10 @@ def test_connection_transformation_laws(geo, metric):
 
 def test_nonreal_exponent_rejected():
     f = _factor("i*z1", 1)
-    with pytest.raises(HermlabError):
-        f.u_jet([0.3 + 0.2j], 1)
+    flat = MetricField.from_text("flat_line", 1, ["1"])  # has both curvature symmetries
+    for criterion in (gk_conformal_conditions, klike_conformal_conditions):
+        with pytest.raises(HermlabError, match="not real"):
+            criterion(flat, f, [0.3 + 0.2j])
     with pytest.raises(HermlabError, match=r"not real at \[0\.3\+0\.2j\]"):
         f.u_values([[0j], [0.3 + 0.2j]])
 
@@ -165,14 +167,22 @@ def test_biconditional_six_pairs():
     for branch, base, src, expect in pairs:
         f = _factor(src, base.n)
         p = sample_points(base, 1, seed=81)[0]
+        criterion = klike_conformal_conditions if branch == "K" else gk_conformal_conditions
+        res = criterion(base, f, p)
         if branch == "K":
-            res = klike_conformal_conditions(base, f, p)
             cond_ok = res["pluriharmonic"] < TOL
             flag_ok = res["transformed_kahler_like"] < TOL
         else:
-            res = gk_conformal_conditions(base, f, p)
             cond_ok = max(res["hessian_holomorphic"], res["hessian_mixed"]) < TOL
             flag_ok = res["transformed_theta2"] < TOL
         assert cond_ok == expect, (branch, src, res)
         assert flag_ok == expect, (branch, src, res)
         assert cond_ok == flag_ok
+
+        # a batch of points gives the single-point residuals, one per point
+        points = np.array(sample_points(base, 4, seed=83))
+        batch = criterion(base, f, points)
+        for i, q in enumerate(points):
+            for key, value in criterion(base, f, q).items():
+                assert np.shape(batch[key]) == (4,)
+                assert abs(batch[key][i] - value) <= 1e-13, (branch, src, key)

@@ -45,3 +45,23 @@ def test_declared_dependencies_are_the_third_party_imports():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_") for spec in declared}
     assert names == _third_party_imports()
+
+
+# the scalar jet and form objects live in these modules; dsl.eval_expr returns a Jet2
+_OBJECT_LAYER = {"Jet2", "JetMatrix", "Form", "fd_exterior_d"}
+_OBJECT_LAYER_HOMES = {"jets.py", "forms.py", "dsl.py", "__init__.py"}
+
+
+def test_no_production_module_uses_the_jet_and_form_objects():
+    # every production path computes on (value, d1, d2) arrays; names in code
+    # count (imports, attributes, calls), words in docstrings do not
+    users = []
+    for path in sorted((SRC / "hermlab").rglob("*.py")):
+        if path.name in _OBJECT_LAYER_HOMES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            users += [f"{path.name}:{node.lineno} {name}" for name in names & _OBJECT_LAYER]
+    assert not users

@@ -15,6 +15,7 @@ from hermlab.dsl import (
     to_source,
 )
 from hermlab.errors import DegenerateMetricError, MetricSyntaxError, OutOfDomainError
+from conftest import fd_values, jet_arrays
 
 
 def test_parse_surface_conformal_factor():
@@ -214,7 +215,6 @@ def _random_expr(rng, n, depth):
 
 
 def test_random_grammar_jets_match_finite_differences():
-    from hermlab.dsl import eval_value
     from hermlab.fd import fd_jet
 
     rng = np.random.default_rng(0xD51)
@@ -224,12 +224,11 @@ def test_random_grammar_jets_match_finite_differences():
         src = _random_expr(rng, n, int(rng.integers(1, 4)))
         tree = parse(src, n)
         assert parse(to_source(tree), n) == tree
-        for _ in range(4):
-            p = rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n)
-            jet = eval_expr(tree, p, n)
-            _, d1, d2 = fd_jet(lambda qs: [eval_value(tree, q, n) for q in qs], p, n)
-            scale = 1.0 + abs(jet.value)
-            assert np.max(np.abs(jet.d1 - d1)) / scale < 1e-6
-            assert np.max(np.abs(jet.d2 - d2)) / scale < 1e-4
+        pts = np.array([rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n) for _ in range(4)])
+        for p, value, jet_d1, jet_d2 in zip(pts, *jet_arrays(tree, pts)):
+            _, d1, d2 = fd_jet(fd_values(tree), p, n)
+            scale = 1.0 + abs(value)
+            assert np.max(np.abs(jet_d1 - d1)) / scale < 1e-6
+            assert np.max(np.abs(jet_d2 - d2)) / scale < 1e-4
             checked += 1
     assert checked == 100

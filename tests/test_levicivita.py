@@ -12,7 +12,7 @@ from hermlab.levicivita import (
     dsigma2_check,
     levi_civita_frame_connection,
     riemann_at,
-    sigma2_form,
+    _sigma2_coefficients,
     sigma_matrices,
     theta2_matches_torsion_residual,
     theta2_structure_route,
@@ -116,11 +116,14 @@ def test_sigma_forms_nonnegative(geo, metric):
         S1, S2 = sigma_matrices(ch)
         assert np.linalg.eigvalsh(S1).min() >= -1e-10
         assert np.linalg.eigvalsh(S2).min() >= -1e-10
-        # the form route agrees with the matrix route up to the coframe change
-        H = sigma2_form(ch).matrix_11()
+        # sigma_2 = i sum H_ab dz_a ^ dzbar_b agrees with the matrix route up to
+        # the coframe change, and has no component outside the (1,1) block
+        n = ch.n
+        H = _sigma2_coefficients(ch)[0]
+        assert not np.any(H[:n, :n]) and not np.any(H[n:])
         Lv = ch.Lv
         expected = Lv @ S2 @ Lv.conj().T
-        assert np.max(np.abs(H - expected)) < 1e-10
+        assert np.max(np.abs(-1j * H[:n, n:] - expected)) < 1e-10
 
 
 def test_dsigma2_trace_identity(geo, metric):
