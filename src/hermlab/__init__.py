@@ -11,7 +11,7 @@ anti-commuting nilpotent matrix families.
 from . import catalog
 from .chern import ChernData, chern_at, normal_frame_at
 from .classify import ClassificationReport, classify_at, curvature_difference_suite
-from .dsl import MetricField, eval_expr, parse, to_source
+from .dsl import MetricField, parse, to_source
 from .forms import Form
 from .jets import Jet2, JetMatrix
 from .levicivita import RiemannData, riemann_at
@@ -38,7 +38,6 @@ __all__ = [
     "classify_at",
     "common_kernel_constructive",
     "common_kernel_inductive",
-    "eval_expr",
     "family_from_torsion",
     "curvature_difference_suite",
     "normal_frame_at",

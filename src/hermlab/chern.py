@@ -45,42 +45,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dsl import MetricField
-from .errors import DegenerateMetricError, InsufficientJetOrderError
+from .errors import InsufficientJetOrderError
 
 
-def metric_arrays(g):
-    """Check the (value, first, second derivative) arrays of a metric at a point.
-
-    :meth:`MetricField.evaluate` checks the metrics it evaluates; this checks
-    jets given from elsewhere (the ``g`` override of :func:`chern_at`), laid
-    out as :meth:`MetricField.evaluate` lays out one point: gv [i, j],
-    dg [i, j, c], ddg [i, j, c, d].
-
-    Raises :class:`DegenerateMetricError` when g is not Hermitian (to 1e-6
-    over every jet slot, g_ji against the conjugate of g_ij with the dz and
-    dzbar slots swapped) or not positive definite, and
-    :class:`InsufficientJetOrderError` when the second derivatives are
-    missing (``ddg`` is None).
-    """
-    gv, dg, ddg = (None if x is None else np.asarray(x, dtype=complex) for x in g)
-    n = gv.shape[-1]
-
-    def conjugate(X):  # the jet of conj(g_ji) at slot (i, j)
-        return np.roll(X.conj(), n, axis=tuple(range(2, X.ndim))).swapaxes(0, 1)
-
-    jets = [x for x in (gv, dg, ddg) if x is not None]
-    if max(float(np.max(np.abs(x - conjugate(x)))) for x in jets) > 1e-6:
-        raise DegenerateMetricError("matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh((gv + gv.conj().T) / 2)
-    if eigs.min() <= 1e-10:
-        raise DegenerateMetricError(
-            f"matrix is not positive definite (min eigenvalue {eigs.min():.3e})"
-        )
-    if ddg is None:
-        raise InsufficientJetOrderError(
-            "metric jets lack second derivatives; the Chern curvature needs them"
-        )
-    return gv, dg, ddg
+# finite-difference jets (the oracle's ``g`` override of :func:`chern_at`)
+# carry a Hermitian defect of 2-5e-10 in their second derivatives
+OVERRIDE_HERMITIAN_TOL = 1e-6
 
 
 def cholesky_frame(gv, dg):
@@ -222,19 +192,27 @@ def chern_at(metric, point, g=None):
     """Connection, curvature and torsion data at ``point`` [n] or points [P, n].
 
     One point is computed as the batch of one.  ``g`` may override the
-    evaluated metric jets at a single point with (gv, dg, ddg) arrays (the
-    finite-difference oracle mode); :func:`metric_arrays` checks them.
+    evaluated metric jets with (gv, dg, ddg) arrays laid out as
+    :meth:`MetricField.evaluate` returns them for ``point`` (the
+    finite-difference oracle mode); :meth:`MetricField.check_jets` checks
+    them at ``OVERRIDE_HERMITIAN_TOL``.
     """
     point = np.asarray(point, dtype=complex)
-    if point.ndim == 1:
-        if g is None:
-            arrays = metric.evaluate(point[None])
-        else:
-            arrays = tuple(x[None] for x in metric_arrays(g))
-        return _chern_data(metric, point[None], *arrays).at(0)
-    if g is not None:
-        raise ValueError("a metric jet override applies to a single point")
-    return _chern_data(metric, point, *metric.evaluate(point))
+    single = point.ndim == 1
+    batch = point[None] if single else point
+    if g is None:
+        arrays = metric.evaluate(batch)
+    else:
+        if g[2] is None:
+            raise InsufficientJetOrderError(
+                "metric jets lack second derivatives; the Chern curvature needs them"
+            )
+        arrays = [np.asarray(x, dtype=complex) for x in g]
+        if single:
+            arrays = [x[None] for x in arrays]
+        metric.check_jets(batch, *arrays, OVERRIDE_HERMITIAN_TOL)
+    data = _chern_data(metric, batch, *arrays)
+    return data.at(0) if single else data
 
 
 def _chern_data(metric, point, gv, dg, ddg):
@@ -405,11 +383,15 @@ def balanced_identity_residual(data):
     (n-1)! (unit phase) times the cofactor cof_{ab} of g on the basis
     element omitting dz_a and dzbar_b, so the coefficient omitting dzbar_b
     is, up to a unit phase, (n-1)! sum_a (d_a cof_{ab} + 2 eta_a cof_{ab})
-    with cof = det(g) g^{-T}.
+    with cof = det(g) g^{-T}.  det(g) overflows at a large scale where the
+    cofactors do not, so it is carried as det(g) / s = s^(n-1) det(g/s),
+    with s the power of two just above the largest |g_ij|, and the sum it
+    multiplies as s times its value.
     """
     n = data.n
     ginv = np.linalg.inv(data.gv)
-    det = np.linalg.det(data.gv)
+    s = np.ldexp(1.0, np.frexp(np.abs(data.gv).max(axis=(-2, -1)))[1])[..., None]
+    det_s = np.linalg.det(data.gv / s[..., None]) * s[..., 0] ** (n - 1)
     dg = np.moveaxis(data.dg[..., :n], -1, -3)  # [a, k, l]
     gdg = ginv[..., None, :, :] @ dg  # [a, i, l]
     # d_a ginv = -ginv d_a g ginv; the trace below needs its [b, a] entries
@@ -417,9 +399,8 @@ def balanced_identity_residual(data):
     dlogdet = np.einsum("...aii->...a", gdg)
     eta_c, _ = _eta_coordinate(data)
     # cof_{ab} = det ginv_{ba}, d_a cof_{ab} = det (dlogdet_a ginv_{ba} + d_a ginv_{ba})
-    resid = det[..., None] * (
-        (ginv @ (dlogdet + 2 * eta_c)[..., None])[..., 0] + np.einsum("...aba->...b", dginv)
-    )
+    resid = (ginv @ (dlogdet + 2 * eta_c)[..., None])[..., 0] + np.einsum("...aba->...b", dginv)
+    resid = det_s[..., None] * (s * resid)
     return math.factorial(n - 1) * data.pointwise_max(resid)
 
 
@@ -463,24 +444,20 @@ class NormalFrame:
     point: np.ndarray
     C_hol: np.ndarray  # theta-tilde dz_a coefficients at p, [a, i, j]
     C_anti: np.ndarray  # theta-tilde dzbar_a coefficients at p
-    base: tuple  # (theta, dtheta, P, dP) of the metric at p
+    base: ChernData  # the Chern data at p
 
     def _evaluate(self, q):
         """Coordinate connection (theta, dtheta) and the frame at q, one evaluation."""
         q = np.asarray(q, dtype=complex)
-        if np.array_equal(q, self.point):
-            theta, dtheta, P, dP = self.base
-        else:
-            gv, dg, ddg = self.metric.evaluate(q)
-            _, _, P, dP = cholesky_frame(gv, dg)
-            theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))
+        data = self.base if np.array_equal(q, self.point) else chern_at(self.metric, q)
+        P, dP = data.Pv, data.dP
         dz = (q - self.point)[..., None, None, :]
         A = np.eye(self.metric.n) - (dz @ self.C_hol.swapaxes(-3, -2))[..., 0, :]
         A -= (dz.conj() @ self.C_anti.swapaxes(-3, -2))[..., 0, :]
         dA = -np.concatenate([self.C_hol, self.C_anti], axis=-3)  # [c, i, j]
         # d(A P)[i, a, c] = sum_j dA[c, i, j] P[j, a] + A[i, j] dP[j, a, c]
         dF = np.moveaxis(dA @ P[..., None, :, :], -3, -1) + np.einsum("...ij,...jac->...iac", A, dP)
-        return (theta, dtheta), (A @ P, dF)
+        return (data.theta, data.dtheta), (A @ P, dF)
 
     def frame_jets(self, q):
         """The frame field A(z) P(z) at q as (value, derivatives [i, a, c])."""
@@ -508,9 +485,9 @@ def normal_frame_at(metric, point, data=None):
 
     The Cholesky frame is composed with a first-order polynomial unitary
     correction A(z) = I - sum_a C_a (z_a - p_a) - sum_a D_a (zbar_a - pbar_a)
-    whose derivatives cancel the connection at p.  The coordinate connection
-    and the Cholesky frame of ``data`` serve every evaluation at p itself:
-    they are what the same evaluation would compute.
+    whose derivatives cancel the connection at p.  ``data`` (the Chern data
+    at p) serves every evaluation at p itself, and :func:`chern_at` every
+    evaluation elsewhere.
     """
     if data is None:
         data = chern_at(metric, point)
@@ -520,5 +497,5 @@ def normal_frame_at(metric, point, data=None):
         point=np.asarray(point, dtype=complex),
         C_hol=data.theta_u_vals[..., :n, :, :].copy(),
         C_anti=data.theta_u_vals[..., n:, :, :].copy(),
-        base=(data.theta, data.dtheta, data.Pv, data.dP),
+        base=data,
     )

@@ -466,18 +466,18 @@ class Oracle(Suite):
     def checks(self):
         metric, first, tols = self.metric, self.first, self.tols
         ch, rd = first.ch, first.rd
-        rows = []
-        for i, p in enumerate(first.points):
-            # every entry's stencil in one evaluation of the metric's values
-            gv, dg, ddg = fd_jet(metric.values_at, p, metric.n)
-            ch_fd = chern_at(metric, p, g=(gv, dg, ddg))
-            rd_fd = riemann_at(metric, p, chern_data=ch_fd)
-            pairs = (dg, ch.dg), (ddg, ch.ddg), (ch_fd.T, ch.T), (ch_fd.Rh, ch.Rh), (rd_fd.Rc, rd.Rc)
-            rows.append([np.max(np.abs(fd - exact[i])) for fd, exact in pairs])
+        # each point's stencil in one evaluation of the metric's values, then
+        # the FD jets of every point through one batched chern_at
+        jets = [fd_jet(metric.values_at, p, metric.n) for p in first.points]
+        gv, dg, ddg = (np.stack(x) for x in zip(*jets))
+        ch_fd = chern_at(metric, ch.point, g=(gv, dg, ddg))
+        rd_fd = riemann_at(metric, ch.point, chern_data=ch_fd)
+        pairs = (dg, ch.dg), (ddg, ch.ddg), (ch_fd.T, ch.T), (ch_fd.Rh, ch.Rh), (rd_fd.Rc, rd.Rc)
+        rows = [ch.pointwise_max(fd - exact) for fd, exact in pairs]
         names = ("jet_first_vs_fd", "jet_second_vs_fd", "torsion_vs_fd",
                  "chern_curvature_vs_fd", "riemann_curvature_vs_fd")
         second = tols["oracle_second"]
-        checks = zip(names, (1e-6, 1e-4, tols["oracle_first"], second, second), np.array(rows).T)
+        checks = zip(names, (1e-6, 1e-4, tols["oracle_first"], second, second), rows)
         return [_first_max(name, r, first.points, tol) for name, tol, r in checks], None
 
 
@@ -670,8 +670,8 @@ def main(argv=None):
             tolerances[key] = float(value)
         except ValueError:
             parser.error(f"--tol {key} takes a number, got {value!r}")
-        if not np.isfinite(tolerances[key]):
-            parser.error(f"--tol {key} must be finite, got {value!r}")
+        if not 0 < tolerances[key] < np.inf:
+            parser.error(f"--tol {key} must be finite and positive, got {value!r}")
 
     try:
         entry = load_metric(args.metric)

@@ -30,7 +30,7 @@ from .errors import (
     OutOfDomainError,
     SingularEvaluationError,
 )
-from .jets import Jet2
+from .jets import conj_slots
 
 FUNCTIONS = ("exp", "ln", "sqrt", "conj", "re", "im", "abs2")
 
@@ -468,13 +468,13 @@ def _reciprocal(a, z):
     return v, d1, d2
 
 
-def _conj(a, n):
+def _conj(a):
     """Complex conjugate; swaps the dz and dzbar derivative slots."""
     v, d1, d2 = a
     return (
         np.conj(v),
-        None if d1 is None else np.roll(np.conj(d1), n, axis=-1),
-        None if d2 is None else np.roll(np.conj(d2), (n, n), axis=(-2, -1)),
+        None if d1 is None else conj_slots(d1, -1),
+        None if d2 is None else conj_slots(d2, -2, -1),
     )
 
 
@@ -499,13 +499,12 @@ def _powi(a, k, z):
 
 
 def _eval(e, z, order):
-    n = z.shape[-1]
     if isinstance(e, Lit):
         return np.asarray(e.value, dtype=complex), None, None
     if isinstance(e, Coord):
         d1 = None
         if order:
-            d1 = np.zeros(2 * n, dtype=complex)
+            d1 = np.zeros(2 * z.shape[-1], dtype=complex)
             d1[e.index - 1] = 1.0
         return z[..., e.index - 1], d1, None
     if isinstance(e, Neg):
@@ -536,12 +535,12 @@ def _eval(e, z, order):
             r = np.sqrt(a[0])
             return _compose(a, r, 0.5 / r, -0.25 / _cmul(r, a[0]))
         if e.fn == "conj":
-            return _conj(a, n)
+            return _conj(a)
         if e.fn == "re":
-            return _scale(tuple(_add(x, y) for x, y in zip(a, _conj(a, n))), 0.5)
+            return _scale(tuple(_add(x, y) for x, y in zip(a, _conj(a))), 0.5)
         if e.fn == "im":
-            return _scale(tuple(_add(x, _neg(y)) for x, y in zip(a, _conj(a, n))), -0.5j)
-        return _mul(a, _conj(a, n))
+            return _scale(tuple(_add(x, _neg(y)) for x, y in zip(a, _conj(a))), -0.5j)
+        return _mul(a, _conj(a))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -562,16 +561,6 @@ def _batch_jet(e, points, order=2):
         None if x is None else np.broadcast_to(x, shape + x.shape[x.ndim - k :])
         for k, x in enumerate(jet)
     )
-
-
-def eval_expr(e, point, n=None):
-    """Evaluate an expression to an order-2 jet at ``point`` in C^n."""
-    point = np.asarray(point, dtype=complex)
-    n = len(point) if n is None else n
-    v, d1, d2 = _batch_jet(e, point)
-    d1 = np.zeros(2 * n, dtype=complex) if d1 is None else np.array(d1)
-    d2 = np.zeros((2 * n, 2 * n), dtype=complex) if d2 is None else np.array(d2)
-    return Jet2(n, complex(v), d1, d2, 2)
 
 
 def eval_value(e, point, n=None):
@@ -654,13 +643,14 @@ class MetricField:
 
         Returns gv[..., i, j], dg[..., i, j, c] and ddg[..., i, j, c, d]
         over the derivative slots of :mod:`hermlab.jets`.  Raises
-        :class:`OutOfDomainError` where a constraint fails and
-        :class:`DegenerateMetricError` where g is not finite, not Hermitian
-        over every jet slot or not positive definite, naming the first such
-        point.
+        :class:`OutOfDomainError` where a constraint fails and, through
+        :meth:`check_jets` at ``HERMITIAN_TOL``,
+        :class:`DegenerateMetricError` where g is degenerate.
         """
         z = np.asarray(points, dtype=complex)
-        arrays = self._evaluate(self.check_point(z[None] if z.ndim == 1 else z))
+        batch = self.check_point(z[None] if z.ndim == 1 else z)
+        arrays = self._evaluate(batch)
+        self.check_jets(batch, *arrays, HERMITIAN_TOL)
         return tuple(x[0] for x in arrays) if z.ndim == 1 else arrays
 
     def _evaluate(self, z):
@@ -676,26 +666,32 @@ class MetricField:
                     dg[..., i, j, :] = d1
                 if d2 is not None:
                     ddg[..., i, j, :, :] = d2
-        finite = (
-            np.isfinite(gv).all(axis=(-2, -1))
-            & np.isfinite(dg).all(axis=(-3, -2, -1))
-            & np.isfinite(ddg).all(axis=(-4, -3, -2, -1))
-        )
-        self._reject(~finite, z, lambda i: f"not finite at {z[i]}")
-        # entry (i, j) against the conjugate of entry (j, i), slot by slot
-        herm = np.maximum(
-            np.abs(gv - gv.conj().swapaxes(-2, -1)).max(axis=(-2, -1)),
-            np.maximum(
-                np.abs(dg - np.roll(dg.conj(), n, axis=-1).swapaxes(-3, -2)).max(
-                    axis=(-3, -2, -1)
-                ),
-                np.abs(
-                    ddg - np.roll(ddg.conj(), (n, n), axis=(-2, -1)).swapaxes(-4, -3)
-                ).max(axis=(-4, -3, -2, -1)),
-            ),
+        return gv, dg, ddg
+
+    def check_jets(self, z, gv, dg, ddg, hermitian_tol):
+        """Check metric jets at the points z [..., n], laid out as :meth:`evaluate` returns them.
+
+        Raises :class:`DegenerateMetricError` where g is not finite, not
+        Hermitian to ``hermitian_tol`` over every jet slot (entry (i, j)
+        against the conjugate of entry (j, i), dz and dzbar slots swapped)
+        or not positive definite, naming the first such point.
+        """
+        lead = z.shape[:-1]
+        jets = (gv, dg, ddg)
+
+        def worst(X):  # the largest entry at each point
+            return X.reshape(lead + (-1,)).max(axis=-1)
+
+        nonfinite = np.logical_or.reduce([worst(~np.isfinite(x)) for x in jets])
+        self._reject(nonfinite, z, lambda i: f"not finite at {z[i]}")
+        herm = np.maximum.reduce(
+            [
+                worst(np.abs(X - conj_slots(X, *range(-k, 0)).swapaxes(-k - 2, -k - 1)))
+                for k, X in enumerate(jets)
+            ]
         )
         self._reject(
-            herm > HERMITIAN_TOL,
+            herm > hermitian_tol,
             z,
             lambda i: f"not Hermitian at {z[i]} (residual {herm[i]:.3e})",
         )
@@ -705,7 +701,6 @@ class MetricField:
             z,
             lambda i: f"not positive definite at {z[i]} (min eigenvalue {eigs[i]:.3e})",
         )
-        return gv, dg, ddg
 
     def values_at(self, p):
         """Value-only metric matrix (no admissibility or shape checks)."""

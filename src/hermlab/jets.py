@@ -53,6 +53,15 @@ def wirtinger_from_real(n):
     return B
 
 
+def conj_slots(X, *axes):
+    """Complex conjugate of X with the dz / dzbar halves of ``axes`` swapped.
+
+    On a derivative slot this differentiates the conjugate
+    (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
+    """
+    return np.roll(X.conj(), [X.shape[a] // 2 for a in axes], axis=axes)
+
+
 class Jet2:
     """Complex scalar with first/second Wirtinger derivatives at a point."""
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .chern import ChernData, _max_coefficient, arrays_at, chern_at
 from .fd import fd_jet
-from .jets import real_from_wirtinger
+from .jets import conj_slots, real_from_wirtinger, wirtinger_from_real
 
 _IMAG_TOL = 1e-9
 
@@ -207,13 +207,13 @@ class RiemannData:
         return q / np.einsum("...a,...ab,...b->...", u, self.G, u)
 
 
-def riemann_at(metric, point, chern_data=None, g=None):
+def riemann_at(metric, point, chern_data=None):
     """Riemannian curvature at ``point`` [n] or points [P, n].
 
     Built from the metric arrays of ``chern_data`` (computed when not
     given); one point is computed as the batch of one.
     """
-    ch = chern_at(metric, point, g=g) if chern_data is None else chern_data
+    ch = chern_at(metric, point) if chern_data is None else chern_data
     arrays = ch.gv, ch.dg, ch.ddg, ch.Pv
     single = ch.point.ndim == 1
     if single:
@@ -240,15 +240,6 @@ def riemann_at(metric, point, chern_data=None, g=None):
 
 # ----------------------------------------------------------------------
 # torsion route to the mixed connection/curvature of the real metric
-def _conj_slots(X, *axes):
-    """Complex conjugate of X with the dz / dzbar halves of ``axes`` swapped.
-
-    On a derivative slot this differentiates the conjugate
-    (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
-    """
-    return np.roll(X.conj(), X.shape[axes[0]] // 2, axis=axes)
-
-
 def _from_frame(X, L):
     """sum_k X[k, i, j, ...] L[a, k]: the frame index k becomes the dz slot a.
 
@@ -277,7 +268,7 @@ def theta2_gamma_forms(ch):
     Tc = T.conj().reshape(lead + (n, n * n)).swapaxes(-2, -1)
     TdL = (Tc @ np.moveaxis(dL, -2, -3).reshape(lead + (n, -1))).reshape(lead + (n, n, n, 2 * n))
     dtheta2 = np.zeros(lead + (n, n, 2 * n, 2 * n), dtype=complex)
-    dtheta2[..., :n, :] = _from_frame(_conj_slots(ch.dT, -1), L) + TdL
+    dtheta2[..., :n, :] = _from_frame(conj_slots(ch.dT, -1), L) + TdL
     # T^j_{ik} psi_k and conj(T^i_{jk}) psibar_k
     gamma = np.concatenate(
         [(T @ L.swapaxes(-2, -1)[..., None, :, :]).swapaxes(-3, -2),
@@ -307,7 +298,7 @@ def theta2_structure_route(ch, forms=None):
     return (
         dtheta2.swapaxes(-2, -1)
         - _slot_product(theta2, theta1)
-        - _slot_product(_conj_slots(theta1, -1), theta2)
+        - _slot_product(conj_slots(theta1, -1), theta2)
     )
 
 
@@ -373,35 +364,17 @@ def levi_civita_frame_connection(rd, frame):
     frame carry through: theta_1, theta_2 are [..., 2n, n, n].
     """
     n = rd.n
-    m = 2 * n
     Fv, dF = frame
-    dF = np.einsum("rc,...iac->...iar", real_from_wirtinger(n), dF)  # [i, a, rho]
-
-    e0 = np.zeros((n, m), dtype=complex)
-    for a in range(n):
-        e0[a, 2 * a] = 0.5
-        e0[a, 2 * a + 1] = -0.5j
-    E = Fv @ e0  # frame vectors over the real basis
-    dE = np.einsum("...iar,as->...ris", dF, e0)  # [rho, i, sigma]
-
-    # rows of M decompose results; per direction rho, coeff M = nabla_rho e
-    Mt = np.swapaxes(np.concatenate([E, np.conj(E)], axis=-2), -1, -2)[..., None, :, :]
-
-    def coefficients(cov):  # [rho, i, sigma] -> [rho, i, (e, ebar)]
-        return np.swapaxes(np.linalg.solve(Mt, np.swapaxes(cov, -1, -2)), -1, -2)
-
-    # nabla_rho e_i and nabla_rho ebar_i
-    theta1_rho = coefficients(dE + np.einsum("...ik,...srk->...ris", E, rd.Gamma))[..., :n]
-    theta2_rho = coefficients(
-        np.conj(dE) + np.einsum("...ik,...srk->...ris", np.conj(E), rd.Gamma)
-    )[..., :n]
-
-    # convert real-direction values to dz / dzbar coefficients
-    def wirtinger(t):
-        x, y = t[..., 0::2, :, :], t[..., 1::2, :, :]
-        return np.concatenate([0.5 * (x - 1j * y), 0.5 * (x + 1j * y)], axis=-3)
-
-    return wirtinger(theta1_rho), wirtinger(theta2_rho)
+    dF = np.einsum("rc,...iac->...ria", real_from_wirtinger(n), dF)  # [rho, i, a]
+    # rows e_i, ebar_i over the real basis, and their derivative along each rho
+    E, dE = complex_frame_coefficients(Fv), complex_frame_coefficients(dF)
+    # nabla_rho e_i and nabla_rho ebar_i [rho, i, sigma], decomposed over (e, ebar)
+    cov = dE + np.einsum("...ik,...srk->...ris", E, rd.Gamma)
+    Mt = np.swapaxes(E, -1, -2)[..., None, :, :]
+    theta_rho = np.swapaxes(np.linalg.solve(Mt, np.swapaxes(cov, -1, -2)), -1, -2)[..., :n]
+    # real directions rho to dz / dzbar slots
+    theta = np.einsum("cr,...rij->...cij", wirtinger_from_real(n), theta_rho)
+    return theta[..., :n, :], theta[..., n:, :]
 
 
 def canonical_theta2(rd):
@@ -459,9 +432,9 @@ def _sigma2_coefficients(ch):
     dL = np.moveaxis(ch.dL, -1, -3)
     Tk = T.reshape(lead + (n, n * n))[..., None, :, :]
     # dS2[k, l] = sum_ij dT[l, ij] conj(T[k, ij]) + T[l, ij] conj(d T[k, ij])
-    dS2 = Tk.conj() @ dT.swapaxes(-2, -1) + _conj_slots(dT, -3) @ Tk.swapaxes(-2, -1)  # [c, k, l]
+    dS2 = Tk.conj() @ dT.swapaxes(-2, -1) + conj_slots(dT, -3) @ Tk.swapaxes(-2, -1)  # [c, k, l]
     Lh = L.conj().swapaxes(-2, -1)[..., None, :, :]
-    dLbar = _conj_slots(dL, -3)  # [c, b, l] = d_c conj(L[b, l])
+    dLbar = conj_slots(dL, -3)  # [c, b, l] = d_c conj(L[b, l])
     H = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
     H[..., :n, n:] = 1j * L @ S2 @ L.conj().swapaxes(-2, -1)
     L1, S21 = L[..., None, :, :], S2[..., None, :, :]
@@ -495,7 +468,7 @@ def dsigma2_check(ch, use_fd=False, route=None):
     t2 = theta2.swapaxes(-3, -2).reshape(ik)  # [(i, k), c] of theta2[k, i, c]
     T2 = Theta2.swapaxes(-4, -3).reshape(ik)  # [(i, k), (b, c)] of Theta2[k, i, b, c]
     rhs = 1j * (
-        (_conj_slots(Theta2, -2, -1).reshape(ik).swapaxes(-2, -1) @ t2).reshape(lead + (m,) * 3)
-        - (_conj_slots(theta2, -1).reshape(ik).swapaxes(-2, -1) @ T2).reshape(lead + (m,) * 3)
+        (conj_slots(Theta2, -2, -1).reshape(ik).swapaxes(-2, -1) @ t2).reshape(lead + (m,) * 3)
+        - (conj_slots(theta2, -1).reshape(ik).swapaxes(-2, -1) @ T2).reshape(lead + (m,) * 3)
     )
     return _max_coefficient(ch, lhs - rhs, 3, 0)

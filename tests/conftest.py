@@ -5,6 +5,7 @@ from hermlab import catalog
 from hermlab.chern import chern_at
 from hermlab.dsl import _batch_jet
 from hermlab.geometry import CHUNK
+from hermlab.jets import Jet2
 from hermlab.levicivita import riemann_at
 
 
@@ -56,6 +57,13 @@ def jet_arrays(expr, points):
     d1 = np.zeros(lead + (m,), dtype=complex) if d1 is None else d1
     d2 = np.zeros(lead + (m, m), dtype=complex) if d2 is None else d2
     return value, d1, d2
+
+
+def jet2(expr, point):
+    """The scalar :class:`~hermlab.jets.Jet2` of ``expr`` at one point [n], from :func:`jet_arrays`."""
+    point = np.asarray(point, dtype=complex)
+    value, d1, d2 = jet_arrays(expr, point)
+    return Jet2(len(point), complex(value), np.array(d1), np.array(d2), 2)
 
 
 def fd_values(expr):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,7 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
 def test_chern_at_rejects_bad_metric_jets(metric):
     from hermlab.chern import chern_at
     from hermlab.errors import DegenerateMetricError, InsufficientJetOrderError
+    from hermlab.levicivita import riemann_at
 
     m = metric("gkl_surface")
     p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
@@ -230,6 +233,21 @@ def test_chern_at_rejects_bad_metric_jets(metric):
         chern_at(m, p, g=tuple(indefinite))
     with pytest.raises(InsufficientJetOrderError):
         chern_at(m, p, g=(gv, dg, None))
+
+    # a batch of overrides is checked point by point, and names the first bad point
+    points = np.array([p, p + 0.05, p - 0.1j])
+    batch = m.evaluate(points)
+    skewed = [x.copy() for x in batch]
+    skewed[0][2, 0, 1] += 1e-3
+    with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(points[2]))):
+        chern_at(m, points, g=tuple(skewed))
+    # and a clean batch gives the single-point overrides bit for bit
+    ch = chern_at(m, points, g=batch)
+    rd = riemann_at(m, points, chern_data=ch)
+    for i, q in enumerate(points):
+        one = chern_at(m, q, g=tuple(x[i] for x in batch))
+        assert np.array_equal(ch.T[i], one.T) and np.array_equal(ch.Rh[i], one.Rh)
+        assert np.array_equal(rd.Rc[i], riemann_at(m, q, chern_data=one).Rc)
 
 
 def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):

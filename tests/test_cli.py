@@ -103,6 +103,19 @@ def test_reports_are_strict_json(suite, capsys):
         assert re.search(r"metric_torsion_symmetry .* tol inf \(informational\)", render_human(report))
 
 
+def test_large_scale_metric_reports_a_finite_balanced_trace(tmp_path, capsys):
+    # det(g) overflows at 1e200 for n = 2 while the cofactors of g do not
+    cfg = {"name": "big", "n": 2, "entries": ["1e200*(1 + abs2(z1))", "0", "0", "1e200*(1 + abs2(z2))"]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["--metric", str(path), "--suite", "identities", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    balanced = next(c for c in report["suites"]["identities"]["checks"] if c["name"] == "balanced_trace")
+    assert balanced["residual"] < balanced["tolerance"]
+
+
 def test_oracle_mode_bounds():
     report, code = _run_config("gkl_surface", ["classify"], points=3, oracle=True)
     assert code == 0
@@ -160,8 +173,13 @@ def test_main_exit_codes(tmp_path, capsys):
         ["--tol", "flags=nan"],
         ["--tol", "flags=inf"],
         ["--tol", "identities=-inf"],
+        ["--tol", "exact=0"],
+        ["--tol", "flags=-1"],
     ],
-    ids=["points_0", "points_above_max", "tol_not_a_number", "tol_nan", "tol_inf", "tol_minus_inf"],
+    ids=[
+        "points_0", "points_above_max", "tol_not_a_number", "tol_nan", "tol_inf", "tol_minus_inf",
+        "tol_zero", "tol_negative",
+    ],
 )
 def test_bad_arguments_are_usage_errors(bad_args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -47,9 +47,9 @@ def test_declared_dependencies_are_the_third_party_imports():
     assert names == _third_party_imports()
 
 
-# the scalar jet and form objects live in these modules; dsl.eval_expr returns a Jet2
+# the scalar jet and form objects live in these modules
 _OBJECT_LAYER = {"Jet2", "JetMatrix", "Form", "fd_exterior_d"}
-_OBJECT_LAYER_HOMES = {"jets.py", "forms.py", "dsl.py", "__init__.py"}
+_OBJECT_LAYER_HOMES = {"jets.py", "forms.py", "__init__.py"}
 
 
 def test_no_production_module_uses_the_jet_and_form_objects():

@@ -9,13 +9,12 @@ from hermlab.dsl import (
     Neg,
     Pow,
     conformal_scale,
-    eval_expr,
     eval_value,
     parse,
     to_source,
 )
 from hermlab.errors import DegenerateMetricError, MetricSyntaxError, OutOfDomainError
-from conftest import fd_values, jet_arrays
+from conftest import fd_values, jet2, jet_arrays
 
 
 def test_parse_surface_conformal_factor():
@@ -58,7 +57,7 @@ def test_unknown_identifier_and_bad_coordinate():
 
 def test_abs2_value():
     e = parse("abs2(z1)", 1)
-    j = eval_expr(e, [3 + 4j])
+    j = jet2(e, [3 + 4j])
     assert j.value == pytest.approx(25.0)
     assert j.value.imag == pytest.approx(0.0)
 
@@ -178,7 +177,7 @@ def test_conformal_scale_expression_level():
 def test_jet_seeding():
     M = _euclidean()
     e = parse("z1 * conj(z2)", 2)
-    j = eval_expr(e, [1 + 1j, 2 - 1j], 2)
+    j = jet2(e, [1 + 1j, 2 - 1j])
     assert j.d1[0] == pytest.approx(2 + 1j)  # d/dz1 -> conj(z2)
     assert j.d1[3] == pytest.approx(1 + 1j)  # d/dzbar2 -> z1
 

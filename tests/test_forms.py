@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hermlab.dsl import eval_expr, parse
+from hermlab.dsl import parse
 from hermlab.errors import InsufficientJetOrderError
 from hermlab.forms import Form, fd_exterior_d, mat_wedge
 from hermlab.jets import Jet2
+from conftest import jet2
 
 
 def _simple_form(n, rng, degree, order=2):
@@ -133,7 +134,7 @@ def test_d_squared_vanishes_on_polynomial_coefficients():
     # coefficients are degree-<=2 polynomials, exactly representable at order 2
     n = 2
     p = np.array([0.4 + 0.2j, -0.3 + 0.6j])
-    poly = eval_expr(parse("z1*conj(z2) + z2^2 - conj(z1)", n), p, n)
+    poly = jet2(parse("z1*conj(z2) + z2^2 - conj(z1)", n), p)
     f = Form(n, 1, {(1,): poly, (2,): poly * (1 - 2j)})
     dd = f.exterior_d().exterior_d()
     assert dd.max_abs() < 1e-10
@@ -174,7 +175,7 @@ def test_exterior_d_exhausted_raises_and_fd_fallback_agrees():
     p = np.array([0.3 + 0.1j])
 
     def builder(q):
-        jet = eval_expr(parse("z1*conj(z1)", n), q, n)
+        jet = jet2(parse("z1*conj(z1)", n), q)
         return Form(n, 1, {(0,): jet})
 
     exhausted = Form(n, 1, {(0,): Jet2(n, 1.0, None, None, 0)})

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hermlab.dsl import eval_expr, parse
+from hermlab.dsl import parse
 from hermlab.forms import Form, mat_wedge
 from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
@@ -19,6 +19,7 @@ from hermlab.levicivita import (
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
 )
+from conftest import jet2
 from test_highdim import base_point, perturbed_metric
 
 
@@ -244,7 +245,7 @@ def test_surface_closed_form_connection_blocks(geo, metric):
     n = 2
     coord_frame = (np.eye(n), np.zeros((n, n, 2 * n)))
     th1, th2 = levi_civita_frame_connection(rd, coord_frame)
-    u = eval_expr(parse("ln(-i*z2 + i*conj(z2))", n), p, n)
+    u = jet2(parse("ln(-i*z2 + i*conj(z2))", n), p)
     lam = np.exp(2 * u.value)
     u2 = u.d1[1]
     u2b = u.d1[3]
