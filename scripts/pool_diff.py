@@ -1,0 +1,144 @@
+"""Compare every benchmark pool report of two hermlab source trees.
+
+    python3 scripts/pool_diff.py OLD_TREE NEW_TREE
+
+Each tree is the root of a hermlab checkout.  The pools and generated
+metric configs come from this checkout's ``perfbench/inputs.py``; the
+configs are written to a temporary directory.  Each tree runs all pool
+reports of the three workloads in-process, one subprocess per tree, with
+the CLI arguments the benchmark uses.  A report is compared on its exit
+code, the text of an uncaught exception and its whole JSON document
+except ``timestamp``, float by float (so a zero's sign counts).  Every
+report that differs is printed with the fields that differ; the exit code
+is 0 only when no report differs.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """\
+import contextlib, io, json, sys
+tree, tasks_path, out_path = sys.argv[1:]
+sys.path.insert(0, tree + "/src")
+from hermlab import cli
+with open(tasks_path) as fh:
+    tasks = json.load(fh)
+results = {}
+for key, argv in tasks:
+    stdout, error, code = io.StringIO(), None, None
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    results[key] = {"exit": code, "error": error, "stdout": stdout.getvalue()}
+with open(out_path, "w") as fh:
+    json.dump({"hermlab": cli.__file__, "reports": results}, fh)
+"""
+
+
+def _leaves(x, path=""):
+    """{path: repr of the leaf}; lists of named checks are keyed by name."""
+    if isinstance(x, dict):
+        out = {}
+        for k, v in x.items():
+            out.update(_leaves(v, f"{path}/{k}"))
+        return out
+    if isinstance(x, list) and x and all(isinstance(v, dict) and "name" in v for v in x):
+        out = {}
+        for v in x:
+            out.update(_leaves(v, f"{path}/{v['name']}"))
+        return out
+    if isinstance(x, list):
+        out = {}
+        for i, v in enumerate(x):
+            out.update(_leaves(v, f"{path}[{i}]"))
+        return out
+    return {path: repr(x)}
+
+
+def _document(stdout):
+    """The report's leaves without ``timestamp``, or the raw text if it is not JSON."""
+    try:
+        doc = json.loads(stdout)
+    except json.JSONDecodeError:
+        return {"<stdout>": stdout}
+    doc.pop("timestamp", None)
+    return _leaves(doc)
+
+
+def _delta(a, b):
+    try:
+        return f" (delta {float(b) - float(a):.2g})"
+    except (TypeError, ValueError):
+        return ""
+
+
+def differences(old, new):
+    """Lines naming each field in which two outcomes of one report differ."""
+    lines = [
+        f"{field}: {old[field]!r} -> {new[field]!r}"
+        for field in ("exit", "error")
+        if old[field] != new[field]
+    ]
+    a, b = _document(old["stdout"]), _document(new["stdout"])
+    for path in sorted(set(a) | set(b)):
+        if a.get(path) != b.get(path):
+            lines.append(f"{path}: {a.get(path)} -> {b.get(path)}{_delta(a.get(path), b.get(path))}")
+    return lines
+
+
+def run_tree(tree, tasks_path, out_path):
+    """{key: outcome} of every task, run in one subprocess on ``tree``'s sources."""
+    subprocess.run([sys.executable, "-c", CHILD, str(tree), str(tasks_path), str(out_path)], check=True)
+    with open(out_path) as fh:
+        result = json.load(fh)
+    if not Path(result["hermlab"]).resolve().is_relative_to(Path(tree).resolve()):
+        sys.exit(f"{tree}: imported hermlab from {result['hermlab']}")
+    return result["reports"]
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config_dir = Path(tmp) / "configs"
+        tasks = []
+        for workload in inputs.WORKLOADS.values():
+            pool = workload.pool()
+            inputs.write_configs(pool, config_dir)
+            tasks += [
+                (f"{workload.name}|{r.metric}|{r.seed}", workload.argv(r, config_dir)) for r in pool
+            ]
+        tasks_path = Path(tmp) / "tasks.json"
+        tasks_path.write_text(json.dumps(tasks))
+        old, new = (run_tree(tree, tasks_path, Path(tmp) / f"{i}.json") for i, tree in enumerate(argv))
+    differing = 0
+    for key, _ in tasks:
+        lines = differences(old[key], new[key])
+        if lines:
+            differing += 1
+            print(key)
+            print("\n".join(f"  {line}" for line in lines))
+    raised = sum(1 for key, _ in tasks if old[key]["error"] is not None and old[key] == new[key])
+    print(
+        f"{len(tasks)} reports: {differing} differ, {len(tasks) - differing} identical "
+        f"({raised} of them raise, with the same text)"
+    )
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

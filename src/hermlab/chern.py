@@ -183,10 +183,6 @@ class ChernData:
     def torsion_norm_sq(self):
         return float(np.sum(np.abs(self.T) ** 2))
 
-    def frame_coframe_change(self):
-        """Matrix C with dz_a = sum_i C[a, i] psi_i for the canonical coframe."""
-        return self.Pv.swapaxes(-2, -1)
-
 
 def chern_at(metric, point, g=None):
     """Connection, curvature and torsion data at ``point`` [n] or points [P, n].
@@ -383,15 +379,14 @@ def balanced_identity_residual(data):
     (n-1)! (unit phase) times the cofactor cof_{ab} of g on the basis
     element omitting dz_a and dzbar_b, so the coefficient omitting dzbar_b
     is, up to a unit phase, (n-1)! sum_a (d_a cof_{ab} + 2 eta_a cof_{ab})
-    with cof = det(g) g^{-T}.  det(g) overflows at a large scale where the
-    cofactors do not, so it is carried as det(g) / s = s^(n-1) det(g/s),
-    with s the power of two just above the largest |g_ij|, and the sum it
-    multiplies as s times its value.
+    with cof = det(g) g^{-T}.  Both sides grow like s^(n-1), s the power of
+    two just above the largest |g_ij|, so the residual is reported relative
+    to that scale, as the residual of g/s: det(g/s) times s times the sum.
     """
     n = data.n
     ginv = np.linalg.inv(data.gv)
     s = np.ldexp(1.0, np.frexp(np.abs(data.gv).max(axis=(-2, -1)))[1])[..., None]
-    det_s = np.linalg.det(data.gv / s[..., None]) * s[..., 0] ** (n - 1)
+    det_s = np.linalg.det(data.gv / s[..., None])
     dg = np.moveaxis(data.dg[..., :n], -1, -3)  # [a, k, l]
     gdg = ginv[..., None, :, :] @ dg  # [a, i, l]
     # d_a ginv = -ginv d_a g ginv; the trace below needs its [b, a] entries

@@ -3,7 +3,8 @@ Ricci combinations, the curvature-difference formulas, and the dimension-3
 torsion rigidity search.
 
 Direction vectors live in the canonical unitary frame, where |X|^2 is the
-plain Hermitian square norm of the coefficient vector.
+plain Hermitian square norm of the coefficient vector; real tangent vectors
+have components along (x_1, y_1, ..., x_n, y_n) (README, Conventions).
 
 Every direction function is batched.  It takes one point's data (``rd`` from
 ``riemann_at`` at a point) or a batch of P points, and stacked vectors
@@ -23,6 +24,8 @@ each check to its largest residual and the first point that reaches it.
 from __future__ import annotations
 
 import numpy as np
+
+from .jets import real_from_wirtinger, wirtinger_from_real
 
 _MIN_NORM = 1e-12
 
@@ -164,12 +167,9 @@ def real_vector_from_holomorphic(rd, X):
 
 
 def J_action(n):
-    """Matrix of the complex structure on real components (x_k, y_k)."""
-    J = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        J[2 * k + 1, 2 * k] = 1.0
-        J[2 * k, 2 * k + 1] = -1.0
-    return J
+    """The complex structure, J d/dz_k = i d/dz_k and J d/dzbar_k = -i d/dzbar_k, on real components."""
+    J = (real_from_wirtinger(n) * np.repeat([1j, -1j], n)) @ wirtinger_from_real(n)
+    return J.real.T + 0.0  # every zero entry +0, as when J is filled entry by entry
 
 
 def _apply(M, u):

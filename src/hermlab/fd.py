@@ -5,46 +5,37 @@ stencil, independently of the jet arithmetic they are used to check.
 
 The whole stencil is one array of 1 + 4n + 4 C(2n, 2) points: the base
 point, then +h and -h along each of the 2n real coordinates, then the four
-corners (++, +-, -+, --) of each coordinate pair a < b.  The field is
-evaluated once on it, mapping [S, n] to values [S, ...] with any trailing
-value axes (one metric entry, or the whole matrix).  Each stencil point is
-made by the same ``_shift`` additions as a point-by-point loop, each
-difference quotient is the same elementwise expression, and the Wirtinger
-change of basis is one matrix product per value entry, so a batched
-evaluator that rounds every point as it would alone gives the jets of the
-loop bit for bit.  That matters: whether the oracle's real-metric check
-raises depends on the last bits of these jets.
+corners (++, +-, -+, --) of each coordinate pair a < b; a step is +-h times
+a row of ``real_from_wirtinger`` on the dz slots (h along x_k, ih along
+y_k; README, Conventions).  The field is evaluated once on it, mapping [S, n] to values [S, ...]
+with any trailing value axes (one metric entry, or the whole matrix).  Each
+stencil point is the same sum as a loop shifting one coordinate at a time,
+each difference quotient is the same elementwise expression, and the
+Wirtinger change of basis is one matrix product per value entry, so a
+batched evaluator that rounds every point as it would alone gives the jets
+of the loop bit for bit.  That matters: whether the oracle's real-metric
+check raises depends on the last bits of these jets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import wirtinger_from_real
+from .jets import real_from_wirtinger, wirtinger_from_real
 
 DEFAULT_STEP = 1e-4
 
 
-def _shift(p, a, h):
-    """Shift point ``p`` along real coordinate a (x_k for even a, y_k odd)."""
-    q = np.array(p, dtype=complex)
-    k, im = divmod(a, 2)
-    q[k] += 1j * h if im else h
-    return q
-
-
 def _stencil(p, n, h=DEFAULT_STEP):
     """The stencil points [S, n] around ``p``, in the order described above."""
-    m = 2 * n
-    points = [np.asarray(p, dtype=complex)]
-    for a in range(m):
-        points += [_shift(p, a, h), _shift(p, a, -h)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            points += [
-                _shift(_shift(p, a, sa), b, sb) for sa in (h, -h) for sb in (h, -h)
-            ]
-    return np.array(points)
+    p = np.asarray(p, dtype=complex)
+    # steps[s, a]: the step of sign s (+h, -h) along real coordinate a
+    steps = np.array([h, -h])[:, None, None] * real_from_wirtinger(n)[:, :n]
+    a, b = np.triu_indices(2 * n, 1)
+    # corners[sa, sb, pair] = (p + steps[sa, a]) + steps[sb, b], pair-major below
+    corners = (p + steps[:, a])[:, None] + steps[None, :, b]
+    singles = (p + steps).swapaxes(0, 1).reshape(-1, n)
+    return np.concatenate([p[None], singles, np.moveaxis(corners, 2, 0).reshape(-1, n)])
 
 
 def fd_real_derivatives(f, p, n, h=DEFAULT_STEP):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientJetOrderError
-from .jets import Jet2
+from .jets import Jet2, real_from_wirtinger, wirtinger_from_real
 
 
 def _is_zero_jet(j):
@@ -237,20 +237,6 @@ class Form:
             return 0.0
         return max(abs(j.value) for j in self.coeffs.values())
 
-    def matrix_11(self):
-        """Coefficient matrix H of a (1,1) form written i * sum H_kl e_k ^ ebar_l."""
-        n = self.n
-        H = np.zeros((n, n), dtype=complex)
-        for key, jet in self.coeffs.items():
-            if len(key) != 2:
-                raise ValueError("matrix_11 needs a 2-form")
-            a, b = key
-            if a < n <= b:
-                H[a, b - n] = -1j * jet.value
-            elif abs(jet.value) > 0:
-                raise ValueError("form has components outside the (1,1) block")
-        return H
-
 
 def _permutation_sign(order):
     """Sign of the permutation given as an index array."""
@@ -294,16 +280,12 @@ def fd_exterior_d(builder, p, n, h=1e-4, part="both"):
     coefficients.  Used as the documented fallback when a form's coefficient
     jets are exhausted.
     """
-    from .jets import wirtinger_from_real
-
     p = np.asarray(p, dtype=complex)
     base = builder(p)
     keys = set(base.coeffs)
     samples = {}
-    for a in range(2 * n):
-        k, im = divmod(a, 2)
-        step = np.zeros(n, dtype=complex)
-        step[k] = 1j * h if im else h
+    steps = h * real_from_wirtinger(n)[:, :n]  # h along x_k, ih along y_k
+    for a, step in enumerate(steps):
         plus, minus = builder(p + step), builder(p - step)
         keys |= set(plus.coeffs) | set(minus.coeffs)
         samples[a] = (plus, minus)

@@ -21,16 +21,9 @@ from .errors import (
     SingularEvaluationError,
 )
 
-_HERMITIAN_TOL = 1e-12
 
-
-def _swap_perm(n):
-    """Index permutation exchanging the dz and dzbar derivative slots."""
-    p = np.arange(2 * n)
-    return np.concatenate([p[n:], p[:n]])
-
-
-# real coordinates are ordered (x_1, y_1, ..., x_n, y_n)
+# real coordinates are ordered (x_1, y_1, ..., x_n, y_n); C and B below are
+# the only definitions of the change of basis (README, Conventions)
 def real_from_wirtinger(n):
     """Matrix C with (d/dx_k, d/dy_k) rows over the 2n Wirtinger slots."""
     C = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -191,12 +184,11 @@ class Jet2:
     # conjugation
     def conj(self):
         """Complex conjugate; swaps the dz and dzbar derivative slots."""
-        s = _swap_perm(self.n)
         d1 = d2 = None
         if self.order >= 1:
-            d1 = np.conj(self.d1[s])
+            d1 = conj_slots(self.d1, 0)
         if self.order >= 2:
-            d2 = np.conj(self.d2[np.ix_(s, s)])
+            d2 = conj_slots(self.d2, 0, 1)
         return Jet2(self.n, np.conj(self.value), d1, d2, self.order)
 
     # ------------------------------------------------------------------

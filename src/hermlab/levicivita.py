@@ -1,8 +1,8 @@
 """Levi-Civita connection and Riemannian curvature of the underlying real metric.
 
-The real metric on coordinates (x_1, y_1, ..., x_n, y_n) is calibrated so
-that the complex-bilinear extension of the inner product satisfies
-< e_i, ebar_j > = g_{ij} for e_i = d/dz_i; concretely
+The real metric on coordinates (x_1, y_1, ..., x_n, y_n) (README,
+Conventions) is calibrated so that the complex-bilinear extension of the
+inner product satisfies < e_i, ebar_j > = g_{ij} for e_i = d/dz_i; so
 G(dx_i, dx_j) = G(dy_i, dy_j) = 2 Re g_{ij} and G(dx_i, dy_j) = 2 Im g_{ij}.
 Curvature follows R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
 nabla_{[X,Y]} Z with R_{XYZW} = <R(X,Y)Z, W>; this sign is locked by two
@@ -44,22 +44,13 @@ _IMAG_TOL = 1e-9
 def _real_entry_map(n):
     """K[(A, B), (i, j)]: the real metric entry G_AB as a combination of the g_ij.
 
-    G(dx_i, dx_j) = G(dy_i, dy_j) = g_ij + g_ji (2 Re g_ij) and
-    G(dx_i, dy_j) = -G(dy_i, dx_j) = -i (g_ij - g_ji) (2 Im g_ij).
+    G = C [[0, g], [g^T, 0]] C^T with C = ``real_from_wirtinger(n)``: the
+    complex-bilinear metric pairs dz_i with dzbar_j by g_ij, and so
+    G(dx_i, dx_j) = G(dy_i, dy_j) = 2 Re g_ij, G(dx_i, dy_j) = 2 Im g_ij.
     """
-    m = 2 * n
-    K = np.zeros((m, m, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for (A, B), (cij, cji) in (
-                ((2 * i, 2 * j), (1, 1)),
-                ((2 * i + 1, 2 * j + 1), (1, 1)),
-                ((2 * i, 2 * j + 1), (-1j, 1j)),
-                ((2 * i + 1, 2 * j), (1j, -1j)),
-            ):
-                K[A, B, i, j] += cij
-                K[A, B, j, i] += cji
-    return K.reshape(m * m, n * n)
+    C = real_from_wirtinger(n)
+    K = np.einsum("Ai,Bj->ABij", C[:, :n], C[:, n:]) + np.einsum("Aj,Bi->ABij", C[:, n:], C[:, :n])
+    return K.reshape(4 * n * n, n * n)
 
 
 def _real_metric_arrays(gv, dg, ddg):
@@ -111,9 +102,13 @@ def _riemann_real(G, Gamma, dGamma):
 
 
 def complex_frame_coefficients(Pv):
-    """Rows of (e_1..e_n, ebar_1..ebar_n) over the 2n real coordinate basis."""
-    E = Pv[..., None] * np.array([0.5, -0.5j])  # d/dz_a = (d/dx_a - i d/dy_a) / 2
-    E = E.reshape(Pv.shape[:-1] + (-1,))
+    """Rows of (e_1..e_n, ebar_1..ebar_n) over the 2n real coordinate basis.
+
+    e_i = sum_a Pv[i, a] d/dz_a over the d/dz_a rows of ``wirtinger_from_real``.
+    """
+    n = Pv.shape[-1]
+    # one product over all rows: a stack of small products costs several times more
+    E = (Pv.reshape(-1, n) @ wirtinger_from_real(n)[:n]).reshape(Pv.shape[:-1] + (2 * n,))
     return np.concatenate([E, E.conj()], axis=-2)
 
 
@@ -333,7 +328,7 @@ def theta2_two_route_residual(ch, rd, Theta2=None):
     ``Theta2`` is :func:`theta2_structure_route` of ``ch``, computed when not given.
     """
     n = ch.n
-    C = ch.frame_coframe_change()
+    C = ch.Pv.swapaxes(-2, -1)  # dz_a = sum_i C[a, i] psi_i
     M = np.zeros(C.shape[:-2] + (2 * n, 2 * n), dtype=complex)  # dz, dzbar over psi, psibar
     M[..., :n, :n], M[..., n:, n:] = C, C.conj()
     M = M[..., None, None, :, :]

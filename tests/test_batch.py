@@ -17,7 +17,7 @@ from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.conformal import ConformalFactor, conformal_metric
 from hermlab.dsl import MetricField, eval_value, parse
 from hermlab.errors import DomainSamplingError
-from hermlab.fd import DEFAULT_STEP, _shift, fd_jet
+from hermlab.fd import DEFAULT_STEP, _stencil, fd_jet
 from conftest import GeometryCache, jet2
 from hermlab.geometry import CHUNK, sample_points
 from hermlab.jets import Jet2, wirtinger_from_real
@@ -388,6 +388,38 @@ def test_compare_keeps_the_first_worst_point():
 
 # ----------------------------------------------------------------------
 # the FD oracle: one stencil evaluation against one eval_value per point
+def _shift(p, a, h):
+    """Shift point ``p`` along real coordinate a (x_k for even a, y_k odd)."""
+    q = np.array(p, dtype=complex)
+    k, im = divmod(a, 2)
+    q[k] += 1j * h if im else h
+    return q
+
+
+def _per_point_stencil(p, n, h=DEFAULT_STEP):
+    """The stencil as a loop over its points, one coordinate shift at a time."""
+    m = 2 * n
+    points = [np.asarray(p, dtype=complex)]
+    for a in range(m):
+        points += [_shift(p, a, h), _shift(p, a, -h)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            points += [_shift(_shift(p, a, sa), b, sb) for sa in (h, -h) for sb in (h, -h)]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stencil_matches_the_per_point_shifts(n):
+    # every bit, zero signs included
+    rng = np.random.default_rng(n)
+    points = list(rng.uniform(-0.9, 0.9, size=(4, n)) + 1j * rng.uniform(-0.9, 0.9, size=(4, n)))
+    points += [np.zeros(n, dtype=complex), np.where(np.arange(n) % 2, points[0], 0)]
+    for p in points:
+        got, want = _stencil(p, n), _per_point_stencil(p, n)
+        assert got.shape == want.shape == (1 + 4 * n + 4 * n * (2 * n - 1), n)
+        assert got.tobytes() == want.tobytes()
+
+
 def _per_point_fd_jet(expr, p, n, h=DEFAULT_STEP):
     """fd_jet of one entry as it ran before batching: a scalar call per stencil point."""
     m = 2 * n

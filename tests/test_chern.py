@@ -206,7 +206,9 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
         del_power = power.exterior_d(part="del").max_abs()
         no_eta = dataclasses.replace(ch, eta=np.zeros(n))
         assert del_power > 1e-3
-        assert balanced_identity_residual(no_eta) == pytest.approx(del_power, rel=1e-12)
+        # reported relative to the metric's scale s^(n-1), s the power of two above max |g_ij|
+        s = 2.0 ** np.frexp(np.abs(ch.gv).max())[1]
+        assert balanced_identity_residual(no_eta) == pytest.approx(del_power / s ** (n - 1), rel=1e-12)
 
 
 def test_chern_at_rejects_bad_metric_jets(metric):

@@ -103,9 +103,25 @@ def test_reports_are_strict_json(suite, capsys):
         assert re.search(r"metric_torsion_symmetry .* tol inf \(informational\)", render_human(report))
 
 
-def test_large_scale_metric_reports_a_finite_balanced_trace(tmp_path, capsys):
-    # det(g) overflows at 1e200 for n = 2 while the cofactors of g do not
-    cfg = {"name": "big", "n": 2, "entries": ["1e200*(1 + abs2(z1))", "0", "0", "1e200*(1 + abs2(z2))"]}
+def _scaled_metric(n, scale, coupling):
+    """scale * (1 + abs2(z_k)) on the diagonal, scale * coupling * z_k conj(z_l) for |k - l| = 1."""
+    def entry(k, l):
+        if k == l:
+            return f"{scale}*(1 + abs2(z{k}))"
+        return f"{scale}*{coupling}*z{k}*conj(z{l})" if abs(k - l) == 1 and coupling else "0"
+
+    return {"name": "big", "n": n, "entries": [entry(k, l) for k in range(1, n + 1) for l in range(1, n + 1)]}
+
+
+@pytest.mark.parametrize(
+    "n, scale, coupling",
+    [(2, "1e200", 0), (3, "1e200", 0), (3, "1e4", 0.1), (5, "100", 0.1)],
+    ids=["diagonal_n2_1e200", "diagonal_n3_1e200", "tridiagonal_n3_1e4", "tridiagonal_n5_100"],
+)
+def test_large_scale_metric_reports_a_finite_balanced_trace(tmp_path, capsys, n, scale, coupling):
+    # both sides of the balanced identity grow like scale^(n-1): an absolute
+    # residual overflowed (NaN at 1e200) or outgrew its tolerance
+    cfg = _scaled_metric(n, scale, coupling)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(cfg))
     code = main(["--metric", str(path), "--suite", "identities", "--format", "json"])

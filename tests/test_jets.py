@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
 from hermlab.fd import fd_jet
-from hermlab.jets import Jet2, JetMatrix, jet_max_abs_diff
+from hermlab.jets import Jet2, JetMatrix, jet_max_abs_diff, real_from_wirtinger
 
 
 def coord_jets(p):
@@ -190,3 +190,73 @@ def test_cholesky_reconstructs_heisenberg_fixture():
         jet_max_abs_diff(rec[i, j], g[i, j]) for i in range(3) for j in range(3)
     )
     assert worst < 1e-10
+
+
+# ----------------------------------------------------------------------
+# the maps derived from real_from_wirtinger / wirtinger_from_real, against
+# the hand-written forms they replaced, bit for bit (zero signs included)
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _loop_real_entry_map(n):
+    m = 2 * n
+    K = np.zeros((m, m, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for (A, B), (cij, cji) in (
+                ((2 * i, 2 * j), (1, 1)),
+                ((2 * i + 1, 2 * j + 1), (1, 1)),
+                ((2 * i, 2 * j + 1), (-1j, 1j)),
+                ((2 * i + 1, 2 * j), (1j, -1j)),
+            ):
+                K[A, B, i, j] += cij
+                K[A, B, j, i] += cji
+    return K.reshape(m * m, n * n)
+
+
+def _loop_J_action(n):
+    J = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        J[2 * k + 1, 2 * k] = 1.0
+        J[2 * k, 2 * k + 1] = -1.0
+    return J
+
+
+def _interleaved_frame_rows(Pv):
+    E = Pv[..., None] * np.array([0.5, -0.5j])  # d/dz_a = (d/dx_a - i d/dy_a) / 2
+    E = E.reshape(Pv.shape[:-1] + (-1,))
+    return np.concatenate([E, E.conj()], axis=-2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_real_entry_map_and_J_match_the_index_loops(n):
+    from hermlab.compare import J_action
+    from hermlab.levicivita import _real_entry_map
+
+    assert _same_bits(_real_entry_map(n), _loop_real_entry_map(n))
+    assert _same_bits(J_action(n), _loop_J_action(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_frame_rows_match_the_interleaved_factors(n):
+    from hermlab import catalog
+    from hermlab.chern import chern_at
+    from hermlab.geometry import sample_points
+    from hermlab.levicivita import complex_frame_coefficients
+
+    rng = np.random.default_rng(n)
+    frames = []
+    for shape in [(n, n), (4, n, n), (3, 2 * n, n, n)]:
+        Pv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _same_bits(complex_frame_coefficients(Pv), _interleaved_frame_rows(Pv))
+        frames.append(np.triu(Pv))
+    if n in (2, 3):
+        m = catalog.get("random_polynomial(1)" if n == 2 else "iwasawa").metric
+        ch = chern_at(m, sample_points(m, 4, seed=42))
+        frames += [ch.Pv, np.einsum("rc,...iac->...ria", real_from_wirtinger(n), ch.dP)]
+    # the canonical frame is triangular; at an exact zero of Pv the old
+    # factor -0.5j = complex(-0.0, -0.5) gave a zero of the other sign
+    for Pv in frames:
+        assert np.array_equal(complex_frame_coefficients(Pv), _interleaved_frame_rows(Pv))
