@@ -1,20 +1,24 @@
 """Compare every benchmark pool report of two hermlab source trees.
 
-    python3 scripts/pool_diff.py OLD_TREE NEW_TREE
+    python3 scripts/pool_diff.py OLD_TREE NEW_TREE [--points N]
 
 Each tree is the root of a hermlab checkout.  The pools and generated
 metric configs come from this checkout's ``perfbench/inputs.py``; the
 configs are written to a temporary directory.  Each tree runs all pool
 reports of the three workloads in-process, one subprocess per tree, with
-the CLI arguments the benchmark uses.  A report is compared on its exit
-code, the text of an uncaught exception and its whole JSON document
-except ``timestamp``, float by float (so a zero's sign counts).  Every
-report that differs is printed with the fields that differ; the exit code
-is 0 only when no report differs.
+the CLI arguments the benchmark uses; ``--points N`` runs every report at
+N points instead of its workload's count (say, to cross the geometry's
+evaluation blocks, which the benchmark's counts never fill).  A report is
+compared on its exit code, the text of an uncaught exception and its whole
+JSON document except ``timestamp``, float by float (so a zero's sign
+counts).  Every report that differs is printed with the fields that
+differ; the exit code is 0 only when no report differs.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -108,8 +112,10 @@ def run_tree(tree, tasks_path, out_path):
 
 
 def main(argv):
-    if len(argv) != 2:
-        sys.exit(__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("trees", nargs=2, metavar="TREE")
+    parser.add_argument("--points", type=int, help="sample points per report (default: the workload's)")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
@@ -117,6 +123,8 @@ def main(argv):
         config_dir = Path(tmp) / "configs"
         tasks = []
         for workload in inputs.WORKLOADS.values():
+            if args.points is not None:
+                workload = dataclasses.replace(workload, points=args.points)
             pool = workload.pool()
             inputs.write_configs(pool, config_dir)
             tasks += [
@@ -124,7 +132,7 @@ def main(argv):
             ]
         tasks_path = Path(tmp) / "tasks.json"
         tasks_path.write_text(json.dumps(tasks))
-        old, new = (run_tree(tree, tasks_path, Path(tmp) / f"{i}.json") for i, tree in enumerate(argv))
+        old, new = (run_tree(tree, tasks_path, Path(tmp) / f"{i}.json") for i, tree in enumerate(args.trees))
     differing = 0
     for key, _ in tasks:
         lines = differences(old[key], new[key])

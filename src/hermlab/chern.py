@@ -207,11 +207,17 @@ def chern_at(metric, point, g=None):
         if single:
             arrays = [x[None] for x in arrays]
         metric.check_jets(batch, *arrays, OVERRIDE_HERMITIAN_TOL)
-    data = _chern_data(metric, batch, *arrays)
+    data = chern_from_jets(metric, batch, *arrays)
     return data.at(0) if single else data
 
 
-def _chern_data(metric, point, gv, dg, ddg):
+def chern_from_jets(metric, point, gv, dg, ddg):
+    """The Chern data at points [P, n] from metric jets that are already checked.
+
+    The core of :func:`chern_at` without its evaluation and
+    :meth:`MetricField.check_jets`: ``gv``, ``dg`` and ``ddg`` are laid out
+    as :meth:`MetricField.evaluate` returns them for ``point``.
+    """
     n = metric.n
     L, dL, P, dP = cholesky_frame(gv, dg)
     theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))

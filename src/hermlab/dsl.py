@@ -166,7 +166,12 @@ class _Parser:
         )
 
     def parse(self):
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            # each "(", function call and unary minus nests the descent
+            # one level deeper; report the token at which it ran out
+            raise MetricSyntaxError("expression nested too deeply", self.peek().offset) from None
         tok = self.peek()
         if tok.kind != "END":
             raise MetricSyntaxError(
@@ -498,6 +503,16 @@ def _powi(a, k, z):
     return _compose(a, _cpowi(v, k), f1, f2)
 
 
+def _binop(op, a, b, z):
+    if op == "+":
+        return tuple(_add(x, y) for x, y in zip(a, b))
+    if op == "-":
+        return tuple(_add(x, _neg(y)) for x, y in zip(a, b))
+    if op == "*":
+        return _mul(a, b)
+    return _mul(a, _reciprocal(b, z))
+
+
 def _eval(e, z, order):
     if isinstance(e, Lit):
         return np.asarray(e.value, dtype=complex), None, None
@@ -507,18 +522,26 @@ def _eval(e, z, order):
             d1 = np.zeros(2 * z.shape[-1], dtype=complex)
             d1[e.index - 1] = 1.0
         return z[..., e.index - 1], d1, None
+    # a run of unary minus signs and the left-deep chain of a flat sum or
+    # product are walked by loops, not by recursion (a long one would
+    # overflow the stack), in the order recursion takes: operand by operand
     if isinstance(e, Neg):
-        return tuple(_neg(x) for x in _eval(e.arg, z, order))
+        signs = 0
+        while isinstance(e, Neg):
+            signs, e = signs + 1, e.arg
+        a = _eval(e, z, order)
+        for _ in range(signs):
+            a = tuple(_neg(x) for x in a)
+        return a
     if isinstance(e, BinOp):
-        a = _eval(e.left, z, order)
-        b = _eval(e.right, z, order)
-        if e.op == "+":
-            return tuple(_add(x, y) for x, y in zip(a, b))
-        if e.op == "-":
-            return tuple(_add(x, _neg(y)) for x, y in zip(a, b))
-        if e.op == "*":
-            return _mul(a, b)
-        return _mul(a, _reciprocal(b, z))
+        chain = []
+        while isinstance(e, BinOp):
+            chain.append(e)
+            e = e.left
+        a = _eval(e, z, order)
+        for link in reversed(chain):
+            a = _binop(link.op, a, _eval(link.right, z, order), z)
+        return a
     if isinstance(e, Pow):
         return _powi(_eval(e.base, z, order), e.exponent, z)
     if isinstance(e, Call):
@@ -684,12 +707,13 @@ class MetricField:
 
         nonfinite = np.logical_or.reduce([worst(~np.isfinite(x)) for x in jets])
         self._reject(nonfinite, z, lambda i: f"not finite at {z[i]}")
-        herm = np.maximum.reduce(
-            [
-                worst(np.abs(X - conj_slots(X, *range(-k, 0)).swapaxes(-k - 2, -k - 1)))
-                for k, X in enumerate(jets)
-            ]
-        )
+        def defect(k, X):  # |X - X^H|, the dz/dzbar halves of X's k derivative slots swapped
+            Y = conj_slots(X, *range(-k, 0))
+            H = Y.swapaxes(-k - 2, -k - 1)
+            np.subtract(X, H, out=H)  # in place: a block's jets are the largest arrays here
+            return np.abs(Y)  # the entries of |X - H| in Y's order: the same maximum
+
+        herm = np.maximum.reduce([worst(defect(k, X)) for k, X in enumerate(jets)])
         self._reject(
             herm > hermitian_tol,
             z,

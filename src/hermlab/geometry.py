@@ -1,25 +1,50 @@
 """Sample points and the Chern and Riemann data at them, a batch at a time.
 
 The CLI samples a report's points once and streams their data through
-:func:`geometry_chunks`: one :class:`Chunk` of ``CHUNK`` points per call
-of the batched cores, which every suite reads before the next chunk is
-computed, so a report holds the data of one chunk at a time.
+:func:`geometry_chunks`, in two sizes that depend on the chart dimension n
+only:
+
+* an evaluation block of :func:`block_size` points: one
+  :meth:`MetricField.evaluate` call, whose jets are checked once;
+* a core chunk of :func:`chunk_size` points: one call of the batched
+  Chern and Riemann cores on a slice of the block's jets, yielded as one
+  :class:`Chunk`, which every suite reads before the next chunk is
+  computed.
+
+The Riemann core's per-point temporaries are tensors over the 2n real
+slots, and a point's second metric jet has n^2 (2n)^2 entries, so both
+sizes scale like 1/(2n)^4: a chunk is ``CHUNK`` points at n >= 3 and
+``16 * 6^4 // (2n)^4`` below (1296 at n = 1, 81 at n = 2); a block is
+``128 * 6^4 // (2n)^4`` points rounded down to whole chunks (648 at n = 2,
+128 at n = 3, 32 at n = 4), at least one chunk, so a block's jets take
+0.6-0.9 MB at n = 2..5.  A report holds the jets of one block and
+the data of one chunk at a time.  Evaluation and the cores work point
+by point, so the sizes change no bit of any result.  They do change which
+error a bad point raises: every evaluation error in a block (a
+constraint, a singular expression) is raised before that block's jet
+checks (not finite, not Hermitian, not positive definite), even where the
+jet check fails at an earlier point of the block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalog import DEFAULT_SEED
-from .chern import ChernData, chern_at
+from .chern import ChernData, arrays_at, chern_from_jets
 from .errors import DomainSamplingError, SingularEvaluationError
 from .levicivita import RiemannData, riemann_at
 
-# points per batched chern_at / riemann_at call: large enough to amortise
-# the per-call overhead, small enough to keep the temporaries small
+# points per batched call of the Chern and Riemann cores at n >= 3: large
+# enough to amortise the per-call overhead, small enough to keep the
+# temporaries small
 CHUNK = 16
+# points per metric evaluation at n = 3; a block's jets stay alive while its
+# chunks are computed, so this bounds what blocks add to a report's peak
+# memory (0.85 MB traced for classify on iwasawa at 10^4 points; 256 added 1.6)
+EVAL_BLOCK = 128
 # box draws per vectorised admissibility test, at least
 SAMPLE_BLOCK = 64
 
@@ -80,18 +105,49 @@ class Chunk:
         return self.memo[fn]
 
     def head(self, count):
-        """The chunk's first ``count`` points, as a chunk of views."""
+        """The chunk's first ``count`` points, as a chunk of copies that pins no block."""
         part = slice(0, count)
-        return Chunk(self.start, self.points[part], self.ch.at(part), self.rd.at(part))
+        ch = replace(self.ch, **_copies(self.ch, part))
+        rd = replace(self.rd, chern=ch, **_copies(self.rd, part))
+        return Chunk(self.start, self.points[part], ch, rd)
+
+
+def _copies(data, index):
+    return {name: x.copy() for name, x in arrays_at(data, index).items()}
+
+
+def _per_point(size, n):
+    """``size`` points at n = 3, scaled like 1/(2n)^4 (the Riemann temporaries)."""
+    return size * 6**4 // (2 * n) ** 4
+
+
+def chunk_size(n):
+    """Points per call of the Chern and Riemann cores at chart dimension n."""
+    return max(CHUNK, _per_point(CHUNK, n))
+
+
+def block_size(n):
+    """Points per metric evaluation at chart dimension n: whole chunks, at least one."""
+    chunk = chunk_size(n)
+    return max(chunk, _per_point(EVAL_BLOCK, n) // chunk * chunk)
 
 
 def geometry_chunks(metric, points):
-    """The data of ``points`` in point order, one :class:`Chunk` of ``CHUNK`` points at a time.
+    """The data of ``points`` in point order, one :class:`Chunk` of :func:`chunk_size` points at a time.
 
-    Nothing is kept between chunks.
+    The metric is evaluated and its jets checked once per
+    :func:`block_size` points.  Nothing is kept between blocks.
     """
-    for start in range(0, len(points), CHUNK):
-        part = points[start : start + CHUNK]
-        batch = np.asarray(part, dtype=complex).reshape(-1, metric.n)
-        ch = chern_at(metric, batch)
-        yield Chunk(start, part, ch, riemann_at(metric, batch, chern_data=ch))
+    chunk, block = chunk_size(metric.n), block_size(metric.n)
+    for first in range(0, len(points), block):
+        batch = np.asarray(points[first : first + block], dtype=complex).reshape(-1, metric.n)
+        jets = metric.evaluate(batch)
+        for start in range(0, len(batch), chunk):
+            part = slice(start, start + chunk)
+            # a chunk copies its part of a larger block, so that the chunk a
+            # suite still holds while the next block is evaluated pins no block
+            own = [x[part].copy() if len(batch) > chunk else x for x in jets]
+            ch = chern_from_jets(metric, batch[part], *own)
+            rd = riemann_at(metric, batch[part], chern_data=ch)
+            yield Chunk(first + start, points[first + start : first + start + chunk], ch, rd)
+        del jets, own  # before the next block is evaluated

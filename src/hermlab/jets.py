@@ -52,7 +52,8 @@ def conj_slots(X, *axes):
     On a derivative slot this differentiates the conjugate
     (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
     """
-    return np.roll(X.conj(), [X.shape[a] // 2 for a in axes], axis=axes)
+    Y = np.roll(X, [X.shape[a] // 2 for a in axes], axis=axes)
+    return np.conjugate(Y, out=Y)  # in place: one temporary the size of X, not two
 
 
 class Jet2:

@@ -318,10 +318,12 @@ def _peak_rss_mb(argv):
     return int(out.stdout.split()[-1]) / 1024
 
 
-def test_report_memory_does_not_grow_with_points():
+@pytest.mark.parametrize("metric", ["iwasawa", "fubini_study_chart_n2"])
+def test_report_memory_does_not_grow_with_points(metric):
     # the suites read each chunk of geometry before the next is computed, so a
-    # report holds the data of one chunk, not of every point
-    argv = ["--metric", "iwasawa", "--suite", "classify", "--format", "csv", "--points"]
+    # report holds the jets of one evaluation block and the data of one chunk,
+    # not of every point (n = 2 has the larger chunks and blocks)
+    argv = ["--metric", metric, "--suite", "classify", "--format", "csv", "--points"]
     small = _peak_rss_mb(argv + ["20"])
     large = _peak_rss_mb(argv + ["2000"])
     assert large - small <= 15, (small, large)

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermlab.cli import main
 
+from test_dsl import DEEP
+
 # diagonal entries: positive, indefinite, overflowing, singular or infinite
 DIAGONAL = ["1", "2", "1 + abs2(z1)", "1 + abs2(z2)", "re(z1)", "1 + exp(1000*re(z1))",
             "1 + ln(re(z1))^2", "1 + 1/re(z1)", "z1^-2", "1e999", "1 + sqrt(im(z1))"]
@@ -111,3 +113,23 @@ def test_any_config_and_arguments_exit_with_a_documented_code(cfg, args):
         assert stdout.getvalue()
     else:
         assert stderr.getvalue()
+
+
+def _run(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "deep.json"
+        path.write_text(json.dumps(cfg))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--metric", str(path), "--points", "3", "--format", "csv"])
+    return code, stderr.getvalue()
+
+
+def test_deep_or_long_expressions_exit_with_a_documented_code():
+    # nesting deeper than the parser's stack is a parse error, exit 2
+    for deep in DEEP:
+        code, stderr = _run({"name": "deep", "n": 1, "entries": [f"1 + abs2(z1) + 0*{deep}"]})
+        assert code == 2 and "nested too deeply" in stderr and "Traceback" not in stderr
+    # a flat sum is no deeper to parse and evaluate than one term
+    code, stderr = _run({"name": "flat", "n": 1, "entries": ["1 + " + " + ".join(["abs2(z1)"] * 1000)]})
+    assert code == 0 and not stderr

@@ -73,6 +73,38 @@ def test_precedence_and_unary_minus():
     assert eval_value(parse("2^3^2", 1), [0j]) == pytest.approx(512.0)
 
 
+# nesting that overflows the recursive descent: each "(", call and unary minus
+DEEP = ["(" * 200 + "z1" + ")" * 200, "-" * 2000 + "z1", "conj(" * 300 + "z1" + ")" * 300]
+
+
+@pytest.mark.parametrize("src", DEEP, ids=["parentheses", "unary_minus", "conj"])
+def test_deep_nesting_is_a_syntax_error_inside_the_source(src):
+    with pytest.raises(MetricSyntaxError) as exc:
+        parse(src, 1)
+    assert "nested too deeply" in str(exc.value)
+    assert src[exc.value.offset] in "(-c"
+
+
+def test_long_chains_evaluate_term_by_term_left_to_right():
+    # a flat sum of 1000 terms is a left-deep tree too deep to walk by
+    # recursion; it and a run of minus signs are walked by loops
+    rng = np.random.default_rng(4)
+    coefficients = rng.uniform(-2, 2, 1000).round(3)
+    terms = [f"{abs(c)}*z1*conj(z2)^{k % 3}" for k, c in enumerate(coefficients)]
+    src = terms[0] + "".join(f" {'-' if c < 0 else '+'} {t}" for c, t in zip(coefficients[1:], terms[1:]))
+    points = rng.uniform(-0.9, 0.9, (5, 2)) + 1j * rng.uniform(-0.9, 0.9, (5, 2))
+    got = jet_arrays(parse(src, 2), points)
+    want = jet_arrays(parse(terms[0], 2), points)
+    for c, t in zip(coefficients[1:], terms[1:]):
+        jet = jet_arrays(parse(t, 2), points)
+        want = [w - x if c < 0 else w + x for w, x in zip(want, jet)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    for count in (600, 601):
+        value = jet_arrays(parse("-" * count + "z1", 2), points)[0]
+        assert np.array_equal(value, points[:, 0] if count % 2 == 0 else -points[:, 0])
+
+
 @pytest.mark.parametrize(
     "src",
     [
