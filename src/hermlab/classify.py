@@ -38,6 +38,11 @@ FLAG_NAMES = (
 KAHLER_IMPLIES = ("balanced", "kahler_like", "g_kahler_like", "pluriclosed")
 
 
+def _point_list(p):
+    """A point [n] as JSON: one [re, im] pair per coordinate."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(p)]
+
+
 @dataclass
 class FlagResult:
     value: bool
@@ -64,7 +69,7 @@ class ClassificationReport:
                 k: {
                     "value": bool(v.value),
                     "residual": float(v.residual),
-                    "worst_point": [ [float(z.real), float(z.imag)] for z in v.worst_point ],
+                    "worst_point": _point_list(v.worst_point),
                 }
                 for k, v in sorted(self.flags.items())
             },

@@ -28,6 +28,7 @@ from .chern import (
 )
 from .classify import (
     DEFAULT_TOL,
+    _point_list,
     classification,
     curvature_difference_suite,
     eta_trace_residual,
@@ -100,10 +101,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _point_list(p):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(p)]
-
-
 class Check:
     def __init__(self, name, residual, tol, worst_point=None, asserted=True):
         self.name = name
@@ -143,13 +140,19 @@ def _first_max(name, residuals, points, tol):
 class Suite:
     """One suite's checks over a report's points, fed one geometry chunk at a time.
 
-    :meth:`add` takes each :class:`~hermlab.geometry.Chunk` in point order.
-    A suite with ``head = k`` keeps the data of the report's first k points
-    only; any other suite keeps only the residual arrays of :meth:`rows`.
-    :meth:`checks` reduces what was kept to ``(checks, extra)``.
+    ``table`` holds the rows in report order, each ``(name, key, scale, flag,
+    residual)``: tolerance ``tols[key] * scale`` (``scale`` if ``key`` is None);
+    ``residual`` maps a chunk to one residual per point and looks its functions
+    up when it runs (the benchmark's tracer patches module attributes); a row
+    with a ``flag`` applies where that flag holds and is reported only if some
+    point qualifies.  :meth:`add` takes each chunk in point order; a suite with
+    ``head = k`` keeps a copy of the first k points' data and computes its rows
+    on it after the stream.  :meth:`checks` reduces each row to its largest
+    residual at the first point that reaches it.
     """
 
     head = 0
+    table = ()
 
     def __init__(self, entry, points, tols, seed):
         self.entry, self.metric, self.points = entry, entry.metric, points
@@ -162,9 +165,27 @@ class Suite:
         elif chunk.start == 0:
             self.first = chunk.head(self.head)
 
+    def rows(self, chunk):
+        """Each row's residual at each point of ``chunk``; -inf where its flag fails."""
+        out = {}
+        for name, _key, _scale, flag, residual in self.table:
+            live = flag is None or chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[flag] < self.tols["flags"]
+            # a flagged row with no qualifying point is not computed
+            out[name] = np.where(live, residual(chunk) if np.any(live) else 0.0, -np.inf)
+        return out
+
     def residuals(self):
-        """Each row's residuals over all points, the chunks' arrays joined."""
-        return {name: np.concatenate([part[name] for part in self.parts]) for name in self.parts[0]}
+        """Each row's residuals over the suite's points, the chunks' arrays joined."""
+        parts = [self.rows(self.first)] if self.head else self.parts
+        return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+    def checks(self):
+        res = self.residuals()
+        return [
+            _first_max(name, res[name], self.points, scale if key is None else self.tols[key] * scale)
+            for name, key, scale, flag, _residual in self.table
+            if flag is None or (res[name] != -np.inf).any()
+        ], None
 
 
 class Classify(Suite):
@@ -190,21 +211,6 @@ def _sigma_psd(ch):
     return np.maximum(0.0, -np.linalg.eigvalsh(np.stack(sigma_matrices(ch))).min(axis=-1))
 
 
-def _route(chunk):
-    """The torsion route's forms and Theta_2, shared by two rows."""
-    return chunk.once(torsion_route, chunk.ch)
-
-
-def _theta2(chunk):
-    """theta_2 of the canonical frame, shared by two rows."""
-    return chunk.once(canonical_theta2, chunk.rd)
-
-
-def _difference(chunk):
-    """The four curvature difference residuals, one row each."""
-    return chunk.once(curvature_difference_suite, chunk.rd)
-
-
 def _normal_frame_residuals(chunk):
     """The normal frame's checks at the report's first two points; -inf elsewhere.
 
@@ -228,80 +234,44 @@ def _normal_frame_residuals(chunk):
     return out
 
 
-# identities check -> tolerance key and residual per point of one chunk, in
-# report order; each row looks its functions up when it runs
-_IDENTITY_CHECKS = (
-    ("gray_vanishing", "exact", lambda c: c.rd.gray_residual()),
-    ("riemann_symmetries", "exact", lambda c: np.maximum.reduce([*c.rd.symmetry_residuals().values()])),
-    ("structure_bianchi", "exact", lambda c: bianchi_residual(c.ch)),
-    ("ddbar_omega_vs_torsion_curvature", "exact", lambda c: curvature_identity_residual(c.ch)),
-    ("del_omega_vs_torsion", "exact", lambda c: del_omega_residual(c.ch)),
-    ("balanced_trace", "exact", lambda c: balanced_identity_residual(c.ch)),
-    ("theta2_two_route", "two_route", lambda c: theta2_two_route_residual(c.ch, c.rd, _route(c)[1])),
-    ("theta2_type", "exact", lambda c: theta2_zero_one_part_residual(c.rd, _theta2(c))),
-    ("theta2_vs_torsion", "identities", lambda c: theta2_matches_torsion_residual(c.rd, _theta2(c))),
-    ("curvature_type", "exact", lambda c: np.full(len(c.points), c.ch.Rh_type_residual)),
-    ("curvature_skew_hermitian", "exact", lambda c: skew_hermitian_residual(c.ch)),
-    ("dsigma2_trace", "fd", lambda c: dsigma2_check(c.ch, route=_route(c))),
-    ("sigma1_psd", "psd", lambda c: c.once(_sigma_psd, c.ch)[0]),
-    ("sigma2_psd", "psd", lambda c: c.once(_sigma_psd, c.ch)[1]),
-    ("covT_vs_chern", "identities", lambda c: _difference(c)["covT_vs_chern"]),
-    ("mixed_20", "identities", lambda c: _difference(c)["mixed_20"]),
-    ("mixed_02", "identities", lambda c: _difference(c)["mixed_02"]),
-    ("riemann_vs_chern", "identities", lambda c: _difference(c)["riemann_vs_chern"]),
-    ("normal_frame_theta", "frame", lambda c: c.once(_normal_frame_residuals, c)[0]),
-    ("normal_frame_covT", "identities", lambda c: c.once(_normal_frame_residuals, c)[1]),
-    ("klike_ddbar_sigma", "identities", lambda c: klike_sigma_residual(c.ch)),
-    ("klike_eta_holomorphic", "identities", lambda c: holomorphic_eta_residual(c.ch)),
-    ("gklike_eta_trace", "identities", lambda c: eta_trace_residual(c.ch)),
+_IDENTITY_ROWS = (
+    ("gray_vanishing", "exact", 1, None, lambda c: c.rd.gray_residual()),
+    ("riemann_symmetries", "exact", 1, None, lambda c: np.maximum.reduce([*c.rd.symmetry_residuals().values()])),
+    ("structure_bianchi", "exact", 1, None, lambda c: bianchi_residual(c.ch)),
+    ("ddbar_omega_vs_torsion_curvature", "exact", 1, None, lambda c: curvature_identity_residual(c.ch)),
+    ("del_omega_vs_torsion", "exact", 1, None, lambda c: del_omega_residual(c.ch)),
+    ("balanced_trace", "exact", 1, None, lambda c: balanced_identity_residual(c.ch)),
+    ("theta2_two_route", "two_route", 1, None,
+     lambda c: theta2_two_route_residual(c.ch, c.rd, c.once(torsion_route, c.ch)[1])),
+    ("theta2_type", "exact", 1, None,
+     lambda c: theta2_zero_one_part_residual(c.rd, c.once(canonical_theta2, c.rd))),
+    ("theta2_vs_torsion", "identities", 1, None,
+     lambda c: theta2_matches_torsion_residual(c.rd, c.once(canonical_theta2, c.rd))),
+    ("curvature_type", "exact", 1, None, lambda c: np.full(len(c.points), c.ch.Rh_type_residual)),
+    ("curvature_skew_hermitian", "exact", 1, None, lambda c: skew_hermitian_residual(c.ch)),
+    ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, route=c.once(torsion_route, c.ch))),
+    ("sigma1_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[0]),
+    ("sigma2_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[1]),
+    ("covT_vs_chern", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["covT_vs_chern"]),
+    ("mixed_20", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["mixed_20"]),
+    ("mixed_02", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["mixed_02"]),
+    ("riemann_vs_chern", "identities", 1, None,
+     lambda c: c.once(curvature_difference_suite, c.rd)["riemann_vs_chern"]),
+    ("normal_frame_theta", "frame", 1, None, lambda c: c.once(_normal_frame_residuals, c)[0]),
+    ("normal_frame_covT", "identities", 1, None, lambda c: c.once(_normal_frame_residuals, c)[1]),
+    ("klike_ddbar_sigma", "identities", 1, "kahler_like", lambda c: klike_sigma_residual(c.ch)),
+    ("klike_eta_holomorphic", "identities", 1, "kahler_like", lambda c: holomorphic_eta_residual(c.ch)),
+    ("gklike_eta_trace", "identities", 1, "g_kahler_like", lambda c: eta_trace_residual(c.ch)),
 )
-# conditional check -> the flag that must hold at a point for it to apply
-# there; a conditional check is reported only when some point qualifies
-_IDENTITY_CONDITIONS = {
-    "klike_ddbar_sigma": "kahler_like",
-    "klike_eta_holomorphic": "kahler_like",
-    "gklike_eta_trace": "g_kahler_like",
-}
 
 
 class Identities(Suite):
-    def rows(self, chunk):
-        flags = chunk.once(flag_residuals_at, chunk.ch, chunk.rd)
-        rows = {}
-        for name, _key, row in _IDENTITY_CHECKS:
-            flag = _IDENTITY_CONDITIONS.get(name)
-            live = True if flag is None else flags[flag] < self.tols["flags"]
-            # a conditional row with no qualifying point is not computed
-            rows[name] = np.where(live, row(chunk) if np.any(live) else 0.0, -np.inf)
-        return rows
-
-    def checks(self):
-        res = self.residuals()
-        return [
-            _first_max(name, res[name], self.points, self.tols[key])
-            for name, key, _row in _IDENTITY_CHECKS
-            if name not in _IDENTITY_CONDITIONS or (res[name] != -np.inf).any()
-        ], None
+    table = _IDENTITY_ROWS
 
 
 # random draws per point in the compare suite: (X, Y, a) triples and real planes
 COMPARE_DIRECTIONS = 50
 COMPARE_PLANES = 5
-
-# compare check -> tolerance key and scale, in report order
-_COMPARE_TOLERANCES = {
-    "sym_bisectional": ("identities", 1),
-    "cross_bisectional": ("identities", 1),
-    "holo_sectional": ("identities", 1),
-    "bisectional_symmetry": ("frame", 1),
-    "bisectional_reality": ("psd", 100),
-    "monotonicity_floor": ("psd", 1),
-    "ricci_affine": ("psd", 100),
-    "j_invariant_ricci": ("identities", 1),
-    "scalar_half_trace": ("exact", 1),
-    "plane_complexified": ("identities", 1),
-    "plane_angles": ("identities", 1),
-}
 
 
 def compare_draws(rng, count, n):
@@ -331,50 +301,55 @@ def compare_draws(rng, count, n):
     return X, Y, a.T, rest[:, :n] + 1j * rest[:, n : 2 * n], u, v
 
 
-def _compare_residuals(rd, X, Y, a, ricci_dir, u, v):
-    """Each compare check's worst residual per point of the batch ``rd`` over its draws."""
-    diff = bisectional_difference_residuals(rd, X, Y)
-    gap = monotonicity_gap(rd, X)
-    bxy = bisectional(rd, X, Y, a)
-    byx = bisectional(rd, Y, X, a)
-    ricci = ricci_identity_residuals(rd, ricci_dir)
-    plane = plane_decomposition_check(rd, u, v)
-
-    def planes(r):  # degenerate planes take no part
-        return np.where(plane["degenerate"], -np.inf, r).max(axis=0)
-
+def _compare_terms(rd, X, Y, a, ricci_dir, u, v):
+    """The compare functions on all draws of the batch ``rd``, which the compare rows read."""
     return {
-        "sym_bisectional": diff["sym_bisectional"].max(axis=0),
-        "cross_bisectional": diff["cross_bisectional"].max(axis=0),
-        "holo_sectional": diff["holo_sectional"].max(axis=0),
-        "bisectional_symmetry": abs(bxy["B_a"] - byx["B_a"]).max(axis=0),
-        "bisectional_reality": bxy["imag_max"].max(axis=0),
-        "monotonicity_floor": (-gap).max(axis=0),
-        "ricci_affine": ricci["affine"],
-        "j_invariant_ricci": ricci["j_invariant_ricci"],
-        "scalar_half_trace": scalar_relation_residual(rd),
-        "plane_complexified": planes(plane["complexified_vs_real"]),
-        "plane_angles": planes(plane["angle_decomposition"]),
-        "best_gap": gap.max(axis=0),
-        "max_T": rd.chern.pointwise_max(rd.chern.T),
+        "rd": rd,
+        "diff": bisectional_difference_residuals(rd, X, Y),
+        "gap": monotonicity_gap(rd, X),
+        "bxy": bisectional(rd, X, Y, a),
+        "byx": bisectional(rd, Y, X, a),
+        "ricci": ricci_identity_residuals(rd, ricci_dir),
+        "plane": plane_decomposition_check(rd, u, v),
     }
 
 
+def _planes(t, name):
+    """A plane row's worst residual per point; degenerate planes take no part."""
+    return np.where(t["plane"]["degenerate"], -np.inf, t["plane"][name]).max(axis=0)
+
+
+# each row reads the terms of one chunk and reduces them over its draws
+_COMPARE_ROWS = (
+    ("sym_bisectional", "identities", 1, None, lambda t: t["diff"]["sym_bisectional"].max(axis=0)),
+    ("cross_bisectional", "identities", 1, None, lambda t: t["diff"]["cross_bisectional"].max(axis=0)),
+    ("holo_sectional", "identities", 1, None, lambda t: t["diff"]["holo_sectional"].max(axis=0)),
+    ("bisectional_symmetry", "frame", 1, None, lambda t: abs(t["bxy"]["B_a"] - t["byx"]["B_a"]).max(axis=0)),
+    ("bisectional_reality", "psd", 100, None, lambda t: t["bxy"]["imag_max"].max(axis=0)),
+    ("monotonicity_floor", "psd", 1, None, lambda t: (-t["gap"]).max(axis=0)),
+    ("ricci_affine", "psd", 100, None, lambda t: t["ricci"]["affine"]),
+    ("j_invariant_ricci", "identities", 1, None, lambda t: t["ricci"]["j_invariant_ricci"]),
+    ("scalar_half_trace", "exact", 1, None, lambda t: scalar_relation_residual(t["rd"])),
+    ("plane_complexified", "identities", 1, None, lambda t: _planes(t, "complexified_vs_real")),
+    ("plane_angles", "identities", 1, None, lambda t: _planes(t, "angle_decomposition")),
+)
+
+
 class Compare(Suite):
+    table = _COMPARE_ROWS
+
     def __init__(self, *args):
         super().__init__(*args)
         self.rng = np.random.default_rng(self.seed + 1)
 
     def rows(self, chunk):
-        draws = compare_draws(self.rng, len(chunk.points), self.metric.n)
-        return _compare_residuals(chunk.rd, *draws)
+        terms = _compare_terms(chunk.rd, *compare_draws(self.rng, len(chunk.points), self.metric.n))
+        best_gap, max_T = terms["gap"].max(axis=0), chunk.ch.pointwise_max(chunk.ch.T)
+        return super().rows(terms) | {"best_gap": best_gap, "max_T": max_T}
 
     def checks(self):
-        res, points, tols = self.residuals(), self.points, self.tols
-        checks = [
-            _first_max(name, res[name], points, tols[key] * scale)
-            for name, (key, scale) in _COMPARE_TOLERANCES.items()
-        ]
+        checks, _ = super().checks()
+        res, points = self.residuals(), self.points
         if res["max_T"].max() > 1e-3:
             i = int(np.argmax(res["best_gap"]))
             gap = 1e-6 / max(res["best_gap"][i], 1e-300)
@@ -388,29 +363,33 @@ class Compare(Suite):
 _CONFORMAL_EXPONENTS = ("re(z1)", "ln(1 + abs2(z1)) / 2")
 
 
+def _transforms(chunk):
+    """Each exponent's torsion, theta_1 and theta_2 transformation residuals, by (exponent, law)."""
+    batch, out = np.array(chunk.points), {}
+    for src in _CONFORMAL_EXPONENTS:
+        factor = ConformalFactor(parse_expr(src, chunk.ch.n), name=src)
+        # the scaled metric once per exponent, over all the points at once
+        scaled = conformal_metric(chunk.ch.metric, factor)
+        new_ch = chern_at(scaled, batch)
+        u = factor.u_values(batch)
+        new_rd = riemann_at(scaled, batch, chern_data=new_ch)
+        res = connection_transform_residuals(chunk.rd, new_rd, u)
+        out[src, "theta1"], out[src, "theta2"] = res["theta1"], res["theta2"]
+        out[src, "torsion"] = torsion_transform_residual(chunk.ch, new_ch, u)
+    return out
+
+
+_CONFORMAL_ROWS = tuple(
+    (f"{law}_transform[{src.replace(' ', '')}]", "exact", 1, None,
+     lambda c, k=(src, law): c.once(_transforms, c)[k])
+    for src in _CONFORMAL_EXPONENTS
+    for law in ("torsion", "theta1", "theta2")
+)
+
+
 class Conformal(Suite):
     head = 5
-
-    def checks(self):
-        metric, first, tol = self.metric, self.first, self.tols["exact"]
-        batch = np.array(first.points)
-        checks = []
-        for src in _CONFORMAL_EXPONENTS:
-            factor = ConformalFactor(parse_expr(src, metric.n), name=src)
-            # the scaled metric once per exponent, over all the points at once
-            scaled = conformal_metric(metric, factor)
-            new_ch = chern_at(scaled, batch)
-            u = factor.u_values(batch)
-            new_rd = riemann_at(scaled, batch, chern_data=new_ch)
-            res = connection_transform_residuals(first.rd, new_rd, u)
-            tag = src.replace(" ", "")
-            for name, residuals in (
-                ("torsion_transform", torsion_transform_residual(first.ch, new_ch, u)),
-                ("theta1_transform", res["theta1"]),
-                ("theta2_transform", res["theta2"]),
-            ):
-                checks.append(_first_max(f"{name}[{tag}]", residuals, first.points, tol))
-        return checks, None
+    table = _CONFORMAL_ROWS
 
 
 class Nilker(Suite):
@@ -458,27 +437,30 @@ class Nilker(Suite):
         return checks, None
 
 
+def _fd(chunk):
+    """Riemann and Chern data from FD jets: one value evaluation per stencil, one batched chern_at."""
+    metric = chunk.ch.metric
+    jets = [fd_jet(metric.values_at, p, metric.n) for p in chunk.points]
+    ch = chern_at(metric, chunk.ch.point, g=tuple(np.stack(x) for x in zip(*jets)))
+    return riemann_at(metric, chunk.ch.point, chern_data=ch)
+
+
+_ORACLE_ROWS = (
+    ("jet_first_vs_fd", None, 1e-6, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.dg - c.ch.dg)),
+    ("jet_second_vs_fd", None, 1e-4, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.ddg - c.ch.ddg)),
+    ("torsion_vs_fd", "oracle_first", 1, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.T - c.ch.T)),
+    ("chern_curvature_vs_fd", "oracle_second", 1, None,
+     lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.Rh - c.ch.Rh)),
+    ("riemann_curvature_vs_fd", "oracle_second", 1, None,
+     lambda c: c.ch.pointwise_max(c.once(_fd, c).Rc - c.rd.Rc)),
+)
+
+
 class Oracle(Suite):
     """Rerun derivative-dependent quantities on finite-difference jets."""
 
     head = 5
-
-    def checks(self):
-        metric, first, tols = self.metric, self.first, self.tols
-        ch, rd = first.ch, first.rd
-        # each point's stencil in one evaluation of the metric's values, then
-        # the FD jets of every point through one batched chern_at
-        jets = [fd_jet(metric.values_at, p, metric.n) for p in first.points]
-        gv, dg, ddg = (np.stack(x) for x in zip(*jets))
-        ch_fd = chern_at(metric, ch.point, g=(gv, dg, ddg))
-        rd_fd = riemann_at(metric, ch.point, chern_data=ch_fd)
-        pairs = (dg, ch.dg), (ddg, ch.ddg), (ch_fd.T, ch.T), (ch_fd.Rh, ch.Rh), (rd_fd.Rc, rd.Rc)
-        rows = [ch.pointwise_max(fd - exact) for fd, exact in pairs]
-        names = ("jet_first_vs_fd", "jet_second_vs_fd", "torsion_vs_fd",
-                 "chern_curvature_vs_fd", "riemann_curvature_vs_fd")
-        second = tols["oracle_second"]
-        checks = zip(names, (1e-6, 1e-4, tols["oracle_first"], second, second), rows)
-        return [_first_max(name, r, first.points, tol) for name, tol, r in checks], None
+    table = _ORACLE_ROWS
 
 
 _SUITE_CLASSES = {

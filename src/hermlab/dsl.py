@@ -321,22 +321,32 @@ def _print(e, parent_prec):
         return f"({_fmt_number(v.real)} + {_fmt_number(v.imag)}*i)", _PREC["atom"]
     if isinstance(e, Coord):
         return f"z{e.index}", _PREC["atom"]
+    # runs of unary minus and left-deep operator chains loop, as in _eval
     if isinstance(e, Neg):
-        inner, prec = _print(e.arg, _PREC["neg"])
+        signs = 0
+        while isinstance(e, Neg):
+            signs, e = signs + 1, e.arg
+        inner, prec = _print(e, _PREC["neg"])
         if prec < _PREC["neg"]:
             inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
+        return "-" * signs + inner, _PREC["neg"]
     if isinstance(e, BinOp):
-        my = _PREC[e.op]
-        lhs, lp = _print(e.left, my)
-        rhs, rp = _print(e.right, my)
-        if lp < my:
-            lhs = f"({lhs})"
-        # binary operators parse left-associatively, so a right operand of
-        # equal precedence always needs parentheses to keep the tree shape
-        if rp <= my:
-            rhs = f"({rhs})"
-        return f"{lhs} {e.op} {rhs}", my
+        chain = []
+        while isinstance(e, BinOp):
+            chain.append(e)
+            e = e.left
+        text, prec = _print(e, _PREC[chain[-1].op])
+        for link in reversed(chain):
+            my = _PREC[link.op]
+            rhs, rp = _print(link.right, my)
+            if prec < my:
+                text = f"({text})"
+            # binary operators parse left-associatively, so a right operand of
+            # equal precedence always needs parentheses to keep the tree shape
+            if rp <= my:
+                rhs = f"({rhs})"
+            text, prec = f"{text} {link.op} {rhs}", my
+        return text, prec
     if isinstance(e, Pow):
         base, bp = _print(e.base, _PREC["pow"])
         if bp <= _PREC["pow"]:

@@ -13,7 +13,9 @@ from hermlab.dsl import (
     parse,
     to_source,
 )
-from hermlab.errors import DegenerateMetricError, MetricSyntaxError, OutOfDomainError
+from hermlab.classify import classify_at
+from hermlab.conformal import ConformalFactor
+from hermlab.errors import DegenerateMetricError, HermlabError, MetricSyntaxError, OutOfDomainError
 from conftest import fd_values, jet2, jet_arrays
 
 
@@ -124,6 +126,49 @@ def test_print_parse_fixed_point(src):
     printed = to_source(tree)
     assert parse(printed, 2) == tree
     assert to_source(parse(printed, 2)) == printed
+
+
+# flat chains far deeper than the interpreter's recursion limit: the printer
+# walks them by loops, as evaluation does
+LONG = {
+    "sum": " + ".join(["re(z1)"] * 1000),
+    "product": " * ".join(["(1 + z1)"] * 1000),
+    "minus_divide": "z1" + "".join(f" {'-/'[k % 2]} {k + 2}*z{k % 2 + 1}" for k in range(2000)),
+    "unary_minus": "-" * 600 + "z2",
+}
+
+
+def _preorder(e):
+    """Each node of the tree without its children, in pre-order, by an explicit stack.
+
+    Trees this deep overflow the recursive ``==`` of the node dataclasses.
+    """
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        out.append((type(e), *(getattr(e, f) for f in ("value", "index", "op", "exponent", "fn") if hasattr(e, f))))
+        stack.extend(getattr(e, f) for f in ("arg", "right", "left", "base") if hasattr(e, f))
+    return out
+
+
+@pytest.mark.parametrize("src", LONG.values(), ids=LONG.keys())
+def test_long_chains_print_and_parse_back(src):
+    tree = parse(src, 2)
+    assert _preorder(parse(to_source(tree), 2)) == _preorder(tree)
+
+
+def test_long_constraint_is_named_when_violated():
+    src = "2" + " + re(z1)" * 1000
+    metric = MetricField.from_text("long", 1, ["1"], constraint_texts=[src])
+    with pytest.raises(OutOfDomainError) as exc:
+        classify_at(metric, [[-0.9 + 0j]])
+    assert f"violates constraint {src!r}" in str(exc.value)
+
+
+def test_long_non_real_conformal_exponent_is_named():
+    factor = ConformalFactor(parse(" + ".join(["z1"] * 1000), 1), name="long")
+    with pytest.raises(HermlabError, match="is not real"):
+        factor.u_values(np.array([[0.3 + 0.4j]]))
 
 
 def _euclidean(n=2):
