@@ -17,8 +17,14 @@ broadcast leading axes.  The four-index contractions run as staged
 
 The CLI's compare suite draws all of a point's random directions first,
 in a fixed ``rng`` order (see ``hermlab.cli.compare_draws``), then runs each
-function once per chunk of points over all of its directions, and reduces
-each check to its largest residual and the first point that reaches it.
+function once per chunk of points over all of its directions (a degenerate
+plane is masked, not skipped), and reduces each check to its largest
+residual and the first point that reaches it.
+
+The rigidity search depends only on its seed.  Each descent step gathers
+the 18 slot columns (a_i, a_j, a_k, b_i, b_j, b_k of the three cyclic
+triples) with one index array and conjugates them with one ``conj``; the
+equations and the closed-form gradient read slices of both.
 """
 
 from __future__ import annotations
@@ -290,15 +296,15 @@ def plane_decomposition_check(rd, u, v):
 # ----------------------------------------------------------------------
 # dimension-3 torsion rigidity: the cyclic quadratic system has no
 # nonzero solution, so its residual on the unit sphere stays above a floor
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
 # measured over 10^4 seeded unit restarts (seed 2024, polish top 64): the
 # search bottoms out at 0.57735 ~ 1/sqrt(3), reached at b = 0 with |a_i|
 # balanced; the bound is set comfortably below that observed minimum
 RIGIDITY_FLOOR = 0.5
 
 
-_, _J, _K = (np.array(slots) for slots in zip(*_CYCLIC))
+# cyclic triples (c, _J[c], _K[c]); slot i of triple c is coordinate c
+_J, _K = np.array([1, 2, 0]), np.array([2, 0, 1])
+_SLOTS = np.concatenate([np.arange(3), _J, _K, np.arange(3, 6), _J + 3, _K + 3])
 
 
 def _abs2(z):
@@ -306,21 +312,21 @@ def _abs2(z):
 
 
 def _equations(X):
-    """The slots (a_i, a_j, a_k, b_i, b_j, b_k) at rows X [..., 6] and, from
-    them, the diagonal norm identity, the two product identities and the
-    mixed conjugate trace identity; all [..., 3], one column per cyclic triple.
-
-    Slot i of triple c is coordinate c.
+    """The slots (a_i, a_j, a_k, b_i, b_j, b_k) at rows X [..., 6], their
+    conjugates and, from them, the diagonal norm identity, the two product
+    identities and the mixed conjugate trace identity; all [..., 3], one
+    column per cyclic triple.
     """
-    # contiguous copies: the elementwise products below run faster on them
-    a, b = np.ascontiguousarray(X[..., :3]), np.ascontiguousarray(X[..., 3:])
-    aj, ak, bj, bk = a[..., _J], a[..., _K], b[..., _J], b[..., _K]
+    S = X[..., _SLOTS]
+    C = np.conj(S)
+    slots, conj = ([Z[..., s : s + 3] for s in range(0, 18, 3)] for Z in (S, C))
+    a, aj, ak, b, bj, bk = slots
     p = _abs2(a) - _abs2(b)
     e1 = np.sum(p, axis=-1, keepdims=True) - 3 * p[..., _K]  # p_i + p_j - 2 p_k
     e2 = b * bj - bk * ak
     e3 = a * aj - bk**2
-    e4 = bj * np.conj(bk) + b * np.conj(aj) + ak * np.conj(b)
-    return (a, aj, ak, b, bj, bk), (e1, e2, e3, e4)
+    e4 = bj * conj[5] + b * conj[1] + ak * conj[3]  # bj conj(bk) + b conj(aj) + ak conj(b)
+    return slots, conj, (e1, e2, e3, e4)
 
 
 def rigidity_equations(x):
@@ -329,7 +335,7 @@ def rigidity_equations(x):
     x packs (a_1, a_2, a_3, b_1, b_2, b_3); the four equations of each
     cyclic index triple come in turn.
     """
-    return np.stack(_equations(np.asarray(x, dtype=complex))[1], axis=-1).reshape(12)
+    return np.stack(_equations(np.asarray(x, dtype=complex))[2], axis=-1).reshape(12)
 
 
 def rigidity_residual(x):
@@ -343,7 +349,7 @@ def rigidity_residual(x):
 
 def _batch_residual_sq(X):
     """Vectorized squared residual for unit rows of X (shape (..., 6))."""
-    e1, e2, e3, e4 = _equations(X)[1]
+    e1, e2, e3, e4 = _equations(X)[2]
     return np.sum(e1**2 + _abs2(e2) + _abs2(e3) + _abs2(e4), axis=-1)
 
 
@@ -354,14 +360,14 @@ def _residual_sq_grad(X):
     cyclic triples at once; column c of each per-triple term lands on slot
     i, j or k of triple c.
     """
-    (ai, aj, ak, bi, bj, bk), (e1, e2, e3, e4) = _equations(X)
+    (ai, aj, ak, bi, bj, bk), (cai, caj, cak, cbi, cbj, cbk), (e1, e2, e3, e4) = _equations(X)
     e4c = np.conj(e4)
-    ga_i = e3 * np.conj(aj)
-    ga_j = e3 * np.conj(ai) + bi * e4c
-    ga_k = e4 * bi - e2 * np.conj(bk)
-    gb_i = e2 * np.conj(bj) + ak * e4c + e4 * aj
-    gb_j = e2 * np.conj(bi) + e4 * bk
-    gb_k = bj * e4c - e2 * np.conj(ak) - 2 * e3 * np.conj(bk)
+    ga_i = e3 * caj
+    ga_j = e3 * cai + bi * e4c
+    ga_k = e4 * bi - e2 * cbk
+    gb_i = e2 * cbj + ak * e4c + e4 * aj
+    gb_j = e2 * cbi + e4 * bk
+    gb_k = bj * e4c - e2 * cak - 2 * e3 * cbk
     # slot j of triple c is slot _J[c], reached from c = _K[slot]; slot k from c = _J[slot].
     # The e1 terms of slot m are 4 e1 a_m from the triples where m is slot i
     # or j and -8 e1 a_m from the one where it is slot k (signs flip for b);
@@ -393,7 +399,8 @@ def n3_rigidity_search(trials=10_000, seed=0, polish=64, steps=150):
 
     Runs projected gradient descent on all starts with a decaying step, then
     on the ``polish`` best of them at a constant step; both use the
-    closed-form gradient.  Returns the smallest residual found and its argmin.
+    closed-form gradient, so no optimiser library is needed.  Returns the
+    smallest residual found and its argmin.
     """
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(trials, 6)) + 1j * rng.normal(size=(trials, 6))

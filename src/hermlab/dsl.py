@@ -45,36 +45,54 @@ MAX_EXPONENT = 10**6
 
 # ----------------------------------------------------------------------
 # AST
-@dataclass(frozen=True)
-class Lit:
+class _Node:
+    """Trees compare and hash by their pre-order node list, built in a loop as ``_eval`` walks."""
+
+    def _preorder(self):
+        out, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            out.append(type(e) if isinstance(e, _Node) else e)
+            stack.extend(vars(e).values() if isinstance(e, _Node) else ())
+        return out
+
+    def __eq__(self, other):
+        return self._preorder() == other._preorder() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+
+@dataclass(frozen=True, eq=False)
+class Lit(_Node):
     value: complex
 
 
-@dataclass(frozen=True)
-class Coord:
+@dataclass(frozen=True, eq=False)
+class Coord(_Node):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False)
+class Pow(_Node):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     fn: str
     arg: "Expr"
 

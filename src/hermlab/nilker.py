@@ -7,10 +7,10 @@ nullspace-intersection oracle (stacked SVD) validates both; a caller that
 checks several vectors against one family computes its kernel basis once
 and passes it to :func:`oracle_contains`.
 
-The maximal-rank search is one batch: every candidate combination comes
-from one contraction of the coefficient rows with the stacked family, and
-one stacked ``svd(compute_uv=False)`` ranks them all.  The family
-relations are checked with one stacked product of every pair.
+A family keeps the validated ``[m, n, n]`` stack of its matrices and their
+largest entry modulus.  The maximal-rank search (``_max_rank_element``),
+the family relations, the kernel residual and the inductive step's change
+of basis each run as one stacked operation on that stack.
 
 The constructive walk needs the family presented through a torsion-type
 tensor A_X = (sum_i X_i T^k_{ij}), for which A_X Y = -A_Y X; general
@@ -33,7 +33,7 @@ RANK_RCOND = 1e-8
 
 @dataclass
 class NilpotentFamily:
-    """Square-zero, pairwise anti-commuting complex matrices."""
+    """Square-zero, pairwise anti-commuting complex matrices, fixed at construction."""
 
     matrices: list
     tensor: np.ndarray = field(default=None)  # torsion presentation if any
@@ -46,29 +46,27 @@ class NilpotentFamily:
         if any(A.shape != (n, n) for A in mats):
             raise InvalidFamilyError("family matrices must share a square shape")
         stack = np.stack(mats)
-        scale = max(1.0, np.max(np.abs(stack)))
-        # every product A_i A_j at once; pairs j <= i, checked in loop order
+        self._stack, self._scale = stack, max(1e-300, np.max(np.abs(stack)))
+        scale = max(1.0, self._scale)
+        tol = FAMILY_TOL * scale * scale
+        # every product A_i A_j at once; resid is symmetric, and the first bad
+        # pair j <= i in loop order is looked up only when there is one
         prods = stack[:, None] @ stack[None, :]
         resid = np.abs(prods + prods.swapaxes(0, 1)).max(axis=(-2, -1))
-        bad = np.argwhere(np.tril(resid > FAMILY_TOL * scale * scale))
-        if len(bad):
-            i, j = bad[0]
+        if resid.max() > tol:
+            i, j = np.argwhere(np.tril(resid > tol))[0]
             kind = "square-zero" if i == j else "anti-commutation"
             raise InvalidFamilyError(
                 f"{kind} violated by matrices {j}, {i} (residual {resid[i, j]:.3e})"
             )
-        self.matrices = mats
-
-    @property
-    def n(self):
-        return self.matrices[0].shape[0]
-
-    @property
-    def m(self):
-        return len(self.matrices)
+        self.matrices = list(stack)
+        self.m, self.n = stack.shape[:2]
 
     def kernel_residual(self, w):
-        return max(float(np.linalg.norm(A @ w)) for A in self.matrices)
+        """max_i |A_i w|; each squared norm is ``norm``'s Re.Re + Im.Im of one vector."""
+        V = self._stack @ w
+        sq = V.real[:, None] @ V.real[..., None] + V.imag[:, None] @ V.imag[..., None]
+        return float(np.sqrt(sq.max()))
 
 
 def operator_from_tensor(T, X):
@@ -116,8 +114,7 @@ def kernel_intersection_basis(family, rcond=RANK_RCOND):
     Uses the same absolute noise floor as the rank decisions, so a family
     of numerically-zero matrices reports the full space.
     """
-    stacked = np.vstack(family.matrices)
-    U, s, Vh = np.linalg.svd(stacked)
+    U, s, Vh = np.linalg.svd(family._stack.reshape(-1, family.n))
     atol = 1e-9 * _family_scale(family)
     if s.size == 0 or s[0] <= atol:
         return np.eye(family.n, dtype=complex)
@@ -152,7 +149,7 @@ def _numerical_rank(A, rcond=RANK_RCOND, atol=0.0):
 
 
 def _family_scale(family):
-    return max(1e-300, max(np.max(np.abs(M)) for M in family.matrices))
+    return family._scale
 
 
 def _max_rank_element(family, rng, atol, samples=50):
@@ -165,10 +162,10 @@ def _max_rank_element(family, rng, atol, samples=50):
     imaginary part), combined by one contraction and ranked by one stacked
     SVD; the first candidate of maximal rank is kept.
     """
-    m = family.m
+    m, n = family.m, family.n
     draws = rng.normal(size=(samples, 2, m))
     coeffs = np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]])
-    combos = np.tensordot(coeffs, np.stack(family.matrices), axes=1)
+    combos = np.dot(coeffs, family._stack.reshape(m, n * n)).reshape(-1, n, n)
     s = np.linalg.svd(combos, compute_uv=False)
     ranks = np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1)
     best = int(np.argmax(ranks))
@@ -195,9 +192,7 @@ def common_kernel_inductive(family, seed=0, _depth=0, _zero_tol=None):
 
     A, k = _max_rank_element(family, rng, atol=_zero_tol)
     if k == 0:  # every matrix is numerically zero
-        w = np.zeros(n, dtype=complex)
-        w[0] = 1.0
-        return w
+        return np.eye(n, dtype=complex)[0]
 
     U, s, Vh = np.linalg.svd(A)
     v_basis = U[:, :k]  # image of A
@@ -206,8 +201,7 @@ def common_kernel_inductive(family, seed=0, _depth=0, _zero_tol=None):
 
     # extend the image basis to a basis of ker(A) (image lies inside it)
     x_cols = []
-    for col in range(ker.shape[1]):
-        cand = ker[:, col]
+    for cand in ker.T:
         block = np.column_stack([v_basis] + x_cols + [cand])
         if _numerical_rank(block) == block.shape[1]:
             x_cols.append(cand)
@@ -215,23 +209,17 @@ def common_kernel_inductive(family, seed=0, _depth=0, _zero_tol=None):
             break
     Sinv = np.column_stack([v_basis] + x_cols + [y_basis])
     if Sinv.shape[0] != Sinv.shape[1]:
-        raise InvalidFamilyError(
-            "could not extend the image to a kernel basis; rank search failed"
-        )
+        raise InvalidFamilyError("could not extend the image to a kernel basis; rank search failed")
     S = np.linalg.inv(Sinv)
 
-    blocks = []
-    scale = max(1.0, _family_scale(family))
-    for M in family.matrices:
-        Mp = S @ M @ Sinv
-        off = np.max(np.abs(Mp[k:, :k]))
-        if off > 1e-7 * scale:
-            raise InvalidFamilyError(
-                "image of the maximal-rank element is not preserved "
-                f"(residual {off:.3e}); rank search failed"
-            )
-        blocks.append(Mp[:k, :k])
-    sub = NilpotentFamily(blocks)
+    Mp = S @ family._stack @ Sinv
+    off = np.max(np.abs(Mp[:, k:, :k]))
+    if off > 1e-7 * max(1.0, _family_scale(family)):
+        raise InvalidFamilyError(
+            "image of the maximal-rank element is not preserved "
+            f"(residual {off:.3e}); rank search failed"
+        )
+    sub = NilpotentFamily(list(Mp[:, :k, :k]))
     w_sub = common_kernel_inductive(sub, seed=seed, _depth=_depth + 1, _zero_tol=_zero_tol)
     w = v_basis @ w_sub
     w = w / np.linalg.norm(w)

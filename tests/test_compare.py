@@ -258,3 +258,83 @@ def test_rigidity_search_at_cli_parameters_reaches_the_floor(seed):
     out = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
     assert abs(out["min_residual"] - 1 / np.sqrt(3)) <= 1e-9
     assert abs(rigidity_residual(out["argmin"]) - out["min_residual"]) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# the rigidity lemma bit for bit: the search at the CLI's parameters for the
+# report seeds, and the closed-form gradient against the route it replaced
+RIGIDITY_PINS = {
+    42: ("0x1.279a745922d12p-1", [0.12563559531857288-0.5635148893388864j, 0.4195684009729909-0.3966052069916821j,
+                                  0.04755028367791528-0.5753888283992985j, 3.738647992037733e-06+1.8615683938073091e-06j,
+                                  2.9109351831473357e-06-5.619779464266641e-07j, -1.6218353389183448e-06-4.577394163289302e-06j]),
+    43: ("0x1.279a7459138d1p-1", [0.576410680502471-0.03292507740723067j, -0.42318784986804053+0.39274085228442396j,
+                                  -0.5712554207210159-0.08366945453667224j, 1.978533232350706e-06-2.991785116727586e-07j,
+                                  -3.3588724972362805e-06-1.0592276269273878e-06j, -3.7912864322845287e-07+3.035518009034056e-06j]),
+    44: ("0x1.279a7459307a8p-1", [-0.35096770135035976+0.4584266636347733j, 0.49405617734560703+0.2987337056846899j,
+                                  -0.09961237204052122-0.5686921035650127j, 3.5717280091036763e-06+4.744759025221629e-06j,
+                                  -4.827571629775004e-07+1.4490450310757101e-06j, 8.644144985495174e-07+5.7433318704481765e-06j]),
+    45: ("0x1.279a74591fb3dp-1", [0.42819697336077417-0.3872733986602879j, -0.06747229016804285-0.573394125709281j,
+                                  -0.5705401541292866-0.08841530318656675j, 7.854914043913795e-07+1.6282140704031093e-06j,
+                                  -3.364323790755682e-06-4.638180526612287e-06j, -2.530525263128628e-06-1.5508798611072083e-06j]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RIGIDITY_PINS))
+def test_rigidity_search_is_pinned_bit_for_bit(seed):
+    out = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
+    residual, argmin = RIGIDITY_PINS[seed]
+    assert out["min_residual"].hex() == residual
+    assert np.array_equal(out["argmin"], np.array(argmin))
+
+
+# the rigidity step as it ran before the one-gather rewrite: two contiguous
+# copies, four gathers and a conj per conjugated slot
+_RJ, _RK = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _abs2(z):
+    return z.real**2 + z.imag**2
+
+
+def _reference_equations(X):
+    a, b = np.ascontiguousarray(X[..., :3]), np.ascontiguousarray(X[..., 3:])
+    aj, ak, bj, bk = a[..., _RJ], a[..., _RK], b[..., _RJ], b[..., _RK]
+    p = _abs2(a) - _abs2(b)
+    e1 = np.sum(p, axis=-1, keepdims=True) - 3 * p[..., _RK]
+    e2 = b * bj - bk * ak
+    e3 = a * aj - bk**2
+    e4 = bj * np.conj(bk) + b * np.conj(aj) + ak * np.conj(b)
+    return (a, aj, ak, b, bj, bk), (e1, e2, e3, e4)
+
+
+def _reference_residual_sq(X):
+    e1, e2, e3, e4 = _reference_equations(X)[1]
+    return np.sum(e1**2 + _abs2(e2) + _abs2(e3) + _abs2(e4), axis=-1)
+
+
+def _reference_residual_sq_grad(X):
+    (ai, aj, ak, bi, bj, bk), (e1, e2, e3, e4) = _reference_equations(X)
+    e4c = np.conj(e4)
+    ga_i = e3 * np.conj(aj)
+    ga_j = e3 * np.conj(ai) + bi * e4c
+    ga_k = e4 * bi - e2 * np.conj(bk)
+    gb_i = e2 * np.conj(bj) + ak * e4c + e4 * aj
+    gb_j = e2 * np.conj(bi) + e4 * bk
+    gb_k = bj * e4c - e2 * np.conj(ak) - 2 * e3 * np.conj(bk)
+    f = 6 * e1[..., _RJ]
+    return 2 * np.concatenate(
+        [ga_i + ga_j[..., _RK] + ga_k[..., _RJ] - f * ai, gb_i + gb_j[..., _RK] + gb_k[..., _RJ] + f * bi],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 8, 400])
+def test_rigidity_step_matches_the_reference_route_bit_for_bit(rows):
+    from hermlab.compare import _batch_residual_sq, _residual_sq_grad
+
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
+    for Y in (X, X / np.linalg.norm(X, axis=1, keepdims=True)):
+        assert np.array_equal(_residual_sq_grad(Y), _reference_residual_sq_grad(Y))
+        assert np.array_equal(_batch_residual_sq(Y), _reference_residual_sq(Y))
+    assert np.array_equal(rigidity_equations(X[0]), np.stack(_reference_equations(X[0])[1], axis=-1).reshape(12))

@@ -129,7 +129,7 @@ def test_print_parse_fixed_point(src):
 
 
 # flat chains far deeper than the interpreter's recursion limit: the printer
-# walks them by loops, as evaluation does
+# and ``==`` walk them by loops, as evaluation does
 LONG = {
     "sum": " + ".join(["re(z1)"] * 1000),
     "product": " * ".join(["(1 + z1)"] * 1000),
@@ -138,23 +138,33 @@ LONG = {
 }
 
 
-def _preorder(e):
-    """Each node of the tree without its children, in pre-order, by an explicit stack.
-
-    Trees this deep overflow the recursive ``==`` of the node dataclasses.
-    """
-    out, stack = [], [e]
-    while stack:
-        e = stack.pop()
-        out.append((type(e), *(getattr(e, f) for f in ("value", "index", "op", "exponent", "fn") if hasattr(e, f))))
-        stack.extend(getattr(e, f) for f in ("arg", "right", "left", "base") if hasattr(e, f))
-    return out
-
-
 @pytest.mark.parametrize("src", LONG.values(), ids=LONG.keys())
 def test_long_chains_print_and_parse_back(src):
     tree = parse(src, 2)
-    assert _preorder(parse(to_source(tree), 2)) == _preorder(tree)
+    assert parse(to_source(tree), 2) == tree
+
+
+def _minus_signs(count, src):
+    # the parser nests one call per unary minus, so a run this long is built directly
+    tree = parse(src, 2)
+    for _ in range(count):
+        tree = Neg(tree)
+    return tree
+
+
+# trees from their deepest leaf and their last one
+DEEP_TREES = {
+    "sum": lambda first, last: parse(" + ".join([first] + ["z1"] * 998 + [last]), 2),
+    "product": lambda first, last: parse(" * ".join([first] + ["z1"] * 998 + [last]), 2),
+    "unary_minus": lambda first, last: _minus_signs(2000, f"{first} * {last}"),
+}
+
+
+@pytest.mark.parametrize("build", DEEP_TREES.values(), ids=DEEP_TREES.keys())
+def test_deep_trees_compare_and_hash_without_recursion(build):
+    tree, again = build("z1", "z1"), build("z1", "z1")
+    assert tree == again and hash(tree) == hash(again)
+    assert tree != build("z2", "z1") and tree != build("z1", "z2")
 
 
 def test_long_constraint_is_named_when_violated():

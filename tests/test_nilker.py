@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,50 @@ def test_iwasawa_torsion_feeds_the_construction(geo, metric):
     assert fam.kernel_residual(w) < 1e-8
     assert fam.kernel_residual(w2) < 1e-8
     assert oracle_contains(fam, w) and oracle_contains(fam, w2)
+
+
+# the suite's residuals bit for bit (iwasawa, 3 points, the report seeds)
+NILKER_PINS = {
+    42: (3.179800655392251e-17, 2.2457331073772303e-14),
+    43: (1.0949389893418967e-16, 7.657873468701074e-15),
+    44: (7.850462293418876e-17, 1.1767095680699036e-14),
+    45: (1.0996745446288727e-16, 6.116311244514758e-15),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NILKER_PINS))
+def test_nilker_suite_residuals_are_pinned(seed, capsys):
+    from hermlab.cli import main
+
+    main(["--metric", "iwasawa", "--points", "3", "--seed", str(seed), "--suite", "nilker", "--format", "json"])
+    checks = {c["name"]: c["residual"] for c in json.loads(capsys.readouterr().out)["suites"]["nilker"]["checks"]}
+    assert (checks["metric_family_kernel"], checks["fixture_kernel_residual"]) == NILKER_PINS[seed]
+
+
+def test_family_keeps_a_list_of_square_matrices():
+    fam = random_general_family(np.random.default_rng(3), n=5, m=3)
+    assert isinstance(fam.matrices, list) and len(fam.matrices) == fam.m == 3
+    assert all(isinstance(A, np.ndarray) and A.shape == (5, 5) and A.dtype == complex for A in fam.matrices)
+
+
+def test_invalid_family_texts():
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    cases = [
+        ([], "family must contain at least one matrix"),
+        ([A, np.zeros((3, 3))], "family matrices must share a square shape"),
+        ([2 * np.eye(2)], "square-zero violated by matrices 0, 0 (residual 8.000e+00)"),
+        ([A, 2 * np.eye(2)], "anti-commutation violated by matrices 0, 1 (residual 4.000e+00)"),
+        ([A, A.T], "anti-commutation violated by matrices 0, 1 (residual 1.000e+00)"),
+    ]
+    for mats, text in cases:
+        with pytest.raises(InvalidFamilyError) as exc:
+            NilpotentFamily(mats)
+        assert str(exc.value) == text
+    T = np.zeros((2, 2, 2), dtype=complex)
+    T[0, 0, 1] = 1.0
+    with pytest.raises(InvalidFamilyError) as exc:
+        family_from_torsion(T)
+    assert str(exc.value) == "tensor is not antisymmetric (residual 1.000e+00)"
+    with pytest.raises(InvalidFamilyError) as exc:
+        common_kernel_constructive(NilpotentFamily([A]))
+    assert str(exc.value) == "constructive route needs a torsion-tensor presentation"
