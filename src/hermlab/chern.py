@@ -45,12 +45,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dsl import MetricField
-from .errors import InsufficientJetOrderError
-
-
-# finite-difference jets (the oracle's ``g`` override of :func:`chern_at`)
-# carry a Hermitian defect of 2-5e-10 in their second derivatives
-OVERRIDE_HERMITIAN_TOL = 1e-6
 
 
 def cholesky_frame(gv, dg):
@@ -184,30 +178,15 @@ class ChernData:
         return float(np.sum(np.abs(self.T) ** 2))
 
 
-def chern_at(metric, point, g=None):
+def chern_at(metric, point):
     """Connection, curvature and torsion data at ``point`` [n] or points [P, n].
 
-    One point is computed as the batch of one.  ``g`` may override the
-    evaluated metric jets with (gv, dg, ddg) arrays laid out as
-    :meth:`MetricField.evaluate` returns them for ``point`` (the
-    finite-difference oracle mode); :meth:`MetricField.check_jets` checks
-    them at ``OVERRIDE_HERMITIAN_TOL``.
+    One point is computed as the batch of one.
     """
     point = np.asarray(point, dtype=complex)
     single = point.ndim == 1
     batch = point[None] if single else point
-    if g is None:
-        arrays = metric.evaluate(batch)
-    else:
-        if g[2] is None:
-            raise InsufficientJetOrderError(
-                "metric jets lack second derivatives; the Chern curvature needs them"
-            )
-        arrays = [np.asarray(x, dtype=complex) for x in g]
-        if single:
-            arrays = [x[None] for x in arrays]
-        metric.check_jets(batch, *arrays, OVERRIDE_HERMITIAN_TOL)
-    data = chern_from_jets(metric, batch, *arrays)
+    data = chern_from_jets(metric, batch, *metric.evaluate(batch))
     return data.at(0) if single else data
 
 
@@ -481,21 +460,18 @@ class NormalFrame:
         return self.torsion_jets_at(q)[0]
 
 
-def normal_frame_at(metric, point, data=None):
-    """Unitary frame field with vanishing connection matrix at ``point`` [n] or each of [P, n].
+def normal_frame_at(data):
+    """Unitary frame field with vanishing connection matrix at each point of the Chern data ``data``.
 
     The Cholesky frame is composed with a first-order polynomial unitary
     correction A(z) = I - sum_a C_a (z_a - p_a) - sum_a D_a (zbar_a - pbar_a)
-    whose derivatives cancel the connection at p.  ``data`` (the Chern data
-    at p) serves every evaluation at p itself, and :func:`chern_at` every
-    evaluation elsewhere.
+    whose derivatives cancel the connection at p.  ``data`` serves every
+    evaluation at p itself, and :func:`chern_at` every evaluation elsewhere.
     """
-    if data is None:
-        data = chern_at(metric, point)
-    n = metric.n
+    n = data.n
     return NormalFrame(
-        metric=metric,
-        point=np.asarray(point, dtype=complex),
+        metric=data.metric,
+        point=data.point,
         C_hol=data.theta_u_vals[..., :n, :, :].copy(),
         C_anti=data.theta_u_vals[..., n:, :, :].copy(),
         base=data,

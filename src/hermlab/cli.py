@@ -5,6 +5,14 @@ error (or an unwritable ``--out``), 3 the sampler found too few admissible
 points or the metric could not be evaluated at a sampled point.  Reports
 are deterministic for a fixed (source, seed) pair except for the timestamp
 field.
+
+Each suite declares its checks once, in a row table (``_IDENTITY_ROWS``,
+``_COMPARE_ROWS``, ``_CONFORMAL_ROWS``, ``_ORACLE_ROWS``; every row is listed
+in ``docs/report-schema.md``) that one :meth:`Suite.checks` reduces; only
+classify's expected-flag rows, compare's strict gap and rigidity floor and
+the nilker rows are written by hand.  Work that several rows read is
+computed once per chunk (:meth:`~hermlab.geometry.Chunk.once`); that sharing
+never joins the two sides of one check.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .chern import (
     balanced_identity_residual,
     bianchi_residual,
     chern_at,
+    chern_from_jets,
     curvature_identity_residual,
     del_omega_residual,
     normal_frame_at,
@@ -221,9 +230,9 @@ def _normal_frame_residuals(chunk):
     out = np.full((2, len(chunk.points)), -np.inf)
     k = min(2 - chunk.start, len(chunk.points))
     if k > 0:
-        points, ch = np.array(chunk.points[:k]), chunk.ch.at(slice(0, k))
-        nf = normal_frame_at(ch.metric, points, data=ch)
-        _, dT = nf.torsion_jets_at(points)
+        ch = chunk.ch.at(slice(0, k))
+        nf = normal_frame_at(ch)
+        _, dT = nf.torsion_jets_at(ch.point)
         n = ch.n
         Pt = ch.Pv.swapaxes(-2, -1)[:, None, None]
         out[0, :k] = nf.theta_norm_at_base()
@@ -372,7 +381,7 @@ def _transforms(chunk):
         scaled = conformal_metric(chunk.ch.metric, factor)
         new_ch = chern_at(scaled, batch)
         u = factor.u_values(batch)
-        new_rd = riemann_at(scaled, batch, chern_data=new_ch)
+        new_rd = riemann_at(new_ch)
         res = connection_transform_residuals(chunk.rd, new_rd, u)
         out[src, "theta1"], out[src, "theta2"] = res["theta1"], res["theta2"]
         out[src, "torsion"] = torsion_transform_residual(chunk.ch, new_ch, u)
@@ -437,12 +446,21 @@ class Nilker(Suite):
         return checks, None
 
 
+# the oracle's finite-difference jets, which override the evaluated ones,
+# carry a Hermitian defect of 2-5e-10 in their second derivatives
+OVERRIDE_HERMITIAN_TOL = 1e-6
+
+
 def _fd(chunk):
-    """Riemann and Chern data from FD jets: one value evaluation per stencil, one batched chern_at."""
-    metric = chunk.ch.metric
-    jets = [fd_jet(metric.values_at, p, metric.n) for p in chunk.points]
-    ch = chern_at(metric, chunk.ch.point, g=tuple(np.stack(x) for x in zip(*jets)))
-    return riemann_at(metric, chunk.ch.point, chern_data=ch)
+    """Riemann and Chern data from FD jets: one value evaluation per stencil, one batched Chern core.
+
+    Reads only the chunk's metric values and points, and checks the jets
+    as :func:`~hermlab.geometry.geometry_chunks` checks the evaluated ones.
+    """
+    metric, points = chunk.ch.metric, chunk.ch.point
+    jets = [np.stack(x) for x in zip(*(fd_jet(metric.values_at, p, metric.n) for p in chunk.points))]
+    metric.check_jets(points, *jets, OVERRIDE_HERMITIAN_TOL)
+    return riemann_at(chern_from_jets(metric, points, *jets))
 
 
 _ORACLE_ROWS = (
@@ -473,7 +491,7 @@ _SUITE_CLASSES = {
 }
 
 
-def run_suites(entry, points, tols, names, seed=catalog.DEFAULT_SEED):
+def run_suites(entry, points, tols, names, seed):
     """``{name: (checks, extra)}`` of the named suites over ``points``.
 
     Every suite reads a chunk of geometry before the next chunk is computed
@@ -502,14 +520,11 @@ def load_metric(source):
     return catalog.get(source)
 
 
-def run(config):
-    """Execute the configured suites; returns (report, exit_code)."""
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(config.get("tolerances", {}))
-    entry = config["entry"]
-    seed = int(config.get("seed", catalog.DEFAULT_SEED))
-    count = int(config.get("points", 20))
-    suites = config.get("suites", ["classify"])
+def run(entry, count, seed, suites, tols, oracle, timestamp):
+    """Execute ``suites`` ("all": every suite) on ``count`` sampled points; returns (report, exit_code).
+
+    ``tols`` is the whole tolerance table.
+    """
     if "all" in suites:
         suites = list(SUITES)
 
@@ -517,24 +532,21 @@ def run(config):
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "timestamp": config.get("_timestamp", ""),
+        "timestamp": timestamp,
         "config": {
             "metric": entry.metric.name,
             "n": entry.metric.n,
             "points": count,
             "seed": seed,
             "suites": sorted(suites),
-            "oracle": bool(config.get("oracle", False)),
+            "oracle": oracle,
             "tolerances": {k: float(v) for k, v in sorted(tols.items())},
         },
         "suites": {},
     }
 
     names = sorted(set(suites))
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-    if config.get("oracle"):
+    if oracle:
         names.append("oracle")
 
     all_passed = True
@@ -639,7 +651,7 @@ def main(argv=None):
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
 
-    tolerances = {}
+    tols = dict(DEFAULT_TOLERANCES)
     for item in args.tol:
         if "=" not in item:
             parser.error(f"--tol takes KEY=VALUE, got {item!r}")
@@ -649,10 +661,10 @@ def main(argv=None):
                 f"unknown tolerance {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
         try:
-            tolerances[key] = float(value)
+            tols[key] = float(value)
         except ValueError:
             parser.error(f"--tol {key} takes a number, got {value!r}")
-        if not 0 < tolerances[key] < np.inf:
+        if not 0 < tols[key] < np.inf:
             parser.error(f"--tol {key} must be finite and positive, got {value!r}")
 
     try:
@@ -661,17 +673,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    config = {
-        "entry": entry,
-        "points": args.points,
-        "seed": args.seed,
-        "suites": args.suite or ["classify"],
-        "tolerances": tolerances,
-        "oracle": args.oracle,
-        "_timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+    timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    suites = args.suite or ["classify"]
     try:
-        report, code = run(config)
+        report, code = run(entry, args.points, args.seed, suites, tols, args.oracle, timestamp)
     except MetricSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

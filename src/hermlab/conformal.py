@@ -199,7 +199,7 @@ def _relative_kahler_like(ch):
     return kahler_like_residual(ch) / (1.0 + ch.pointwise_max(ch.Rh))
 
 
-def gk_conformal_conditions(base, factor, points, base_rd=None):
+def gk_conformal_conditions(base, factor, points):
     """Evaluate the Riemannian-symmetry preservation criterion, per point.
 
     Requires the base metric to satisfy the symmetry itself at every point;
@@ -208,25 +208,23 @@ def gk_conformal_conditions(base, factor, points, base_rd=None):
     the biconditional.
     """
     z = np.asarray(points, dtype=complex)
-    if base_rd is None:
-        base_rd = riemann_at(base, z)
+    base_rd = riemann_at(chern_at(base, z))
     if np.any(_relative_theta2(base_rd) > 1e-6):
         raise HermlabError("base metric lacks the Riemannian Kahler symmetry at some point")
     conditions = hessian_conditions(base_rd, factor, z)
-    new_rd = riemann_at(conformal_metric(base, factor), z)
+    new_rd = riemann_at(chern_at(conformal_metric(base, factor), z))
     conditions["transformed_theta2"] = _relative_theta2(new_rd)
     return conditions
 
 
-def klike_conformal_conditions(base, factor, points, base_ch=None):
+def klike_conformal_conditions(base, factor, points):
     """Evaluate the Chern-symmetry preservation criterion, per point.
 
     The criterion is del delbar u = 0; the report carries the transformed
     metric's actual symmetry residual for the biconditional check.
     """
     z = np.asarray(points, dtype=complex)
-    if base_ch is None:
-        base_ch = chern_at(base, z)
+    base_ch = chern_at(base, z)
     if np.any(_relative_kahler_like(base_ch) > 1e-6):
         raise HermlabError("base metric lacks the Chern Kahler symmetry at some point")
     pluriharmonic = pluriharmonic_residual(factor, z)  # raises unless u is real

@@ -46,7 +46,11 @@ MAX_EXPONENT = 10**6
 # ----------------------------------------------------------------------
 # AST
 class _Node:
-    """Trees compare and hash by their pre-order node list, built in a loop as ``_eval`` walks."""
+    """Trees compare and hash by their pre-order node list, built in a loop as ``_eval`` walks.
+
+    A tree's repr is its :func:`to_source` text, which loops along operator
+    chains where the field-by-field dataclass repr would recurse per node.
+    """
 
     def _preorder(self):
         out, stack = [], [self]
@@ -62,36 +66,39 @@ class _Node:
     def __hash__(self):
         return hash(tuple(self._preorder()))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({to_source(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(_Node):
     value: complex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coord(_Node):
     index: int  # 1-based
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(_Node):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     fn: str
     arg: "Expr"
@@ -614,7 +621,7 @@ def _batch_jet(e, points, order=2):
     )
 
 
-def eval_value(e, point, n=None):
+def eval_value(e, point):
     """Value-only evaluation (used by finite-difference oracles)."""
     return complex(_batch_jet(e, point, order=0)[0])
 

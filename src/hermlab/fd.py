@@ -26,9 +26,9 @@ from .jets import real_from_wirtinger, wirtinger_from_real
 DEFAULT_STEP = 1e-4
 
 
-def _stencil(p, n, h=DEFAULT_STEP):
+def _stencil(p, n):
     """The stencil points [S, n] around ``p``, in the order described above."""
-    p = np.asarray(p, dtype=complex)
+    p, h = np.asarray(p, dtype=complex), DEFAULT_STEP
     # steps[s, a]: the step of sign s (+h, -h) along real coordinate a
     steps = np.array([h, -h])[:, None, None] * real_from_wirtinger(n)[:, :n]
     a, b = np.triu_indices(2 * n, 1)
@@ -38,14 +38,14 @@ def _stencil(p, n, h=DEFAULT_STEP):
     return np.concatenate([p[None], singles, np.moveaxis(corners, 2, 0).reshape(-1, n)])
 
 
-def fd_real_derivatives(f, p, n, h=DEFAULT_STEP):
+def fd_real_derivatives(f, p, n):
     """Value and first and second derivatives of ``f`` along the 2n real coordinates.
 
     ``f`` maps stencil points [S, n] to values [S, ...].  Returns the value
     [...], first derivatives [..., 2n] and second derivatives [..., 2n, 2n].
     """
-    m = 2 * n
-    values = np.moveaxis(np.asarray(f(_stencil(p, n, h)), dtype=complex), 0, -1)
+    m, h = 2 * n, DEFAULT_STEP
+    values = np.moveaxis(np.asarray(f(_stencil(p, n)), dtype=complex), 0, -1)
     f0 = values[..., 0]
     plus, minus = values[..., 1 : 1 + 2 * m : 2], values[..., 2 : 2 + 2 * m : 2]
     corners = values[..., 1 + 2 * m :].reshape(values.shape[:-1] + (-1, 4))
@@ -57,13 +57,13 @@ def fd_real_derivatives(f, p, n, h=DEFAULT_STEP):
     return f0, (plus - minus) / (2 * h), d2
 
 
-def fd_jet(f, p, n, h=DEFAULT_STEP):
+def fd_jet(f, p, n):
     """Order-2 Wirtinger jet (value, d1, d2) of ``f`` built by finite differences.
 
     ``f`` maps stencil points [S, n] to values [S, ...]; the jet arrays are
     [...], [..., 2n] and [..., 2n, 2n], the layout of ``MetricField.evaluate``.
     """
-    f0, rd1, rd2 = fd_real_derivatives(f, p, n, h)
+    f0, rd1, rd2 = fd_real_derivatives(f, p, n)
     B = wirtinger_from_real(n)
     # one contiguous matrix-vector product per entry, as for a single entry
     d1 = (B @ np.ascontiguousarray(rd1)[..., None])[..., 0]

@@ -148,6 +148,5 @@ def geometry_chunks(metric, points):
             # suite still holds while the next block is evaluated pins no block
             own = [x[part].copy() if len(batch) > chunk else x for x in jets]
             ch = chern_from_jets(metric, batch[part], *own)
-            rd = riemann_at(metric, batch[part], chern_data=ch)
-            yield Chunk(first + start, points[first + start : first + start + chunk], ch, rd)
+            yield Chunk(first + start, points[first + start : first + start + chunk], ch, riemann_at(ch))
         del jets, own  # before the next block is evaluated

@@ -202,13 +202,12 @@ class RiemannData:
         return q / np.einsum("...a,...ab,...b->...", u, self.G, u)
 
 
-def riemann_at(metric, point, chern_data=None):
-    """Riemannian curvature at ``point`` [n] or points [P, n].
+def riemann_at(ch):
+    """Riemannian curvature at the point [n] or points [P, n] of the Chern data ``ch``.
 
-    Built from the metric arrays of ``chern_data`` (computed when not
-    given); one point is computed as the batch of one.
+    Built from the metric arrays of ``ch``; one point is computed as the
+    batch of one.
     """
-    ch = chern_at(metric, point) if chern_data is None else chern_data
     arrays = ch.gv, ch.dg, ch.ddg, ch.Pv
     single = ch.point.ndim == 1
     if single:

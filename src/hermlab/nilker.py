@@ -46,6 +46,8 @@ class NilpotentFamily:
         if any(A.shape != (n, n) for A in mats):
             raise InvalidFamilyError("family matrices must share a square shape")
         stack = np.stack(mats)
+        if not np.isfinite(stack).all():
+            raise InvalidFamilyError("family matrices must have finite entries")
         self._stack, self._scale = stack, max(1e-300, np.max(np.abs(stack)))
         scale = max(1.0, self._scale)
         tol = FAMILY_TOL * scale * scale
@@ -81,7 +83,7 @@ def torsion_symmetry_residual(T):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def family_from_torsion(T, tol=None):
+def family_from_torsion(T):
     """Family {A_{e_1}, ..., A_{e_n}} of a torsion coefficient tensor.
 
     The tensor must be antisymmetric in its lower slots and satisfy the
@@ -95,9 +97,7 @@ def family_from_torsion(T, tol=None):
     if anti > FAMILY_TOL * scale:
         raise InvalidFamilyError(f"tensor is not antisymmetric (residual {anti:.3e})")
     sym = torsion_symmetry_residual(T)
-    if tol is None:
-        tol = FAMILY_TOL * scale
-    if sym > tol:
+    if sym > FAMILY_TOL * scale:
         raise InvalidFamilyError(
             f"quadratic symmetry violated (residual {sym:.3e}); "
             "the square-zero construction does not apply"
@@ -108,7 +108,7 @@ def family_from_torsion(T, tol=None):
 
 # ----------------------------------------------------------------------
 # brute-force oracle
-def kernel_intersection_basis(family, rcond=RANK_RCOND):
+def kernel_intersection_basis(family):
     """Orthonormal basis of the intersection of all kernels (stacked SVD).
 
     Uses the same absolute noise floor as the rank decisions, so a family
@@ -118,11 +118,11 @@ def kernel_intersection_basis(family, rcond=RANK_RCOND):
     atol = 1e-9 * _family_scale(family)
     if s.size == 0 or s[0] <= atol:
         return np.eye(family.n, dtype=complex)
-    rank = int(np.sum(s > max(rcond * s[0], atol)))
+    rank = int(np.sum(s > max(RANK_RCOND * s[0], atol)))
     return Vh[rank:].conj().T
 
 
-def oracle_contains(family, w, tol=KERNEL_TOL, basis=None):
+def oracle_contains(family, w, basis=None):
     """Whether ``w`` lies in the common kernel (``basis``: the family's, if known)."""
     if basis is None:
         basis = kernel_intersection_basis(family)
@@ -131,13 +131,13 @@ def oracle_contains(family, w, tol=KERNEL_TOL, basis=None):
     w = np.asarray(w, dtype=complex)
     w = w / np.linalg.norm(w)
     proj = basis @ (basis.conj().T @ w)
-    return float(np.linalg.norm(w - proj)) < tol
+    return float(np.linalg.norm(w - proj)) < KERNEL_TOL
 
 
 # ----------------------------------------------------------------------
 # inductive algorithm
-def _numerical_rank(A, rcond=RANK_RCOND, atol=0.0):
-    """Singular values count against max(rcond * s_max, atol).
+def _numerical_rank(A, atol=0.0):
+    """Singular values count against max(RANK_RCOND * s_max, atol).
 
     The absolute floor matters for matrices that are numerically zero,
     whose own s_max is pure noise.
@@ -145,25 +145,25 @@ def _numerical_rank(A, rcond=RANK_RCOND, atol=0.0):
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > max(rcond * s[0], atol)))
+    return int(np.sum(s > max(RANK_RCOND * s[0], atol)))
 
 
 def _family_scale(family):
     return family._scale
 
 
-def _max_rank_element(family, rng, atol, samples=50):
+def _max_rank_element(family, rng, atol):
     """A linear combination of maximal numerical rank.
 
-    Random sampling finds the generic (maximal) rank with overwhelming
-    probability; the basis elements themselves are swept as a
+    Random sampling (50 draws) finds the generic (maximal) rank with
+    overwhelming probability; the basis elements themselves are swept as a
     deterministic fallback.  All candidates are drawn at once (one
     ``normal`` call gives the stream of two per sample, real then
     imaginary part), combined by one contraction and ranked by one stacked
     SVD; the first candidate of maximal rank is kept.
     """
     m, n = family.m, family.n
-    draws = rng.normal(size=(samples, 2, m))
+    draws = rng.normal(size=(50, 2, m))
     coeffs = np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]])
     combos = np.dot(coeffs, family._stack.reshape(m, n * n)).reshape(-1, n, n)
     s = np.linalg.svd(combos, compute_uv=False)

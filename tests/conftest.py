@@ -35,7 +35,7 @@ class GeometryCache:
         for start in range(0, len(todo), CHUNK):
             rows = todo[start : start + CHUNK]
             ch = chern_at(metric, points[rows])
-            rd = riemann_at(metric, points[rows], chern_data=ch)
+            rd = riemann_at(ch)
             for index, row in enumerate(rows):
                 self.data[keys[row]] = (ch, rd, index)
         return [self.data[k] for k in keys]

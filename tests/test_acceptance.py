@@ -18,7 +18,7 @@ from hermlab.classify import (
     klike_sigma_residual,
     curvature_difference_suite,
 )
-from hermlab.chern import balanced_identity_residual
+from hermlab.chern import balanced_identity_residual, chern_at
 from hermlab.compare import (
     RIGIDITY_FLOOR,
     plane_decomposition_check,
@@ -262,8 +262,8 @@ def test_criterion_07_conformal_biconditional():
     for base, src in [(eu, "re(z1)"), (catalog.get("iwasawa").metric, "ln(1 + abs2(z1)) / 2")]:
         f = ConformalFactor(parse(src, base.n))
         pts = np.array(sample_points(base, 3, seed=SEED))
-        base_rd = riemann_at(base, pts)
-        new_rd = riemann_at(conformal_metric(base, f), pts)
+        base_rd = riemann_at(chern_at(base, pts))
+        new_rd = riemann_at(chern_at(conformal_metric(base, f), pts))
         u = f.u_values(pts)
         worst = max(worst, *torsion_transform_residual(base_rd.chern, new_rd.chern, u))
         for res in connection_transform_residuals(base_rd, new_rd, u).values():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hermlab import catalog, cli, compare, nilker
-from hermlab.chern import ChernData, chern_at
+from hermlab.chern import ChernData, chern_at, chern_from_jets
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.conformal import ConformalFactor, conformal_metric
 from hermlab.dsl import MetricField, eval_value, parse
@@ -57,12 +57,12 @@ def _batch_cases():
 @pytest.mark.parametrize("m,points", list(_batch_cases()))
 def test_batch_equals_single_points(m, points):
     ch = chern_at(m, points)
-    rd = riemann_at(m, points, chern_data=ch)
+    rd = riemann_at(ch)
     assert ch.point.shape == points.shape
     assert np.shape(rd.Scal) == (len(points),)
     for i, p in enumerate(points):
         one_ch = chern_at(m, p)
-        one_rd = riemann_at(m, p, chern_data=one_ch)
+        one_rd = riemann_at(one_ch)
         for one, batch in ((one_ch, ch.at(i)), (one_rd, rd.at(i))):
             got, want = _arrays(batch), _arrays(one)
             assert got.keys() == want.keys()
@@ -189,7 +189,7 @@ def test_flags_keep_the_first_worst_point():
         residuals = []
         for p in points:
             ch = chern_at(m, p)
-            residuals.append(flag_residuals_at(ch, riemann_at(m, p, chern_data=ch))[name])
+            residuals.append(flag_residuals_at(ch, riemann_at(ch))[name])
         worst = int(np.argmax(residuals))
         assert report[name].residual == residuals[worst]
         assert report[name].worst_point is points[worst]
@@ -254,7 +254,7 @@ def _close(got, want, key):
 def test_compare_batch_equals_single_directions(m, points):
     n, D = m.n, 4
     ch = chern_at(m, points)
-    rd = riemann_at(m, points, chern_data=ch)
+    rd = riemann_at(ch)
     rng = np.random.default_rng(89)
 
     def cvec(*shape):
@@ -423,23 +423,23 @@ def test_stencil_matches_the_per_point_shifts(n):
 def _per_point_fd_jet(expr, p, n, h=DEFAULT_STEP):
     """fd_jet of one entry as it ran before batching: a scalar call per stencil point."""
     m = 2 * n
-    f0 = complex(eval_value(expr, np.asarray(p, dtype=complex), n))
+    f0 = complex(eval_value(expr, np.asarray(p, dtype=complex)))
     d1 = np.zeros(m, dtype=complex)
     d2 = np.zeros((m, m), dtype=complex)
     # numpy scalars, not Python complex: Python's complex quotient rounds differently
     plus = np.zeros(m, dtype=complex)
     minus = np.zeros(m, dtype=complex)
     for a in range(m):
-        plus[a] = eval_value(expr, _shift(p, a, h), n)
-        minus[a] = eval_value(expr, _shift(p, a, -h), n)
+        plus[a] = eval_value(expr, _shift(p, a, h))
+        minus[a] = eval_value(expr, _shift(p, a, -h))
         d1[a] = (plus[a] - minus[a]) / (2 * h)
         d2[a, a] = (plus[a] - 2 * f0 + minus[a]) / (h * h)
     for a in range(m):
         for b in range(a + 1, m):
-            fpp = eval_value(expr, _shift(_shift(p, a, h), b, h), n)
-            fpm = eval_value(expr, _shift(_shift(p, a, h), b, -h), n)
-            fmp = eval_value(expr, _shift(_shift(p, a, -h), b, h), n)
-            fmm = eval_value(expr, _shift(_shift(p, a, -h), b, -h), n)
+            fpp = eval_value(expr, _shift(_shift(p, a, h), b, h))
+            fpm = eval_value(expr, _shift(_shift(p, a, h), b, -h))
+            fmp = eval_value(expr, _shift(_shift(p, a, -h), b, h))
+            fmm = eval_value(expr, _shift(_shift(p, a, -h), b, -h))
             d2[a, b] = d2[b, a] = (fpp - fpm - fmp + fmm) / (4 * h * h)
     B = wirtinger_from_real(n)
     d2 = B @ d2 @ B.T
@@ -572,7 +572,7 @@ def _parent_conformal(entry, points):
         new = conformal_metric(base, factor)
         tag = src.replace(" ", "")
         for p in points[:5]:
-            base_rd, new_rd = riemann_at(base, p), riemann_at(new, p)
+            base_rd, new_rd = riemann_at(chern_at(base, p)), riemann_at(chern_at(new, p))
             base_ch, new_ch = base_rd.chern, new_rd.chern
             ujet = jet2(factor.u_expr, p)
             v = base_ch.Pv @ ujet.d1[:n]
@@ -673,7 +673,7 @@ def _parent_identities(entry, points, cache, tols=cli.DEFAULT_TOLERANCES):
         if flags["g_kahler_like"] < tols["flags"]:
             update("gklike_eta_trace", classify.eta_trace_residual(ch), p)
         if idx < 2:
-            nf = chern.normal_frame_at(m, p, data=ch)
+            nf = chern.normal_frame_at(ch)
             update("normal_frame_theta", nf.theta_norm_at_base(), p)
             _, dT = nf.torsion_jets_at(p)
             raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
@@ -698,8 +698,8 @@ def _parent_oracle(entry, points, cache):
         gv, dg, ddg = fd_jet(m.values_at, p, m.n)
         update("jet_first_vs_fd", np.max(np.abs(dg - ch.dg)), p)
         update("jet_second_vs_fd", np.max(np.abs(ddg - ch.ddg)), p)
-        ch_fd = chern_at(m, p, g=(gv, dg, ddg))
-        rd_fd = riemann_at(m, p, chern_data=ch_fd)
+        ch_fd = chern_from_jets(m, np.asarray(p)[None], gv[None], dg[None], ddg[None]).at(0)
+        rd_fd = riemann_at(ch_fd)
         update("torsion_vs_fd", np.max(np.abs(ch_fd.T - ch.T)), p)
         update("chern_curvature_vs_fd", np.max(np.abs(ch_fd.Rh - ch.Rh)), p)
         update("riemann_curvature_vs_fd", np.max(np.abs(rd_fd.Rc - rd.Rc)), p)

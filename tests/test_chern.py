@@ -7,6 +7,7 @@ from hermlab import catalog
 from hermlab.chern import (
     balanced_identity_residual,
     bianchi_residual,
+    chern_at,
     curvature_identity_residual,
     del_omega_residual,
     delbar_eta_residual,
@@ -135,7 +136,7 @@ def test_covderiv_against_fd_transport(geo, metric):
     rng = np.random.default_rng(31)
     for p in sample_points(m, 3, seed=29):
         ch, _ = geo(m, p)
-        nf = normal_frame_at(m, p, data=ch)
+        nf = normal_frame_at(ch)
         n = m.n
         for l in range(n):
             e_l = ch.Pv[l]  # frame direction in coordinates
@@ -155,7 +156,7 @@ def test_covderiv_against_fd_transport(geo, metric):
 def test_normal_frame_euclidean_is_cholesky(geo, metric):
     m = metric("euclidean")
     p = np.array([0.2 + 0.1j, -0.4 + 0.3j])
-    nf = normal_frame_at(m, p)
+    nf = normal_frame_at(chern_at(m, p))
     F, _ = nf.frame_jets(p)
     assert np.allclose(F, np.eye(2))
 
@@ -164,7 +165,7 @@ def test_normal_frame_kills_connection(geo, metric):
     for name in ["iwasawa", "gkl_surface", "random_polynomial(8)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=37)[0]
-        nf = normal_frame_at(m, p)
+        nf = normal_frame_at(chern_at(m, p))
         assert nf.theta_norm_at_base() < 1e-9
 
 
@@ -172,7 +173,7 @@ def test_normal_frame_covderiv_equals_raw_derivative(geo, metric):
     m = metric("gkl_surface")
     p = sample_points(m, 1, seed=41)[0]
     ch, _ = geo(m, p)
-    nf = normal_frame_at(m, p, data=ch)
+    nf = normal_frame_at(ch)
     _, dT = nf.torsion_jets_at(p)
     n = m.n
     raw_l = np.einsum("la,kija->kijl", ch.Pv, dT[..., :n])
@@ -212,44 +213,48 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
 
 
 def test_chern_at_rejects_bad_metric_jets(metric):
-    from hermlab.chern import chern_at
-    from hermlab.errors import DegenerateMetricError, InsufficientJetOrderError
+    # the jet check of the evaluated metric, at the FD oracle's tolerance
+    from hermlab.chern import chern_from_jets
+    from hermlab.cli import OVERRIDE_HERMITIAN_TOL
+    from hermlab.errors import DegenerateMetricError
     from hermlab.levicivita import riemann_at
 
     m = metric("gkl_surface")
     p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
-    gv, dg, ddg = m.evaluate(p)
-    chern_at(m, p, g=(gv, dg, ddg))  # the evaluated jets pass
-    skewed = gv.copy()
-    skewed[0, 1] += 1e-3
-    skewed_d2 = ddg.copy()
-    skewed_d2[0, 1, 0, 2] += 1e-3  # a second-derivative slot alone
-    indefinite = [x.copy() for x in (gv, dg, ddg)]
-    indefinite[0][1, 1] = -1.0  # the constant jet -1
-    indefinite[1][1, 1] = indefinite[2][1, 1] = 0.0
-    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
-        chern_at(m, p, g=(skewed, dg, ddg))
-    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
-        chern_at(m, p, g=(gv, dg, skewed_d2))
-    with pytest.raises(DegenerateMetricError, match="not positive definite"):
-        chern_at(m, p, g=tuple(indefinite))
-    with pytest.raises(InsufficientJetOrderError):
-        chern_at(m, p, g=(gv, dg, None))
 
-    # a batch of overrides is checked point by point, and names the first bad point
+    def check(points, *jets):
+        m.check_jets(points, *jets, OVERRIDE_HERMITIAN_TOL)
+
+    gv, dg, ddg = m.evaluate(p[None])
+    check(p[None], gv, dg, ddg)  # the evaluated jets pass
+    skewed = gv.copy()
+    skewed[0, 0, 1] += 1e-3
+    skewed_d2 = ddg.copy()
+    skewed_d2[0, 0, 1, 0, 2] += 1e-3  # a second-derivative slot alone
+    indefinite = [x.copy() for x in (gv, dg, ddg)]
+    indefinite[0][0, 1, 1] = -1.0  # the constant jet -1
+    indefinite[1][0, 1, 1] = indefinite[2][0, 1, 1] = 0.0
+    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
+        check(p[None], skewed, dg, ddg)
+    with pytest.raises(DegenerateMetricError, match="not Hermitian"):
+        check(p[None], gv, dg, skewed_d2)
+    with pytest.raises(DegenerateMetricError, match="not positive definite"):
+        check(p[None], *indefinite)
+
+    # a batch is checked point by point, and names the first bad point
     points = np.array([p, p + 0.05, p - 0.1j])
     batch = m.evaluate(points)
     skewed = [x.copy() for x in batch]
     skewed[0][2, 0, 1] += 1e-3
     with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(points[2]))):
-        chern_at(m, points, g=tuple(skewed))
-    # and a clean batch gives the single-point overrides bit for bit
-    ch = chern_at(m, points, g=batch)
-    rd = riemann_at(m, points, chern_data=ch)
+        check(points, *skewed)
+    # and the Chern core on a batch of jets gives each point's bit for bit
+    ch = chern_from_jets(m, points, *batch)
+    rd = riemann_at(ch)
     for i, q in enumerate(points):
-        one = chern_at(m, q, g=tuple(x[i] for x in batch))
+        one = chern_from_jets(m, q[None], *(x[i : i + 1] for x in batch)).at(0)
         assert np.array_equal(ch.T[i], one.T) and np.array_equal(ch.Rh[i], one.Rh)
-        assert np.array_equal(rd.Rc[i], riemann_at(m, q, chern_data=one).Rc)
+        assert np.array_equal(rd.Rc[i], riemann_at(one).Rc)
 
 
 def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):
@@ -257,7 +262,7 @@ def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):
     # elsewhere the connection and the frame share one evaluation
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=37)[0]
-    nf = normal_frame_at(m, p)
+    nf = normal_frame_at(chern_at(m, p))
     evaluated = []
     evaluate = m.evaluate
     monkeypatch.setattr(m, "evaluate", lambda q: evaluated.append(q) or evaluate(q))

@@ -5,6 +5,7 @@ import pytest
 
 from hermlab import catalog
 from hermlab.cli import (
+    DEFAULT_TOLERANCES,
     load_metric,
     main,
     render_csv,
@@ -17,16 +18,7 @@ from hermlab.errors import DomainSamplingError
 
 
 def _run_config(name, suites, points=4, seed=9, oracle=False):
-    return run(
-        {
-            "entry": catalog.get(name),
-            "points": points,
-            "seed": seed,
-            "suites": suites,
-            "oracle": oracle,
-            "_timestamp": "T",
-        }
-    )
+    return run(catalog.get(name), points, seed, suites, dict(DEFAULT_TOLERANCES), oracle, "T")
 
 
 def test_euclidean_all_suites_pass():

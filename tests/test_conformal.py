@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermlab import catalog
+from hermlab.chern import chern_at
 from hermlab.classify import classify_at
 from hermlab.conformal import (
     ConformalFactor,
@@ -26,8 +27,8 @@ def _factor(src, n):
 def _transform(base, f, points):
     """Base and scaled Riemann data and the exponent's value and derivatives, one batch."""
     points = np.atleast_2d(points)
-    new = riemann_at(conformal_metric(base, f), points)
-    return riemann_at(base, points), new, f.u_values(points)
+    new = riemann_at(chern_at(conformal_metric(base, f), points))
+    return riemann_at(chern_at(base, points)), new, f.u_values(points)
 
 
 def _torsion_residual(base, f, points):

@@ -13,6 +13,7 @@ from hermlab.dsl import (
     parse,
     to_source,
 )
+from hermlab.chern import chern_at
 from hermlab.classify import classify_at
 from hermlab.conformal import ConformalFactor
 from hermlab.errors import DegenerateMetricError, HermlabError, MetricSyntaxError, OutOfDomainError
@@ -165,6 +166,18 @@ def test_deep_trees_compare_and_hash_without_recursion(build):
     tree, again = build("z1", "z1"), build("z1", "z1")
     assert tree == again and hash(tree) == hash(again)
     assert tree != build("z2", "z1") and tree != build("z1", "z2")
+
+
+@pytest.mark.parametrize("build", DEEP_TREES.values(), ids=DEEP_TREES.keys())
+def test_deep_trees_repr_as_their_source(build):
+    tree = build("z1", "z2")
+    assert repr(tree) == f"{type(tree).__name__}({to_source(tree)!r})"
+
+
+def test_chern_data_of_a_long_metric_entry_has_a_repr():
+    # the Chern data carry the metric field, and its repr each entry's
+    m = MetricField.from_text("long", 1, ["1 + " + " + ".join(["0.0001*abs2(z1)"] * 1000)])
+    assert "0.0001 * abs2(z1) + 0.0001 * abs2(z1)" in repr(chern_at(m, [0.1 + 0.2j]))
 
 
 def test_long_constraint_is_named_when_violated():

@@ -1,10 +1,12 @@
 """Geometry streaming: evaluation blocks and core chunks against 16-point
-calls of the batched cores, head copies, and the point a singular block
-names."""
+calls of the batched cores, head copies, the point a singular block
+names, and the data that the Riemann core and the FD oracle read."""
 
 import contextlib
 import io
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hermlab import catalog, cli
 from hermlab.chern import arrays_at, chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
-from hermlab.errors import SingularEvaluationError
+from hermlab.errors import DegenerateMetricError, SingularEvaluationError
 from hermlab.geometry import CHUNK, block_size, chunk_size, geometry_chunks, sample_points
 from hermlab.levicivita import riemann_at
 
@@ -56,7 +58,7 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
         for s in range(0, len(c.points), CHUNK):
             part = slice(s, s + CHUNK)
             ch = chern_at(m, np.array(c.points[part]))
-            rd = riemann_at(m, ch.point, chern_data=ch)
+            rd = riemann_at(ch)
             _assert_same(arrays_at(c.ch.at(part), slice(None)), arrays_at(ch, slice(None)))
             _assert_same(arrays_at(c.rd.at(part), slice(None)), arrays_at(rd, slice(None)))
         calls.clear()
@@ -119,3 +121,50 @@ def test_the_cli_names_the_first_sampled_point_past_the_first_block(tmp_path):
         code = cli.main(["--metric", str(config), "--points", str(count), "--seed", str(seed)])
     assert code == 3
     assert stderr.getvalue() == f"error: {alone.value}\n"
+
+
+def _nan(data, keep=()):
+    """``data`` with every array field but ``keep`` replaced by NaN."""
+    return replace(data, **{k: np.full_like(x, np.nan) for k, x in arrays_at(data, ...).items() if k not in keep})
+
+
+def test_riemann_reads_only_the_metric_arrays_and_the_frame():
+    # the Christoffel route must not read the torsion route's Chern data
+    m = catalog.get("iwasawa").metric
+    ch = chern_at(m, np.array(sample_points(m, 3, seed=42)))
+    read = set()
+    for name in arrays_at(ch, ...):
+        rd = riemann_at(replace(ch, **{name: np.full_like(getattr(ch, name), np.nan)}))
+        if not all(np.isfinite(x).all() for x in arrays_at(rd, ...).values()):
+            read.add(name)
+    assert read == {"gv", "dg", "ddg", "Pv"}
+
+
+def test_the_oracle_reads_only_metric_values_and_points(monkeypatch):
+    m = catalog.get("iwasawa").metric
+    chunk = next(geometry_chunks(m, sample_points(m, 3, seed=42)))
+    want = cli._fd(chunk)
+    ch = _nan(chunk.ch, keep=("point",))
+    poisoned = replace(chunk, ch=ch, rd=_nan(replace(chunk.rd, chern=ch)), memo={})
+
+    def evaluate(points):
+        raise AssertionError("the oracle evaluated the analytic jets")
+
+    monkeypatch.setattr(m, "evaluate", evaluate)
+    got = cli._fd(poisoned)
+    for have, expect in ((got, want), (got.chern, want.chern)):
+        _assert_same(arrays_at(have, ...), arrays_at(expect, ...))
+
+
+def test_the_oracle_checks_its_jets_at_its_own_tolerance(monkeypatch):
+    m = catalog.get("iwasawa").metric
+    chunk = next(geometry_chunks(m, sample_points(m, 3, seed=42)))
+    values_at = m.values_at
+
+    def skewed(by):  # the oracle on metric values with a non-Hermitian defect ``by``
+        monkeypatch.setattr(m, "values_at", lambda q: values_at(q) + by * np.eye(m.n, k=1))
+        return cli._fd(chunk)
+
+    skewed(3e-10)  # above the evaluated jets' Hermitian tolerance, below the oracle's
+    with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(chunk.points[0]))):
+        skewed(1e-3)

@@ -48,7 +48,7 @@ def test_chern_identities(n):
     m = perturbed_metric(n)
     p = base_point(n)
     ch = chern_at(m, p)
-    rd = riemann_at(m, p, chern_data=ch)
+    rd = riemann_at(ch)
     assert np.max(np.abs(ch.T)) > 1e-2  # the torsion identities are not vacuous
     assert bianchi_residual(ch) < EXACT
     assert curvature_identity_residual(ch) < EXACT

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hermlab.chern import chern_at
 from hermlab.dsl import parse
 from hermlab.forms import Form, mat_wedge
 from hermlab.geometry import sample_points
@@ -56,7 +57,7 @@ def test_gkl_surface_mixed_curvature_block_vanishes(geo, metric):
         )
         pts.append(p)
     for p in pts:
-        rd = riemann_at(m, p)
+        rd = riemann_at(chern_at(m, p))
         assert rd.theta2_norm() < 1e-9
 
 
@@ -241,7 +242,7 @@ def test_surface_closed_form_connection_blocks(geo, metric):
     # theta_2 = [[0, -lam*nu], [nu, 0]] with nu = u_zbar2 dz1, lam = e^{2u}
     m = metric("gkl_surface")
     p = np.array([0.35 - 0.6j, 0.4 + 0.8j])
-    rd = riemann_at(m, p)
+    rd = riemann_at(chern_at(m, p))
     n = 2
     coord_frame = (np.eye(n), np.zeros((n, n, 2 * n)))
     th1, th2 = levi_civita_frame_connection(rd, coord_frame)

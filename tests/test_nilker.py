@@ -172,6 +172,8 @@ def test_invalid_family_texts():
         ([2 * np.eye(2)], "square-zero violated by matrices 0, 0 (residual 8.000e+00)"),
         ([A, 2 * np.eye(2)], "anti-commutation violated by matrices 0, 1 (residual 4.000e+00)"),
         ([A, A.T], "anti-commutation violated by matrices 0, 1 (residual 1.000e+00)"),
+        ([np.full((2, 2), np.nan)], "family matrices must have finite entries"),
+        ([A, np.full((2, 2), np.inf)], "family matrices must have finite entries"),
     ]
     for mats, text in cases:
         with pytest.raises(InvalidFamilyError) as exc:
@@ -182,6 +184,8 @@ def test_invalid_family_texts():
     with pytest.raises(InvalidFamilyError) as exc:
         family_from_torsion(T)
     assert str(exc.value) == "tensor is not antisymmetric (residual 1.000e+00)"
+    with pytest.raises(InvalidFamilyError, match="finite entries"):
+        family_from_torsion(np.full((2, 2, 2), np.nan))
     with pytest.raises(InvalidFamilyError) as exc:
         common_kernel_constructive(NilpotentFamily([A]))
     assert str(exc.value) == "constructive route needs a torsion-tensor presentation"
