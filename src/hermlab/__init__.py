@@ -12,8 +12,6 @@ from . import catalog
 from .chern import ChernData, chern_at, normal_frame_at
 from .classify import ClassificationReport, classify_at, curvature_difference_suite
 from .dsl import MetricField, parse, to_source
-from .forms import Form
-from .jets import Jet2, JetMatrix
 from .levicivita import RiemannData, riemann_at
 from .nilker import (
     NilpotentFamily,
@@ -27,9 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChernData",
     "ClassificationReport",
-    "Form",
-    "Jet2",
-    "JetMatrix",
     "MetricField",
     "NilpotentFamily",
     "RiemannData",

@@ -23,6 +23,11 @@ from .dsl import MetricField
 from .errors import InvalidConfigError, UnknownMetricError
 
 DEFAULT_SEED = 0x5EED
+# the largest chart dimension a config may declare: a report's Riemann
+# temporaries grow like (2n)^4 over at least 16 points per chunk (a 16-point
+# --suite all report peaked at 137 MB at n = 8, 283 MB at n = 10 on x86-64),
+# so a larger n is refused before anything is allocated
+MAX_N = 12
 
 # degree <= 2 monomials in (z, zbar) used by the random generator
 _MONOMIALS_BY_DEGREE = {
@@ -309,6 +314,8 @@ def _check_config(cfg):
         raise InvalidConfigError("metric config field 'name' must be a string")
     if not (isinstance(n, int) and not isinstance(n, bool)) or n < 1:
         raise InvalidConfigError(f"metric config field 'n' must be an integer >= 1, got {n!r}")
+    if n > MAX_N:
+        raise InvalidConfigError(f"metric config field 'n' must be at most {MAX_N}, got {n}")
     for key, count in (("entries", n * n), ("constraints", None)):
         texts = cfg.get(key, [])
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):

@@ -155,9 +155,9 @@ class Suite:
     up when it runs (the benchmark's tracer patches module attributes); a row
     with a ``flag`` applies where that flag holds and is reported only if some
     point qualifies.  :meth:`add` takes each chunk in point order; a suite with
-    ``head = k`` keeps a copy of the first k points' data and computes its rows
-    on it after the stream.  :meth:`checks` reduces each row to its largest
-    residual at the first point that reaches it.
+    ``head = k`` computes its rows on a copy of the first chunk's first k
+    points only.  :meth:`checks` reduces each row to its largest residual at
+    the first point that reaches it.
     """
 
     head = 0
@@ -172,7 +172,7 @@ class Suite:
         if not self.head:
             self.parts.append(self.rows(chunk))
         elif chunk.start == 0:
-            self.first = chunk.head(self.head)
+            self.parts.append(self.rows(chunk.head(self.head)))
 
     def rows(self, chunk):
         """Each row's residual at each point of ``chunk``; -inf where its flag fails."""
@@ -185,8 +185,7 @@ class Suite:
 
     def residuals(self):
         """Each row's residuals over the suite's points, the chunks' arrays joined."""
-        parts = [self.rows(self.first)] if self.head else self.parts
-        return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+        return {name: np.concatenate([part[name] for part in self.parts]) for name in self.parts[0]}
 
     def checks(self):
         res = self.residuals()
@@ -402,14 +401,15 @@ class Conformal(Suite):
 
 
 class Nilker(Suite):
-    head = 1
+    def add(self, chunk):
+        if chunk.start == 0:
+            self.T = chunk.ch.T[0].copy()  # the first point's torsion, all this suite reads
 
     def checks(self):
-        seed, tols, p = self.seed, self.tols, self.points[0]
+        seed, tols, p, T = self.seed, self.tols, self.points[0], self.T
         rng = np.random.default_rng(seed + 2)
         # torsion of the metric at the first point: the family construction
         # applies only when the quadratic symmetry holds
-        T = self.first.ch.T[0]
         sym = torsion_symmetry_residual(T)
         applicable = sym < 1e-8 * (1.0 + float(np.max(np.abs(T))) ** 2)
         checks = [Check("metric_torsion_symmetry", sym, np.inf, p, asserted=False)]
@@ -525,9 +525,7 @@ def run(entry, count, seed, suites, tols, oracle, timestamp):
 
     ``tols`` is the whole tolerance table.
     """
-    if "all" in suites:
-        suites = list(SUITES)
-
+    suites = sorted(set(SUITES if "all" in suites else suites))
     points = sample_points(entry.metric, count, seed)
 
     report = {
@@ -538,17 +536,14 @@ def run(entry, count, seed, suites, tols, oracle, timestamp):
             "n": entry.metric.n,
             "points": count,
             "seed": seed,
-            "suites": sorted(suites),
+            "suites": suites,
             "oracle": oracle,
             "tolerances": {k: float(v) for k, v in sorted(tols.items())},
         },
         "suites": {},
     }
 
-    names = sorted(set(suites))
-    if oracle:
-        names.append("oracle")
-
+    names = suites + ["oracle"] if oracle else suites
     all_passed = True
     for name, (checks, extra) in run_suites(entry, points, tols, names, seed).items():
         passed = all(c.passed for c in checks)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import real_from_wirtinger, wirtinger_from_real
+from .dsl import real_from_wirtinger, wirtinger_from_real
 
 _MIN_NORM = 1e-12
 

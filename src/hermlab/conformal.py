@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import chern_at, kahler_like_residual
-from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, to_source
+from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, real_from_wirtinger, to_source
 from .errors import HermlabError
-from .jets import real_from_wirtinger
 from .levicivita import levi_civita_frame_connection, riemann_at
 
 _REAL_TOL = 1e-12

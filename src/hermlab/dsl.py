@@ -30,7 +30,6 @@ from .errors import (
     OutOfDomainError,
     SingularEvaluationError,
 )
-from .jets import conj_slots
 
 FUNCTIONS = ("exp", "ln", "sqrt", "conj", "re", "im", "abs2")
 
@@ -389,13 +388,49 @@ def to_source(e):
 
 
 # ----------------------------------------------------------------------
+# derivative slots: (dz_1 .. dz_n, dzbar_1 .. dzbar_n) in every jet,
+# derivative and form array; real coordinates (x_1, y_1, ..., x_n, y_n).
+# C and B below are the only definitions of the change of basis (README)
+def real_from_wirtinger(n):
+    """Matrix C with (d/dx_k, d/dy_k) rows over the 2n Wirtinger slots."""
+    C = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        C[2 * k, k] = 1.0
+        C[2 * k, n + k] = 1.0
+        C[2 * k + 1, k] = 1.0j
+        C[2 * k + 1, n + k] = -1.0j
+    return C
+
+
+def wirtinger_from_real(n):
+    """Matrix B with (d/dz_k, d/dzbar_k) rows over the 2n real slots."""
+    B = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        B[k, 2 * k] = 0.5
+        B[k, 2 * k + 1] = -0.5j
+        B[n + k, 2 * k] = 0.5
+        B[n + k, 2 * k + 1] = 0.5j
+    return B
+
+
+def conj_slots(X, *axes):
+    """Complex conjugate of X with the dz / dzbar halves of ``axes`` swapped.
+
+    On a derivative slot this differentiates the conjugate
+    (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
+    """
+    Y = np.roll(X, [X.shape[a] // 2 for a in axes], axis=axes)
+    return np.conjugate(Y, out=Y)  # in place: one temporary the size of X, not two
+
+
+# ----------------------------------------------------------------------
 # evaluation
 #
 # Expressions are evaluated at a batch of points z[..., n] in one walk of
 # the tree.  A batched jet is the triple (v, d1, d2) of the values v[...],
 # the first Wirtinger derivatives d1[..., c] and the second d2[..., c, d],
-# with the derivative slots of :mod:`hermlab.jets`; each rule below is the
-# one of :class:`~hermlab.jets.Jet2`.  A derivative that vanishes
+# over the derivative slots above; each rule below is the one of the
+# scalar :class:`~hermlab.jets.Jet2`.  A derivative that vanishes
 # identically is None, so constants carry no arrays, and order 0 computes
 # values only.  One point is the batch with no leading axes.
 #
@@ -700,7 +735,7 @@ class MetricField:
         """Value, first and second derivative arrays of the metric.
 
         Returns gv[..., i, j], dg[..., i, j, c] and ddg[..., i, j, c, d]
-        over the derivative slots of :mod:`hermlab.jets`.  Raises
+        over the derivative slots of this module.  Raises
         :class:`OutOfDomainError` where a constraint fails and, through
         :meth:`check_jets` at ``HERMITIAN_TOL``,
         :class:`DegenerateMetricError` where g is degenerate.

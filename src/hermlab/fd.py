@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import real_from_wirtinger, wirtinger_from_real
+from .dsl import real_from_wirtinger, wirtinger_from_real
 
 DEFAULT_STEP = 1e-4
 

@@ -6,8 +6,8 @@ increasing index tuples.  All sign conventions in the package derive from
 this ordering together with the determinant evaluation convention
 (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
 
-Every production path works on dense arrays; no module of the package
-uses this one.  It stays as an independent reference for the tests and for
+Every production path works on dense arrays and nothing at runtime imports
+this module.  It stays as an independent reference for the tests and for
 the ``Form`` methods that ``perfbench/spans.py`` traces.
 """
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dsl import real_from_wirtinger, wirtinger_from_real
 from .errors import InsufficientJetOrderError
-from .jets import Jet2, real_from_wirtinger, wirtinger_from_real
+from .jets import Jet2
 
 
 def _is_zero_jet(j):

@@ -1,59 +1,29 @@
 """Order-2 Wirtinger jets and dense linear algebra over jet scalars.
 
 A jet carries a complex value together with its first and second Wirtinger
-derivatives at a point of C^n.  Derivative slots are ordered
-(d/dz_1 .. d/dz_n, d/dzbar_1 .. d/dzbar_n).  Every arithmetic operation
+derivatives at a point of C^n, over the derivative slots of
+:mod:`hermlab.dsl`.  Every arithmetic operation
 propagates derivatives exactly (Leibniz / quotient / chain rules), so any
 quantity assembled from jets automatically knows its own derivatives.
 
 The ``order`` attribute tracks how many derivative levels are still valid:
 2 means value, d1 and d2 are all usable, 1 means d2 has been spent
 (e.g. by extracting a derivative), 0 means only the value is meaningful.
+
+Nothing at runtime imports this module or :mod:`hermlab.forms`; both stay as
+scalar references for the tests and for the benchmark tracer's names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dsl import conj_slots, real_from_wirtinger
 from .errors import (
     DegenerateMetricError,
     InsufficientJetOrderError,
     SingularEvaluationError,
 )
-
-
-# real coordinates are ordered (x_1, y_1, ..., x_n, y_n); C and B below are
-# the only definitions of the change of basis (README, Conventions)
-def real_from_wirtinger(n):
-    """Matrix C with (d/dx_k, d/dy_k) rows over the 2n Wirtinger slots."""
-    C = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        C[2 * k, k] = 1.0
-        C[2 * k, n + k] = 1.0
-        C[2 * k + 1, k] = 1.0j
-        C[2 * k + 1, n + k] = -1.0j
-    return C
-
-
-def wirtinger_from_real(n):
-    """Matrix B with (d/dz_k, d/dzbar_k) rows over the 2n real slots."""
-    B = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        B[k, 2 * k] = 0.5
-        B[k, 2 * k + 1] = -0.5j
-        B[n + k, 2 * k] = 0.5
-        B[n + k, 2 * k + 1] = 0.5j
-    return B
-
-
-def conj_slots(X, *axes):
-    """Complex conjugate of X with the dz / dzbar halves of ``axes`` swapped.
-
-    On a derivative slot this differentiates the conjugate
-    (d/dz conj(f) = conj(d/dzbar f)); on form slots it is the conjugate form.
-    """
-    Y = np.roll(X, [X.shape[a] // 2 for a in axes], axis=axes)
-    return np.conjugate(Y, out=Y)  # in place: one temporary the size of X, not two
 
 
 class Jet2:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chern import ChernData, _max_coefficient, arrays_at, chern_at
+from .dsl import conj_slots, real_from_wirtinger, wirtinger_from_real
 from .fd import fd_jet
-from .jets import conj_slots, real_from_wirtinger, wirtinger_from_real
 
 _IMAG_TOL = 1e-9
 

@@ -15,12 +15,12 @@ from hermlab import catalog, cli, compare, nilker
 from hermlab.chern import ChernData, chern_at, chern_from_jets
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.conformal import ConformalFactor, conformal_metric
-from hermlab.dsl import MetricField, eval_value, parse
+from hermlab.dsl import MetricField, eval_value, parse, wirtinger_from_real
 from hermlab.errors import DomainSamplingError
 from hermlab.fd import DEFAULT_STEP, _stencil, fd_jet
 from conftest import GeometryCache, jet2
 from hermlab.geometry import CHUNK, sample_points
-from hermlab.jets import Jet2, wirtinger_from_real
+from hermlab.jets import Jet2
 from hermlab.levicivita import (
     _IMAG_TOL,
     RiemannData,

@@ -6,6 +6,7 @@ import pytest
 from hermlab import catalog
 from hermlab.cli import (
     DEFAULT_TOLERANCES,
+    SUITES,
     load_metric,
     main,
     render_csv,
@@ -263,6 +264,25 @@ def test_malformed_configs_are_usage_errors(tmp_path, capsys, fields):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_config_beyond_max_n_is_refused_before_evaluation(tmp_path, capsys):
+    n = catalog.MAX_N + 1
+    entries = ["1" if i == j else "0" for i in range(n) for j in range(n)]
+    code = main(["--metric", _config_file(tmp_path, n=n, entries=entries), "--points", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"'n' must be at most {catalog.MAX_N}, got {n}" in err
+
+
+def test_a_repeated_suite_is_listed_and_run_once(capsys):
+    argv = ["--metric", "euclidean", "--points", "1", "--format", "json"]
+    assert main(argv + ["--suite", "identities", "--suite", "classify", "--suite", "identities"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["suites"] == ["classify", "identities"]
+    assert list(report["suites"]) == ["classify", "identities"]
+    assert main(argv + ["--suite", "classify", "--suite", "all"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["suites"] == sorted(SUITES)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """hermlab runs on its declared dependencies alone."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,6 +14,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
+def _cli_probe(probe, argv):
+    """Run ``probe`` with ``argv`` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+
+
+_ALL_SUITES = ["--metric", "iwasawa", "--points", "3", "--suite", "all", "--oracle", "--format", "json"]
+
+
 def test_every_suite_runs_without_scipy():
     # a None entry in sys.modules makes any later `import scipy` raise
     probe = (
@@ -21,10 +31,23 @@ def test_every_suite_runs_without_scipy():
         "from hermlab import cli\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = ["--metric", "iwasawa", "--points", "3", "--suite", "all", "--oracle", "--format", "json"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+    out = _cli_probe(probe, _ALL_SUITES)
     assert out.returncode == 0, out.stderr
+
+
+def test_a_cli_run_loads_neither_the_jet_nor_the_form_layer(tmp_path):
+    probe = (
+        "import sys\n"
+        "from hermlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('hermlab')))\n"
+        "sys.exit(code)\n"
+    )
+    out = _cli_probe(probe, _ALL_SUITES + ["--out", str(tmp_path / "report.json")])
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert {"hermlab", "hermlab.cli", "hermlab.dsl"} <= loaded
+    assert not loaded & {"hermlab.jets", "hermlab.forms"}
 
 
 def _third_party_imports():
@@ -47,21 +70,32 @@ def test_declared_dependencies_are_the_third_party_imports():
     assert names == _third_party_imports()
 
 
-# the scalar jet and form objects live in these modules
-_OBJECT_LAYER = {"Jet2", "JetMatrix", "Form", "fd_exterior_d"}
-_OBJECT_LAYER_HOMES = {"jets.py", "forms.py", "__init__.py"}
+# the scalar jet and form layer: nothing but its own two modules imports it
+_OBJECT_LAYER = {"jets", "forms"}
+_OBJECT_LAYER_HOMES = {"jets.py", "forms.py"}
+
+
+def _hermlab_modules_imported(node):
+    """The hermlab submodules that an import statement loads, relative or absolute."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = importlib.util.resolve_name("." * node.level + (node.module or ""), "hermlab")
+        # `from . import jets` and `from hermlab import jets` name the module as an alias
+        modules = [f"{base}.{alias.name}" for alias in node.names] if base == "hermlab" else [base]
+    else:
+        return set()
+    return {m.split(".")[1] for m in modules if m.startswith("hermlab.")}
 
 
 def test_no_production_module_uses_the_jet_and_form_objects():
-    # every production path computes on (value, d1, d2) arrays; names in code
-    # count (imports, attributes, calls), words in docstrings do not
+    # every production path computes on (value, d1, d2) arrays; a module that
+    # does not import the layer cannot reach its objects, names or helpers
     users = []
     for path in sorted((SRC / "hermlab").rglob("*.py")):
         if path.name in _OBJECT_LAYER_HOMES:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, ast.alias):
-                names = {node.name, node.asname}
-            users += [f"{path.name}:{node.lineno} {name}" for name in names & _OBJECT_LAYER]
+            layer = _hermlab_modules_imported(node) & _OBJECT_LAYER
+            users += [f"{path.name}:{node.lineno} {name}" for name in sorted(layer)]
     assert not users

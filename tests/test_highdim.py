@@ -12,8 +12,7 @@ from hermlab.chern import (
     del_omega_residual,
     skew_hermitian_residual,
 )
-from hermlab.dsl import MetricField
-from hermlab.jets import real_from_wirtinger
+from hermlab.dsl import MetricField, real_from_wirtinger
 from hermlab.levicivita import dsigma2_check, riemann_at, theta2_two_route_residual
 
 # the identities suite's "exact", "two_route" and "fd" tolerances

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermlab.dsl import real_from_wirtinger
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
 from hermlab.fd import fd_jet
-from hermlab.jets import Jet2, JetMatrix, jet_max_abs_diff, real_from_wirtinger
+from hermlab.jets import Jet2, JetMatrix, jet_max_abs_diff
 
 
 def coord_jets(p):
