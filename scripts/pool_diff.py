@@ -12,7 +12,11 @@ evaluation blocks, which the benchmark's counts never fill).  A report is
 compared on its exit code, the text of an uncaught exception and its whole
 JSON document except ``timestamp``, float by float (so a zero's sign
 counts).  Every report that differs is printed with the fields that
-differ; the exit code is 0 only when no report differs.
+differ; the exit code is 0 only when no report differs.  A last line
+accounts for values that moved by roundoff: the reports whose exit code
+or some check's ``passed`` changed, the largest |delta residual| /
+tolerance over the checks, and the checks whose ``worst_point`` moved,
+with the largest residual / tolerance on either side of such a move.
 """
 
 from __future__ import annotations
@@ -101,6 +105,40 @@ def differences(old, new):
     return lines
 
 
+def _checks(outcome):
+    """{(suite, name): check} of an outcome's JSON report; empty if it is not one."""
+    try:
+        doc = json.loads(outcome["stdout"])
+    except json.JSONDecodeError:
+        return {}
+    suites = doc.get("suites", {}) if isinstance(doc, dict) else {}
+    return {(suite, check["name"]): check for suite, block in suites.items() for check in block.get("checks", [])}
+
+
+def moves(pairs):
+    """How far the (old, new) outcomes of each report moved, over all ``pairs``.
+
+    Returns the number of reports whose exit code or some check's
+    ``passed`` changed, the largest |delta residual| / tolerance over the
+    checks both sides report, the number of checks whose ``worst_point``
+    moved, and the largest residual / tolerance on either side of a move.
+    """
+    changed, largest, moved, moved_largest = 0, 0.0, 0, 0.0
+    for old, new in pairs:
+        a, b = _checks(old), _checks(new)
+        changed += old["exit"] != new["exit"] or any(
+            a.get(key, {}).get("passed") != b.get(key, {}).get("passed") for key in set(a) | set(b)
+        )
+        for key in set(a) & set(b):
+            x, y, tol = a[key]["residual"], b[key]["residual"], a[key]["tolerance"]
+            if x != y:
+                largest = max(largest, abs(y - x) / tol)
+            if a[key].get("worst_point") != b[key].get("worst_point"):
+                moved += 1
+                moved_largest = max(moved_largest, x / tol, y / tol)
+    return changed, largest, moved, moved_largest
+
+
 def run_tree(tree, tasks_path, out_path):
     """{key: outcome} of every task, run in one subprocess on ``tree``'s sources."""
     subprocess.run([sys.executable, "-c", CHILD, str(tree), str(tasks_path), str(out_path)], check=True)
@@ -144,6 +182,12 @@ def main(argv):
     print(
         f"{len(tasks)} reports: {differing} differ, {len(tasks) - differing} identical "
         f"({raised} of them raise, with the same text)"
+    )
+    changed, largest, moved, moved_largest = moves([(old[key], new[key]) for key, _ in tasks])
+    print(
+        f"{changed} reports changed their exit code or a check's passed; "
+        f"largest |delta residual|/tolerance {largest:.2g}; "
+        f"{moved} worst points moved, the largest at residual/tolerance {moved_largest:.2g}"
     )
     return 1 if differing else 0
 

@@ -16,7 +16,10 @@ Conventions, fixed once here and used by every downstream module:
   (first two indices from the 2-form, last two from the endomorphism).
 
 Everything is a dense numpy array computed in closed form from the value,
-first and second derivative arrays of g.  :func:`chern_at` takes one point
+first and second derivative arrays of g: :class:`ChernData` computes the
+value-level arrays, the torsion T included, at once, and the
+derivative-level ones (dL, dP, dT, theta_u_vals, covT, covT_bar) on first
+read, which :meth:`ChernData.at` carries.  :func:`chern_at` takes one point
 or a batch of P points; on a batch every array gains a leading point axis
 (all index patterns below start with ``...``), and one point is the batch
 of one.  Derivative slots run over the 2n
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -85,21 +88,32 @@ def frame_torsion(theta, dtheta, frame):
     T^k_{ij} = (V_{kij} - V_{kji}) / 2 with
     V_{kij} = sum K_{mk} theta[a, b, m] F_{ia} F_{jb}.
     """
-    F, dF = frame
+    T, parts = _torsion_values(theta, frame[0])
+    return T, _torsion_derivatives(theta, dtheta, frame, *parts)
+
+
+def _torsion_values(theta, F):
+    """T of :func:`frame_torsion` in the frame F, with the K, W and FW its derivatives reuse."""
     K = np.linalg.inv(F)
-    dK = -np.einsum("...mx,...xyc,...yk->...mkc", K, dF, K)
     W = np.einsum("...mk,...abm->...kab", K, theta)
+    FW = np.einsum("...ia,...kab->...kib", F, W)
+    V = np.einsum("...kib,...jb->...kij", FW, F)
+    return 0.5 * (V - V.swapaxes(-2, -1)), (K, W, FW)
+
+
+def _torsion_derivatives(theta, dtheta, frame, K, W, FW):
+    """dT [k, i, j, c] of :func:`frame_torsion`, from the parts of :func:`_torsion_values`."""
+    F, dF = frame
+    dK = -np.einsum("...mx,...xyc,...yk->...mkc", K, dF, K)
     dW = np.einsum("...mkc,...abm->...kabc", dK, theta) + np.einsum(
         "...mk,...abmc->...kabc", K, dtheta
     )
-    FW = np.einsum("...ia,...kab->...kib", F, W)
-    V = np.einsum("...kib,...jb->...kij", FW, F)
     dV = (
         np.einsum("...kibc,...jb->...kijc", np.einsum("...ia,...kabc->...kibc", F, dW), F)
         + np.einsum("...iac,...kaj->...kijc", dF, np.einsum("...kab,...jb->...kaj", W, F))
         + np.einsum("...kib,...jbc->...kijc", FW, dF)
     )
-    return 0.5 * (V - V.swapaxes(-2, -1)), 0.5 * (dV - dV.swapaxes(-3, -2))
+    return 0.5 * (dV - dV.swapaxes(-3, -2))
 
 
 def frame_connection_values(theta, frame):
@@ -135,12 +149,21 @@ def pointwise_max(X, lead):
     return m if lead else float(m)
 
 
+# the derivative-level arrays of ChernData, computed on first read
+_DERIVED = ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar")
+
+
 @dataclass
 class ChernData:
     """All Chern-side pointwise data of a metric at one point or a batch.
 
     ``point`` is [n] or [P, n]; every other array is dense, in the layouts
-    of the module docstring, with the same leading point axes.
+    of the module docstring, with the same leading point axes.  The fields
+    are the value-level data every suite reads, the torsion T included.
+    The derivative-level arrays ``dL``, ``dP``, ``dT``, ``theta_u_vals``,
+    ``covT`` and ``covT_bar`` are attributes, each computed on first read
+    (with the arrays computed along with it) and then kept; :meth:`at`
+    carries those computed so far.
     """
 
     metric: MetricField
@@ -150,25 +173,43 @@ class ChernData:
     dg: np.ndarray
     ddg: np.ndarray
     Lv: np.ndarray
-    dL: np.ndarray
     Pv: np.ndarray
-    dP: np.ndarray
     theta: np.ndarray
     dtheta: np.ndarray
     Theta: np.ndarray
     T: np.ndarray
-    dT: np.ndarray
     Rh: np.ndarray
     eta: np.ndarray
-    theta_u_vals: np.ndarray
     # Theta = delbar theta of a (1,0)-form has no (2,0) or (0,2) part
     Rh_type_residual: float = 0.0
-    covT: np.ndarray = field(default=None)
-    covT_bar: np.ndarray = field(default=None)
+
+    def __getattr__(self, name):
+        """Compute the derivative-level array ``name``; one point as the batch of one."""
+        if name not in _DERIVED:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if self.point.ndim == 1:
+            batch = self.at(None)
+            getattr(batch, name)
+            vars(self).update(batch._computed(0))
+        elif name in ("dL", "dP"):
+            _, self.dL, _, self.dP = cholesky_frame(self.gv, self.dg)
+        elif name == "dT":
+            self.dT = frame_torsion(self.theta, self.dtheta, (self.Pv, self.dP))[1]
+        elif name == "theta_u_vals":
+            self.theta_u_vals = frame_connection_values(self.theta, (self.Pv, self.dP))
+        else:
+            self.covT, self.covT_bar = covderiv_torsion(self)
+        return vars(self)[name]
+
+    def _computed(self, index):
+        """The derivative-level arrays computed so far, each indexed by ``index``."""
+        return {name: x[index] for name, x in vars(self).items() if name in _DERIVED}
 
     def at(self, index):
-        """The data at point ``index`` of a batch, as views of its arrays."""
-        return replace(self, **arrays_at(self, index))
+        """The data at point ``index`` of a batch, as views of its arrays (the computed ones too)."""
+        data = replace(self, **arrays_at(self, index))
+        vars(data).update(self._computed(index))
+        return data
 
     def pointwise_max(self, X):
         """max |X| at each point over the axes after the point axes."""
@@ -198,17 +239,18 @@ def chern_from_jets(metric, point, gv, dg, ddg):
     as :meth:`MetricField.evaluate` returns them for ``point``.
     """
     n = metric.n
-    L, dL, P, dP = cholesky_frame(gv, dg)
+    L = np.linalg.cholesky(gv)
+    P = np.linalg.inv(L)
     theta, dtheta = connection_arrays(dg, ddg, np.linalg.inv(gv))
     Theta = -np.moveaxis(dtheta[..., n:], -1, -3)
-    T, dT = frame_torsion(theta, dtheta, (P, dP))
+    T, _ = _torsion_values(theta, P)
 
     # Rh[k, l, i, j] = sum P_kc conj(P_ld) (P Theta_cd L)_ij
     Rh = P[..., None, None, :, :] @ Theta @ L[..., None, None, :, :]
     Rh = np.einsum("...ka,...abij->...kbij", P, Rh)
     Rh = np.einsum("...lb,...kbij->...klij", P.conj(), Rh)
 
-    data = ChernData(
+    return ChernData(
         metric=metric,
         point=point,
         n=n,
@@ -216,20 +258,14 @@ def chern_from_jets(metric, point, gv, dg, ddg):
         dg=dg,
         ddg=ddg,
         Lv=L,
-        dL=dL,
         Pv=P,
-        dP=dP,
         theta=theta,
         dtheta=dtheta,
         Theta=Theta,
         T=T,
-        dT=dT,
         Rh=Rh,
         eta=np.einsum("...iij->...j", T),
-        theta_u_vals=frame_connection_values(theta, (P, dP)),
     )
-    data.covT, data.covT_bar = covderiv_torsion(data)
-    return data
 
 
 def covderiv_torsion(data):

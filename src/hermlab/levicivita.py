@@ -94,11 +94,13 @@ def _christoffel(G, dG, d2G):
 
 
 def _riemann_real(G, Gamma, dGamma):
-    # R(d_a, d_b) d_c = Rup[e, a, b, c] d_e
-    GG = np.einsum("...eaf,...fbc->...eabc", Gamma, Gamma)
+    # R(d_a, d_b) d_c = Rup[e, a, b, c] d_e; both contractions are one GEMM per point
+    m = G.shape[-1]
+    lead = G.shape[:-2]
+    GG = (Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))).reshape(lead + (m,) * 4)
     Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG
     Rup -= GG.swapaxes(-3, -2)
-    return np.einsum("...eabc,...ed->...abcd", Rup, G)
+    return (Rup.reshape(lead + (m, m**3)).swapaxes(-2, -1) @ G).reshape(lead + (m,) * 4)
 
 
 def complex_frame_coefficients(Pv):
@@ -193,8 +195,10 @@ class RiemannData:
         return B20, B11, B02
 
     def theta2_norm(self):
-        """Largest curvature component of Theta_2, per point."""
-        return np.maximum.reduce([self.chern.pointwise_max(B) for B in self.theta2_blocks()])
+        """Largest curvature component of Theta_2, per point: of the Rc blocks of :meth:`theta2_blocks`."""
+        n, Rc = self.n, self.Rc
+        blocks = Rc[..., :n, :n, n:, n:], Rc[..., :n, n:, n:, n:], Rc[..., n:, n:, n:, n:]
+        return np.maximum.reduce([self.chern.pointwise_max(B) for B in blocks])
 
     def ricci_direction(self, u):
         """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for real vectors ``[..., 2n]``."""

@@ -72,6 +72,18 @@ def test_batch_equals_single_points(m, points):
         assert abs(rd.Scal[i] - one_rd.Scal) <= 1e-12
 
 
+
+@pytest.mark.parametrize("m,points", list(_batch_cases()))
+def test_batch_derived_arrays_equal_single_points(m, points):
+    # the derivative-level Chern arrays are computed on first read, so _arrays does not see them
+    ch = chern_at(m, points)
+    for i, p in enumerate(points):
+        one = chern_at(m, p)
+        for name in ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar"):
+            got, want = getattr(ch.at(i), name), getattr(one, name)
+            assert np.shape(got) == np.shape(want), name
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, name
+
 def _jet_real_metric_arrays(g):
     """The real metric built entry by entry from Wirtinger jets (the old route)."""
     n = len(g)

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
 
-from hermlab import catalog
+from hermlab import catalog, chern, cli
 from hermlab.chern import (
     balanced_identity_residual,
     bianchi_residual,
@@ -17,7 +19,7 @@ from hermlab.chern import (
     theta_wedge_phi_residual,
 )
 from hermlab.fd import fd_direction_derivative
-from hermlab.geometry import sample_points
+from hermlab.geometry import chunk_size, sample_points
 
 
 def test_euclidean_everything_vanishes(geo, metric):
@@ -273,3 +275,71 @@ def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):
     for method in (nf.frame_jets, nf.connection_values_at, nf.torsion_jets_at):
         method(q)
     assert len(evaluated) == 3
+
+
+# the derivative-level arrays of ChernData, computed on first read
+DERIVED = ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar")
+# the functions that compute them; _torsion_derivatives is the dT part of frame_torsion
+DERIVED_BY = ("cholesky_frame", "frame_connection_values", "_torsion_derivatives", "covderiv_torsion")
+
+
+def _count_calls(monkeypatch, names=DERIVED_BY):
+    """{name: calls} of the ``hermlab.chern`` functions ``names``, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _original=getattr(chern, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chern, name, counted)
+    return calls
+
+
+def _run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["--metric", "iwasawa", "--points", "40", *argv])
+
+
+def test_a_classify_run_computes_no_derivative_level_data(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    assert _run("--suite", "classify") == 0
+    assert calls == dict.fromkeys(DERIVED_BY, 0)
+
+
+def test_an_identities_run_computes_each_derived_array_once_per_chunk(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    assert _run("--suite", "identities") == 0
+    chunks = -(-40 // chunk_size(3))
+    # plus the normal frame's own connection and torsion derivatives at the first two points
+    assert calls == {
+        "cholesky_frame": chunks,
+        "frame_connection_values": chunks + 1,
+        "_torsion_derivatives": chunks + 1,
+        "covderiv_torsion": chunks,
+    }
+
+
+def test_at_carries_the_computed_arrays_without_a_new_call(monkeypatch):
+    m = catalog.get("iwasawa").metric
+    points = np.array(sample_points(m, 5, seed=3))
+    ch = chern_at(m, points)
+    whole = {name: getattr(ch, name) for name in DERIVED}
+    calls = _count_calls(monkeypatch)
+    part = ch.at(slice(0, 2))
+    got = {name: getattr(part, name) for name in DERIVED}
+    assert calls == dict.fromkeys(DERIVED_BY, 0)
+    fresh = chern_at(m, points[:2])
+    for name in DERIVED:
+        assert np.shares_memory(got[name], whole[name]), name
+        assert np.array_equal(got[name], getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("first", ["covT", "dL", "theta_u_vals"])
+def test_one_point_gives_the_derived_arrays_of_the_batch_of_one(first):
+    m = catalog.get("iwasawa").metric
+    p = sample_points(m, 1, seed=5)[0]
+    one, batch = chern_at(m, p), chern_at(m, p[None])
+    getattr(one, first)
+    for name in DERIVED:
+        assert np.array_equal(getattr(one, name), getattr(batch, name)[0]), name

@@ -10,6 +10,7 @@ from hermlab.forms import Form, mat_wedge
 from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
 from hermlab.levicivita import (
+    _riemann_real,
     dsigma2_check,
     levi_civita_frame_connection,
     riemann_at,
@@ -28,6 +29,28 @@ def test_euclidean_curvature_vanishes(geo, metric):
     _, rd = geo(metric("euclidean"), [0.3 - 0.2j, 0.1 + 0.5j])
     assert np.max(np.abs(rd.R4)) == 0.0
     assert np.max(np.abs(rd.Gamma)) == 0.0
+
+
+def _riemann_real_einsum(G, Gamma, dGamma):
+    """``_riemann_real`` as two einsum calls, the reference for its GEMM form."""
+    GG = np.einsum("...eaf,...fbc->...eabc", Gamma, Gamma)
+    Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG
+    Rup -= GG.swapaxes(-3, -2)
+    return np.einsum("...eabc,...ed->...abcd", Rup, G)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_riemann_real_gemm_matches_einsum(n):
+    m = 2 * n
+    rng = np.random.default_rng(n)
+    G = rng.normal(size=(7, m, m))
+    G = G + G.swapaxes(-2, -1)
+    # Gamma as _christoffel makes it: a view with two axes swapped
+    Gamma = rng.normal(size=(7, m, m, m)).swapaxes(-3, -2)
+    dGamma = rng.normal(size=(7, m, m, m, m))
+    want = _riemann_real_einsum(G, Gamma, dGamma)
+    got = _riemann_real(G, Gamma, dGamma)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_fubini_study_kahler_agreement(geo, metric):
@@ -165,7 +188,8 @@ def test_dsigma2_fd_detects_perturbed_torsion_derivative(geo, metric, n):
     # the finite-difference side sees the metric, the right side the data
     ch, _ = _torsion_geometry(geo, metric, n)
     assert dsigma2_check(ch, use_fd=True) < 1e-5
-    bad = replace(ch, dT=ch.dT + _antisymmetric_noise(ch.dT.shape, seed=n))
+    bad = replace(ch)  # dT is computed on first read, not passed: set it on a copy
+    bad.dT = ch.dT + _antisymmetric_noise(ch.dT.shape, seed=n)
     assert dsigma2_check(bad, use_fd=True) > 1e-5
 
 

@@ -1,0 +1,41 @@
+"""The report comparison of ``scripts/pool_diff.py`` on synthetic outcomes, without a subprocess."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SPEC = importlib.util.spec_from_file_location(
+    "pool_diff", Path(__file__).resolve().parents[1] / "scripts" / "pool_diff.py"
+)
+pool_diff = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(pool_diff)
+
+
+def _check(name, residual, tolerance, point):
+    return {"name": name, "residual": residual, "tolerance": tolerance,
+            "passed": residual < tolerance, "worst_point": [[point, 0.0]]}
+
+
+def _outcome(checks, exit=0, timestamp="t0"):
+    doc = {"timestamp": timestamp, "suites": {"identities": {"checks": checks}}}
+    return {"exit": exit, "error": None, "stdout": json.dumps(doc)}
+
+
+def test_differences_and_moves_on_synthetic_outcomes():
+    old = _outcome([_check("a", 1e-10, 1e-8, 0.1), _check("b", 2e-12, 1e-6, 0.2)])
+    assert pool_diff.differences(old, _outcome(json.loads(old["stdout"])["suites"]["identities"]["checks"],
+                                               timestamp="t1")) == []
+    # a moves by roundoff at the same point; b's worst point moves to a roundoff tie
+    new = _outcome([_check("a", 1.5e-10, 1e-8, 0.1), _check("b", 3e-12, 1e-6, 0.3)])
+    lines = pool_diff.differences(old, new)
+    assert any(line.startswith("/suites/identities/checks/a/residual: 1e-10 -> 1.5e-10") for line in lines)
+    assert any(line.startswith("/suites/identities/checks/b/worst_point[0][0]") for line in lines)
+    changed, largest, moved, moved_largest = pool_diff.moves([(old, new), (old, old)])
+    assert changed == 0 and moved == 1
+    assert largest == abs(1.5e-10 - 1e-10) / 1e-8
+    assert moved_largest == 3e-12 / 1e-6
+    # a changed exit code and a changed passed each count their report once
+    failing = _outcome([_check("a", 2e-8, 1e-8, 0.1), _check("b", 2e-12, 1e-6, 0.2)])
+    crashed = {"exit": None, "error": "ValueError: x", "stdout": ""}
+    assert pool_diff.moves([(old, failing), (old, crashed), (old, old)])[0] == 2
+    assert pool_diff.differences(old, crashed)[:2] == ["exit: 0 -> None", "error: None -> 'ValueError: x'"]
