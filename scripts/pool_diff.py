@@ -17,6 +17,13 @@ accounts for values that moved by roundoff: the reports whose exit code
 or some check's ``passed`` changed, the largest |delta residual| /
 tolerance over the checks, and the checks whose ``worst_point`` moved,
 with the largest residual / tolerance on either side of such a move.
+
+Each tree also runs ``ERROR_CONFIGS``, a fixed list of metric configs
+whose reports end in an error (a singular entry at a sampled point, a
+constraint that rejects every draw, a non-Hermitian entry pair, nesting
+too deep, an unknown identifier, an infinite literal), and compares their
+exit codes and stderr text, so that a change in evaluation order or in an
+error message shows; any difference there also makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -40,18 +47,43 @@ with open(tasks_path) as fh:
     tasks = json.load(fh)
 results = {}
 for key, argv in tasks:
-    stdout, error, code = io.StringIO(), None, None
+    stdout, stderr, error, code = io.StringIO(), io.StringIO(), None, None
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-    results[key] = {"exit": code, "error": error, "stdout": stdout.getvalue()}
+    results[key] = {"exit": code, "error": error, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 with open(out_path, "w") as fh:
     json.dump({"hermlab": cli.__file__, "reports": results}, fh)
 """
+
+# metric configs whose reports end in an error, each run with ERROR_ARGV
+ERROR_CONFIGS = {
+    # entries (0, 0) and (0, 1) are both singular at the first point: (0, 0) raises
+    "singular_entry": {"n": 2, "entries": ["1 + 0*ln(re(z1))", "0*sqrt(re(z2))", "conj(0*sqrt(re(z2)))", "1"]},
+    "constraint_reciprocal": {
+        "n": 1, "entries": ["1"], "constraints": ["1/re(z1)"], "box": [[-0.9, -0.1, -0.9, 0.9]],
+    },
+    "non_hermitian": {"n": 2, "entries": ["1", "0.1*z1", "0.1*z1", "1"]},
+    "nested_too_deep": {"n": 1, "entries": ["(" * 300 + "z1" + ")" * 300]},
+    "unknown_identifier": {"n": 1, "entries": ["1 + foo(z1)"]},
+    "infinite_literal": {"n": 1, "entries": ["1e999"]},
+}
+ERROR_ARGV = ("--points", "20", "--suite", "all", "--format", "json")
+
+
+def error_tasks(config_dir):
+    """(key, argv) of every ``ERROR_CONFIGS`` report, its config written to ``config_dir``."""
+    config_dir.mkdir(parents=True, exist_ok=True)
+    tasks = []
+    for name, cfg in ERROR_CONFIGS.items():
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps({"name": name, **cfg}))
+        tasks.append((f"errors|{name}", ["--metric", str(path), *ERROR_ARGV]))
+    return tasks
 
 
 def _leaves(x, path=""):
@@ -94,9 +126,9 @@ def _delta(a, b):
 def differences(old, new):
     """Lines naming each field in which two outcomes of one report differ."""
     lines = [
-        f"{field}: {old[field]!r} -> {new[field]!r}"
-        for field in ("exit", "error")
-        if old[field] != new[field]
+        f"{field}: {old.get(field)!r} -> {new.get(field)!r}"
+        for field in ("exit", "error", "stderr")
+        if old.get(field) != new.get(field)
     ]
     a, b = _document(old["stdout"]), _document(new["stdout"])
     for path in sorted(set(a) | set(b)):
@@ -139,6 +171,18 @@ def moves(pairs):
     return changed, largest, moved, moved_largest
 
 
+def _print_differences(keys, old, new):
+    """Print each of ``keys`` whose outcomes differ, with its differences; return their number."""
+    differing = 0
+    for key in keys:
+        lines = differences(old[key], new[key])
+        if lines:
+            differing += 1
+            print(key)
+            print("\n".join(f"  {line}" for line in lines))
+    return differing
+
+
 def run_tree(tree, tasks_path, out_path):
     """{key: outcome} of every task, run in one subprocess on ``tree``'s sources."""
     subprocess.run([sys.executable, "-c", CHILD, str(tree), str(tasks_path), str(out_path)], check=True)
@@ -168,16 +212,11 @@ def main(argv):
             tasks += [
                 (f"{workload.name}|{r.metric}|{r.seed}", workload.argv(r, config_dir)) for r in pool
             ]
+        errors = error_tasks(Path(tmp) / "errors")
         tasks_path = Path(tmp) / "tasks.json"
-        tasks_path.write_text(json.dumps(tasks))
+        tasks_path.write_text(json.dumps(tasks + errors))
         old, new = (run_tree(tree, tasks_path, Path(tmp) / f"{i}.json") for i, tree in enumerate(args.trees))
-    differing = 0
-    for key, _ in tasks:
-        lines = differences(old[key], new[key])
-        if lines:
-            differing += 1
-            print(key)
-            print("\n".join(f"  {line}" for line in lines))
+    differing = _print_differences([key for key, _ in tasks], old, new)
     raised = sum(1 for key, _ in tasks if old[key]["error"] is not None and old[key] == new[key])
     print(
         f"{len(tasks)} reports: {differing} differ, {len(tasks) - differing} identical "
@@ -189,7 +228,9 @@ def main(argv):
         f"largest |delta residual|/tolerance {largest:.2g}; "
         f"{moved} worst points moved, the largest at residual/tolerance {moved_largest:.2g}"
     )
-    return 1 if differing else 0
+    failing = _print_differences([key for key, _ in errors], old, new)
+    print(f"{len(errors)} error inputs: {failing} differ in exit code or stderr")
+    return 1 if differing or failing else 0
 
 
 if __name__ == "__main__":

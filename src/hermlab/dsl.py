@@ -19,6 +19,8 @@ integer of magnitude at most ``MAX_EXPONENT``.
 from __future__ import annotations
 
 import math
+import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,66 +46,96 @@ MAX_EXPONENT = 10**6
 
 # ----------------------------------------------------------------------
 # AST
-class _Node:
-    """Trees compare and hash by their pre-order node list, built in a loop as ``_eval`` walks.
+_LIVE = weakref.WeakValueDictionary()  # (type, fields) -> the live node
 
-    A tree's repr is its :func:`to_source` text, which loops along operator
-    chains where the field-by-field dataclass repr would recurse per node.
+
+class _Node:
+    """An immutable expression node, shared as a hash-consed DAG.
+
+    Constructing a node returns the live node of the same type and fields,
+    if there is one (children matched by identity, a literal's value by the
+    bits of its real and imaginary parts, so ``0.0`` and ``-0.0`` stay two
+    nodes).  Equal trees are therefore one object and compare and hash by
+    identity, and the entries of a metric form one DAG: a ``conj(<upper>)``
+    entry holds the upper entry's node, and a conformal factor is one node
+    under every entry.  A tree's repr is its :func:`to_source` text.
     """
 
-    def _preorder(self):
-        out, stack = [], [self]
-        while stack:
-            e = stack.pop()
-            out.append(type(e) if isinstance(e, _Node) else e)
-            stack.extend(vars(e).values() if isinstance(e, _Node) else ())
-        return out
+    __slots__ = ("__weakref__",)
+    _children = ()  # the fields that hold subtrees, left to right
 
-    def __eq__(self, other):
-        return self._preorder() == other._preorder() if type(other) is type(self) else NotImplemented
+    def __new__(cls, *fields):
+        fields = (complex(*fields),) if cls is Lit else fields
+        key = (cls, struct.pack("<2d", fields[0].real, fields[0].imag) if cls is Lit else fields)
+        node = _LIVE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                object.__setattr__(node, name, value)
+            _LIVE[key] = node
+        return node
 
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):  # a copied or unpickled node is the live node with its fields
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
         return f"{type(self).__name__}({to_source(self)!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lit(_Node):
-    value: complex
+    __slots__ = ("value",)  # complex
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Coord(_Node):
-    index: int  # 1-based
+    __slots__ = ("index",)  # 1-based
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = _children = ("arg",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
+    _children = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pow(_Node):
-    base: "Expr"
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent: int
+    _children = ("base",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
-    fn: str
-    arg: "Expr"
+    __slots__ = ("fn", "arg")
+    _children = ("arg",)
 
 
 Expr = Lit | Coord | Neg | BinOp | Pow | Call
+
+
+def _walk(roots, rule):
+    """``rule(node, its children's results)`` of each tree of ``roots``, once per distinct node.
+
+    One iterative post-order walk of the DAG, the roots in turn and each
+    node's children left to right: so evaluation raises at the first
+    singular node that a recursive walk of each tree in turn would reach,
+    and no operator chain is too deep to walk.
+    """
+    done = {}
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        if e in done:
+            continue
+        children = [getattr(e, name) for name in getattr(e, "_children", ())]
+        pending = [c for c in children if c not in done]
+        if pending:
+            stack += [e, *reversed(pending)]
+        else:
+            done[e] = rule(e, [done[c] for c in children])
+    return [done[e] for e in roots]
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +359,13 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 
 
 def _fmt_number(x):
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+    if math.isinf(x):
+        return "1e999"  # parses back to inf
+    return str(int(x)) if x == int(x) else repr(x)
 
 
-def _print(e, parent_prec):
+def _print(e, args):
+    """(text, precedence) of the node ``e`` from its children's, for :func:`_walk`."""
     if isinstance(e, Lit):
         v = e.value
         if v == 1j:
@@ -345,46 +378,27 @@ def _print(e, parent_prec):
         return f"({_fmt_number(v.real)} + {_fmt_number(v.imag)}*i)", _PREC["atom"]
     if isinstance(e, Coord):
         return f"z{e.index}", _PREC["atom"]
-    # runs of unary minus and left-deep operator chains loop, as in _eval
     if isinstance(e, Neg):
-        signs = 0
-        while isinstance(e, Neg):
-            signs, e = signs + 1, e.arg
-        inner, prec = _print(e, _PREC["neg"])
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return "-" * signs + inner, _PREC["neg"]
+        inner, prec = args[0]
+        return "-" + (inner if prec >= _PREC["neg"] else f"({inner})"), _PREC["neg"]
     if isinstance(e, BinOp):
-        chain = []
-        while isinstance(e, BinOp):
-            chain.append(e)
-            e = e.left
-        text, prec = _print(e, _PREC[chain[-1].op])
-        for link in reversed(chain):
-            my = _PREC[link.op]
-            rhs, rp = _print(link.right, my)
-            if prec < my:
-                text = f"({text})"
-            # binary operators parse left-associatively, so a right operand of
-            # equal precedence always needs parentheses to keep the tree shape
-            if rp <= my:
-                rhs = f"({rhs})"
-            text, prec = f"{text} {link.op} {rhs}", my
-        return text, prec
+        (text, prec), (rhs, rp) = args
+        my = _PREC[e.op]
+        # binary operators parse left-associatively, so a right operand of
+        # equal precedence always needs parentheses to keep the tree shape
+        text = text if prec >= my else f"({text})"
+        return f"{text} {e.op} {rhs if rp > my else f'({rhs})'}", my
     if isinstance(e, Pow):
-        base, bp = _print(e.base, _PREC["pow"])
-        if bp <= _PREC["pow"]:
-            base = f"({base})"
-        return f"{base}^{e.exponent}", _PREC["pow"]
+        base, bp = args[0]
+        return f"{base if bp > _PREC['pow'] else f'({base})'}^{e.exponent}", _PREC["pow"]
     if isinstance(e, Call):
-        inner, _ = _print(e.arg, 0)
-        return f"{e.fn}({inner})", _PREC["atom"]
+        return f"{e.fn}({args[0][0]})", _PREC["atom"]
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_source(e):
     """Render an AST back to parseable text."""
-    return _print(e, 0)[0]
+    return _walk([e], _print)[0][0]
 
 
 # ----------------------------------------------------------------------
@@ -426,9 +440,12 @@ def conj_slots(X, *axes):
 # ----------------------------------------------------------------------
 # evaluation
 #
-# Expressions are evaluated at a batch of points z[..., n] in one walk of
-# the tree.  A batched jet is the triple (v, d1, d2) of the values v[...],
-# the first Wirtinger derivatives d1[..., c] and the second d2[..., c, d],
+# Trees are evaluated at a batch of points z[..., n] in one post-order
+# walk of their DAG (:func:`_walk`), which applies :func:`_rule` once to
+# each distinct node; the entries of a metric share one walk, so a shared
+# subtree (a conjugated entry, a conformal factor) is evaluated once.  A
+# batched jet is the triple (v, d1, d2) of the values v[...], the first
+# Wirtinger derivatives d1[..., c] and the second d2[..., c, d],
 # over the derivative slots above; each rule below is the one of the
 # scalar :class:`~hermlab.jets.Jet2`.  A derivative that vanishes
 # identically is None, so constants carry no arrays, and order 0 computes
@@ -583,39 +600,21 @@ def _binop(op, a, b, z):
     return _mul(a, _reciprocal(b, z))
 
 
-def _eval(e, z, order):
+def _rule(e, args, z, order):
+    """The jet of the node ``e`` at the points z, from its children's jets ``args``."""
     if isinstance(e, Lit):
         return np.asarray(e.value, dtype=complex), None, None
     if isinstance(e, Coord):
-        d1 = None
-        if order:
-            d1 = np.zeros(2 * z.shape[-1], dtype=complex)
-            d1[e.index - 1] = 1.0
+        d1 = np.eye(2 * z.shape[-1], dtype=complex)[e.index - 1] if order else None
         return z[..., e.index - 1], d1, None
-    # a run of unary minus signs and the left-deep chain of a flat sum or
-    # product are walked by loops, not by recursion (a long one would
-    # overflow the stack), in the order recursion takes: operand by operand
     if isinstance(e, Neg):
-        signs = 0
-        while isinstance(e, Neg):
-            signs, e = signs + 1, e.arg
-        a = _eval(e, z, order)
-        for _ in range(signs):
-            a = tuple(_neg(x) for x in a)
-        return a
+        return tuple(_neg(x) for x in args[0])
     if isinstance(e, BinOp):
-        chain = []
-        while isinstance(e, BinOp):
-            chain.append(e)
-            e = e.left
-        a = _eval(e, z, order)
-        for link in reversed(chain):
-            a = _binop(link.op, a, _eval(link.right, z, order), z)
-        return a
+        return _binop(e.op, *args, z)
     if isinstance(e, Pow):
-        return _powi(_eval(e.base, z, order), e.exponent, z)
+        return _powi(args[0], e.exponent, z)
     if isinstance(e, Call):
-        a = _eval(e.arg, z, order)
+        (a,) = args
         if e.fn == "exp":
             ev = np.exp(a[0])
             return _compose(a, ev, ev, ev)
@@ -637,8 +636,8 @@ def _eval(e, z, order):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _batch_jet(e, points, order=2):
-    """Batched jet (v, d1, d2) of ``e`` at points [..., n] (None: zero).
+def _batch_jets(roots, points, order=2):
+    """Batched jets (v, d1, d2) of the trees ``roots`` at points [..., n] (None: zero), in one walk.
 
     Overflow gives non-finite values rather than a warning; division by
     zero and ``ln``/``sqrt`` off the right half-plane raise
@@ -646,14 +645,19 @@ def _batch_jet(e, points, order=2):
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim == 1:  # numpy scalar arithmetic rounds differently from array loops
-        return tuple(None if x is None else x[0] for x in _batch_jet(e, z[None], order))
+        return [tuple(x if x is None else x[0] for x in jet) for jet in _batch_jets(roots, z[None], order)]
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = _eval(e, z, order)
+        jets = _walk(roots, lambda e, args: _rule(e, args, z, order))
     shape = z.shape[:-1]
-    return tuple(
-        None if x is None else np.broadcast_to(x, shape + x.shape[x.ndim - k :])
-        for k, x in enumerate(jet)
-    )
+    return [
+        tuple(None if x is None else np.broadcast_to(x, shape + x.shape[x.ndim - k :]) for k, x in enumerate(jet))
+        for jet in jets
+    ]
+
+
+def _batch_jet(e, points, order=2):
+    """The batched jet of the one tree ``e``, as :func:`_batch_jets` gives it."""
+    return _batch_jets([e], points, order)[0]
 
 
 def eval_value(e, point):
@@ -703,7 +707,7 @@ class MetricField:
 
     def _violations(self, z):
         """Per constraint, where its real part is not positive at the points z."""
-        return [_batch_jet(c, z, order=0)[0].real <= 0 for c in self.constraints]
+        return [jet[0].real <= 0 for jet in _batch_jets(self.constraints, z, order=0)]
 
     def admissible_mask(self, points):
         """Whether each point satisfies every constraint."""
@@ -752,13 +756,13 @@ class MetricField:
         gv = np.empty(shape + (n, n), dtype=complex)
         dg = np.zeros(shape + (n, n, m), dtype=complex)
         ddg = np.zeros(shape + (n, n, m, m), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                gv[..., i, j], d1, d2 = _batch_jet(self.entries[i][j], z)
-                if d1 is not None:
-                    dg[..., i, j, :] = d1
-                if d2 is not None:
-                    ddg[..., i, j, :, :] = d2
+        jets = _batch_jets([e for row in self.entries for e in row], z)
+        for (i, j), (v, d1, d2) in zip(np.ndindex(n, n), jets):
+            gv[..., i, j] = v
+            if d1 is not None:
+                dg[..., i, j, :] = d1
+            if d2 is not None:
+                ddg[..., i, j, :, :] = d2
         return gv, dg, ddg
 
     def check_jets(self, z, gv, dg, ddg, hermitian_tol):
@@ -798,12 +802,8 @@ class MetricField:
 
     def values_at(self, p):
         """Value-only metric matrix (no admissibility or shape checks)."""
-        z = np.asarray(p, dtype=complex)
-        rows = [
-            np.stack([_batch_jet(e, z, order=0)[0] for e in row], axis=-1)
-            for row in self.entries
-        ]
-        return np.stack(rows, axis=-2)
+        values = [jet[0] for jet in _batch_jets([e for row in self.entries for e in row], p, order=0)]
+        return np.stack(values, axis=-1).reshape(np.shape(p)[:-1] + (self.n, self.n))
 
 
 def conformal_scale(base, u_expr, name=None):

@@ -1,19 +1,30 @@
+import copy
+import gc
+import json
+import pickle
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hermlab import catalog, cli, dsl
 from hermlab.dsl import (
     MAX_EXPONENT,
     BinOp,
     Call,
+    Lit,
     MetricField,
     Neg,
     Pow,
+    _batch_jet,
     conformal_scale,
     eval_value,
     parse,
     to_source,
 )
 from hermlab.chern import chern_at
+from hermlab.geometry import sample_points
 from hermlab.classify import classify_at
 from hermlab.conformal import ConformalFactor
 from hermlab.errors import DegenerateMetricError, HermlabError, MetricSyntaxError, OutOfDomainError
@@ -120,6 +131,7 @@ def test_long_chains_evaluate_term_by_term_left_to_right():
         "sqrt(1 + re(z1)^2) * im(z2 - i)",
         "-(z1 + z2)^3",
         "1.5e-2 * z1",
+        "2*1e999 - z1 / 1e999",
     ],
 )
 def test_print_parse_fixed_point(src):
@@ -130,7 +142,7 @@ def test_print_parse_fixed_point(src):
 
 
 # flat chains far deeper than the interpreter's recursion limit: the printer
-# and ``==`` walk them by loops, as evaluation does
+# walks them by the post-order walk that evaluation uses, and ``==`` is identity
 LONG = {
     "sum": " + ".join(["re(z1)"] * 1000),
     "product": " * ".join(["(1 + z1)"] * 1000),
@@ -331,3 +343,123 @@ def test_random_grammar_jets_match_finite_differences():
             assert np.max(np.abs(jet_d2 - d2)) / scale < 1e-4
             checked += 1
     assert checked == 100
+
+
+# ----------------------------------------------------------------------
+# expressions are one hash-consed DAG
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import GENERATED_SEEDS, generated_config  # noqa: E402
+
+GENERATED = [f"{family}-{s}" for family in ("hd4", "hd5", "halfplane") for s in GENERATED_SEEDS]
+CATALOG = [name for name in catalog.names() if "(" not in name] + ["random_polynomial(1)", "random_polynomial(12)"]
+
+
+def _generated(name):
+    return catalog.from_config(generated_config(name)).metric
+
+
+def _distinct_nodes(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack += [getattr(e, name) for name in e._children]
+    return len(seen)
+
+
+def _tree_nodes(e):
+    return 1 + sum(_tree_nodes(getattr(e, name)) for name in e._children)
+
+
+def test_two_parses_of_one_text_are_one_object():
+    src = "exp(2*re(z1)) * (1 + abs2(z2)) - z1/conj(z2)^2"
+    assert parse(src, 2) is parse(src, 2)
+    assert copy.deepcopy(parse(src, 2)) is parse(src, 2) is pickle.loads(pickle.dumps(parse(src, 2)))
+    assert parse("z1 + z2", 2) is not parse("z2 + z1", 2)
+    with pytest.raises(AttributeError):
+        parse(src, 2).op = "-"
+
+
+def test_conjugated_entry_holds_the_upper_entry():
+    metric = _generated("hd5-3")
+    for i in range(5):
+        for j in range(i + 1, 5):
+            lower = metric.entries[j][i]
+            assert isinstance(lower, Call) and lower.fn == "conj"
+            assert lower.arg is metric.entries[i][j]
+    entries = [e for row in metric.entries for e in row]
+    assert _distinct_nodes(entries) < sum(_tree_nodes(e) for e in entries) / 2
+
+
+def test_signed_zero_literals_stay_two_nodes():
+    plus, minus = Lit(0.0), Lit(-0.0)
+    assert plus is not minus and plus is Lit(0j) and minus is Lit(complex(-0.0, 0.0))
+    points = np.array([[0.1 + 0.2j], [0.3 - 0.4j]])
+    assert not np.signbit(_batch_jet(plus, points)[0].real).any()
+    assert np.signbit(_batch_jet(minus, points)[0].real).all()
+    assert Lit(float("nan")) is Lit(float("nan"))
+
+
+def _conformal_iwasawa():
+    return conformal_scale(catalog.get("iwasawa").metric, parse("re(z1) * im(z2) + abs2(z3) / 4", 3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: catalog.get("fubini_study_chart_n2").metric, _conformal_iwasawa, lambda: _generated("hd5-3")],
+    ids=["fubini_study_chart_n2", "conformal", "hd5-3"],
+)
+def test_each_distinct_node_is_evaluated_once_per_evaluation(monkeypatch, build):
+    metric = build()
+    calls = []
+    rule = dsl._rule
+    monkeypatch.setattr(dsl, "_rule", lambda e, *args: calls.append(e) or rule(e, *args))
+    entries = [e for row in metric.entries for e in row]
+    z = np.array(sample_points(metric, 3, seed=7))
+    for _ in range(2):
+        calls.clear()
+        metric._evaluate(z)
+        assert len(calls) == len({id(e) for e in calls}) == _distinct_nodes(entries)
+    assert len(calls) < sum(_tree_nodes(e) for e in entries)
+
+
+def test_first_singular_entry_raises_first():
+    # entries (0, 0) and (0, 1) are both singular at the point: (0, 0) is
+    # reached first, and in it the left operand of the product
+    metric = MetricField.from_text(
+        "singular", 2, ["1 + 0*ln(re(z1))*sqrt(re(z2))", "0*sqrt(re(z2))", "conj(0*sqrt(re(z2)))", "1"]
+    )
+    with pytest.raises(HermlabError, match="ln requires an argument with positive real part, got"):
+        metric.evaluate([-0.5 + 0.1j, -0.25 + 0.2j])
+    with pytest.raises(HermlabError, match="sqrt requires"):
+        metric.evaluate([0.5 + 0.1j, -0.25 + 0.2j])
+
+
+def test_live_nodes_do_not_grow_across_reports(tmp_path, capsys):
+    # each round parses metrics the last one did not, so nodes kept alive
+    # past their report would show as growth
+    gc.collect()
+    before = len(dsl._LIVE)
+    for seed in range(2):
+        config = tmp_path / f"hd4-{seed}.json"
+        config.write_text(json.dumps(generated_config(f"hd4-{seed}")))
+        for name in ("iwasawa", "conformal_gklike", f"random_polynomial({5 + seed})", str(config)):
+            assert cli.main(["--metric", name, "--points", "2", "--format", "csv"]) == 0
+        gc.collect()
+        assert len(dsl._LIVE) == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", CATALOG + GENERATED)
+def test_one_walk_matches_each_entry_walked_alone(name):
+    metric = _generated(name) if name in GENERATED else catalog.get(name).metric
+    z = np.array(sample_points(metric, 3, seed=7))
+    gv, dg, ddg = metric._evaluate(z)
+    for i, row in enumerate(metric.entries):
+        for j, entry in enumerate(row):
+            value, d1, d2 = _batch_jet(entry, z)
+            assert np.array_equal(gv[:, i, j], value)
+            assert np.array_equal(dg[:, i, j], 0 * dg[:, i, j] if d1 is None else d1)
+            assert np.array_equal(ddg[:, i, j], 0 * ddg[:, i, j] if d2 is None else d2)
+    assert np.array_equal(metric.values_at(z), gv)

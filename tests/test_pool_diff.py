@@ -39,3 +39,32 @@ def test_differences_and_moves_on_synthetic_outcomes():
     crashed = {"exit": None, "error": "ValueError: x", "stdout": ""}
     assert pool_diff.moves([(old, failing), (old, crashed), (old, old)])[0] == 2
     assert pool_diff.differences(old, crashed)[:2] == ["exit: 0 -> None", "error: None -> 'ValueError: x'"]
+
+
+# the exit code and the start of the stderr text of each error input
+ERRORS = {
+    "singular_entry": (3, "error: ln requires an argument with positive real part"),
+    "constraint_reciprocal": (3, "error: found 0/20 admissible points"),
+    "non_hermitian": (3, "error: metric 'non_hermitian' is not Hermitian at"),
+    "nested_too_deep": (2, "error: expression nested too deeply at offset"),
+    "unknown_identifier": (2, "error: unknown identifier 'foo' at offset 4"),
+    "infinite_literal": (3, "error: metric 'infinite_literal' is not finite at"),
+}
+
+
+def test_error_inputs_end_in_their_errors(tmp_path, capsys):
+    from hermlab import cli
+
+    tasks = pool_diff.error_tasks(tmp_path)
+    assert [key for key, _ in tasks] == [f"errors|{name}" for name in ERRORS]
+    for (key, argv), (code, message) in zip(tasks, ERRORS.values()):
+        assert cli.main(argv) == code, key
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1, (key, err)
+
+
+def test_a_changed_stderr_text_is_a_difference():
+    old = {"exit": 3, "error": None, "stdout": "", "stderr": "error: ln requires ... (at point [1])\n"}
+    new = dict(old, stderr="error: sqrt requires ... (at point [1])\n")
+    assert pool_diff.differences(old, dict(old)) == []
+    assert pool_diff.differences(old, new) == [f"stderr: {old['stderr']!r} -> {new['stderr']!r}"]
