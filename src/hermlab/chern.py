@@ -50,22 +50,20 @@ import numpy as np
 from .dsl import MetricField
 
 
-def cholesky_frame(gv, dg):
-    """Cholesky factor L of g, P = L^{-1}, and their derivatives [i, j, c].
+def cholesky_frame(L, P, dg):
+    """The derivatives [i, j, c] of the Cholesky factor L of g and of P = L^{-1}.
 
     L has positive real diagonal.  Phi is complex linear, so Murray's
     formula holds slot by slot for the Wirtinger derivatives as well as for
     the real ones.
     """
-    n = gv.shape[-1]
-    L = np.linalg.cholesky(gv)
-    P = np.linalg.inv(L)
+    n = L.shape[-1]
     A = np.einsum("...ia,...abc->...ibc", P, dg)
     A = np.einsum("...ibc,...jb->...ijc", A, P.conj())
     Phi = A * (np.tril(np.ones((n, n))) - 0.5 * np.eye(n))[:, :, None]
     dL = np.einsum("...ia,...ajc->...ijc", L, Phi)
     dP = -np.einsum("...ia,...abc,...bj->...ijc", P, dL, P)
-    return L, dL, P, dP
+    return dL, dP
 
 
 def connection_arrays(dg, ddg, ginv):
@@ -180,8 +178,6 @@ class ChernData:
     T: np.ndarray
     Rh: np.ndarray
     eta: np.ndarray
-    # Theta = delbar theta of a (1,0)-form has no (2,0) or (0,2) part
-    Rh_type_residual: float = 0.0
 
     def __getattr__(self, name):
         """Compute the derivative-level array ``name``; one point as the batch of one."""
@@ -192,7 +188,7 @@ class ChernData:
             getattr(batch, name)
             vars(self).update(batch._computed(0))
         elif name in ("dL", "dP"):
-            _, self.dL, _, self.dP = cholesky_frame(self.gv, self.dg)
+            self.dL, self.dP = cholesky_frame(self.Lv, self.Pv, self.dg)
         elif name == "dT":
             self.dT = frame_torsion(self.theta, self.dtheta, (self.Pv, self.dP))[1]
         elif name == "theta_u_vals":

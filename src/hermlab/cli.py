@@ -10,7 +10,8 @@ Each suite declares its checks once, in a row table (``_IDENTITY_ROWS``,
 ``_COMPARE_ROWS``, ``_CONFORMAL_ROWS``, ``_ORACLE_ROWS``; every row is listed
 in ``docs/report-schema.md``) that one :meth:`Suite.checks` reduces; only
 classify's expected-flag rows, compare's strict gap and rigidity floor and
-the nilker rows are written by hand.  Work that several rows read is
+the nilker rows are written by hand.  A row's ``where`` names the points it
+covers, and the work that several rows read is chosen in the table and
 computed once per chunk (:meth:`~hermlab.geometry.Chunk.once`); that sharing
 never joins the two sides of one check.
 """
@@ -149,18 +150,19 @@ def _first_max(name, residuals, points, tol):
 class Suite:
     """One suite's checks over a report's points, fed one geometry chunk at a time.
 
-    ``table`` holds the rows in report order, each ``(name, key, scale, flag,
+    ``table`` holds the rows in report order, each ``(name, key, scale, where,
     residual)``: tolerance ``tols[key] * scale`` (``scale`` if ``key`` is None);
     ``residual`` maps a chunk to one residual per point and looks its functions
-    up when it runs (the benchmark's tracer patches module attributes); a row
-    with a ``flag`` applies where that flag holds and is reported only if some
-    point qualifies.  :meth:`add` takes each chunk in point order; a suite with
-    ``head = k`` computes its rows on a copy of the first chunk's first k
-    points only.  :meth:`checks` reduces each row to its largest residual at
-    the first point that reaches it.
+    up when it runs (the benchmark's tracer patches module attributes).
+    ``where`` is the points column of ``docs/report-schema.md``: None (every
+    point), a flag name (where it holds; reported only if some point
+    qualifies) or an int k (the report's first k points, read on one shared
+    :meth:`~hermlab.geometry.Chunk.at` view per chunk and k); a row is -inf
+    at the points it does not cover.  :meth:`add` takes each chunk in point
+    order; :meth:`checks` reduces each row to its largest residual at the
+    first point that reaches it.
     """
 
-    head = 0
     table = ()
 
     def __init__(self, entry, points, tols, seed):
@@ -169,16 +171,21 @@ class Suite:
         self.parts = []
 
     def add(self, chunk):
-        if not self.head:
-            self.parts.append(self.rows(chunk))
-        elif chunk.start == 0:
-            self.parts.append(self.rows(chunk.head(self.head)))
+        self.parts.append(self.rows(chunk))
 
     def rows(self, chunk):
-        """Each row's residual at each point of ``chunk``; -inf where its flag fails."""
+        """Each row's residual at each point of ``chunk``; -inf where its ``where`` excludes the point."""
         out = {}
-        for name, _key, _scale, flag, residual in self.table:
-            live = flag is None or chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[flag] < self.tols["flags"]
+        for name, _key, _scale, where, residual in self.table:
+            if isinstance(where, int):
+                out[name] = np.full(len(chunk.points), -np.inf)
+                if where > chunk.start:
+                    if where not in chunk.memo:
+                        chunk.memo[where] = chunk.at(slice(0, where - chunk.start))
+                    view = chunk.memo[where]
+                    out[name][: len(view.points)] = residual(view)
+                continue
+            live = where is None or chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[where] < self.tols["flags"]
             # a flagged row with no qualifying point is not computed
             out[name] = np.where(live, residual(chunk) if np.any(live) else 0.0, -np.inf)
         return out
@@ -191,8 +198,8 @@ class Suite:
         res = self.residuals()
         return [
             _first_max(name, res[name], self.points, scale if key is None else self.tols[key] * scale)
-            for name, key, scale, flag, _residual in self.table
-            if flag is None or (res[name] != -np.inf).any()
+            for name, key, scale, where, _residual in self.table
+            if not isinstance(where, str) or (res[name] != -np.inf).any()
         ], None
 
 
@@ -219,27 +226,22 @@ def _sigma_psd(ch):
     return np.maximum(0.0, -np.linalg.eigvalsh(np.stack(sigma_matrices(ch))).min(axis=-1))
 
 
-def _normal_frame_residuals(chunk):
-    """The normal frame's checks at the report's first two points; -inf elsewhere.
+def _normal_frame_residuals(ch):
+    """The normal frame's two checks, each one residual per point of the Chern data ``ch``.
 
-    Frame normalization is costly, so two points suffice: the connection of
-    the normal frame at its base point, and the covariant torsion
-    derivatives from its raw derivatives against the Chern data's.
+    Frame normalization is costly, so its rows read the report's first two
+    points: the connection of the normal frame at its base point, and the
+    covariant torsion derivatives from its raw derivatives against the
+    Chern data's.
     """
-    out = np.full((2, len(chunk.points)), -np.inf)
-    k = min(2 - chunk.start, len(chunk.points))
-    if k > 0:
-        ch = chunk.ch.at(slice(0, k))
-        nf = normal_frame_at(ch)
-        _, dT = nf.torsion_jets_at(ch.point)
-        n = ch.n
-        Pt = ch.Pv.swapaxes(-2, -1)[:, None, None]
-        out[0, :k] = nf.theta_norm_at_base()
-        out[1, :k] = np.maximum(
-            ch.pointwise_max(dT[..., :n] @ Pt - ch.covT),
-            ch.pointwise_max(dT[..., n:] @ Pt.conj() - ch.covT_bar),
-        )
-    return out
+    nf = normal_frame_at(ch)
+    _, dT = nf.torsion_jets_at(ch.point)
+    n = ch.n
+    Pt = ch.Pv.swapaxes(-2, -1)[:, None, None]
+    return nf.theta_norm_at_base(), np.maximum(
+        ch.pointwise_max(dT[..., :n] @ Pt - ch.covT),
+        ch.pointwise_max(dT[..., n:] @ Pt.conj() - ch.covT_bar),
+    )
 
 
 _IDENTITY_ROWS = (
@@ -255,9 +257,9 @@ _IDENTITY_ROWS = (
      lambda c: theta2_zero_one_part_residual(c.rd, c.once(canonical_theta2, c.rd))),
     ("theta2_vs_torsion", "identities", 1, None,
      lambda c: theta2_matches_torsion_residual(c.rd, c.once(canonical_theta2, c.rd))),
-    ("curvature_type", "exact", 1, None, lambda c: np.full(len(c.points), c.ch.Rh_type_residual)),
+    ("curvature_type", "exact", 1, None, lambda c: np.zeros(len(c.points))),
     ("curvature_skew_hermitian", "exact", 1, None, lambda c: skew_hermitian_residual(c.ch)),
-    ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, route=c.once(torsion_route, c.ch))),
+    ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, c.once(torsion_route, c.ch))),
     ("sigma1_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[0]),
     ("sigma2_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[1]),
     ("covT_vs_chern", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["covT_vs_chern"]),
@@ -265,8 +267,8 @@ _IDENTITY_ROWS = (
     ("mixed_02", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["mixed_02"]),
     ("riemann_vs_chern", "identities", 1, None,
      lambda c: c.once(curvature_difference_suite, c.rd)["riemann_vs_chern"]),
-    ("normal_frame_theta", "frame", 1, None, lambda c: c.once(_normal_frame_residuals, c)[0]),
-    ("normal_frame_covT", "identities", 1, None, lambda c: c.once(_normal_frame_residuals, c)[1]),
+    ("normal_frame_theta", "frame", 1, 2, lambda c: c.once(_normal_frame_residuals, c.ch)[0]),
+    ("normal_frame_covT", "identities", 1, 2, lambda c: c.once(_normal_frame_residuals, c.ch)[1]),
     ("klike_ddbar_sigma", "identities", 1, "kahler_like", lambda c: klike_sigma_residual(c.ch)),
     ("klike_eta_holomorphic", "identities", 1, "kahler_like", lambda c: holomorphic_eta_residual(c.ch)),
     ("gklike_eta_trace", "identities", 1, "g_kahler_like", lambda c: eta_trace_residual(c.ch)),
@@ -388,7 +390,7 @@ def _transforms(chunk):
 
 
 _CONFORMAL_ROWS = tuple(
-    (f"{law}_transform[{src.replace(' ', '')}]", "exact", 1, None,
+    (f"{law}_transform[{src.replace(' ', '')}]", "exact", 1, 5,
      lambda c, k=(src, law): c.once(_transforms, c)[k])
     for src in _CONFORMAL_EXPONENTS
     for law in ("torsion", "theta1", "theta2")
@@ -396,7 +398,6 @@ _CONFORMAL_ROWS = tuple(
 
 
 class Conformal(Suite):
-    head = 5
     table = _CONFORMAL_ROWS
 
 
@@ -464,12 +465,12 @@ def _fd(chunk):
 
 
 _ORACLE_ROWS = (
-    ("jet_first_vs_fd", None, 1e-6, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.dg - c.ch.dg)),
-    ("jet_second_vs_fd", None, 1e-4, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.ddg - c.ch.ddg)),
-    ("torsion_vs_fd", "oracle_first", 1, None, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.T - c.ch.T)),
-    ("chern_curvature_vs_fd", "oracle_second", 1, None,
+    ("jet_first_vs_fd", None, 1e-6, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.dg - c.ch.dg)),
+    ("jet_second_vs_fd", None, 1e-4, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.ddg - c.ch.ddg)),
+    ("torsion_vs_fd", "oracle_first", 1, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.T - c.ch.T)),
+    ("chern_curvature_vs_fd", "oracle_second", 1, 5,
      lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.Rh - c.ch.Rh)),
-    ("riemann_curvature_vs_fd", "oracle_second", 1, None,
+    ("riemann_curvature_vs_fd", "oracle_second", 1, 5,
      lambda c: c.ch.pointwise_max(c.once(_fd, c).Rc - c.rd.Rc)),
 )
 
@@ -477,7 +478,6 @@ _ORACLE_ROWS = (
 class Oracle(Suite):
     """Rerun derivative-dependent quantities on finite-difference jets."""
 
-    head = 5
     table = _ORACLE_ROWS
 
 

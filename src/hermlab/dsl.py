@@ -58,14 +58,18 @@ class _Node:
     nodes).  Equal trees are therefore one object and compare and hash by
     identity, and the entries of a metric form one DAG: a ``conj(<upper>)``
     entry holds the upper entry's node, and a conformal factor is one node
-    under every entry.  A tree's repr is its :func:`to_source` text.
+    under every entry.  A tree's repr is its :func:`to_source` text.  A NaN
+    literal is refused: no text parses to one, so it has none to print.
     """
 
     __slots__ = ("__weakref__",)
     _children = ()  # the fields that hold subtrees, left to right
 
     def __new__(cls, *fields):
-        fields = (complex(*fields),) if cls is Lit else fields
+        if cls is Lit:
+            fields = (complex(*fields),)
+            if math.isnan(fields[0].real) or math.isnan(fields[0].imag):
+                raise ValueError(f"a literal cannot be NaN, got {fields[0]}")
         key = (cls, struct.pack("<2d", fields[0].real, fields[0].imag) if cls is Lit else fields)
         node = _LIVE.get(key)
         if node is None:

@@ -28,12 +28,12 @@ jet check fails at an earlier point of the block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import DEFAULT_SEED
-from .chern import ChernData, arrays_at, chern_from_jets
+from .chern import ChernData, chern_from_jets
 from .errors import DomainSamplingError, SingularEvaluationError
 from .levicivita import RiemannData, riemann_at
 
@@ -89,7 +89,9 @@ class Chunk:
     """Consecutive points of a report and their Chern and Riemann data, as one batch.
 
     ``start`` is the index of the first of ``points`` among the report's
-    points; ``ch`` and ``rd`` carry one leading point axis.
+    points; ``ch`` and ``rd`` carry one leading point axis.  ``memo`` holds
+    what :meth:`once` computed on this chunk's data, by function, and the
+    suites keep there the :meth:`at` views they share, by point count.
     """
 
     start: int
@@ -104,16 +106,13 @@ class Chunk:
             self.memo[fn] = fn(*args)
         return self.memo[fn]
 
-    def head(self, count):
-        """The chunk's first ``count`` points, as a chunk of copies that pins no block."""
-        part = slice(0, count)
-        ch = replace(self.ch, **_copies(self.ch, part))
-        rd = replace(self.rd, chern=ch, **_copies(self.rd, part))
-        return Chunk(self.start, self.points[part], ch, rd)
+    def at(self, part):
+        """The chunk's points ``part`` (a slice from 0), as views of its data with a memo of their own.
 
-
-def _copies(data, index):
-    return {name: x.copy() for name, x in arrays_at(data, index).items()}
+        The views carry the derivative-level arrays computed so far.
+        """
+        rd = self.rd.at(part)
+        return Chunk(self.start, self.points[part], rd.chern, rd)
 
 
 def _per_point(size, n):

@@ -284,14 +284,14 @@ def _slot_product(A, B):
     return np.moveaxis(AB.reshape(lead + (n, m, n, m)), -2, -3)
 
 
-def theta2_structure_route(ch, forms=None):
+def theta2_structure_route(ch, forms):
     """Theta_2 = d theta_2 - theta_2 ^ theta_1 - conj(theta_1) ^ theta_2.
 
     Built entirely from torsion data (plus the Chern connection values,
     theta_1 = theta_u + gamma); independent of the Christoffel route.
-    ``forms`` is :func:`theta2_gamma_forms` of ``ch``, computed when not given.
+    ``forms`` is :func:`theta2_gamma_forms` of ``ch``.
     """
-    theta2, gamma, dtheta2 = theta2_gamma_forms(ch) if forms is None else forms
+    theta2, gamma, dtheta2 = forms
     theta1 = np.moveaxis(ch.theta_u_vals, -3, -1) + gamma
     return (
         dtheta2.swapaxes(-2, -1)
@@ -316,26 +316,26 @@ def theta2_gamma_check(ch, rd):
     point.
     """
     S1, S2 = sigma_matrices(ch)
+    theta2 = canonical_theta2(rd)
     return {
-        "theta2_vs_christoffel": theta2_two_route_residual(ch, rd),
-        "theta2_01_part": theta2_zero_one_part_residual(rd),
-        "theta2_vs_torsion": theta2_matches_torsion_residual(rd),
+        "theta2_vs_christoffel": theta2_two_route_residual(ch, rd, torsion_route(ch)[1]),
+        "theta2_01_part": theta2_zero_one_part_residual(rd, theta2),
+        "theta2_vs_torsion": theta2_matches_torsion_residual(rd, theta2),
         "sigma1_min_eig": np.linalg.eigvalsh(S1).min(axis=-1),
         "sigma2_min_eig": np.linalg.eigvalsh(S2).min(axis=-1),
     }
 
 
-def theta2_two_route_residual(ch, rd, Theta2=None):
+def theta2_two_route_residual(ch, rd, Theta2):
     """Max deviation between the torsion route and the Christoffel route, per point.
 
-    ``Theta2`` is :func:`theta2_structure_route` of ``ch``, computed when not given.
+    ``Theta2`` is :func:`theta2_structure_route` of ``ch``.
     """
     n = ch.n
     C = ch.Pv.swapaxes(-2, -1)  # dz_a = sum_i C[a, i] psi_i
     M = np.zeros(C.shape[:-2] + (2 * n, 2 * n), dtype=complex)  # dz, dzbar over psi, psibar
     M[..., :n, :n], M[..., n:, n:] = C, C.conj()
     M = M[..., None, None, :, :]
-    Theta2 = theta2_structure_route(ch) if Theta2 is None else Theta2
     # route2[i, j] = M^T (Theta2 - Theta2^T)[i, j] M
     route2 = M.swapaxes(-2, -1) @ (Theta2 - Theta2.swapaxes(-2, -1)) @ M
     B20, B11, B02 = rd.theta2_blocks()
@@ -380,23 +380,21 @@ def canonical_theta2(rd):
     return levi_civita_frame_connection(rd, (rd.chern.Pv, rd.chern.dP))[1]
 
 
-def theta2_zero_one_part_residual(rd, theta2=None):
+def theta2_zero_one_part_residual(rd, theta2):
     """The (0,1) part of theta_2 must vanish (canonical unitary frame), per point.
 
-    ``theta2`` is :func:`canonical_theta2` of ``rd``, computed when not given.
+    ``theta2`` is :func:`canonical_theta2` of ``rd``.
     """
-    theta2 = canonical_theta2(rd) if theta2 is None else theta2
     return rd.chern.pointwise_max(theta2[..., rd.n :, :, :])
 
 
-def theta2_matches_torsion_residual(rd, theta2=None):
+def theta2_matches_torsion_residual(rd, theta2):
     """(theta_2)_{ij} evaluated on e_k equals conj(T^k_{ij}), per point.
 
-    ``theta2`` is :func:`canonical_theta2` of ``rd``, computed when not given.
+    ``theta2`` is :func:`canonical_theta2` of ``rd``.
     """
     ch = rd.chern
     n = rd.n
-    theta2 = canonical_theta2(rd) if theta2 is None else theta2
     # slot values on frame vectors: theta2(e_k) = sum_a Pv[k,a] theta2[a]
     on_frame = ch.Pv @ theta2[..., :n, :, :].reshape(ch.Pv.shape[:-2] + (n, n * n))
     return ch.pointwise_max(on_frame - ch.T.conj().reshape(on_frame.shape))
@@ -443,14 +441,14 @@ def _sigma2_coefficients(ch):
     return H, dH
 
 
-def dsigma2_check(ch, use_fd=False, route=None):
+def dsigma2_check(ch, route, use_fd=False):
     """Residual of d sigma_2 = i tr(conj(Theta_2) theta_2 - conj(theta_2) Theta_2), per point.
 
     With ``use_fd`` the left side is the finite-difference exterior
     derivative of sigma_2, from one batched ``chern_at`` of the metric on
     the :func:`~hermlab.fd.fd_jet` stencil around the point, rather than its
     closed form (single points only; it never reads ``ch.dT``).  ``route``
-    is :func:`torsion_route` of ``ch``, computed when not given.
+    is :func:`torsion_route` of ``ch``.
     """
     n = ch.n
     m = 2 * n
@@ -459,7 +457,7 @@ def dsigma2_check(ch, use_fd=False, route=None):
         lhs = np.moveaxis(d1, -1, -3)  # H[a, b] derivatives [a, b, c] as dH[c, a, b]
     else:
         lhs = _sigma2_coefficients(ch)[1]
-    (theta2, _, _), Theta2 = torsion_route(ch) if route is None else route
+    (theta2, _, _), Theta2 = route
     lead = theta2.shape[:-3]
     # sum_{i,k} X[i, k, ...] Y[k, i, ...]: flatten (i, k) and contract it
     ik = lead + (n * n, -1)

@@ -40,7 +40,7 @@ from hermlab.dsl import MetricField, parse
 from hermlab.fd import fd_jet
 from conftest import GeometryCache, fd_values, jet_arrays
 from hermlab.geometry import sample_points
-from hermlab.levicivita import riemann_at, theta2_two_route_residual
+from hermlab.levicivita import riemann_at, theta2_two_route_residual, torsion_route
 from hermlab.nilker import (
     common_kernel_constructive,
     common_kernel_inductive,
@@ -153,7 +153,7 @@ def test_criterion_04_two_route_theta2(sweep):
     for name, m, pts in entries:
         for p in pts:
             ch, rd = cache(m, p)
-            worst = max(worst, theta2_two_route_residual(ch, rd))
+            worst = max(worst, theta2_two_route_residual(ch, rd, torsion_route(ch)[1]))
     assert worst < 1e-6
     print(f"[PASS] criterion 4: Christoffel vs torsion routes agree (worst {worst:.2e})")
 

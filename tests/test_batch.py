@@ -667,12 +667,13 @@ def _parent_identities(entry, points, cache, tols=cli.DEFAULT_TOLERANCES):
         update("ddbar_omega_vs_torsion_curvature", chern.curvature_identity_residual(ch), p)
         update("del_omega_vs_torsion", chern.del_omega_residual(ch), p)
         update("balanced_trace", chern.balanced_identity_residual(ch), p)
-        update("theta2_two_route", levicivita.theta2_two_route_residual(ch, rd), p)
-        update("theta2_type", levicivita.theta2_zero_one_part_residual(rd), p)
-        update("theta2_vs_torsion", levicivita.theta2_matches_torsion_residual(rd), p)
-        update("curvature_type", ch.Rh_type_residual, p)
+        route, theta2 = levicivita.torsion_route(ch), levicivita.canonical_theta2(rd)
+        update("theta2_two_route", levicivita.theta2_two_route_residual(ch, rd, route[1]), p)
+        update("theta2_type", levicivita.theta2_zero_one_part_residual(rd, theta2), p)
+        update("theta2_vs_torsion", levicivita.theta2_matches_torsion_residual(rd, theta2), p)
+        update("curvature_type", 0.0, p)
         update("curvature_skew_hermitian", chern.skew_hermitian_residual(ch), p)
-        update("dsigma2_trace", levicivita.dsigma2_check(ch), p)
+        update("dsigma2_trace", levicivita.dsigma2_check(ch, route), p)
         S1, S2 = levicivita.sigma_matrices(ch)
         update("sigma1_psd", max(0.0, -float(np.linalg.eigvalsh(S1).min())), p)
         update("sigma2_psd", max(0.0, -float(np.linalg.eigvalsh(S2).min())), p)

@@ -7,6 +7,7 @@ import pytest
 
 from hermlab import catalog, chern, cli
 from hermlab.chern import (
+    _coefficients,
     balanced_identity_residual,
     bianchi_residual,
     chern_at,
@@ -70,7 +71,10 @@ def test_curvature_type_and_skew_hermitian(geo, metric):
         m = metric(name)
         p = sample_points(m, 1, seed=3)[0]
         ch, _ = geo(m, p)
-        assert ch.Rh_type_residual < 1e-10
+        # the (2,0) part of d theta - theta ^ theta vanishes: Theta = delbar theta is all of it
+        n = ch.n
+        X = np.moveaxis(ch.dtheta[..., :n], -1, 0) - np.einsum("cik,akj->caij", ch.theta, ch.theta)
+        assert np.abs(_coefficients(np.moveaxis(X, (0, 1), (-2, -1)), 2, 0)).max() < 1e-10
         assert skew_hermitian_residual(ch) < 1e-10
 
 

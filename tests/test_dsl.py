@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -398,7 +399,14 @@ def test_signed_zero_literals_stay_two_nodes():
     points = np.array([[0.1 + 0.2j], [0.3 - 0.4j]])
     assert not np.signbit(_batch_jet(plus, points)[0].real).any()
     assert np.signbit(_batch_jet(minus, points)[0].real).all()
-    assert Lit(float("nan")) is Lit(float("nan"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), complex(1.0, float("nan")), complex(float("nan"), -0.0)])
+def test_a_nan_literal_is_refused(value):
+    # no text parses to a NaN literal, so the printer has none to give it
+    with pytest.raises(ValueError, match=re.escape(f"a literal cannot be NaN, got {complex(value)}")):
+        BinOp("*", Lit(value), dsl.Coord(1))
+    assert to_source(BinOp("*", Lit(float("inf")), dsl.Coord(1))) == "1e999 * z1"
 
 
 def _conformal_iwasawa():

@@ -1,6 +1,7 @@
 """Geometry streaming: evaluation blocks and core chunks against 16-point
-calls of the batched cores, head copies, the point a singular block
-names, and the data that the Riemann core and the FD oracle read."""
+calls of the batched cores, the views that first-k rows read, the point a
+singular block names, and the data that the Riemann core and the FD oracle
+read."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from hermlab import catalog, cli
-from hermlab.chern import arrays_at, chern_at
+from hermlab.chern import _DERIVED, arrays_at, chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
@@ -67,16 +68,58 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
     assert starts == list(range(0, block, chunk)) + [block]
 
 
-def test_head_copies_and_pins_no_block():
-    m = catalog.get("fubini_study_chart_n2").metric
-    chunk, second = geometry_chunks(m, sample_points(m, 100, seed=3))  # one block, two chunks
+class _FirstFive(cli.Suite):
+    """Two rows over the report's first five points that record the chunks they read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+        self.table = (("a", "exact", 1, 5, self._row), ("b", "exact", 1, 5, self._row))
+
+    def _row(self, chunk):
+        self.read.append(chunk)
+        return np.zeros(len(chunk.points))
+
+
+def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
+    entry = catalog.get("fubini_study_chart_n2")
+    points = sample_points(entry.metric, 100, seed=3)
+    chunk, second = geometry_chunks(entry.metric, points)  # one block, two chunks
     assert not np.shares_memory(chunk.ch.ddg, second.ch.ddg)
-    head = chunk.head(5)
-    assert head.rd.chern is head.ch and head.points == chunk.points[:5]
-    for data, whole in ((head.ch, chunk.ch), (head.rd, chunk.rd)):
+    chunk.ch.covT  # computed on the chunk before the row reads it
+    suite = _FirstFive(entry, points, cli.DEFAULT_TOLERANCES, 0)
+    suite.add(chunk)
+    suite.add(second)
+    view, again = suite.read  # both rows, on the first chunk only
+    assert view is again and view.points == chunk.points[:5]
+    assert view.rd.chern is view.ch
+    for data, whole in ((view.ch, chunk.ch), (view.rd, chunk.rd)):
         for name, x in arrays_at(data, slice(None)).items():
-            assert not np.shares_memory(x, getattr(whole, name)), name
+            assert np.shares_memory(x, getattr(whole, name)), name
             assert np.array_equal(x, getattr(whole, name)[:5]), name
+    for name in _DERIVED:
+        assert name in vars(view.ch) and np.shares_memory(vars(view.ch)[name], getattr(chunk.ch, name)), name
+    res = suite.residuals()["a"]
+    assert len(res) == 100 and not res[:5].any() and (res[5:] == -np.inf).all()
+
+
+def test_no_kept_residual_shares_memory_with_a_chunk(monkeypatch):
+    entry = catalog.get("iwasawa")
+    points = sample_points(entry.metric, 20, seed=3)
+    chunks, suites = [], []
+    stream = cli.geometry_chunks
+    monkeypatch.setattr(cli, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
+    for name, cls in cli._SUITE_CLASSES.items():
+        monkeypatch.setitem(cli._SUITE_CLASSES, name, lambda *a, cls=cls: suites.append(cls(*a)) or suites[-1])
+    cli.run_suites(entry, points, cli.DEFAULT_TOLERANCES, list(cli._SUITE_CLASSES), 42)
+    assert len(chunks) == 2 and len(suites) == len(cli._SUITE_CLASSES)
+    held = [vars(c.ch) for c in chunks] + [arrays_at(c.rd, slice(None)) for c in chunks]
+    held = [x for data in held for x in data.values() if isinstance(x, np.ndarray)]
+    kept = [x for s in suites for part in s.parts for x in part.values()]
+    kept += [s.T for s in suites if isinstance(s, cli.Nilker)]
+    assert len(kept) > 100
+    for x in kept:
+        assert not any(np.shares_memory(x, y) for y in held)
 
 
 # a pole at z1 = 0.25 and, through sqrt, a branch cut where re(z1) <= -0.895;

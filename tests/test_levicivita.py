@@ -11,15 +11,18 @@ from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
 from hermlab.levicivita import (
     _riemann_real,
+    canonical_theta2,
     dsigma2_check,
     levi_civita_frame_connection,
     riemann_at,
     _sigma2_coefficients,
     sigma_matrices,
     theta2_matches_torsion_residual,
+    theta2_gamma_forms,
     theta2_structure_route,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
+    torsion_route,
 )
 from conftest import jet2
 from test_highdim import base_point, perturbed_metric
@@ -107,15 +110,15 @@ def test_theta2_two_routes_agree(geo, metric):
         m = metric(name)
         for p in sample_points(m, 3, seed=8):
             ch, rd = geo(m, p)
-            assert theta2_two_route_residual(ch, rd) < 1e-7
+            assert theta2_two_route_residual(ch, rd, torsion_route(ch)[1]) < 1e-7
 
 
 def test_theta2_has_no_antiholomorphic_part(geo, metric):
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=10)[0]
     _, rd = geo(m, p)
-    assert theta2_zero_one_part_residual(rd) < 1e-9
-    assert theta2_matches_torsion_residual(rd) < 1e-9
+    assert theta2_zero_one_part_residual(rd, canonical_theta2(rd)) < 1e-9
+    assert theta2_matches_torsion_residual(rd, canonical_theta2(rd)) < 1e-9
 
 
 def test_theta2_gamma_report(geo, metric):
@@ -156,8 +159,8 @@ def test_dsigma2_trace_identity(geo, metric):
         m = metric(name)
         p = sample_points(m, 1, seed=14)[0]
         ch, _ = geo(m, p)
-        assert dsigma2_check(ch) < 1e-5
-        assert dsigma2_check(ch, use_fd=True) < 1e-5
+        assert dsigma2_check(ch, torsion_route(ch)) < 1e-5
+        assert dsigma2_check(ch, torsion_route(ch), use_fd=True) < 1e-5
 
 
 def _torsion_geometry(geo, metric, n):
@@ -178,19 +181,19 @@ def _antisymmetric_noise(shape, seed, size=1e-3):
 @pytest.mark.parametrize("n", [3, 5])
 def test_theta2_two_route_detects_perturbed_torsion(geo, metric, n):
     ch, rd = _torsion_geometry(geo, metric, n)
-    assert theta2_two_route_residual(ch, rd) < 1e-7
+    assert theta2_two_route_residual(ch, rd, torsion_route(ch)[1]) < 1e-7
     bad = replace(ch, T=ch.T + _antisymmetric_noise(ch.T.shape, seed=n))
-    assert theta2_two_route_residual(bad, rd) > 1e-6
+    assert theta2_two_route_residual(bad, rd, torsion_route(bad)[1]) > 1e-6
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_dsigma2_fd_detects_perturbed_torsion_derivative(geo, metric, n):
     # the finite-difference side sees the metric, the right side the data
     ch, _ = _torsion_geometry(geo, metric, n)
-    assert dsigma2_check(ch, use_fd=True) < 1e-5
+    assert dsigma2_check(ch, torsion_route(ch), use_fd=True) < 1e-5
     bad = replace(ch)  # dT is computed on first read, not passed: set it on a copy
     bad.dT = ch.dT + _antisymmetric_noise(ch.dT.shape, seed=n)
-    assert dsigma2_check(bad, use_fd=True) > 1e-5
+    assert dsigma2_check(bad, torsion_route(bad), use_fd=True) > 1e-5
 
 
 def _theta2_by_form_algebra(ch):
@@ -242,7 +245,7 @@ def test_dense_theta2_matches_form_algebra(geo, metric, n):
         ch, _ = _torsion_geometry(geo, metric, n)
     reference = _theta2_by_form_algebra(ch)
     assert np.max(np.abs(reference)) > 1e-3
-    dense = theta2_structure_route(ch)
+    dense = theta2_structure_route(ch, theta2_gamma_forms(ch))
     dense = dense - dense.transpose(0, 1, 3, 2)
     assert np.max(np.abs(dense - reference)) < 1e-13
 

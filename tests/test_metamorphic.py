@@ -1,8 +1,9 @@
-"""Known answers from changes of the metric built on its parsed trees.
+"""Known answers from metrics built on parsed trees.
 
 A homothety g -> 4^k g scales every Chern and Riemann array by an exact
-power of two, and a product metric g1 (+) g2 has the flags of both factors
-and no curvature or torsion across its blocks.
+power of two, a product metric g1 (+) g2 has the flags of both factors
+and no curvature or torsion across its blocks, and a metric with a Kahler
+potential has every Kahler-type flag and no torsion.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hermlab import catalog, cli, dsl
 from hermlab.catalog import CatalogEntry
 from hermlab.chern import _DERIVED, chern_at
-from hermlab.dsl import BinOp, Coord, Lit, MetricField
+from hermlab.classify import KAHLER_IMPLIES, classify_at, curvature_difference_suite
+from hermlab.dsl import BinOp, Call, Coord, Lit, MetricField
 from hermlab.geometry import sample_points
 from hermlab.levicivita import riemann_at
 
@@ -117,3 +119,62 @@ def test_product_has_the_flags_of_both_factors_and_no_cross_blocks(first, second
     assert _cross_block_max(ch.T, n, n1, 3) == 0.0
     assert _cross_block_max(ch.Rh, n, n1, 4) == 0.0
     assert _cross_block_max(rd.Rc, n, n1, 4) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Kahler potentials: g_ij = delta_ij + eps d_i dbar_j phi
+RADIUS = 0.9 * np.sqrt(2.0)  # the largest |z_k| on the default sampling box
+
+
+def _monomial(alpha, beta):
+    """z^alpha zbar^beta as a product of node constructors."""
+    out = Lit(1.0)
+    for k in range(len(alpha)):
+        for factor in [Coord(k + 1)] * alpha[k] + [Call("conj", Coord(k + 1))] * beta[k]:
+            out = BinOp("*", out, factor)
+    return out
+
+
+def _kahler_potential_metric(n, seed):
+    """delta + eps d dbar phi for phi = sum (c z^a zbar^b + conj(c) z^b zbar^a), 2n seeded terms.
+
+    Each term has 1 <= |a|, |b| <= 2.  eps bounds every row's sum of |eps d_i dbar_j phi| on
+    the box by 1/2, so by Gershgorin g is positive definite there.
+    """
+    rng = np.random.default_rng(seed)
+    terms = {}  # (i, j) -> [(coefficient, a - e_i, b - e_j)] of d_i dbar_j phi
+    bound = np.zeros((n, n))
+    for _ in range(2 * n):
+        alpha, beta = (rng.multinomial(d, np.ones(n) / n) for d in rng.integers(1, 3, size=2))
+        c = complex(*rng.normal(size=2))
+        for a, b, coef in ((alpha, beta, c), (beta, alpha, c.conjugate())):
+            for i, j in zip(*np.nonzero(np.outer(a, b))):
+                da, db = a - np.eye(n, dtype=int)[i], b - np.eye(n, dtype=int)[j]
+                terms.setdefault((i, j), []).append((coef * a[i] * b[j], da, db))
+                bound[i, j] += abs(coef) * a[i] * b[j] * RADIUS ** (da.sum() + db.sum())
+    eps = 0.5 / bound.sum(axis=1).max()
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = Lit(float(i == j))
+            for coef, da, db in terms.get((i, j), []):
+                e = BinOp("+", e, BinOp("*", Lit(eps * coef), _monomial(da, db)))
+            entries[i][j] = e
+            entries[j][i] = e if i == j else Call("conj", e)
+    return MetricField(f"kahler_potential_n{n}", n, entries)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_kahler_potential_has_every_kahler_flag_and_no_torsion(n):
+    metric = _kahler_potential_metric(n, seed=100 + n)
+    points = sample_points(metric, 4, seed=7)
+    report = classify_at(metric, points)
+    for flag in ("kahler",) + KAHLER_IMPLIES:
+        assert report[flag].value and report[flag].residual < 1e-13, flag
+    assert not report["hermitian_flat"].value  # the curvature is not trivially zero
+    ch = chern_at(metric, np.array(points))
+    assert np.abs(ch.T).max() < 1e-15
+    # with no torsion the Riemannian curvature is the Chern curvature
+    rd = riemann_at(ch)
+    assert curvature_difference_suite(rd)["riemann_vs_chern"].max() < 1e-13
+    assert max(r.max() for r in rd.symmetry_residuals().values()) < 1e-13

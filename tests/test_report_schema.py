@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermlab import catalog
+from hermlab import catalog, cli
 from hermlab.classify import flag_residuals_at
 from hermlab.cli import DEFAULT_TOLERANCES, main
 from hermlab.geometry import geometry_chunks, sample_points
@@ -88,3 +88,27 @@ def test_report_rows_are_the_documented_rows(name, capsys):
                 assert "worst_point" not in check, check["name"]
             elif "worst_point" in check:  # absent when the row had nothing to reduce
                 assert check["worst_point"] in [[[z.real, z.imag] for z in p] for p in points[:count]]
+
+
+TABLES = {
+    "identities": cli._IDENTITY_ROWS,
+    "compare": cli._COMPARE_ROWS,
+    "conformal": cli._CONFORMAL_ROWS,
+    "oracle": cli._ORACLE_ROWS,
+}
+
+
+def _points_cell(where):
+    """The points column of the doc for a row table's ``where``."""
+    if where is None:
+        return "all"
+    return "all where it holds" if isinstance(where, str) else f"first {where}"
+
+
+def test_each_table_row_covers_the_documented_points():
+    documented = {(suite, row): (condition, points) for suite, row, _, _, condition, points in _documented_rows()}
+    for suite, table in TABLES.items():
+        for name, _key, _scale, where, _residual in table:
+            condition, points = documented[suite, name]
+            assert points == _points_cell(where), (suite, name)
+            assert (condition == f"`{where}` holds at some point") == isinstance(where, str), (suite, name)
