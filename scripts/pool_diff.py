@@ -1,6 +1,6 @@
 """Compare every benchmark pool report of two hermlab source trees.
 
-    python3 scripts/pool_diff.py OLD_TREE NEW_TREE [--points N]
+    python3 scripts/pool_diff.py OLD_TREE NEW_TREE [--points N] [--env KEY=VALUE ...]
 
 Each tree is the root of a hermlab checkout.  The pools and generated
 metric configs come from this checkout's ``perfbench/inputs.py``; the
@@ -8,10 +8,13 @@ configs are written to a temporary directory.  Each tree runs all pool
 reports of the three workloads in-process, one subprocess per tree, with
 the CLI arguments the benchmark uses; ``--points N`` runs every report at
 N points instead of its workload's count (say, to cross the geometry's
-evaluation blocks, which the benchmark's counts never fill).  A report is
-compared on its exit code, the text of an uncaught exception and its whole
-JSON document except ``timestamp``, float by float (so a zero's sign
-counts).  Every report that differs is printed with the fields that
+evaluation blocks, which the benchmark's counts never fill).  Each
+``--env KEY=VALUE`` (repeatable) sets one environment variable in the NEW
+tree's subprocess only, so that one tree can be compared with itself under,
+say, ``OPENBLAS_CORETYPE=Sandybridge``; a value without ``=`` or without a
+key is refused.  A report is compared on its exit code, the text of an
+uncaught exception and its whole JSON document except ``timestamp``, float
+by float (so a zero's sign counts).  Every report that differs is printed with the fields that
 differ; the exit code is 0 only when no report differs.  A last line
 accounts for values that moved by roundoff: the reports whose exit code
 or some check's ``passed`` changed, the largest |delta residual| /
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -154,6 +158,8 @@ def moves(pairs):
     ``passed`` changed, the largest |delta residual| / tolerance over the
     checks both sides report, the number of checks whose ``worst_point``
     moved, and the largest residual / tolerance on either side of a move.
+    A check with no bound (``"tolerance": null``) counts its moves at
+    residual / tolerance 0.
     """
     changed, largest, moved, moved_largest = 0, 0.0, 0, 0.0
     for old, new in pairs:
@@ -162,7 +168,7 @@ def moves(pairs):
             a.get(key, {}).get("passed") != b.get(key, {}).get("passed") for key in set(a) | set(b)
         )
         for key in set(a) & set(b):
-            x, y, tol = a[key]["residual"], b[key]["residual"], a[key]["tolerance"]
+            x, y, tol = a[key]["residual"], b[key]["residual"], a[key]["tolerance"] or float("inf")
             if x != y:
                 largest = max(largest, abs(y - x) / tol)
             if a[key].get("worst_point") != b[key].get("worst_point"):
@@ -183,9 +189,14 @@ def _print_differences(keys, old, new):
     return differing
 
 
-def run_tree(tree, tasks_path, out_path):
-    """{key: outcome} of every task, run in one subprocess on ``tree``'s sources."""
-    subprocess.run([sys.executable, "-c", CHILD, str(tree), str(tasks_path), str(out_path)], check=True)
+def child_env(items):
+    """This process's environment with each ``KEY=VALUE`` of ``items`` set."""
+    return dict(os.environ) | dict(item.split("=", 1) for item in items)
+
+
+def run_tree(tree, tasks_path, out_path, env=None):
+    """{key: outcome} of every task, run in one subprocess on ``tree``'s sources (environment ``env``)."""
+    subprocess.run([sys.executable, "-c", CHILD, str(tree), str(tasks_path), str(out_path)], check=True, env=env)
     with open(out_path) as fh:
         result = json.load(fh)
     if not Path(result["hermlab"]).resolve().is_relative_to(Path(tree).resolve()):
@@ -197,7 +208,12 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("--points", type=int, help="sample points per report (default: the workload's)")
+    parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
+                        help="set an environment variable in the NEW tree's subprocess (repeatable)")
     args = parser.parse_args(argv)
+    for item in args.env:
+        if "=" not in item or item.startswith("="):
+            parser.error(f"--env takes KEY=VALUE, got {item!r}")
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
@@ -215,7 +231,8 @@ def main(argv):
         errors = error_tasks(Path(tmp) / "errors")
         tasks_path = Path(tmp) / "tasks.json"
         tasks_path.write_text(json.dumps(tasks + errors))
-        old, new = (run_tree(tree, tasks_path, Path(tmp) / f"{i}.json") for i, tree in enumerate(args.trees))
+        old = run_tree(args.trees[0], tasks_path, Path(tmp) / "0.json")
+        new = run_tree(args.trees[1], tasks_path, Path(tmp) / "1.json", child_env(args.env))
     differing = _print_differences([key for key, _ in tasks], old, new)
     raised = sum(1 for key, _ in tasks if old[key]["error"] is not None and old[key] == new[key])
     print(

@@ -221,6 +221,8 @@ def chern_at(metric, point):
     One point is computed as the batch of one.
     """
     point = np.asarray(point, dtype=complex)
+    if point.ndim not in (1, 2) or point.shape[-1:] != (metric.n,):
+        raise ValueError(f"points must have shape [N, {metric.n}] or [{metric.n}], got {list(point.shape)}")
     single = point.ndim == 1
     batch = point[None] if single else point
     data = chern_from_jets(metric, batch, *metric.evaluate(batch))

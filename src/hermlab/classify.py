@@ -20,7 +20,7 @@ from .chern import (
     delbar_eta_residual,
     kahler_like_residual,
 )
-from .geometry import geometry_chunks
+from .geometry import as_points, geometry_chunks, running_max
 
 DEFAULT_TOL = 1e-7
 
@@ -54,7 +54,7 @@ class FlagResult:
 class ClassificationReport:
     metric_name: str
     tolerance: float
-    points: list
+    points: np.ndarray
     flags: dict = field(default_factory=dict)
 
     def __getitem__(self, name):
@@ -94,29 +94,27 @@ def flag_residuals_at(ch, rd):
     }
 
 
-def classification(metric, points, tol, residuals):
-    """The report from each flag's residual at every point (arrays over ``points``)."""
+def classification(metric, points, tol, best):
+    """The report from each flag's :func:`~hermlab.geometry.running_max` over ``points``."""
     report = ClassificationReport(metric.name, tol, points)
     for name in FLAG_NAMES:
-        worst = int(np.argmax(residuals[name]))  # the first of equal maxima
-        res = float(residuals[name][worst])
+        res, worst = float(best[name][0]), best[name][1]
         report.flags[name] = FlagResult(res < tol, res, points[worst])
     return report
 
 
 def classify_at(metric, points, tol=DEFAULT_TOL):
-    """Classify a metric over a nonempty list of points.
+    """Classify a metric over nonempty points: an array [N, n] or a list of points [n].
 
-    The data are computed and dropped chunk by chunk
-    (:func:`~hermlab.geometry.geometry_chunks`); the residuals are computed
-    per chunk.
+    The data and the flag residuals are computed and dropped chunk by chunk
+    (:func:`~hermlab.geometry.geometry_chunks`); the report keeps each
+    flag's running maximum.
     """
-    points = [np.asarray(p, dtype=complex) for p in points]
-    if not points:
-        raise ValueError("classification needs at least one point")
-    parts = [flag_residuals_at(c.ch, c.rd) for c in geometry_chunks(metric, points)]
-    residuals = {name: np.concatenate([part[name] for part in parts]) for name in FLAG_NAMES}
-    return classification(metric, points, tol, residuals)
+    points, best = as_points(points, metric.n), dict.fromkeys(FLAG_NAMES, (-np.inf, None))
+    for chunk in geometry_chunks(metric, points):
+        for name, residuals in flag_residuals_at(chunk.ch, chunk.rd).items():
+            best[name] = running_max(best[name], residuals, chunk.start)
+    return classification(metric, points, tol, best)
 
 
 # ----------------------------------------------------------------------

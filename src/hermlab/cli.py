@@ -8,12 +8,12 @@ field.
 
 Each suite declares its checks once, in a row table (``_IDENTITY_ROWS``,
 ``_COMPARE_ROWS``, ``_CONFORMAL_ROWS``, ``_ORACLE_ROWS``; every row is listed
-in ``docs/report-schema.md``) that one :meth:`Suite.checks` reduces; only
-classify's expected-flag rows, compare's strict gap and rigidity floor and
-the nilker rows are written by hand.  A row's ``where`` names the points it
-covers, and the work that several rows read is chosen in the table and
-computed once per chunk (:meth:`~hermlab.geometry.Chunk.once`); that sharing
-never joins the two sides of one check.
+in ``docs/report-schema.md``) that :meth:`Suite.add` reduces as the chunks
+stream; only classify's expected-flag rows, compare's strict gap and
+rigidity floor and the nilker rows are written by hand.  A row's ``where``
+names the points it covers, and the work that several rows read is chosen
+in the table and computed once per chunk (:meth:`~hermlab.geometry.Chunk.once`);
+that sharing never joins the two sides of one check.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .chern import (
 )
 from .classify import (
     DEFAULT_TOL,
+    FLAG_NAMES,
     _point_list,
     classification,
     curvature_difference_suite,
@@ -70,7 +71,7 @@ from .errors import (
     MetricSyntaxError,
 )
 from .fd import fd_jet
-from .geometry import geometry_chunks, sample_points
+from .geometry import geometry_chunks, running_max, sample_points
 from .levicivita import (
     canonical_theta2,
     dsigma2_check,
@@ -133,18 +134,6 @@ class Check:
         return out
 
 
-def _first_max(name, residuals, points, tol):
-    """The check on the largest residual, at the first point that reaches it.
-
-    The same reduction as ``classify_at``; a check with nothing to reduce
-    (every residual -inf: every plane degenerate) reads 0 with no worst point.
-    """
-    i = int(np.argmax(residuals))
-    if residuals[i] == -np.inf:
-        return Check(name, 0.0, tol)
-    return Check(name, max(residuals[i], 0.0), tol, points[i])
-
-
 # ----------------------------------------------------------------------
 # suites
 class Suite:
@@ -157,10 +146,11 @@ class Suite:
     ``where`` is the points column of ``docs/report-schema.md``: None (every
     point), a flag name (where it holds; reported only if some point
     qualifies) or an int k (the report's first k points, read on one shared
-    :meth:`~hermlab.geometry.Chunk.at` view per chunk and k); a row is -inf
-    at the points it does not cover.  :meth:`add` takes each chunk in point
-    order; :meth:`checks` reduces each row to its largest residual at the
-    first point that reaches it.
+    :meth:`~hermlab.geometry.Chunk.at` view per chunk and k).  :meth:`add`
+    takes each chunk in point order and reduces each row's residuals at the
+    points it covers into its :func:`~hermlab.geometry.running_max`;
+    :meth:`checks` reads each row's largest residual and the first point
+    reaching it, or 0 and no point where every residual was -inf.
     """
 
     table = ()
@@ -168,48 +158,39 @@ class Suite:
     def __init__(self, entry, points, tols, seed):
         self.entry, self.metric, self.points = entry, entry.metric, points
         self.tols, self.seed = tols, seed
-        self.parts = []
+        self.best = dict.fromkeys((row[0] for row in self.table), (-np.inf, None))
 
-    def add(self, chunk):
-        self.parts.append(self.rows(chunk))
-
-    def rows(self, chunk):
-        """Each row's residual at each point of ``chunk``; -inf where its ``where`` excludes the point."""
-        out = {}
+    def add(self, chunk, data=None):
+        """Reduce each row over ``chunk``; the every-point rows read ``data`` if it is given."""
         for name, _key, _scale, where, residual in self.table:
-            if isinstance(where, int):
-                out[name] = np.full(len(chunk.points), -np.inf)
-                if where > chunk.start:
-                    if where not in chunk.memo:
-                        chunk.memo[where] = chunk.at(slice(0, where - chunk.start))
-                    view = chunk.memo[where]
-                    out[name][: len(view.points)] = residual(view)
-                continue
-            live = where is None or chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[where] < self.tols["flags"]
-            # a flagged row with no qualifying point is not computed
-            out[name] = np.where(live, residual(chunk) if np.any(live) else 0.0, -np.inf)
-        return out
-
-    def residuals(self):
-        """Each row's residuals over the suite's points, the chunks' arrays joined."""
-        return {name: np.concatenate([part[name] for part in self.parts]) for name in self.parts[0]}
+            if where is None:
+                self.best[name] = running_max(self.best[name], residual(data or chunk), chunk.start)
+            elif isinstance(where, str):
+                live = np.flatnonzero(chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[where] < self.tols["flags"])
+                if len(live):  # a flagged row with no qualifying point is not computed
+                    self.best[name] = running_max(self.best[name], residual(chunk)[live], chunk.start, live)
+            elif where > chunk.start:  # one view of the chunk per k, which all its first-k rows read
+                view = chunk.memo.get(where) or chunk.memo.setdefault(where, chunk.at(slice(where - chunk.start)))
+                self.best[name] = running_max(self.best[name], residual(view), chunk.start)
 
     def checks(self):
-        res = self.residuals()
-        return [
-            _first_max(name, res[name], self.points, scale if key is None else self.tols[key] * scale)
-            for name, key, scale, where, _residual in self.table
-            if not isinstance(where, str) or (res[name] != -np.inf).any()
-        ], None
+        checks = []
+        for name, key, scale, where, _residual in self.table:
+            (value, worst), tol = self.best[name], scale if key is None else self.tols[key] * scale
+            if worst is not None:
+                checks.append(Check(name, max(value, 0.0), tol, self.points[worst]))
+            elif not isinstance(where, str):  # a flagged row with no qualifying point is absent
+                checks.append(Check(name, 0.0, tol))
+        return checks, None
 
 
 class Classify(Suite):
-    def rows(self, chunk):
-        return chunk.once(flag_residuals_at, chunk.ch, chunk.rd)
+    table = tuple((name, "flags", 1, None, lambda c, k=name: c.once(flag_residuals_at, c.ch, c.rd)[k])
+                  for name in FLAG_NAMES)
 
     def checks(self):
         tol = self.tols["flags"]
-        report = classification(self.metric, self.points, tol, self.residuals())
+        report = classification(self.metric, self.points, tol, self.best)
         checks = []
         for name, flag in sorted(report.flags.items()):
             expected = self.entry.expected_flags.get(name)
@@ -257,7 +238,7 @@ _IDENTITY_ROWS = (
      lambda c: theta2_zero_one_part_residual(c.rd, c.once(canonical_theta2, c.rd))),
     ("theta2_vs_torsion", "identities", 1, None,
      lambda c: theta2_matches_torsion_residual(c.rd, c.once(canonical_theta2, c.rd))),
-    ("curvature_type", "exact", 1, None, lambda c: np.zeros(len(c.points))),
+    ("curvature_type", "exact", 1, None, lambda c: np.zeros(len(c.ch.point))),
     ("curvature_skew_hermitian", "exact", 1, None, lambda c: skew_hermitian_residual(c.ch)),
     ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, c.once(torsion_route, c.ch))),
     ("sigma1_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[0]),
@@ -351,19 +332,19 @@ class Compare(Suite):
     def __init__(self, *args):
         super().__init__(*args)
         self.rng = np.random.default_rng(self.seed + 1)
+        self.best_gap = self.max_T = (-np.inf, None)
 
-    def rows(self, chunk):
-        terms = _compare_terms(chunk.rd, *compare_draws(self.rng, len(chunk.points), self.metric.n))
-        best_gap, max_T = terms["gap"].max(axis=0), chunk.ch.pointwise_max(chunk.ch.T)
-        return super().rows(terms) | {"best_gap": best_gap, "max_T": max_T}
+    def add(self, chunk):
+        terms = _compare_terms(chunk.rd, *compare_draws(self.rng, len(chunk.ch.point), self.metric.n))
+        super().add(chunk, terms)
+        self.best_gap = running_max(self.best_gap, terms["gap"].max(axis=0), chunk.start)
+        self.max_T = running_max(self.max_T, chunk.ch.pointwise_max(chunk.ch.T), chunk.start)
 
     def checks(self):
         checks, _ = super().checks()
-        res, points = self.residuals(), self.points
-        if res["max_T"].max() > 1e-3:
-            i = int(np.argmax(res["best_gap"]))
-            gap = 1e-6 / max(res["best_gap"][i], 1e-300)
-            checks.append(Check("monotonicity_strict_gap", gap, 1.0, points[i]))
+        if self.max_T[0] > 1e-3:
+            gap = 1e-6 / max(self.best_gap[0], 1e-300)
+            checks.append(Check("monotonicity_strict_gap", gap, 1.0, self.points[self.best_gap[1]]))
         # quick regression run of the dimension-3 torsion rigidity floor
         rig = n3_rigidity_search(trials=400, seed=self.seed, polish=8, steps=80)
         floor = RIGIDITY_FLOOR / max(rig["min_residual"], 1e-300)
@@ -375,7 +356,7 @@ _CONFORMAL_EXPONENTS = ("re(z1)", "ln(1 + abs2(z1)) / 2")
 
 def _transforms(chunk):
     """Each exponent's torsion, theta_1 and theta_2 transformation residuals, by (exponent, law)."""
-    batch, out = np.array(chunk.points), {}
+    batch, out = chunk.ch.point, {}
     for src in _CONFORMAL_EXPONENTS:
         factor = ConformalFactor(parse_expr(src, chunk.ch.n), name=src)
         # the scaled metric once per exponent, over all the points at once
@@ -459,7 +440,7 @@ def _fd(chunk):
     as :func:`~hermlab.geometry.geometry_chunks` checks the evaluated ones.
     """
     metric, points = chunk.ch.metric, chunk.ch.point
-    jets = [np.stack(x) for x in zip(*(fd_jet(metric.values_at, p, metric.n) for p in chunk.points))]
+    jets = [np.stack(x) for x in zip(*(fd_jet(metric.values_at, p, metric.n) for p in points))]
     metric.check_jets(points, *jets, OVERRIDE_HERMITIAN_TOL)
     return riemann_at(chern_from_jets(metric, points, *jets))
 

@@ -17,18 +17,20 @@ sizes scale like 1/(2n)^4: a chunk is ``CHUNK`` points at n >= 3 and
 ``16 * 6^4 // (2n)^4`` below (1296 at n = 1, 81 at n = 2); a block is
 ``128 * 6^4 // (2n)^4`` points rounded down to whole chunks (648 at n = 2,
 128 at n = 3, 32 at n = 4), at least one chunk, so a block's jets take
-0.6-0.9 MB at n = 2..5.  A report holds the jets of one block and
-the data of one chunk at a time.  Evaluation and the cores work point
-by point, so the sizes change no bit of any result.  They do change which
-error a bad point raises: every evaluation error in a block (a
-constraint, a singular expression) is raised before that block's jet
-checks (not finite, not Hermitian, not positive definite), even where the
-jet check fails at an earlier point of the block.
+0.6-0.9 MB at n = 2..5.  A report holds the jets of one block, the data of
+one chunk and each check's :func:`running_max` at a time, and its points as
+one [N, n] complex array (32 B a point at n = 2).  Evaluation and the cores
+work point by point, so the sizes change no bit of any result.  They do
+change which error a bad point raises: every evaluation error in a block (a
+constraint, a singular expression) is raised before that block's jet checks
+(not finite, not Hermitian, not positive definite), even where the jet
+check fails at an earlier point of the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 import numpy as np
 
@@ -50,7 +52,7 @@ SAMPLE_BLOCK = 64
 
 
 def sample_points(metric, count, seed=DEFAULT_SEED, oversample=10):
-    """Seeded uniform draws from the metric's box, rejecting by constraints.
+    """Seeded uniform draws from the metric's box, rejecting by constraints: [count, n] complex.
 
     At most ``max(count * oversample, 32)`` draws are made.  Draws come in
     blocks from one ``Generator.uniform`` call with array bounds, which
@@ -61,41 +63,56 @@ def sample_points(metric, count, seed=DEFAULT_SEED, oversample=10):
     bounds = np.array(metric.box, dtype=float).reshape(metric.n, 2, 2)
     lo, hi = bounds[..., 0], bounds[..., 1]  # [coordinate, (re, im)]
     limit = max(count * oversample, 32)
-    points = []
-    attempts = 0
-    while len(points) < count and attempts < limit:
-        size = min(limit - attempts, max(2 * (count - len(points)), SAMPLE_BLOCK))
+    points = np.empty((count, metric.n), dtype=complex)
+    found = attempts = 0
+    while found < count and attempts < limit:
+        size = min(limit - attempts, max(2 * (count - found), SAMPLE_BLOCK))
         block = rng.uniform(lo, hi, size=(size,) + lo.shape).view(complex)[..., 0]
         try:
-            ok = metric.admissible_mask(block)
-        except SingularEvaluationError:
-            # raise at the draw where a draw-by-draw test would
-            ok = (metric.admissible(p) for p in block)
-        for p, good in zip(block, ok):
-            attempts += 1
-            if good:
-                points.append(p)
-                if len(points) == count:
-                    break
-    if len(points) < count:
-        raise DomainSamplingError(
-            f"found {len(points)}/{count} admissible points after {attempts} draws"
-        )
+            taken = np.flatnonzero(metric.admissible_mask(block))[: count - found]
+        except SingularEvaluationError:  # lazily: a singular draw raises where a draw-by-draw test would
+            taken = np.fromiter(islice(compress(range(size), map(metric.admissible, block)), count - found), int)
+        points[found : found + len(taken)] = block[taken]
+        found, attempts = found + len(taken), attempts + size
+    if found < count:
+        raise DomainSamplingError(f"found {found}/{count} admissible points after {attempts} draws")
     return points
+
+
+def as_points(points, n):
+    """``points``, an array or a list of points, as one C-contiguous complex array [N, n], N >= 1."""
+    z = np.ascontiguousarray(points, dtype=complex)
+    if z.shape[1:] != (n,) or not len(z):
+        raise ValueError(f"points must have shape [N, {n}] with N >= 1, got {list(z.shape)}")
+    return z
+
+
+def running_max(best, residuals, start, at=None):
+    """A check's (largest residual, index of the first point reaching it) ``best``, after ``residuals``.
+
+    ``residuals`` are at the report's points ``start + at`` (``at`` by
+    default 0, 1, ...); ``best`` starts at (-inf, None).  This is
+    ``np.argmax``'s rule over the joined residuals: a batch replaces ``best``
+    only when its maximum is strictly greater, and the first NaN wins and is
+    kept.  The index stays None while every residual is -inf.
+    """
+    i = int(np.argmax(residuals))
+    if best[0] != best[0] or residuals[i] <= best[0]:
+        return best
+    return residuals[i], start + (i if at is None else int(at[i]))
 
 
 @dataclass
 class Chunk:
-    """Consecutive points of a report and their Chern and Riemann data, as one batch.
+    """Consecutive points of a report (``ch.point``) and their Chern and Riemann data, as one batch.
 
-    ``start`` is the index of the first of ``points`` among the report's
-    points; ``ch`` and ``rd`` carry one leading point axis.  ``memo`` holds
-    what :meth:`once` computed on this chunk's data, by function, and the
-    suites keep there the :meth:`at` views they share, by point count.
+    ``start`` is the index of ``ch.point[0]`` among the report's points;
+    ``ch`` and ``rd`` carry one leading point axis.  ``memo`` holds what
+    :meth:`once` computed on this chunk's data, by function, and the suites
+    keep there the :meth:`at` views they share, by point count.
     """
 
     start: int
-    points: list
     ch: ChernData
     rd: RiemannData
     memo: dict = field(default_factory=dict, repr=False)
@@ -112,7 +129,7 @@ class Chunk:
         The views carry the derivative-level arrays computed so far.
         """
         rd = self.rd.at(part)
-        return Chunk(self.start, self.points[part], rd.chern, rd)
+        return Chunk(self.start, rd.chern, rd)
 
 
 def _per_point(size, n):
@@ -132,14 +149,15 @@ def block_size(n):
 
 
 def geometry_chunks(metric, points):
-    """The data of ``points`` in point order, one :class:`Chunk` of :func:`chunk_size` points at a time.
+    """The data of ``points`` (see :func:`as_points`), one :class:`Chunk` of :func:`chunk_size` points at a time.
 
-    The metric is evaluated and its jets checked once per
-    :func:`block_size` points.  Nothing is kept between blocks.
+    The metric is evaluated and its jets checked once per :func:`block_size`
+    points.  Nothing is kept between blocks; ``ch.point`` views ``points``.
     """
+    points = as_points(points, metric.n)
     chunk, block = chunk_size(metric.n), block_size(metric.n)
     for first in range(0, len(points), block):
-        batch = np.asarray(points[first : first + block], dtype=complex).reshape(-1, metric.n)
+        batch = points[first : first + block]
         jets = metric.evaluate(batch)
         for start in range(0, len(batch), chunk):
             part = slice(start, start + chunk)
@@ -147,5 +165,5 @@ def geometry_chunks(metric, points):
             # suite still holds while the next block is evaluated pins no block
             own = [x[part].copy() if len(batch) > chunk else x for x in jets]
             ch = chern_from_jets(metric, batch[part], *own)
-            yield Chunk(first + start, points[first + start : first + start + chunk], ch, riemann_at(ch))
+            yield Chunk(first + start, ch, riemann_at(ch))
         del jets, own  # before the next block is evaluated

@@ -1,23 +1,26 @@
 """Geometry streaming: evaluation blocks and core chunks against 16-point
-calls of the batched cores, the views that first-k rows read, the point a
-singular block names, and the data that the Riemann core and the FD oracle
-read."""
+calls of the batched cores, the views that first-k rows read, the running
+maximum that every row reduces to and the state a suite keeps, the shape
+of the points, the point a singular block names, and the data that the
+Riemann core and the FD oracle read."""
 
 import contextlib
 import io
 import json
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlab import catalog, cli
 from hermlab.chern import _DERIVED, arrays_at, chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
-from hermlab.geometry import CHUNK, block_size, chunk_size, geometry_chunks, sample_points
+from hermlab.geometry import CHUNK, block_size, chunk_size, geometry_chunks, running_max, sample_points
 from hermlab.levicivita import riemann_at
 
 from test_highdim import perturbed_metric
@@ -54,11 +57,12 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
         evaluated += calls  # the evaluation of the block this chunk opens, if any
         calls.clear()
         starts.append(c.start)
-        assert c.points == points[c.start : c.start + chunk]
+        want = points[c.start : c.start + chunk]  # the chunk's points are a view of the report's
+        assert np.array_equal(c.ch.point, want) and np.shares_memory(c.ch.point, want)
         assert c.rd.chern is c.ch and c.ch.metric is m
-        for s in range(0, len(c.points), CHUNK):
+        for s in range(0, len(c.ch.point), CHUNK):
             part = slice(s, s + CHUNK)
-            ch = chern_at(m, np.array(c.points[part]))
+            ch = chern_at(m, c.ch.point[part].copy())
             rd = riemann_at(ch)
             _assert_same(arrays_at(c.ch.at(part), slice(None)), arrays_at(ch, slice(None)))
             _assert_same(arrays_at(c.rd.at(part), slice(None)), arrays_at(rd, slice(None)))
@@ -72,13 +76,13 @@ class _FirstFive(cli.Suite):
     """Two rows over the report's first five points that record the chunks they read."""
 
     def __init__(self, *args):
-        super().__init__(*args)
         self.read = []
         self.table = (("a", "exact", 1, 5, self._row), ("b", "exact", 1, 5, self._row))
+        super().__init__(*args)
 
     def _row(self, chunk):
         self.read.append(chunk)
-        return np.zeros(len(chunk.points))
+        return np.arange(len(chunk.ch.point), dtype=float)  # largest at the last point read
 
 
 def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
@@ -91,7 +95,7 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     suite.add(chunk)
     suite.add(second)
     view, again = suite.read  # both rows, on the first chunk only
-    assert view is again and view.points == chunk.points[:5]
+    assert view is again and view.start == 0 and len(view.ch.point) == 5
     assert view.rd.chern is view.ch
     for data, whole in ((view.ch, chunk.ch), (view.rd, chunk.rd)):
         for name, x in arrays_at(data, slice(None)).items():
@@ -99,27 +103,183 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
             assert np.array_equal(x, getattr(whole, name)[:5]), name
     for name in _DERIVED:
         assert name in vars(view.ch) and np.shares_memory(vars(view.ch)[name], getattr(chunk.ch, name)), name
-    res = suite.residuals()["a"]
-    assert len(res) == 100 and not res[:5].any() and (res[5:] == -np.inf).all()
+    # each row covers the first five points and no later one
+    assert list(suite.best.values()) == [(4.0, 4), (4.0, 4)]
+    checks, _ = suite.checks()
+    assert len(checks) == 2 and all(np.shares_memory(c.worst_point, points[4]) for c in checks)
+
+
+# what run_suites hands every suite; the report's points are kept by the report
+_INPUTS = ("entry", "metric", "points", "tols", "seed")
+
+
+def _kept(suite):
+    """Every object a suite keeps beyond its inputs, through containers.
+
+    Scalars are counted once per reference: Python shares its small ints.
+    """
+    todo, seen, out = [v for k, v in vars(suite).items() if k not in _INPUTS], set(), []
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, (int, float, np.generic)):
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+        out.append(x)
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple)):
+            todo += x
+    return out
+
+
+def _kept_bytes(suite):
+    return sum(x.nbytes if isinstance(x, np.ndarray) else sys.getsizeof(x) for x in _kept(suite))
+
+
+def _run_suites(monkeypatch, entry, points, chunks=None):
+    """The suites of one ``run_suites`` over every suite, after it ran; ``chunks`` collects the chunks."""
+    suites = []
+    with monkeypatch.context() as patched:
+        if chunks is not None:
+            stream = cli.geometry_chunks
+            patched.setattr(cli, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
+        for name, cls in cli._SUITE_CLASSES.items():
+            patched.setitem(cli._SUITE_CLASSES, name, lambda *a, cls=cls: suites.append(cls(*a)) or suites[-1])
+        cli.run_suites(entry, points, cli.DEFAULT_TOLERANCES, list(cli._SUITE_CLASSES), 42)
+    assert len(suites) == len(cli._SUITE_CLASSES)
+    return suites
 
 
 def test_no_kept_residual_shares_memory_with_a_chunk(monkeypatch):
     entry = catalog.get("iwasawa")
     points = sample_points(entry.metric, 20, seed=3)
-    chunks, suites = [], []
-    stream = cli.geometry_chunks
-    monkeypatch.setattr(cli, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
-    for name, cls in cli._SUITE_CLASSES.items():
-        monkeypatch.setitem(cli._SUITE_CLASSES, name, lambda *a, cls=cls: suites.append(cls(*a)) or suites[-1])
-    cli.run_suites(entry, points, cli.DEFAULT_TOLERANCES, list(cli._SUITE_CLASSES), 42)
-    assert len(chunks) == 2 and len(suites) == len(cli._SUITE_CLASSES)
+    chunks = []
+    suites = _run_suites(monkeypatch, entry, points, chunks)
+    assert len(chunks) == 2
     held = [vars(c.ch) for c in chunks] + [arrays_at(c.rd, slice(None)) for c in chunks]
     held = [x for data in held for x in data.values() if isinstance(x, np.ndarray)]
-    kept = [x for s in suites for part in s.parts for x in part.values()]
-    kept += [s.T for s in suites if isinstance(s, cli.Nilker)]
-    assert len(kept) > 100
+    kept = [x for s in suites for x in _kept(s) if isinstance(x, (np.ndarray, np.generic))]
+    # every row's and flag's running maximum, compare's two and nilker's torsion
+    assert len(kept) > 50 and any(x is s.T for s in suites if isinstance(s, cli.Nilker) for x in kept)
     for x in kept:
         assert not any(np.shares_memory(x, y) for y in held)
+
+
+def test_suite_state_does_not_grow_with_points(monkeypatch):
+    # a suite keeps each row's running maximum, not a residual per point
+    entry = catalog.get("fubini_study_chart_n2")
+    kept = {}
+    for count in (200, 2000):
+        suites = _run_suites(monkeypatch, entry, sample_points(entry.metric, count, seed=3))
+        kept[count] = {type(s).__name__: _kept_bytes(s) for s in suites}
+    assert kept[2000] == kept[200]
+    assert sum(kept[200].values()) < 20_000, kept[200]
+
+
+def _argmax_rule(parts):
+    """The value and the first index ``np.argmax`` finds over the joined residuals; (-inf, None) if all are -inf."""
+    joined = np.concatenate(parts)
+    i = int(np.argmax(joined))
+    return (-np.inf, None) if joined[i] == -np.inf else (joined[i], i)
+
+
+def _same(a, b):
+    """Equal (value, index) pairs, a NaN value equal to a NaN value."""
+    return a[1] == b[1] and (a[0] == b[0] or np.isnan(a[0]) and np.isnan(b[0]))
+
+
+RESIDUALS = st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.0, -np.inf, -np.inf, np.nan, 1e-300]), min_size=1, max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RESIDUALS, st.lists(st.integers(1, 6), min_size=24, max_size=24), st.integers(0, 7))
+def test_running_max_is_the_argmax_of_the_joined_chunks(residuals, sizes, skip):
+    residuals, parts = np.array(residuals), []
+    for size in sizes:
+        start = sum(len(p) for p in parts)
+        if start < len(residuals):
+            parts.append(residuals[start : start + size])
+    best, start = (-np.inf, None), 0
+    for part in parts:
+        best = running_max(best, part, start)
+        start += len(part)
+    assert _same(best, _argmax_rule(parts))
+    # a flagged row: only the points where a mask holds are fed, at their own indices
+    live = np.arange(len(residuals)) % 8 != skip
+    flagged, start = (-np.inf, None), 0
+    for part in parts:
+        at = np.flatnonzero(live[start : start + len(part)])
+        if len(at):
+            flagged = running_max(flagged, part[at], start, at)
+        start += len(part)
+    value, index = _argmax_rule([np.where(live, residuals, -np.inf)])
+    assert _same(flagged, (value, index))
+
+
+def test_running_max_reads_the_documented_edge_cases():
+    best = running_max((-np.inf, None), np.full(3, -np.inf), 0)
+    best = running_max(best, np.full(2, -np.inf), 3)
+    assert best == (-np.inf, None)  # every residual -inf: no worst point
+    best = running_max(best, np.array([1.0, np.nan, 5.0, np.nan]), 5, np.array([7, 9, 11, 12]))
+    best = running_max(best, np.array([np.inf]), 20)
+    assert np.isnan(best[0]) and best[1] == 14  # the first NaN wins and is kept
+    best = running_max((2.0, 3), np.array([2.0, 1.0]), 10)
+    assert best == (2.0, 3)  # a tie keeps the earlier point
+
+
+class _Rows(cli.Suite):
+    """Three rows over fixed residuals: every point, the first two points, and a flag that never holds."""
+
+    def __init__(self, *args):
+        self.table = (
+            ("every", "exact", 1, None, lambda c: np.full(len(c.ch.point), -np.inf)),
+            ("first", "exact", 1, 2, lambda c: np.array([np.nan, 3.0][: len(c.ch.point)])),
+            ("flagged", "exact", 1, "kahler", lambda c: np.ones(len(c.ch.point))),
+        )
+        super().__init__(*args)
+
+
+def test_a_row_reads_its_running_maximum():
+    entry = catalog.get("iwasawa")  # not Kahler at any point
+    points = sample_points(entry.metric, 2 * CHUNK, seed=42)
+    suite = _Rows(entry, points, cli.DEFAULT_TOLERANCES, 0)
+    for chunk in geometry_chunks(entry.metric, points):
+        suite.add(chunk)
+    every, first = suite.checks()[0]  # the flagged row is absent
+    assert (every.name, every.residual, every.worst_point) == ("every", 0.0, None)  # every residual -inf
+    assert first.name == "first" and np.isnan(first.residual) and np.shares_memory(first.worst_point, points[0])
+
+
+def test_a_flagged_row_with_no_qualifying_point_is_absent():
+    entry = catalog.get("random_polynomial(12)")
+    points = sample_points(entry.metric, 2 * CHUNK, seed=42)
+    tols = dict(cli.DEFAULT_TOLERANCES, flags=1e-300)  # no point is Kahler-like or G-Kahler-like
+    suite = cli.Identities(entry, points, tols, 42)
+    for chunk in geometry_chunks(entry.metric, points):
+        suite.add(chunk)
+    flagged = {name for name, _, _, where, _ in cli._IDENTITY_ROWS if isinstance(where, str)}
+    assert flagged and all(suite.best[name][1] is None for name in flagged)
+    names = [c.name for c in suite.checks()[0]]
+    assert names == [row[0] for row in cli._IDENTITY_ROWS if row[0] not in flagged]
+
+
+@pytest.mark.parametrize("bad", [[[0.1]] * 4, [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2)), [0.1, 0.2], np.zeros((0, 2))])
+def test_points_of_the_wrong_dimension_are_refused(bad):
+    m = catalog.get("fubini_study_chart_n2").metric  # n = 2
+    message = re.escape(f"points must have shape [N, 2] with N >= 1, got {list(np.shape(bad))}")
+    with pytest.raises(ValueError, match=message):
+        classify_at(m, bad)
+    with pytest.raises(ValueError, match=message):
+        next(geometry_chunks(m, bad))
+
+
+@pytest.mark.parametrize("bad", [[0.1, 0.2, 0.3], [[0.1]] * 4, np.zeros((2, 2, 2)), 0.1])
+def test_chern_at_refuses_a_point_of_the_wrong_dimension(bad):
+    m = catalog.get("fubini_study_chart_n2").metric
+    message = re.escape(f"points must have shape [N, 2] or [2], got {list(np.shape(bad))}")
+    with pytest.raises(ValueError, match=message):
+        chern_at(m, bad)
 
 
 # a pole at z1 = 0.25 and, through sqrt, a branch cut where re(z1) <= -0.895;
@@ -209,5 +369,5 @@ def test_the_oracle_checks_its_jets_at_its_own_tolerance(monkeypatch):
         return cli._fd(chunk)
 
     skewed(3e-10)  # above the evaluated jets' Hermitian tolerance, below the oracle's
-    with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(chunk.points[0]))):
+    with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(chunk.ch.point[0]))):
         skewed(1e-3)

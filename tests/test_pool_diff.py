@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "pool_diff", Path(__file__).resolve().parents[1] / "scripts" / "pool_diff.py"
 )
@@ -13,7 +15,7 @@ SPEC.loader.exec_module(pool_diff)
 
 def _check(name, residual, tolerance, point):
     return {"name": name, "residual": residual, "tolerance": tolerance,
-            "passed": residual < tolerance, "worst_point": [[point, 0.0]]}
+            "passed": tolerance is None or residual < tolerance, "worst_point": [[point, 0.0]]}
 
 
 def _outcome(checks, exit=0, timestamp="t0"):
@@ -39,6 +41,9 @@ def test_differences_and_moves_on_synthetic_outcomes():
     crashed = {"exit": None, "error": "ValueError: x", "stdout": ""}
     assert pool_diff.moves([(old, failing), (old, crashed), (old, old)])[0] == 2
     assert pool_diff.differences(old, crashed)[:2] == ["exit: 0 -> None", "error: None -> 'ValueError: x'"]
+    # a check with no bound moves at residual/tolerance 0
+    unbounded = _outcome([_check("a", 1e-10, None, 0.1)]), _outcome([_check("a", 2e-10, None, 0.2)])
+    assert pool_diff.moves([unbounded]) == (0, 0.0, 1, 0.0)
 
 
 # the exit code and the start of the stderr text of each error input
@@ -68,3 +73,34 @@ def test_a_changed_stderr_text_is_a_difference():
     new = dict(old, stderr="error: sqrt requires ... (at point [1])\n")
     assert pool_diff.differences(old, dict(old)) == []
     assert pool_diff.differences(old, new) == [f"stderr: {old['stderr']!r} -> {new['stderr']!r}"]
+
+
+def test_env_reaches_the_new_trees_child_only(tmp_path, monkeypatch, capsys):
+    # each child is faked: it records its environment and reports every task identical
+    envs = {}
+
+    def run(cmd, check, env=None):
+        tree, tasks_path, out_path = cmd[3:6]
+        envs[tree] = env
+        reports = {key: {"exit": 0, "error": None, "stdout": "", "stderr": ""}
+                   for key, _ in json.loads(Path(tasks_path).read_text())}
+        Path(out_path).write_text(json.dumps({"hermlab": f"{tree}/src/hermlab/cli.py", "reports": reports}))
+
+    monkeypatch.setattr(pool_diff.subprocess, "run", run)
+    monkeypatch.setenv("POOL_DIFF_PARENT", "kept")
+    old, new = tmp_path / "old", tmp_path / "new"
+    argv = [str(old), str(new), "--points", "1", "--env", "OPENBLAS_CORETYPE=Sandybridge", "--env", "X=a=b"]
+    assert pool_diff.main(argv) == 0
+    assert "0 differ" in capsys.readouterr().out
+    assert envs[str(old)] is None  # the old tree's child inherits this process's environment
+    got = envs[str(new)]
+    assert got["OPENBLAS_CORETYPE"] == "Sandybridge" and got["X"] == "a=b" and got["POOL_DIFF_PARENT"] == "kept"
+    assert pool_diff.child_env([]) == dict(pool_diff.os.environ)
+
+
+@pytest.mark.parametrize("item", ["OPENBLAS_CORETYPE", "=Sandybridge", ""])
+def test_env_without_a_key_and_a_value_is_refused(item, capsys):
+    with pytest.raises(SystemExit) as exc:
+        pool_diff.main(["old", "new", "--env", item])
+    assert exc.value.code == 2
+    assert f"--env takes KEY=VALUE, got {item!r}" in capsys.readouterr().err
