@@ -1,0 +1,186 @@
+"""Interleaved A/B timing of two hermlab source trees on one benchmark workload.
+
+    python3 scripts/ab.py OLD_TREE NEW_TREE --workload report --seconds 60 [--seed 1]
+
+Each tree is the root of a hermlab checkout.  Each gets one long-lived
+worker process, which imports that tree's ``hermlab.cli`` once and runs one
+report per request, in-process, with the CLI arguments of this checkout's
+``perfbench/inputs.py`` (the generated metric configs are written to a
+temporary directory).  After one untimed warm-up report on each worker, the
+driver walks the workload's rounds for ``--seed`` and runs each report on
+both workers in turn, OLD first at even pairs and NEW first at odd ones,
+until ``--seconds`` of wall time have passed.  The host's speed drifts over
+seconds, and the two reports of a pair run within a fraction of one, so
+their ratio sees little of the drift that whole-run pairs do.
+
+It prints the median of the per-pair ratios NEW/OLD with its quartiles, the
+median ratio in each tenth of the run, each tree's median report time and
+points per second (a report that raised adds no points), and the number of
+pairs NEW was faster in.  Each pair's two outcomes are compared by
+``pool_diff.py``'s helpers: it prints how many pairs differ, and its
+roundoff summary.  The last line of standard output is the same data as one
+JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import pool_diff
+
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKER = """\
+import contextlib, io, json, sys, time
+sys.path.insert(0, sys.argv[1] + "/src")
+from hermlab import cli
+for line in sys.stdin:
+    stdout, stderr, error, code = io.StringIO(), io.StringIO(), None, None
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(json.loads(line))
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    print(json.dumps({"seconds": seconds, "hermlab": cli.__file__, "exit": code, "error": error,
+                      "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}), flush=True)
+"""
+
+
+class Worker:
+    """One tree's worker process: calling it with a report's argv returns (seconds, outcome)."""
+
+    def __init__(self, tree):
+        self.tree = Path(tree).resolve()
+        self.proc = subprocess.Popen([sys.executable, "-c", WORKER, str(self.tree)],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def __call__(self, argv):
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            sys.exit(f"{self.tree}: worker exited with code {self.proc.wait()}")
+        outcome = json.loads(line)
+        if not Path(outcome.pop("hermlab")).resolve().is_relative_to(self.tree):
+            sys.exit(f"{self.tree}: the worker imported hermlab from another tree")
+        return outcome.pop("seconds"), outcome
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def interleave(old, new, tasks):
+    """Yield (points, (old seconds, outcome), (new seconds, outcome)) for each (points, argv) of ``tasks``.
+
+    Pair i runs on ``old`` first when i is even and on ``new`` first when
+    it is odd.
+    """
+    for i, (points, argv) in enumerate(tasks):
+        if i % 2:
+            b = new(argv)
+            a = old(argv)
+        else:
+            a = old(argv)
+            b = new(argv)
+        yield points, a, b
+
+
+def _tree(results):
+    """One tree's median report time and points per second over its (points, (seconds, outcome))."""
+    seconds = [s for _, (s, _) in results]
+    points = sum(p for p, (_, outcome) in results if outcome["error"] is None)
+    return {"report_p50_s": statistics.median(seconds), "points_per_s": points / sum(seconds)}
+
+
+def summarize(pairs):
+    """The statistics of a run's pairs, as one JSON-ready dict (at least two pairs)."""
+    ratios = [b[0] / a[0] for _, a, b in pairs]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    tenths = [ratios[len(ratios) * k // 10 : len(ratios) * (k + 1) // 10] for k in range(10)]
+    outcomes = [(a[1], b[1]) for _, a, b in pairs]
+    changed, largest, moved, moved_largest = pool_diff.moves(outcomes)
+    return {
+        "pairs": len(pairs),
+        "ratio": {"median": median, "q1": q1, "q3": q3},
+        "tenths": [statistics.median(t) for t in tenths if t],
+        "old": _tree([(p, a) for p, a, _ in pairs]),
+        "new": _tree([(p, b) for p, _, b in pairs]),
+        "wins": sum(b[0] < a[0] for _, a, b in pairs),
+        "differ": sum(bool(pool_diff.differences(*o)) for o in outcomes),
+        "changed": changed,
+        "largest_delta_over_tol": largest,
+        "moved": moved,
+        "moved_largest_over_tol": moved_largest,
+    }
+
+
+def render(stats):
+    """The summary lines of :func:`summarize`'s ``stats``."""
+    r = stats["ratio"]
+    lines = [
+        f"{stats['pairs']} pairs: NEW/OLD median {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}); "
+        f"NEW faster in {stats['wins']} of {stats['pairs']}",
+        "median ratio by tenth: " + " ".join(f"{t:.3f}" for t in stats["tenths"]),
+    ]
+    for name in ("old", "new"):
+        tree = stats[name]
+        lines.append(f"{name.upper()}: report_p50_s {tree['report_p50_s']:.4f}, points_per_s {tree['points_per_s']:.1f}")
+    lines.append(
+        f"{stats['differ']} pairs differ; {stats['changed']} changed their exit code or a check's passed; "
+        f"largest |delta residual|/tolerance {stats['largest_delta_over_tol']:.2g}; "
+        f"{stats['moved']} worst points moved, the largest at residual/tolerance {stats['moved_largest_over_tol']:.2g}"
+    )
+    return lines
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("trees", nargs=2, metavar="TREE")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="the rounds' seed (default 1)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]  # the rounds read this checkout's catalog
+    import inputs
+
+    if args.workload not in inputs.WORKLOADS:
+        parser.error(f"--workload must be one of {', '.join(inputs.WORKLOADS)}")
+    workload = inputs.WORKLOADS[args.workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs.write_configs(workload.pool(), tmp)
+        reports = itertools.chain.from_iterable(workload.rounds(args.seed))
+        tasks = ((workload.points, workload.argv(r, tmp)) for r in reports)
+        old, new = Worker(args.trees[0]), Worker(args.trees[1])
+        try:
+            first = next(tasks)
+            for worker in (old, new):  # one untimed warm-up report each
+                worker(first[1])
+            pairs, deadline = [], time.monotonic() + args.seconds
+            for pair in interleave(old, new, itertools.chain([first], tasks)):
+                pairs.append(pair)
+                if time.monotonic() >= deadline and len(pairs) >= 2:
+                    break
+        finally:
+            old.close()
+            new.close()
+    stats = {"workload": workload.name, "seed": args.seed, **summarize(pairs)}
+    print("\n".join(render(stats)))
+    print(json.dumps(stats))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,6 +29,19 @@ DEFAULT_SEED = 0x5EED
 # so a larger n is refused before anything is allocated
 MAX_N = 12
 
+# the classification flags, in report order; a config's expected_flags may
+# name these only (the classify suite computes them)
+FLAG_NAMES = (
+    "kahler",
+    "balanced",
+    "kahler_like",
+    "g_kahler_like",
+    "pluriclosed",
+    "hermitian_flat",
+)
+# the fields of a metric config
+CONFIG_FIELDS = ("name", "n", "entries", "constraints", "box", "expected_flags")
+
 # degree <= 2 monomials in (z, zbar) used by the random generator
 _MONOMIALS_BY_DEGREE = {
     0: ["1"],
@@ -303,9 +316,12 @@ def _is_box_row(row):
 
 
 def _check_config(cfg):
-    """Raise InvalidConfigError naming the first missing or malformed field."""
+    """Raise InvalidConfigError naming the first missing, unknown or malformed field."""
     if not isinstance(cfg, dict):
         raise InvalidConfigError("metric config must be a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_FIELDS))
+    if unknown:
+        raise InvalidConfigError(f"metric config has unknown field {unknown[0]!r}; known: {', '.join(CONFIG_FIELDS)}")
     missing = {"name", "n", "entries"} - set(cfg)
     if missing:
         raise InvalidConfigError(f"metric config is missing fields: {sorted(missing)}")
@@ -335,6 +351,11 @@ def _check_config(cfg):
     flags = cfg.get("expected_flags", {})
     if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
         raise InvalidConfigError("metric config field 'expected_flags' must map names to booleans")
+    unknown = sorted(set(flags) - set(FLAG_NAMES))
+    if unknown:
+        raise InvalidConfigError(
+            f"metric config field 'expected_flags' names unknown flag {unknown[0]!r}; known: {', '.join(FLAG_NAMES)}"
+        )
 
 
 def from_config(cfg):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import FLAG_NAMES
 from .chern import (
     ddbar_omega_residual,
     ddbar_omega_sigma_residual,
@@ -23,15 +24,6 @@ from .chern import (
 from .geometry import as_points, geometry_chunks, running_max
 
 DEFAULT_TOL = 1e-7
-
-FLAG_NAMES = (
-    "kahler",
-    "balanced",
-    "kahler_like",
-    "g_kahler_like",
-    "pluriclosed",
-    "hermitian_flat",
-)
 
 # flags implied by the kahler flag; hermitian_flat is genuinely independent
 # (a Kahler metric of nonzero curvature is not Hermitian flat)

@@ -271,18 +271,20 @@ def compare_draws(rng, count, n):
     Per point: ``COMPARE_DIRECTIONS`` times one ``normal(4n)`` (Re X, Im X,
     Re Y, Im Y) and one ``uniform(-1.5, 1.5)`` (a); then one ``normal`` for
     the Ricci direction (Re, Im) and ``COMPARE_PLANES`` real planes (u, v),
-    which is the stream of drawing each vector part on its own.  Returns
-    unit X, Y [D, count, n], a [D, count], the Ricci direction [count, n]
-    and u, v [planes, count, 2n].
+    which is the stream of drawing each vector part on its own.  Each
+    ``normal`` fills its row in place (``standard_normal(out=...)``) and each
+    ``uniform`` is ``-1.5 + 3.0 * random()``, which draw the same bits.
+    Returns unit X, Y [D, count, n], a [D, count], the Ricci direction
+    [count, n] and u, v [planes, count, 2n].
     """
     dirs = np.empty((count, COMPARE_DIRECTIONS, 4 * n))
     a = np.empty((count, COMPARE_DIRECTIONS))
     rest = np.empty((count, 2 * n + 4 * n * COMPARE_PLANES))
     for p in range(count):
         for d in range(COMPARE_DIRECTIONS):
-            dirs[p, d] = rng.normal(size=4 * n)
-            a[p, d] = rng.uniform(-1.5, 1.5)
-        rest[p] = rng.normal(size=rest.shape[1])
+            rng.standard_normal(out=dirs[p, d])
+            a[p, d] = -1.5 + 3.0 * rng.random()
+        rng.standard_normal(out=rest[p])
     dirs = dirs.swapaxes(0, 1)
     X = dirs[..., :n] + 1j * dirs[..., n : 2 * n]
     Y = dirs[..., 2 * n : 3 * n] + 1j * dirs[..., 3 * n :]

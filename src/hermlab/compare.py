@@ -21,13 +21,22 @@ function once per chunk of points over all of its directions (a degenerate
 plane is masked, not skipped), and reduces each check to its largest
 residual and the first point that reaches it.
 
+``bisectional_difference_residuals`` contracts each curvature tensor with
+each first vector once and finishes all its pairings from that result
+(:func:`hermitian_pairings`); the torsion sides share nothing with them.
+
 The rigidity search depends only on its seed.  Each descent step gathers
 the 18 slot columns (a_i, a_j, a_k, b_i, b_j, b_k of the three cyclic
 triples) with one index array and conjugates them with one ``conj``; the
-equations and the closed-form gradient read slices of both.
+equations and the closed-form gradient read slices of both.  The best rows
+of the descent are then polished by a few Riemannian Newton steps over the
+system's 21 real quadratic forms, which are polarized once from the same
+equations; the polish reaches the minimum 1/sqrt(3) to about 1e-16.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,18 +57,28 @@ def _check_pair(X, Y):
     return X, Y
 
 
+def _contract_first(R, a):
+    """sum_i R[..., i, j, k, l] a_i as [..., 1, m^3]: the first slot of :func:`_contract4`."""
+    m = R.shape[-1]
+    return np.asarray(a)[..., None, :] @ R.reshape(R.shape[:-4] + (m, m**3))
+
+
+def _contract_rest(t, b, c, d):
+    """The last three slots of :func:`_contract4`, from its first slot's result ``t``."""
+    m = b.shape[-1]
+    t = b[..., None, :] @ t.reshape(t.shape[:-2] + (m, m * m))
+    t = c[..., None, :] @ t.reshape(t.shape[:-2] + (m, m))
+    return (t @ d[..., :, None])[..., 0, 0]
+
+
 def _contract4(R, a, b, c, d):
     """sum R[..., i, j, k, l] a_i b_j c_k d_l, one slot at a time by ``matmul``.
 
     ``R`` is ``[L..., m, m, m, m]`` and the vectors ``[..., m]``, with
     leading axes broadcasting against ``L``.
     """
-    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
-    m = R.shape[-1]
-    t = a[..., None, :] @ R.reshape(R.shape[:-4] + (m, m**3))
-    t = b[..., None, :] @ t.reshape(t.shape[:-2] + (m, m * m))
-    t = c[..., None, :] @ t.reshape(t.shape[:-2] + (m, m))
-    return (t @ d[..., :, None])[..., 0, 0]
+    b, c, d = (np.asarray(v) for v in (b, c, d))
+    return _contract_rest(_contract_first(R, a), b, c, d)
 
 
 def hermitian_pairing(R, X, Y, Z, W):
@@ -69,6 +88,17 @@ def hermitian_pairing(R, X, Y, Z, W):
     Riemannian one).
     """
     return _contract4(R, X, np.conj(Y), Z, np.conj(W))
+
+
+def hermitian_pairings(R, X, rest):
+    """:func:`hermitian_pairing` ``(R, X, Y, Z, W)`` for each ``(Y, Z, W)`` of ``rest``.
+
+    The first slot is contracted with X once and each pairing finished from
+    that result, in :func:`_contract4`'s slot order, so every pairing has
+    the bits of its own call.
+    """
+    t = _contract_first(R, X)
+    return [_contract_rest(t, np.conj(Y), Z, np.conj(W)) for Y, Z, W in rest]
 
 
 def bisectional(rd, X, Y, a):
@@ -111,12 +141,11 @@ def bisectional_difference_residuals(rd, X, Y):
     def sq(v):
         return np.sum(np.abs(v) ** 2, axis=-1)
 
-    rh_xxyy = hermitian_pairing(Rh, X, X, Y, Y)
-    rh_yyxx = hermitian_pairing(Rh, Y, Y, X, X)
-    rh_xyyx = hermitian_pairing(Rh, X, Y, Y, X)
-    rh_yxxy = hermitian_pairing(Rh, Y, X, X, Y)
-    r_xyyx = hermitian_pairing(B, X, Y, Y, X)
-    r_xxyy = hermitian_pairing(B, X, X, Y, Y)
+    # the curvature sides share their first-slot contractions, the torsion
+    # sides none of them
+    rh_xxyy, rh_xyyx, rh_xxxx = hermitian_pairings(Rh, X, [(X, Y, Y), (Y, Y, X), (X, X, X)])
+    rh_yyxx, rh_yxxy = hermitian_pairings(Rh, Y, [(Y, X, X), (X, X, Y)])
+    r_xyyx, r_xxyy, r_xxxx = hermitian_pairings(B, X, [(Y, Y, X), (X, Y, Y), (X, X, X)])
 
     lhs41 = 0.5 * (rh_xxyy + rh_yyxx) - r_xyyx
     rhs41 = sq(TkXY) + 2 * np.real(np.sum(TY_kY * np.conj(TX_kX), axis=-1))
@@ -126,8 +155,6 @@ def bisectional_difference_residuals(rd, X, Y):
     lhs42 = 0.5 * (rh_xyyx + rh_yxxy) - r_xxyy
     rhs42 = sq(TY_kX) + sq(TX_kY) - sq(TkXY)
 
-    rh_xxxx = hermitian_pairing(Rh, X, X, X, X)
-    r_xxxx = hermitian_pairing(B, X, X, X, X)
     lhs43 = rh_xxxx - r_xxxx
     rhs43 = 2 * sq(TX_kX)
     norm4 = _norm(X) ** 4
@@ -298,7 +325,8 @@ def plane_decomposition_check(rd, u, v):
 # nonzero solution, so its residual on the unit sphere stays above a floor
 # measured over 10^4 seeded unit restarts (seed 2024, polish top 64): the
 # search bottoms out at 0.57735 ~ 1/sqrt(3), reached at b = 0 with |a_i|
-# balanced; the bound is set comfortably below that observed minimum
+# balanced (the residual is then sqrt(sum |a_c a_{c+1}|^2) = sqrt(3 / 9));
+# the bound is set comfortably below that observed minimum
 RIGIDITY_FLOOR = 0.5
 
 
@@ -379,10 +407,71 @@ def _residual_sq_grad(X):
     )
 
 
-# the polish runs the best rows at a constant step: 0.06 reached 1/sqrt(3)
-# to 3e-11 over 27 seeds, while 0.08 diverged at one of them
-_POLISH_LR = 0.06
-_POLISH_STEPS = 200
+def _real_system(X):
+    """The system at rows X [..., 6] as 21 real values [..., 21]: e1 and the real
+    and imaginary parts of e2, e3 and e4, three columns each."""
+    e1, e2, e3, e4 = _equations(X)[2]
+    return np.concatenate([e1, e2.real, e2.imag, e3.real, e3.imag, e4.real, e4.imag], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _rigidity_forms():
+    """Q[r, a, b]: the system as 21 real quadratic forms x^T Q_r x over x = (Re X, Im X).
+
+    Polarized from :func:`_equations` at the sums of two basis vectors,
+    q(e_a + e_b) = Q_aa + Q_bb + 2 Q_ab and q(2 e_a) = 4 Q_aa, so the
+    system stays written in one place.  The entries are multiples of 1/2,
+    so the forms are exact.
+    """
+    E = np.eye(12)
+    S = _real_system((E[:, None] + E[None]) @ np.concatenate([np.eye(6), 1j * np.eye(6)]))
+    D = np.einsum("aar->ar", S) / 4
+    Q = np.moveaxis((S - D[:, None] - D[None]) / 2, -1, 0)
+    Q.flags.writeable = False  # shared by every search
+    return Q
+
+
+def _residual_sq_derivatives(x):
+    """Gradient [..., 12] and Hessian [..., 12, 12] of ``_batch_residual_sq`` at real rows x = (Re X, Im X).
+
+    With q_r = x^T Q_r x the squared residual is sum_r q_r^2, so its
+    gradient is 4 sum_r q_r Q_r x and its Hessian
+    8 sum_r (Q_r x)(Q_r x)^T + 4 sum_r q_r Q_r.
+    """
+    Q = _rigidity_forms()
+    Qx = np.einsum("rab,...b->...ra", Q, x)
+    q = np.einsum("...ra,...a->...r", Qx, x)
+    grad = 4 * np.einsum("...r,...ra->...a", q, Qx)
+    return grad, 8 * np.einsum("...ra,...rb->...ab", Qx, Qx) + 4 * np.einsum("...r,rab->...ab", q, Q)
+
+
+# Newton steps that polish the best rows of the descent: 4 reached 1/sqrt(3)
+# to 2e-16 over the report seeds, where 200 gradient steps stopped 1e-11 short
+_NEWTON_STEPS = 4
+# Hessian eigenvalues below this share of the largest are null directions
+_NEWTON_RCOND = 1e-10
+
+
+def _newton_polish(X, steps):
+    """Riemannian Newton steps of the squared residual on the unit sphere, from unit rows X [k, 6].
+
+    The Newton system on the tangent space, with projection P = I - x x^T,
+    is (P H P - (x . g) P) s = -P g.  Its matrix is singular: the normal
+    direction x is null after projection, and the global phase
+    (X -> e^{it} X, which leaves the residual unchanged) is null at a
+    critical point, so it is solved by a pseudo-inverse.  A row keeps its
+    step only where the step does not raise its squared residual.
+    """
+    for _ in range(steps):
+        x = np.concatenate([X.real, X.imag], axis=-1)
+        g, H = _residual_sq_derivatives(x)
+        P = np.eye(12) - x[:, :, None] * x[:, None, :]
+        hess = P @ H @ P - np.sum(x * g, axis=-1)[:, None, None] * P
+        y = x - (np.linalg.pinv(hess, rcond=_NEWTON_RCOND, hermitian=True) @ (P @ g[..., None]))[..., 0]
+        Y = y[:, :6] + 1j * y[:, 6:]
+        Y /= np.linalg.norm(Y, axis=-1, keepdims=True)
+        X = np.where((_batch_residual_sq(Y) <= _batch_residual_sq(X))[:, None], Y, X)
+    return X
 
 
 def _descend(X, steps, lr, decay):
@@ -397,10 +486,11 @@ def _descend(X, steps, lr, decay):
 def n3_rigidity_search(trials=10_000, seed=0, polish=64, steps=150):
     """Random-restart minimization of the system residual on the unit sphere.
 
-    Runs projected gradient descent on all starts with a decaying step, then
-    on the ``polish`` best of them at a constant step; both use the
-    closed-form gradient, so no optimiser library is needed.  Returns the
-    smallest residual found and its argmin.
+    Runs projected gradient descent on all starts with a decaying step and
+    the closed-form gradient, then polishes the ``polish`` best of them with
+    a few Riemannian Newton steps (:func:`_newton_polish`) over the exact
+    quadratic forms of the system, so no optimiser library is needed.
+    Returns the smallest residual found and its argmin.
     """
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(trials, 6)) + 1j * rng.normal(size=(trials, 6))
@@ -408,7 +498,7 @@ def n3_rigidity_search(trials=10_000, seed=0, polish=64, steps=150):
 
     X = _descend(X, steps, 0.05, 0.985)
     X = X[np.argsort(_batch_residual_sq(X))[:polish]]
-    X = _descend(X, _POLISH_STEPS, _POLISH_LR, 1.0)
+    X = _newton_polish(X, _NEWTON_STEPS)
     vals = _batch_residual_sq(X)
     best = np.argmin(vals)
     return {"min_residual": float(np.sqrt(vals[best])), "argmin": X[best], "trials": trials}

@@ -108,8 +108,9 @@ class Chunk:
 
     ``start`` is the index of ``ch.point[0]`` among the report's points;
     ``ch`` and ``rd`` carry one leading point axis.  ``memo`` holds what
-    :meth:`once` computed on this chunk's data, by function, and the suites
-    keep there the :meth:`at` views they share, by point count.
+    :meth:`once` computed on this chunk's data, by function and arguments,
+    and the suites keep there the :meth:`at` views they share, by point
+    count.
     """
 
     start: int
@@ -118,10 +119,15 @@ class Chunk:
     memo: dict = field(default_factory=dict, repr=False)
 
     def once(self, fn, *args):
-        """``fn(*args)`` on this chunk's data, computed on the first call for ``fn`` only."""
-        if fn not in self.memo:
-            self.memo[fn] = fn(*args)
-        return self.memo[fn]
+        """``fn(*args)`` on this chunk's data, computed on the first call with ``fn`` and these ``args``.
+
+        Arguments are told apart by identity.  The memo keeps each one alive
+        (the chunk itself needs no help), so no identity it holds is reused.
+        """
+        key = (fn, *map(id, args))
+        if key not in self.memo:
+            self.memo[key] = fn(*args), [a for a in args if a is not self]
+        return self.memo[key][0]
 
     def at(self, part):
         """The chunk's points ``part`` (a slice from 0), as views of its data with a memo of their own.

@@ -10,7 +10,10 @@ and passes it to :func:`oracle_contains`.
 A family keeps the validated ``[m, n, n]`` stack of its matrices and their
 largest entry modulus.  The maximal-rank search (``_max_rank_element``),
 the family relations, the kernel residual and the inductive step's change
-of basis each run as one stacked operation on that stack.
+of basis each run as one stacked operation on that stack.  The rank search
+ranks the members first and stops there when one reaches n // 2, the
+largest rank a square-zero matrix can have; only below that bound does it
+draw random combinations.
 
 The constructive walk needs the family presented through a torsion-type
 tensor A_X = (sum_i X_i T^k_{ij}), for which A_X Y = -A_Y X; general
@@ -152,22 +155,32 @@ def _family_scale(family):
     return family._scale
 
 
+def _ranks(mats, atol):
+    """Numerical rank of each matrix of a stack, from one stacked SVD."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    return np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1)
+
+
 def _max_rank_element(family, rng, atol):
     """A linear combination of maximal numerical rank.
 
-    Random sampling (50 draws) finds the generic (maximal) rank with
-    overwhelming probability; the basis elements themselves are swept as a
-    deterministic fallback.  All candidates are drawn at once (one
-    ``normal`` call gives the stream of two per sample, real then
-    imaginary part), combined by one contraction and ranked by one stacked
-    SVD; the first candidate of maximal rank is kept.
+    The candidates are the family's members, then 50 random combinations,
+    which find the generic (maximal) rank with overwhelming probability;
+    the first candidate of maximal rank is kept.  A square-zero matrix has
+    rank at most n // 2, since its image lies in its kernel, so when a
+    member reaches that bound it is kept and nothing is drawn.  Otherwise
+    the draws come from one ``normal`` call (the stream of two per sample,
+    real then imaginary part), are combined by one contraction and ranked
+    by one stacked SVD.
     """
     m, n = family.m, family.n
-    draws = rng.normal(size=(50, 2, m))
-    coeffs = np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]])
-    combos = np.dot(coeffs, family._stack.reshape(m, n * n)).reshape(-1, n, n)
-    s = np.linalg.svd(combos, compute_uv=False)
-    ranks = np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1)
+    flat = family._stack.reshape(m, n * n)
+    combos = np.dot(np.eye(m), flat).reshape(m, n, n)  # each member as the contraction below gives it
+    ranks = _ranks(combos, atol)
+    if ranks.max() < n // 2:
+        draws = rng.normal(size=(50, 2, m))
+        combos = np.dot(np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]]), flat).reshape(-1, n, n)
+        ranks = np.concatenate([ranks, _ranks(combos[m:], atol)])
     best = int(np.argmax(ranks))
     return combos[best], int(ranks[best])
 

@@ -1,15 +1,16 @@
 """The batched core: a batch of points against one point at a time, the
 dense real metric against the jet-built one, the vectorised sampler
 against a draw-by-draw loop, the worst point of the batched flags, the
-batched compare suite against one direction at a time, the batched FD
-stencil, nilker rank search and conformal suite against the loops they
-replaced, and the identities and oracle check tables against the
-per-point loops."""
+batched compare suite against one direction at a time, the compare draws,
+the shared curvature pairings, the batched FD stencil, nilker rank search
+and conformal suite against the loops they replaced, and the identities
+and oracle check tables against the per-point loops."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlab import catalog, cli, compare, nilker
 from hermlab.chern import ChernData, chern_at, chern_from_jets
@@ -338,6 +339,49 @@ def test_compare_batch_equals_single_directions(m, points):
                     _close(batched[group][key][d, i], value, key)
 
 
+def _per_call_compare_draws(rng, count, n):
+    """The compare suite's draws as they ran before filling preallocated rows: one call per vector."""
+    dirs = np.empty((count, cli.COMPARE_DIRECTIONS, 4 * n))
+    a = np.empty((count, cli.COMPARE_DIRECTIONS))
+    rest = np.empty((count, 2 * n + 4 * n * cli.COMPARE_PLANES))
+    for p in range(count):
+        for d in range(cli.COMPARE_DIRECTIONS):
+            dirs[p, d] = rng.normal(size=4 * n)
+            a[p, d] = rng.uniform(-1.5, 1.5)
+        rest[p] = rng.normal(size=rest.shape[1])
+    return dirs, a, rest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_compare_draws_match_the_per_call_loop_bit_for_bit(n):
+    for seed in range(10):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        X, Y, a, ricci, u, v = cli.compare_draws(got_rng, 3, n)
+        dirs, want_a, rest = _per_call_compare_draws(want_rng, 3, n)
+        dirs = dirs.swapaxes(0, 1)
+        want_X, want_Y = dirs[..., :n] + 1j * dirs[..., n : 2 * n], dirs[..., 2 * n : 3 * n] + 1j * dirs[..., 3 * n :]
+        assert np.array_equal(X, want_X / np.linalg.norm(want_X, axis=-1, keepdims=True))
+        assert np.array_equal(Y, want_Y / np.linalg.norm(want_Y, axis=-1, keepdims=True))
+        assert np.array_equal(a, want_a.T)
+        assert np.array_equal(ricci, rest[:, :n] + 1j * rest[:, n : 2 * n])
+        planes = rest[:, 2 * n :].reshape(3, cli.COMPARE_PLANES, 2, 2 * n)
+        assert np.array_equal(u, planes[:, :, 0].swapaxes(0, 1)) and np.array_equal(v, planes[:, :, 1].swapaxes(0, 1))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m,points", list(_compare_cases()))
+def test_shared_pairings_match_each_pairing_bit_for_bit(m, points):
+    rd = riemann_at(chern_at(m, points))
+    rng = np.random.default_rng(90)
+    X, Y = rng.normal(size=(2, 3, len(points), m.n, 2)) @ np.array([1, 1j])
+    rest = [(X, Y, Y), (Y, Y, X), (X, X, X), (Y, X, Y)]
+    for R in (rd.chern.Rh, rd.R_11bar()):
+        for first in (X, Y):
+            for got, (b, c, d) in zip(compare.hermitian_pairings(R, first, rest), rest):
+                assert np.array_equal(got, compare.hermitian_pairing(R, first, b, c, d))
+                assert np.array_equal(got, compare._contract4(R, first, np.conj(b), c, np.conj(d)))
+
+
 def _parent_compare(m, points, seed):
     """The compare suite's per-point, per-direction loop as it ran before batching:
     one rng call per vector part, a skipped degenerate plane, strict-max worst points."""
@@ -531,24 +575,53 @@ def _fixture_families(seed):
             yield trial, nilker.family_from_torsion(nilker.random_torsion_tensor(rng))
 
 
+def _assert_rank_search_matches_the_loop(fam, seed):
+    """The rank search against the candidate loop from generators of ``seed``; returns the loop's
+    index and whether the search drew.
+
+    Both keep a candidate of the same rank, the same one up to roundoff.  The
+    search leaves the generator untouched where a member reaches n // 2, and
+    otherwise in the loop's state.
+    """
+    atol = 1e-9 * max(1.0, nilker._family_scale(fam))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    A, rank = nilker._max_rank_element(fam, got_rng, atol)
+    want, want_rank, index = _per_candidate_max_rank_element(fam, want_rng, atol)
+    assert rank == want_rank
+    # candidates differ at O(1); the same one differs only by roundoff
+    assert np.max(np.abs(A - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), index
+    drew = index >= fam.m or want_rank < fam.n // 2
+    state = want_rng if drew else np.random.default_rng(seed)
+    assert got_rng.bit_generator.state == state.bit_generator.state
+    return index, drew
+
+
 @pytest.mark.parametrize("seed", [42, 43, 44, 45])
 def test_max_rank_element_matches_the_candidate_loop(seed):
-    # the fixtures' basis elements mostly reach the generic rank; the
-    # two-block family's have rank 1 and a random combination rank 2, so
-    # the search keeps a drawn candidate
+    # the fixtures' basis elements mostly reach the bound n // 2, which ends
+    # the search before any draw; the two-block family's have rank 1 and a
+    # random combination rank 2, so the search draws and keeps a drawn one
     families = list(_fixture_families(seed))
     families.append((20, nilker.family_from_torsion(nilker.two_block_chain_tensor())))
+    draws = []
     for trial, fam in families:
-        atol = 1e-9 * max(1.0, nilker._family_scale(fam))
-        got_rng = np.random.default_rng(seed + trial)
-        want_rng = np.random.default_rng(seed + trial)
-        A, rank = nilker._max_rank_element(fam, got_rng, atol)
-        want, want_rank, index = _per_candidate_max_rank_element(fam, want_rng, atol)
-        assert rank == want_rank, trial
+        index, drew = _assert_rank_search_matches_the_loop(fam, seed + trial)
         assert trial < 20 or index >= fam.m
-        # candidates differ at O(1); the same one differs only by roundoff
-        assert np.max(np.abs(A - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (trial, index)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state, trial
+        draws.append(drew)
+    assert not all(draws) and draws[-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "torsion", "zero"]), st.integers(2, 8))
+def test_max_rank_element_matches_the_candidate_loop_on_random_families(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        fam = nilker.random_general_family(rng, n=n, m=int(rng.integers(1, 5)))
+    elif kind == "torsion":
+        fam = nilker.family_from_torsion(nilker.random_torsion_tensor(rng, n=n))
+    else:  # rank 0 everywhere: the search draws
+        fam = nilker.NilpotentFamily([np.zeros((n, n))] * 2)
+    _assert_rank_search_matches_the_loop(fam, seed)
 
 
 def test_family_check_names_the_first_bad_pair():

@@ -13,6 +13,7 @@ from hermlab.cli import (
     render_human,
     render_json,
     run,
+    run_suites,
     sample_points,
 )
 from hermlab.errors import DomainSamplingError
@@ -36,6 +37,21 @@ def test_euclidean_all_suites_pass():
                 assert check["residual"] < check["tolerance"]
                 if check["name"] not in ratio_rows:
                     assert check["residual"] < 1e-9, check["name"]
+
+
+# the rows that depend on --seed alone: the rigidity search and nilker's fixture families
+SEED_ONLY_ROWS = {"compare": ("rigidity_floor",), "nilker": ("fixture_kernel_residual", "fixture_oracle_dimension")}
+
+
+def test_the_seed_only_rows_do_not_read_the_metric():
+    got = []
+    for name in ("fubini_study_chart_n2", "iwasawa"):  # n = 2 and n = 3
+        entry = catalog.get(name)
+        points = sample_points(entry.metric, 2, seed=7)
+        out = run_suites(entry, points, DEFAULT_TOLERANCES, list(SEED_ONLY_ROWS), 7)
+        got.append({(suite, c.name): c.residual for suite, names in SEED_ONLY_ROWS.items()
+                    for c in out[suite][0] if c.name in names})
+    assert len(got[0]) == 3 and got[0] == got[1]
 
 
 def test_iwasawa_classify_matches_expectations():
@@ -254,16 +270,35 @@ def _config_file(tmp_path, **fields):
         {"entries": ["1", "0", "0", 1]},
         {"expected_flags": ["kahler"]},
         {"entries": ["1 + abs2(z1)^2^200", "0", "0", "1"]},
+        {"constraint": ["re(z1) + 2"]},
+        {"expected_flags": {"g_kaehler_like": True}},
     ],
     ids=["short_entries", "box_row_of_2", "box_rows_short", "box_lo_above_hi", "box_inf",
          "box_width_overflows", "box_bound_beyond_float",
-         "n_0", "n_string", "entry_not_string", "flags_not_object", "chained_exponent"],
+         "n_0", "n_string", "entry_not_string", "flags_not_object", "chained_exponent",
+         "unknown_field", "unknown_flag"],
 )
 def test_malformed_configs_are_usage_errors(tmp_path, capsys, fields):
     code = main(["--metric", _config_file(tmp_path, **fields), "--points", "2"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields,detail",
+    [
+        ({"constraint": ["re(z1) + 2"]},
+         "unknown field 'constraint'; known: name, n, entries, constraints, box, expected_flags"),
+        ({"expected_flags": {"kahler": True, "g_kaehler_like": True}},
+         "'expected_flags' names unknown flag 'g_kaehler_like'; known: kahler, balanced, kahler_like, "
+         "g_kahler_like, pluriclosed, hermitian_flat"),
+    ],
+)
+def test_a_misspelt_config_name_is_refused_with_the_known_names(tmp_path, capsys, fields, detail):
+    code = main(["--metric", _config_file(tmp_path, **fields), "--points", "2"])
+    assert code == 2
+    assert detail in capsys.readouterr().err
 
 
 def test_a_config_beyond_max_n_is_refused_before_evaluation(tmp_path, capsys):

@@ -71,7 +71,9 @@ def configs(draw):
             st.lists(st.sampled_from(["re(z1) + 0.5", "re(z1) - 5", "1/re(z1)", "(", 1]), max_size=2)
         )
     if draw(st.booleans()):
-        cfg["expected_flags"] = draw(st.sampled_from([{}, {"kahler": True}, {"kahler": 1}, ["kahler"]]))
+        cfg["expected_flags"] = draw(
+            st.sampled_from([{}, {"kahler": True}, {"kahler": 1}, ["kahler"], {"g_kaehler_like": True}])
+        )
     return cfg
 
 

@@ -264,18 +264,18 @@ def test_rigidity_search_at_cli_parameters_reaches_the_floor(seed):
 # the rigidity lemma bit for bit: the search at the CLI's parameters for the
 # report seeds, and the closed-form gradient against the route it replaced
 RIGIDITY_PINS = {
-    42: ("0x1.279a745922d12p-1", [0.12563559531857288-0.5635148893388864j, 0.4195684009729909-0.3966052069916821j,
-                                  0.04755028367791528-0.5753888283992985j, 3.738647992037733e-06+1.8615683938073091e-06j,
-                                  2.9109351831473357e-06-5.619779464266641e-07j, -1.6218353389183448e-06-4.577394163289302e-06j]),
-    43: ("0x1.279a7459138d1p-1", [0.576410680502471-0.03292507740723067j, -0.42318784986804053+0.39274085228442396j,
-                                  -0.5712554207210159-0.08366945453667224j, 1.978533232350706e-06-2.991785116727586e-07j,
-                                  -3.3588724972362805e-06-1.0592276269273878e-06j, -3.7912864322845287e-07+3.035518009034056e-06j]),
-    44: ("0x1.279a7459307a8p-1", [-0.35096770135035976+0.4584266636347733j, 0.49405617734560703+0.2987337056846899j,
-                                  -0.09961237204052122-0.5686921035650127j, 3.5717280091036763e-06+4.744759025221629e-06j,
-                                  -4.827571629775004e-07+1.4490450310757101e-06j, 8.644144985495174e-07+5.7433318704481765e-06j]),
-    45: ("0x1.279a74591fb3dp-1", [0.42819697336077417-0.3872733986602879j, -0.06747229016804285-0.573394125709281j,
-                                  -0.5705401541292866-0.08841530318656675j, 7.854914043913795e-07+1.6282140704031093e-06j,
-                                  -3.364323790755682e-06-4.638180526612287e-06j, -2.530525263128628e-06-1.5508798611072083e-06j]),
+    42: ("0x1.279a74590331dp-1", [0.5753416534244602-0.0481177219642786j, 0.24090096723310994-0.5246904395184524j,
+                                  0.5641415465737497-0.12279107769394283j, 9.528313125005485e-12-3.956128098421028e-12j,
+                                  1.9304254788951582e-11-2.8579993192824825e-12j, 3.4161127505567637e-12-1.44537697142554e-13j]),
+    43: ("0x1.279a74590331cp-1", [0.577136150546496-0.015722501890783135j, -0.3757651916299637+0.43833075877997707j,
+                                  -0.5642460959119803-0.12230975668940366j, 4.747123910240739e-15-4.646088872343264e-15j,
+                                  2.747393022889327e-15-4.7777365710008484e-14j, 1.7041436499856733e-14+1.6245528449595455e-14j]),
+    44: ("0x1.279a74590331cp-1", [0.5540492667619918-0.16236607815008258j, -0.5757667436074123+0.04273160761128154j,
+                                  -0.19759928915533867+0.5424830451347186j, 3.0369961104564026e-14+2.2153332630067296e-14j,
+                                  3.1174770396427883e-13-2.0516099568711295e-13j, -7.041148581567502e-14-1.4197913945680484e-13j]),
+    45: ("0x1.279a74590331bp-1", [0.5096610526150154-0.2712543912653416j, 0.5754347071126258-0.046991820388806574j,
+                                  -0.21083415899608107-0.5374777118483995j, 3.462396954193508e-13-1.6951160421514069e-13j,
+                                  3.078784938756708e-12-1.2299781417472327e-12j, -3.365380053721173e-13-1.7098533876451755e-13j]),
 }
 
 
@@ -338,3 +338,66 @@ def test_rigidity_step_matches_the_reference_route_bit_for_bit(rows):
         assert np.array_equal(_residual_sq_grad(Y), _reference_residual_sq_grad(Y))
         assert np.array_equal(_batch_residual_sq(Y), _reference_residual_sq(Y))
     assert np.array_equal(rigidity_equations(X[0]), np.stack(_reference_equations(X[0])[1], axis=-1).reshape(12))
+
+
+# ----------------------------------------------------------------------
+# the Newton polish: the system's quadratic forms, their derivatives, and the
+# steps on the unit sphere
+def test_rigidity_forms_reproduce_the_equations():
+    from hermlab.compare import _rigidity_forms
+
+    Q = _rigidity_forms()
+    assert Q.shape == (21, 12, 12) and np.array_equal(Q, Q.swapaxes(1, 2))
+    assert np.array_equal(Q * 2, np.round(Q * 2))  # exact multiples of 1/2
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x = rng.normal(size=6) + 1j * rng.normal(size=6)
+        r = np.concatenate([x.real, x.imag])
+        q = np.einsum("a,rab,b->r", r, Q, r)
+        # e1, then the real and imaginary parts of e2, e3 and e4
+        parts = [q[:3]] + [q[3 + 6 * k : 6 + 6 * k] + 1j * q[6 + 6 * k : 9 + 6 * k] for k in range(3)]
+        want = rigidity_equations(x)
+        assert np.max(np.abs(np.stack(parts, axis=-1).reshape(12) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_newton_derivatives_match_central_differences():
+    from hermlab.compare import _batch_residual_sq, _residual_sq_derivatives
+
+    def f(r):
+        return _batch_residual_sq(r[..., :6] + 1j * r[..., 6:])
+
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(4, 12))
+    grad, hess = _residual_sq_derivatives(x)
+    assert grad.shape == (4, 12) and hess.shape == (4, 12, 12)
+    h, E = 1e-5, np.eye(12)
+    fd_grad = np.stack([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in E], axis=-1)
+    fd_hess = np.stack([(_residual_sq_derivatives(x + h * e)[0] - _residual_sq_derivatives(x - h * e)[0]) / (2 * h)
+                        for e in E], axis=-1)
+    assert np.max(np.abs(grad - fd_grad)) <= 1e-8 * np.max(np.abs(grad))
+    assert np.max(np.abs(hess - fd_hess)) <= 1e-8 * np.max(np.abs(hess))
+    assert np.array_equal(hess, hess.swapaxes(-1, -2))
+    # the Hessian of a quartic, and its own central differences of the squared residual
+    fd_diag = np.stack([(f(x + h * e) - 2 * f(x) + f(x - h * e)) / h**2 for e in E], axis=-1)
+    assert np.max(np.abs(np.diagonal(hess, axis1=-2, axis2=-1) - fd_diag)) <= 1e-4 * np.max(np.abs(hess))
+
+
+def test_a_newton_step_never_raises_a_rows_residual():
+    from hermlab.compare import _batch_residual_sq, _newton_polish
+
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(64, 6)) + 1j * rng.normal(size=(64, 6))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    before = _batch_residual_sq(X)
+    Y = _newton_polish(X, 1)
+    assert np.all(_batch_residual_sq(Y) <= before)
+    assert np.allclose(np.linalg.norm(Y, axis=1), 1.0, atol=1e-15, rtol=0)
+    assert np.any(_batch_residual_sq(Y) < before)
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45, 1, 2024, 3])
+def test_the_newton_polish_reaches_the_exact_floor(seed):
+    # the descent's best rows stop about 1e-11 above 1/sqrt(3); four Newton
+    # steps end within two ulps of it
+    out = n3_rigidity_search(trials=400, seed=seed, polish=8, steps=80)
+    assert abs(out["min_residual"] - 1 / np.sqrt(3)) <= 2.3e-16

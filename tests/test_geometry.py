@@ -109,6 +109,23 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     assert len(checks) == 2 and all(np.shares_memory(c.worst_point, points[4]) for c in checks)
 
 
+def test_once_keys_by_function_and_arguments():
+    metric = catalog.get("euclidean").metric
+    chunk = next(geometry_chunks(metric, sample_points(metric, 2)))
+    calls = []
+
+    def shape(x):
+        calls.append(x)
+        return x.shape
+
+    a, b = np.zeros(2), np.zeros(3)
+    assert chunk.once(shape, a) == (2,)
+    assert chunk.once(shape, b) == (3,)  # another argument is another entry
+    assert chunk.once(shape, a) == (2,) and chunk.once(len, a) == 2
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert chunk.once(shape, np.zeros(4)) == (4,)  # a temporary's identity is held, not reused
+
+
 # what run_suites hands every suite; the report's points are kept by the report
 _INPUTS = ("entry", "metric", "points", "tols", "seed")
 
