@@ -9,16 +9,20 @@ report per request, in-process, with the CLI arguments of this checkout's
 temporary directory).  After one untimed warm-up report on each worker, the
 driver walks the workload's rounds for ``--seed`` and runs each report on
 both workers in turn, OLD first at even pairs and NEW first at odd ones,
-until ``--seconds`` of wall time have passed.  The host's speed drifts over
-seconds, and the two reports of a pair run within a fraction of one, so
-their ratio sees little of the drift that whole-run pairs do.
+until half of ``--seconds`` of wall time has passed.  It then closes both
+workers, starts them again in the other order (OLD's first in the first
+half, NEW's first in the second), and goes on with the rounds for the other
+half, so that neither tree gains from the order its worker started in.  The
+host's speed drifts over seconds, and the two reports of a pair run within
+a fraction of one, so their ratio sees little of the drift that whole-run
+pairs do.
 
 It prints the median of the per-pair ratios NEW/OLD with its quartiles, the
 median ratio in each tenth of the run, each tree's median report time and
 points per second (a report that raised adds no points), and the number of
-pairs NEW was faster in.  Each pair's two outcomes are compared by
-``pool_diff.py``'s helpers: it prints how many pairs differ, and its
-roundoff summary.  The last line of standard output is the same data as one
+pairs NEW was faster in, over the run and in each half.  Each pair's two
+outcomes are compared by ``pool_diff.py``'s helpers: it prints how many
+pairs differ, and its roundoff summary.  The last line of standard output is the same data as one
 JSON object.
 """
 
@@ -98,6 +102,37 @@ def interleave(old, new, tasks):
         yield points, a, b
 
 
+def run_halves(start, tasks, seconds, clock=time.monotonic):
+    """The pairs of two halves of ``seconds``, each on workers that ``start(new_first)`` returns as (old, new).
+
+    The first half starts OLD's worker first, the second NEW's.  Each half
+    runs one untimed warm-up report on each worker, then takes pairs from
+    ``tasks`` until its half of ``seconds`` has passed by ``clock`` (and at
+    least two pairs are in), and closes both workers.
+    """
+    halves = []
+    for new_first in (False, True):
+        old, new = start(new_first)
+        try:
+            first = next(tasks)
+            for worker in (old, new):
+                worker(first[1])
+            pairs, deadline = [], clock() + seconds / 2
+            for pair in interleave(old, new, itertools.chain([first], tasks)):
+                pairs.append(pair)
+                if clock() >= deadline and len(pairs) >= 2:
+                    break
+        finally:
+            old.close()
+            new.close()
+        halves.append(pairs)
+    return halves
+
+
+def _wins(pairs):
+    return sum(b[0] < a[0] for _, a, b in pairs)
+
+
 def _tree(results):
     """One tree's median report time and points per second over its (points, (seconds, outcome))."""
     seconds = [s for _, (s, _) in results]
@@ -105,8 +140,9 @@ def _tree(results):
     return {"report_p50_s": statistics.median(seconds), "points_per_s": points / sum(seconds)}
 
 
-def summarize(pairs):
-    """The statistics of a run's pairs, as one JSON-ready dict (at least two pairs)."""
+def summarize(*halves):
+    """The statistics of a run's pairs, given by half, as one JSON-ready dict (at least two pairs)."""
+    pairs = [pair for half in halves for pair in half]
     ratios = [b[0] / a[0] for _, a, b in pairs]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     tenths = [ratios[len(ratios) * k // 10 : len(ratios) * (k + 1) // 10] for k in range(10)]
@@ -118,7 +154,8 @@ def summarize(pairs):
         "tenths": [statistics.median(t) for t in tenths if t],
         "old": _tree([(p, a) for p, a, _ in pairs]),
         "new": _tree([(p, b) for p, _, b in pairs]),
-        "wins": sum(b[0] < a[0] for _, a, b in pairs),
+        "wins": _wins(pairs),
+        "halves": [{"pairs": len(half), "wins": _wins(half)} for half in halves],
         "differ": sum(bool(pool_diff.differences(*o)) for o in outcomes),
         "changed": changed,
         "largest_delta_over_tol": largest,
@@ -134,6 +171,8 @@ def render(stats):
         f"{stats['pairs']} pairs: NEW/OLD median {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}); "
         f"NEW faster in {stats['wins']} of {stats['pairs']}",
         "median ratio by tenth: " + " ".join(f"{t:.3f}" for t in stats["tenths"]),
+        "NEW faster by half (OLD's worker started first, then NEW's): "
+        + ", ".join(f"{h['wins']} of {h['pairs']}" for h in stats["halves"]),
     ]
     for name in ("old", "new"):
         tree = stats[name]
@@ -163,20 +202,14 @@ def main(argv):
         inputs.write_configs(workload.pool(), tmp)
         reports = itertools.chain.from_iterable(workload.rounds(args.seed))
         tasks = ((workload.points, workload.argv(r, tmp)) for r in reports)
-        old, new = Worker(args.trees[0]), Worker(args.trees[1])
-        try:
-            first = next(tasks)
-            for worker in (old, new):  # one untimed warm-up report each
-                worker(first[1])
-            pairs, deadline = [], time.monotonic() + args.seconds
-            for pair in interleave(old, new, itertools.chain([first], tasks)):
-                pairs.append(pair)
-                if time.monotonic() >= deadline and len(pairs) >= 2:
-                    break
-        finally:
-            old.close()
-            new.close()
-    stats = {"workload": workload.name, "seed": args.seed, **summarize(pairs)}
+
+        def start(new_first):
+            order = (1, 0) if new_first else (0, 1)
+            workers = {i: Worker(args.trees[i]) for i in order}
+            return workers[0], workers[1]
+
+        halves = run_halves(start, tasks, args.seconds)
+    stats = {"workload": workload.name, "seed": args.seed, **summarize(*halves)}
     print("\n".join(render(stats)))
     print(json.dumps(stats))
     return 0

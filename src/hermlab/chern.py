@@ -16,10 +16,14 @@ Conventions, fixed once here and used by every downstream module:
   (first two indices from the 2-form, last two from the endomorphism).
 
 Everything is a dense numpy array computed in closed form from the value,
-first and second derivative arrays of g: :class:`ChernData` computes the
-value-level arrays, the torsion T included, at once, and the
-derivative-level ones (dL, dP, dT, theta_u_vals, covT, covT_bar) on first
-read, which :meth:`ChernData.at` carries.  :func:`chern_at` takes one point
+first and second derivative arrays of g.  :class:`ChernData` holds a
+batch's data: the value-level arrays, the torsion T included, computed at
+once, and every other name of the derivation table :data:`TABLE` (here:
+dL, dP, dT, theta_u_vals, covT, covT_bar, the Levi-Civita fields and what
+the CLI's suites share), computed on first read from a copy that holds only
+the names its producer declares, and kept; :meth:`ChernData.at` carries the
+arrays computed so far.  A producer looks its function up as a module
+attribute when it runs.  :func:`chern_at` takes one point
 or a batch of P points; on a batch every array gains a leading point axis
 (all index patterns below start with ``...``), and one point is the batch
 of one.  Derivative slots run over the 2n
@@ -41,9 +45,10 @@ antisymmetrised by :func:`_coefficients`.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,15 +133,6 @@ def frame_connection_values(theta, frame):
     return th
 
 
-def arrays_at(data, index):
-    """The array fields of a dataclass instance, each indexed by ``index``."""
-    return {
-        f.name: getattr(data, f.name)[index]
-        for f in fields(data)
-        if isinstance(getattr(data, f.name), np.ndarray)
-    }
-
-
 def pointwise_max(X, lead):
     """max |X| over the axes after the leading point axes ``lead``.
 
@@ -147,21 +143,56 @@ def pointwise_max(X, lead):
     return m if lead else float(m)
 
 
-# the derivative-level arrays of ChernData, computed on first read
-_DERIVED = ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar")
+def _mod(name):
+    """The module ``hermlab.<name>``, for a producer to look up its function in when it runs."""
+    return importlib.import_module(f"hermlab.{name}")
+
+
+# The derivation table: (names, the names their producer reads, producer).  A
+# producer gets a copy of the batch that holds only those names (besides
+# metric, point and n) and returns its names in order; None marks the names
+# every batch is built with.  Producers name their functions as module
+# attributes, which are looked up when they run.
+_ROWS = (
+    ("gv dg ddg", "metric point", None),  # MetricField.evaluate, checked
+    ("Lv Pv theta dtheta Theta T Rh eta", "gv dg ddg", None),  # chern_from_jets
+    ("dL dP", "Lv Pv dg", lambda d: cholesky_frame(d.Lv, d.Pv, d.dg)),
+    ("dT", "theta dtheta Pv dP", lambda d: frame_torsion(d.theta, d.dtheta, (d.Pv, d.dP))[1]),
+    ("theta_u_vals", "theta Pv dP", lambda d: frame_connection_values(d.theta, (d.Pv, d.dP))),
+    ("covT covT_bar", "Pv T dT theta_u_vals", lambda d: covderiv_torsion(d)),
+    # the Levi-Civita fields, by the Christoffel route
+    ("G Gi Gamma R4", "gv dg ddg", lambda d: _mod("levicivita").christoffel_route(d.gv, d.dg, d.ddg)),
+    ("W", "Pv", lambda d: _mod("levicivita").complex_frame_coefficients(d.Pv)),
+    ("Rc", "W R4", lambda d: _mod("levicivita")._frame_components(d.W, d.R4)),
+    ("Ric", "Gi R4", lambda d: np.einsum("...cd,...cabd->...ab", d.Gi, d.R4)),
+    ("Scal", "Gi Ric", lambda d: np.einsum("...ab,...ab->...", d.Gi, d.Ric)),
+    # what several rows of the CLI's suites read
+    ("flags", "T eta Rh ddg Rc", lambda d: _mod("classify").flag_residuals_at(d, _mod("levicivita").riemann_at(d))),
+    ("torsion_route", "T Lv dL dT theta_u_vals", lambda d: _mod("levicivita").torsion_route(d)),
+    ("canonical_theta2", "Gamma Pv dP", lambda d: _mod("levicivita").canonical_theta2(d)),
+    ("sigma1_psd sigma2_psd", "T", lambda d: _mod("cli")._sigma_psd(d)),
+    ("curvature_difference", "T Rh covT covT_bar Rc", lambda d: _mod("classify").curvature_difference_suite(d)),
+    ("normal_frame_theta normal_frame_covT", "theta dtheta Pv dP theta_u_vals covT covT_bar",
+     lambda d: _mod("cli")._normal_frame_residuals(d)),
+    ("transforms", "metric point Lv Pv dP T Gamma", lambda d: _mod("cli")._transforms(d)),
+    ("fd", "metric point", lambda d: _mod("cli")._fd(d)),
+)
+TABLE = {name: (names.split(), inputs.split(), producer) for names, inputs, producer in _ROWS for name in names.split()}
 
 
 @dataclass
 class ChernData:
-    """All Chern-side pointwise data of a metric at one point or a batch.
+    """The data of a metric at one point or a batch: its jets, Chern data and every name of :data:`TABLE`.
 
     ``point`` is [n] or [P, n]; every other array is dense, in the layouts
     of the module docstring, with the same leading point axes.  The fields
-    are the value-level data every suite reads, the torsion T included.
-    The derivative-level arrays ``dL``, ``dP``, ``dT``, ``theta_u_vals``,
-    ``covT`` and ``covT_bar`` are attributes, each computed on first read
-    (with the arrays computed along with it) and then kept; :meth:`at`
-    carries those computed so far.
+    are the jets and the value-level Chern data, the torsion T included.
+    Every other name of :data:`TABLE` (the derivative-level arrays ``dL``,
+    ``dP``, ``dT``, ``theta_u_vals``, ``covT`` and ``covT_bar``, the
+    Levi-Civita fields that :class:`~hermlab.levicivita.RiemannData` reads,
+    and what the suites share) is computed on first read, with the names
+    its producer returns along with it, and then kept; :meth:`at` carries
+    the arrays computed so far.
     """
 
     metric: MetricField
@@ -180,31 +211,32 @@ class ChernData:
     eta: np.ndarray
 
     def __getattr__(self, name):
-        """Compute the derivative-level array ``name``; one point as the batch of one."""
-        if name not in _DERIVED:
+        """Compute ``name`` of :data:`TABLE`; one point as the batch of one."""
+        if "_inputs" in vars(self):
+            raise AttributeError(f"{name!r} is not among the inputs {vars(self)['_inputs']} of this producer")
+        names, inputs, producer = TABLE.get(name, (None, None, None))
+        if producer is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if self.point.ndim == 1:
             batch = self.at(None)
             getattr(batch, name)
-            vars(self).update(batch._computed(0))
-        elif name in ("dL", "dP"):
-            self.dL, self.dP = cholesky_frame(self.Lv, self.Pv, self.dg)
-        elif name == "dT":
-            self.dT = frame_torsion(self.theta, self.dtheta, (self.Pv, self.dP))[1]
-        elif name == "theta_u_vals":
-            self.theta_u_vals = frame_connection_values(self.theta, (self.Pv, self.dP))
+            vars(self).update({**vars(batch.at(0)), **vars(self)})  # the arrays computed there, at this point
         else:
-            self.covT, self.covT_bar = covderiv_torsion(self)
+            values = producer(self.reading(inputs))
+            vars(self).update(zip(names, values) if len(names) > 1 else [(name, values)])
         return vars(self)[name]
 
-    def _computed(self, index):
-        """The derivative-level arrays computed so far, each indexed by ``index``."""
-        return {name: x[index] for name, x in vars(self).items() if name in _DERIVED}
+    def reading(self, names):
+        """A copy that holds only ``names`` (computed here first), metric, point and n, and computes nothing."""
+        data = object.__new__(ChernData)
+        vars(data).update({k: getattr(self, k) for k in ("metric", "point", "n", *names)}, _inputs=names)
+        return data
 
     def at(self, index):
-        """The data at point ``index`` of a batch, as views of its arrays (the computed ones too)."""
-        data = replace(self, **arrays_at(self, index))
-        vars(data).update(self._computed(index))
+        """The data at point ``index`` of a batch, as views of every array computed so far."""
+        data = object.__new__(ChernData)
+        vars(data).update(metric=self.metric, n=self.n)
+        vars(data).update((k, x[index]) for k, x in vars(self).items() if isinstance(x, np.ndarray))
         return data
 
     def pointwise_max(self, X):

@@ -104,7 +104,7 @@ def classify_at(metric, points, tol=DEFAULT_TOL):
     """
     points, best = as_points(points, metric.n), dict.fromkeys(FLAG_NAMES, (-np.inf, None))
     for chunk in geometry_chunks(metric, points):
-        for name, residuals in flag_residuals_at(chunk.ch, chunk.rd).items():
+        for name, residuals in chunk.ch.flags.items():
             best[name] = running_max(best[name], residuals, chunk.start)
     return classification(metric, points, tol, best)
 
@@ -117,15 +117,16 @@ def curvature_difference_suite(rd):
     Each left side comes from the Christoffel route (or the Chern-curvature
     transform for the first), each right side from torsion data and its
     covariant derivatives; the routes never share intermediate results.
+    ``rd`` is :class:`~hermlab.levicivita.RiemannData`, or the Chern data
+    that Riemann data read every name from.
     """
-    ch = rd.chern
-    n = ch.n
-    T, cT, cTb, Rh, Rc = ch.T, ch.covT, ch.covT_bar, ch.Rh, rd.Rc
+    n = rd.n
+    T, cT, cTb, Rh, Rc = rd.T, rd.covT, rd.covT_bar, rd.Rh, rd.Rc
     Tb = T.conj()
-    scale = curvature_scale(ch, rd)
+    scale = curvature_scale(rd, rd)
 
     def residual(lhs, rhs):
-        return ch.pointwise_max(lhs - rhs) / scale
+        return rd.pointwise_max(lhs - rhs) / scale
 
     res = {}
     rhs = np.einsum("...jlik->...kijl", Rh) - np.einsum("...iljk->...kijl", Rh)

@@ -11,9 +11,11 @@ Each suite declares its checks once, in a row table (``_IDENTITY_ROWS``,
 in ``docs/report-schema.md``) that :meth:`Suite.add` reduces as the chunks
 stream; only classify's expected-flag rows, compare's strict gap and
 rigidity floor and the nilker rows are written by hand.  A row's ``where``
-names the points it covers, and the work that several rows read is chosen
-in the table and computed once per chunk (:meth:`~hermlab.geometry.Chunk.once`);
-that sharing never joins the two sides of one check.
+names the points it covers, and what several rows read is a name of the
+derivation table :data:`hermlab.chern.TABLE`, computed on first read by the
+chunk's data and kept (``_sigma_psd``, ``_normal_frame_residuals``,
+``_transforms`` and ``_fd`` below are producers of it, looked up as module
+attributes when they run); that sharing never joins the two sides of one check.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .classify import (
     FLAG_NAMES,
     _point_list,
     classification,
-    curvature_difference_suite,
     eta_trace_residual,
-    flag_residuals_at,
     holomorphic_eta_residual,
     klike_sigma_residual,
 )
@@ -73,14 +73,12 @@ from .errors import (
 from .fd import fd_jet
 from .geometry import geometry_chunks, running_max, sample_points
 from .levicivita import (
-    canonical_theta2,
     dsigma2_check,
     riemann_at,
     sigma_matrices,
     theta2_matches_torsion_residual,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
-    torsion_route,
 )
 from .nilker import (
     common_kernel_constructive,
@@ -166,12 +164,11 @@ class Suite:
             if where is None:
                 self.best[name] = running_max(self.best[name], residual(data or chunk), chunk.start)
             elif isinstance(where, str):
-                live = np.flatnonzero(chunk.once(flag_residuals_at, chunk.ch, chunk.rd)[where] < self.tols["flags"])
+                live = np.flatnonzero(chunk.ch.flags[where] < self.tols["flags"])
                 if len(live):  # a flagged row with no qualifying point is not computed
                     self.best[name] = running_max(self.best[name], residual(chunk)[live], chunk.start, live)
             elif where > chunk.start:  # one view of the chunk per k, which all its first-k rows read
-                view = chunk.memo.get(where) or chunk.memo.setdefault(where, chunk.at(slice(where - chunk.start)))
-                self.best[name] = running_max(self.best[name], residual(view), chunk.start)
+                self.best[name] = running_max(self.best[name], residual(chunk.first(where - chunk.start)), chunk.start)
 
     def checks(self):
         checks = []
@@ -185,8 +182,7 @@ class Suite:
 
 
 class Classify(Suite):
-    table = tuple((name, "flags", 1, None, lambda c, k=name: c.once(flag_residuals_at, c.ch, c.rd)[k])
-                  for name in FLAG_NAMES)
+    table = tuple((name, "flags", 1, None, lambda c, k=name: c.ch.flags[k]) for name in FLAG_NAMES)
 
     def checks(self):
         tol = self.tols["flags"]
@@ -203,7 +199,7 @@ class Classify(Suite):
 
 
 def _sigma_psd(ch):
-    """How far sigma_1 and sigma_2 fall below 0, [2, P], from one stacked eigvalsh."""
+    """How far sigma_1 and sigma_2 fall below 0, [2, P], from one stacked eigvalsh (``sigma1_psd sigma2_psd``)."""
     return np.maximum(0.0, -np.linalg.eigvalsh(np.stack(sigma_matrices(ch))).min(axis=-1))
 
 
@@ -232,24 +228,19 @@ _IDENTITY_ROWS = (
     ("ddbar_omega_vs_torsion_curvature", "exact", 1, None, lambda c: curvature_identity_residual(c.ch)),
     ("del_omega_vs_torsion", "exact", 1, None, lambda c: del_omega_residual(c.ch)),
     ("balanced_trace", "exact", 1, None, lambda c: balanced_identity_residual(c.ch)),
-    ("theta2_two_route", "two_route", 1, None,
-     lambda c: theta2_two_route_residual(c.ch, c.rd, c.once(torsion_route, c.ch)[1])),
-    ("theta2_type", "exact", 1, None,
-     lambda c: theta2_zero_one_part_residual(c.rd, c.once(canonical_theta2, c.rd))),
+    ("theta2_two_route", "two_route", 1, None, lambda c: theta2_two_route_residual(c.ch, c.rd, c.ch.torsion_route[1])),
+    ("theta2_type", "exact", 1, None, lambda c: theta2_zero_one_part_residual(c.rd, c.ch.canonical_theta2)),
     ("theta2_vs_torsion", "identities", 1, None,
-     lambda c: theta2_matches_torsion_residual(c.rd, c.once(canonical_theta2, c.rd))),
+     lambda c: theta2_matches_torsion_residual(c.rd, c.ch.canonical_theta2)),
     ("curvature_type", "exact", 1, None, lambda c: np.zeros(len(c.ch.point))),
     ("curvature_skew_hermitian", "exact", 1, None, lambda c: skew_hermitian_residual(c.ch)),
-    ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, c.once(torsion_route, c.ch))),
-    ("sigma1_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[0]),
-    ("sigma2_psd", "psd", 1, None, lambda c: c.once(_sigma_psd, c.ch)[1]),
-    ("covT_vs_chern", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["covT_vs_chern"]),
-    ("mixed_20", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["mixed_20"]),
-    ("mixed_02", "identities", 1, None, lambda c: c.once(curvature_difference_suite, c.rd)["mixed_02"]),
-    ("riemann_vs_chern", "identities", 1, None,
-     lambda c: c.once(curvature_difference_suite, c.rd)["riemann_vs_chern"]),
-    ("normal_frame_theta", "frame", 1, 2, lambda c: c.once(_normal_frame_residuals, c.ch)[0]),
-    ("normal_frame_covT", "identities", 1, 2, lambda c: c.once(_normal_frame_residuals, c.ch)[1]),
+    ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, c.ch.torsion_route)),
+    ("sigma1_psd", "psd", 1, None, lambda c: c.ch.sigma1_psd),
+    ("sigma2_psd", "psd", 1, None, lambda c: c.ch.sigma2_psd),
+    *((name, "identities", 1, None, lambda c, k=name: c.ch.curvature_difference[k])
+      for name in ("covT_vs_chern", "mixed_20", "mixed_02", "riemann_vs_chern")),
+    ("normal_frame_theta", "frame", 1, 2, lambda c: c.ch.normal_frame_theta),
+    ("normal_frame_covT", "identities", 1, 2, lambda c: c.ch.normal_frame_covT),
     ("klike_ddbar_sigma", "identities", 1, "kahler_like", lambda c: klike_sigma_residual(c.ch)),
     ("klike_eta_holomorphic", "identities", 1, "kahler_like", lambda c: holomorphic_eta_residual(c.ch)),
     ("gklike_eta_trace", "identities", 1, "g_kahler_like", lambda c: eta_trace_residual(c.ch)),
@@ -356,25 +347,24 @@ class Compare(Suite):
 _CONFORMAL_EXPONENTS = ("re(z1)", "ln(1 + abs2(z1)) / 2")
 
 
-def _transforms(chunk):
-    """Each exponent's torsion, theta_1 and theta_2 transformation residuals, by (exponent, law)."""
-    batch, out = chunk.ch.point, {}
+def _transforms(ch):
+    """Each exponent's torsion, theta_1 and theta_2 transformation residuals at ``ch``'s points, by (exponent, law)."""
+    batch, out = ch.point, {}
     for src in _CONFORMAL_EXPONENTS:
-        factor = ConformalFactor(parse_expr(src, chunk.ch.n), name=src)
+        factor = ConformalFactor(parse_expr(src, ch.n), name=src)
         # the scaled metric once per exponent, over all the points at once
-        scaled = conformal_metric(chunk.ch.metric, factor)
+        scaled = conformal_metric(ch.metric, factor)
         new_ch = chern_at(scaled, batch)
         u = factor.u_values(batch)
         new_rd = riemann_at(new_ch)
-        res = connection_transform_residuals(chunk.rd, new_rd, u)
+        res = connection_transform_residuals(riemann_at(ch), new_rd, u)
         out[src, "theta1"], out[src, "theta2"] = res["theta1"], res["theta2"]
-        out[src, "torsion"] = torsion_transform_residual(chunk.ch, new_ch, u)
+        out[src, "torsion"] = torsion_transform_residual(ch, new_ch, u)
     return out
 
 
 _CONFORMAL_ROWS = tuple(
-    (f"{law}_transform[{src.replace(' ', '')}]", "exact", 1, 5,
-     lambda c, k=(src, law): c.once(_transforms, c)[k])
+    (f"{law}_transform[{src.replace(' ', '')}]", "exact", 1, 5, lambda c, k=(src, law): c.ch.transforms[k])
     for src in _CONFORMAL_EXPONENTS
     for law in ("torsion", "theta1", "theta2")
 )
@@ -435,26 +425,24 @@ class Nilker(Suite):
 OVERRIDE_HERMITIAN_TOL = 1e-6
 
 
-def _fd(chunk):
-    """Riemann and Chern data from FD jets: one value evaluation per stencil, one batched Chern core.
+def _fd(ch):
+    """The data at the points of ``ch`` from FD jets: one value evaluation per stencil, one batched Chern core.
 
-    Reads only the chunk's metric values and points, and checks the jets
-    as :func:`~hermlab.geometry.geometry_chunks` checks the evaluated ones.
+    Reads only the metric values and the points, and checks the jets as
+    :func:`~hermlab.geometry.geometry_chunks` checks the evaluated ones.
     """
-    metric, points = chunk.ch.metric, chunk.ch.point
+    metric, points = ch.metric, ch.point
     jets = [np.stack(x) for x in zip(*(fd_jet(metric.values_at, p, metric.n) for p in points))]
     metric.check_jets(points, *jets, OVERRIDE_HERMITIAN_TOL)
-    return riemann_at(chern_from_jets(metric, points, *jets))
+    return chern_from_jets(metric, points, *jets)
 
 
 _ORACLE_ROWS = (
-    ("jet_first_vs_fd", None, 1e-6, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.dg - c.ch.dg)),
-    ("jet_second_vs_fd", None, 1e-4, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.ddg - c.ch.ddg)),
-    ("torsion_vs_fd", "oracle_first", 1, 5, lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.T - c.ch.T)),
-    ("chern_curvature_vs_fd", "oracle_second", 1, 5,
-     lambda c: c.ch.pointwise_max(c.once(_fd, c).chern.Rh - c.ch.Rh)),
-    ("riemann_curvature_vs_fd", "oracle_second", 1, 5,
-     lambda c: c.ch.pointwise_max(c.once(_fd, c).Rc - c.rd.Rc)),
+    ("jet_first_vs_fd", None, 1e-6, 5, lambda c: c.ch.pointwise_max(c.ch.fd.dg - c.ch.dg)),
+    ("jet_second_vs_fd", None, 1e-4, 5, lambda c: c.ch.pointwise_max(c.ch.fd.ddg - c.ch.ddg)),
+    ("torsion_vs_fd", "oracle_first", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.T - c.ch.T)),
+    ("chern_curvature_vs_fd", "oracle_second", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.Rh - c.ch.Rh)),
+    ("riemann_curvature_vs_fd", "oracle_second", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.Rc - c.rd.Rc)),
 )
 
 

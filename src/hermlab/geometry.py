@@ -7,9 +7,13 @@ only:
 * an evaluation block of :func:`block_size` points: one
   :meth:`MetricField.evaluate` call, whose jets are checked once;
 * a core chunk of :func:`chunk_size` points: one call of the batched
-  Chern and Riemann cores on a slice of the block's jets, yielded as one
+  Chern core on a slice of the block's jets, yielded as one
   :class:`Chunk`, which every suite reads before the next chunk is
-  computed.
+  computed.  Everything else a suite reads of the chunk, the Riemann
+  core's fields included, is a name of the derivation table
+  :data:`~hermlab.chern.TABLE`, which the chunk's data compute on first
+  read, by producers looked up as module attributes when they run, and
+  keep while the chunk lives.
 
 The Riemann core's per-point temporaries are tensors over the 2n real
 slots, and a point's second metric jet has n^2 (2n)^2 entries, so both
@@ -104,38 +108,25 @@ def running_max(best, residuals, start, at=None):
 
 @dataclass
 class Chunk:
-    """Consecutive points of a report (``ch.point``) and their Chern and Riemann data, as one batch.
+    """Consecutive points of a report (``ch.point``) and their data, as one batch.
 
     ``start`` is the index of ``ch.point[0]`` among the report's points;
-    ``ch`` and ``rd`` carry one leading point axis.  ``memo`` holds what
-    :meth:`once` computed on this chunk's data, by function and arguments,
-    and the suites keep there the :meth:`at` views they share, by point
-    count.
+    ``ch`` holds the data, each name of :data:`~hermlab.chern.TABLE`
+    computed on first read, and ``rd`` reads its Levi-Civita side.
+    ``views`` keeps the views of :meth:`first`.
     """
 
     start: int
     ch: ChernData
     rd: RiemannData
-    memo: dict = field(default_factory=dict, repr=False)
+    views: dict = field(default_factory=dict, repr=False)
 
-    def once(self, fn, *args):
-        """``fn(*args)`` on this chunk's data, computed on the first call with ``fn`` and these ``args``.
-
-        Arguments are told apart by identity.  The memo keeps each one alive
-        (the chunk itself needs no help), so no identity it holds is reused.
-        """
-        key = (fn, *map(id, args))
-        if key not in self.memo:
-            self.memo[key] = fn(*args), [a for a in args if a is not self]
-        return self.memo[key][0]
-
-    def at(self, part):
-        """The chunk's points ``part`` (a slice from 0), as views of its data with a memo of their own.
-
-        The views carry the derivative-level arrays computed so far.
-        """
-        rd = self.rd.at(part)
-        return Chunk(self.start, rd.chern, rd)
+    def first(self, k):
+        """The chunk's first k points, as one view per k of the arrays computed so far."""
+        if k not in self.views:
+            ch = self.ch.at(slice(k))
+            self.views[k] = Chunk(self.start, ch, riemann_at(ch))
+        return self.views[k]
 
 
 def _per_point(size, n):

@@ -9,10 +9,13 @@ nabla_{[X,Y]} Z with R_{XYZW} = <R(X,Y)Z, W>; this sign is locked by two
 tests: components with four unbarred slots vanish on every Hermitian
 metric, and R agrees with the Chern curvature on Kahler metrics.
 
-:func:`riemann_at` reads only the metric arrays gv, dg, ddg of
-:class:`~hermlab.chern.ChernData` (and P for the unitary frame), and like
-:func:`~hermlab.chern.chern_at` it takes one point or a batch: every array
-then gains the leading point axes of the Chern data.
+:class:`RiemannData` reads its fields from a batch's
+:class:`~hermlab.chern.ChernData`, which computes each on first read by
+the producers that :data:`~hermlab.chern.TABLE` names here (the Christoffel
+route from the metric arrays gv, dg, ddg; W from P, the unitary frame) and
+looks up when they run.  Like :func:`~hermlab.chern.chern_at` it takes one
+point or a batch: every array then gains the leading point axes of the
+Chern data.
 
 The torsion route to the mixed curvature block Theta_2 reads only
 :class:`~hermlab.chern.ChernData` (T, dT, L, dL, P, theta_u_vals), never
@@ -29,11 +32,11 @@ sigma_2 is ``H[a, b]`` with derivatives ``dH[a, b, c]`` in the same way.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import ChernData, _max_coefficient, arrays_at, chern_at
+from .chern import ChernData, _max_coefficient, chern_at
 from .dsl import conj_slots, real_from_wirtinger, wirtinger_from_real
 from .fd import fd_jet
 
@@ -126,50 +129,48 @@ def _frame_components(W, R4):
     return (M @ R @ M.swapaxes(-2, -1)).reshape(R4.shape)
 
 
+def christoffel_route(gv, dg, ddg):
+    """G, its inverse Gi, the Christoffel symbols Gamma and R4 = R_{abcd}, from the metric jets only."""
+    G, dG, d2G = _real_metric_arrays(gv, dg, ddg)
+    Gi, Gamma, dGamma = _christoffel(G, dG, d2G)
+    return G, Gi, Gamma, _riemann_real(G, Gamma, dGamma)
+
+
 @dataclass
 class RiemannData:
-    """Riemannian curvature data of a metric at one point or a batch.
+    """Riemannian curvature data of a metric at one point or a batch, read from its data ``chern``.
 
-    The arrays carry the leading point axes of ``chern``; ``Scal`` is a
-    float at one point and an array over a batch.
+    G, Gi, Gamma, R4 (real components R_{abcd}), W (the unitary
+    complexified frame over the real basis), Rc (complexified components in
+    the unitary frame, (2n)^4), Ric and Scal are names of
+    :data:`~hermlab.chern.TABLE`, each computed on first read and kept by
+    ``chern``, as is every other name read here.  The arrays carry the
+    leading point axes of ``chern``; ``Scal`` is a float at one point and
+    an array over a batch.
     """
 
     chern: ChernData
-    G: np.ndarray
-    Gi: np.ndarray
-    Gamma: np.ndarray
-    R4: np.ndarray  # real components R_{abcd}
-    W: np.ndarray  # unitary complexified frame over the real basis
-    Rc: np.ndarray  # complexified components in the unitary frame, (2n)^4
-    Ric: np.ndarray
-    Scal: float
+
+    def __getattr__(self, name):
+        if name == "chern":  # not set yet, say while a copy is made
+            raise AttributeError(name)
+        return getattr(self.chern, name)
 
     def at(self, index):
-        """The data at point ``index`` of a batch, as views of its arrays."""
-        return replace(self, chern=self.chern.at(index), **arrays_at(self, index))
-
-    @property
-    def n(self):
-        return self.chern.n
-
-    @property
-    def point(self):
-        return self.chern.point
+        """The data at point ``index`` of a batch, as views of the arrays computed so far."""
+        return RiemannData(self.chern.at(index))
 
     # ------------------------------------------------------------------
     # distinguished blocks (unitary frame); first two indices are the
     # 2-form slots, last two the endomorphism slots
-    def R_1111(self):
-        n = self.n
-        return self.Rc[..., :n, :n, :n, :n]
-
     def R_11bar(self):  # R_{i jbar k lbar}
         n = self.n
         return self.Rc[..., :n, n:, :n, n:]
 
     def gray_residual(self):
         """Four-unbarred components must vanish on any Hermitian metric, per point."""
-        return self.chern.pointwise_max(self.R_1111())
+        n = self.n
+        return self.chern.pointwise_max(self.Rc[..., :n, :n, :n, :n])
 
     def symmetry_residuals(self):
         """The algebraic symmetries of R_{abcd}, each per point."""
@@ -209,31 +210,10 @@ class RiemannData:
 def riemann_at(ch):
     """Riemannian curvature at the point [n] or points [P, n] of the Chern data ``ch``.
 
-    Built from the metric arrays of ``ch``; one point is computed as the
-    batch of one.
+    Computes nothing: each field is computed on first read, from the metric
+    arrays of ``ch`` and its frame P; one point as the batch of one.
     """
-    arrays = ch.gv, ch.dg, ch.ddg, ch.Pv
-    single = ch.point.ndim == 1
-    if single:
-        arrays = [x[None] for x in arrays]
-    G, dG, d2G = _real_metric_arrays(*arrays[:3])
-    Gi, Gamma, dGamma = _christoffel(G, dG, d2G)
-    R4 = _riemann_real(G, Gamma, dGamma)
-    W = complex_frame_coefficients(arrays[3])
-    Ric = np.einsum("...cd,...cabd->...ab", Gi, R4)
-    fields = dict(
-        G=G,
-        Gi=Gi,
-        Gamma=Gamma,
-        R4=R4,
-        W=W,
-        Rc=_frame_components(W, R4),
-        Ric=Ric,
-        Scal=np.einsum("...ab,...ab->...", Gi, Ric),
-    )
-    if single:
-        fields = {name: x[0] for name, x in fields.items()}
-    return RiemannData(chern=ch, **fields)
+    return RiemannData(ch)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +357,7 @@ def levi_civita_frame_connection(rd, frame):
 
 def canonical_theta2(rd):
     """theta_2 of the canonical unitary frame, from the Christoffel symbols."""
-    return levi_civita_frame_connection(rd, (rd.chern.Pv, rd.chern.dP))[1]
+    return levi_civita_frame_connection(rd, (rd.Pv, rd.dP))[1]
 
 
 def theta2_zero_one_part_residual(rd, theta2):

@@ -156,9 +156,9 @@ def _family_scale(family):
 
 
 def _ranks(mats, atol):
-    """Numerical rank of each matrix of a stack, from one stacked SVD."""
+    """Numerical rank and largest singular value of each matrix of a stack, from one stacked SVD."""
     s = np.linalg.svd(mats, compute_uv=False)
-    return np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1)
+    return np.sum(s > np.maximum(RANK_RCOND * s[:, :1], atol), axis=-1), s[:, 0]
 
 
 def _max_rank_element(family, rng, atol):
@@ -171,16 +171,20 @@ def _max_rank_element(family, rng, atol):
     member reaches that bound it is kept and nothing is drawn.  Otherwise
     the draws come from one ``normal`` call (the stream of two per sample,
     real then imaginary part), are combined by one contraction and ranked
-    by one stacked SVD.
+    by one stacked SVD, unless sum_i |c_i| s_max(A_i) <= atol / 2 for every
+    draw c: no combination then has a singular value near atol, so none
+    ranks above 0 and the members' ranks decide.
     """
     m, n = family.m, family.n
     flat = family._stack.reshape(m, n * n)
     combos = np.dot(np.eye(m), flat).reshape(m, n, n)  # each member as the contraction below gives it
-    ranks = _ranks(combos, atol)
+    ranks, top = _ranks(combos, atol)
     if ranks.max() < n // 2:
         draws = rng.normal(size=(50, 2, m))
-        combos = np.dot(np.concatenate([np.eye(m), draws[:, 0] + 1j * draws[:, 1]]), flat).reshape(-1, n, n)
-        ranks = np.concatenate([ranks, _ranks(combos[m:], atol)])
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        if np.any(np.abs(coeffs) @ top > atol / 2):  # some draw may rank above 0
+            combos = np.dot(np.concatenate([np.eye(m), coeffs]), flat).reshape(-1, n, n)
+            ranks = np.concatenate([ranks, _ranks(combos[m:], atol)[0]])
     best = int(np.argmax(ranks))
     return combos[best], int(ranks[best])
 

@@ -1,6 +1,7 @@
 """The interleaved A/B driver of ``scripts/ab.py`` on fake workers, without subprocesses or timing."""
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -39,6 +40,9 @@ class FakeWorker:
         self.log.append((self.name, argv[0]))
         return self.seconds[argv[0]], self.outcomes[argv[0]]
 
+    def close(self):
+        self.log.append((self.name, "closed"))
+
 
 def _pairs():
     log = []
@@ -73,3 +77,25 @@ def test_summary_statistics_and_differing_reports():
     assert lines[0] == "10 pairs: NEW/OLD median 0.950 (IQR 0.675-1.225); NEW faster in 5 of 10"
     assert lines[-1].startswith("2 pairs differ; 1 changed their exit code or a check's passed")
     json.dumps(stats)  # the last line of the script's output
+
+
+def test_the_second_half_starts_the_workers_in_the_other_order():
+    log, started, ticks = [], [], itertools.count()
+
+    def start(new_first):  # a worker starts when it is made
+        started.append(new_first)
+        made = {"old": lambda: FakeWorker("old", log, [1.0] * 10, [_outcome()] * 10),
+                "new": lambda: FakeWorker("new", log, NEW_SECONDS, [_outcome()] * 10)}
+        workers = {name: made[name]() for name in (("new", "old") if new_first else ("old", "new"))}
+        return workers["old"], workers["new"]
+
+    # one clock tick per reading: each half sets its deadline 3 ticks on and takes 3 pairs
+    halves = ab.run_halves(start, iter([(20, [i]) for i in range(10)]), 6, clock=lambda: next(ticks))
+    assert started == [False, True]
+    assert [[b[0] for _, _, b in half] for half in halves] == [NEW_SECONDS[:3], NEW_SECONDS[3:6]]
+    warmed = [("old", 3), ("new", 3)]  # each half warms up on its first report, which it then pairs
+    assert log[6:12] == [("old", 2), ("new", 2), ("old", "closed"), ("new", "closed"), *warmed]
+    stats = ab.summarize(*halves)
+    assert stats["pairs"] == 6 and stats["wins"] == 5
+    assert stats["halves"] == [{"pairs": 3, "wins": 3}, {"pairs": 3, "wins": 2}]  # 1.0 s is no win
+    assert ab.render(stats)[2] == "NEW faster by half (OLD's worker started first, then NEW's): 3 of 3, 2 of 3"

@@ -7,6 +7,7 @@ and conformal suite against the loops they replaced, and the identities
 and oracle check tables against the per-point loops."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ CATALOG = ["fubini_study_chart", "euclidean", "gkl_surface", "conformal_gklike",
 
 
 def _arrays(data):
+    """The array fields of Chern data, or the Levi-Civita fields of Riemann data (computed on first read)."""
+    if isinstance(data, RiemannData):
+        return {name: getattr(data, name) for name in ("G", "Gi", "Gamma", "R4", "W", "Rc", "Ric", "Scal")}
     return {
         f.name: getattr(data, f.name)
         for f in dataclasses.fields(data)
@@ -577,7 +581,7 @@ def _fixture_families(seed):
 
 def _assert_rank_search_matches_the_loop(fam, seed):
     """The rank search against the candidate loop from generators of ``seed``; returns the loop's
-    index and whether the search drew.
+    index, whether the search drew and whether it ranked its draws.
 
     Both keep a candidate of the same rank, the same one up to roundoff.  The
     search leaves the generator untouched where a member reaches n // 2, and
@@ -585,7 +589,9 @@ def _assert_rank_search_matches_the_loop(fam, seed):
     """
     atol = 1e-9 * max(1.0, nilker._family_scale(fam))
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    A, rank = nilker._max_rank_element(fam, got_rng, atol)
+    ranked, ranks = [], nilker._ranks
+    with mock.patch.object(nilker, "_ranks", lambda mats, tol: ranked.append(len(mats)) or ranks(mats, tol)):
+        A, rank = nilker._max_rank_element(fam, got_rng, atol)
     want, want_rank, index = _per_candidate_max_rank_element(fam, want_rng, atol)
     assert rank == want_rank
     # candidates differ at O(1); the same one differs only by roundoff
@@ -593,7 +599,7 @@ def _assert_rank_search_matches_the_loop(fam, seed):
     drew = index >= fam.m or want_rank < fam.n // 2
     state = want_rng if drew else np.random.default_rng(seed)
     assert got_rng.bit_generator.state == state.bit_generator.state
-    return index, drew
+    return index, drew, len(ranked) == 2
 
 
 @pytest.mark.parametrize("seed", [42, 43, 44, 45])
@@ -605,23 +611,41 @@ def test_max_rank_element_matches_the_candidate_loop(seed):
     families.append((20, nilker.family_from_torsion(nilker.two_block_chain_tensor())))
     draws = []
     for trial, fam in families:
-        index, drew = _assert_rank_search_matches_the_loop(fam, seed + trial)
+        index, drew, _ = _assert_rank_search_matches_the_loop(fam, seed + trial)
         assert trial < 20 or index >= fam.m
         draws.append(drew)
     assert not all(draws) and draws[-1]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "torsion", "zero"]), st.integers(2, 8))
-def test_max_rank_element_matches_the_candidate_loop_on_random_families(seed, kind, n):
+def _random_family(seed, kind, n):
     rng = np.random.default_rng(seed)
     if kind == "general":
-        fam = nilker.random_general_family(rng, n=n, m=int(rng.integers(1, 5)))
-    elif kind == "torsion":
-        fam = nilker.family_from_torsion(nilker.random_torsion_tensor(rng, n=n))
-    else:  # rank 0 everywhere: the search draws
-        fam = nilker.NilpotentFamily([np.zeros((n, n))] * 2)
-    _assert_rank_search_matches_the_loop(fam, seed)
+        return nilker.random_general_family(rng, n=n, m=int(rng.integers(1, 5)))
+    if kind == "torsion":
+        return nilker.family_from_torsion(nilker.random_torsion_tensor(rng, n=n))
+    if kind == "zero":  # rank 0 everywhere: the search draws
+        return nilker.NilpotentFamily([np.zeros((n, n))] * 2)
+    # scaled below atol = 1e-9, by 1e-14 to 1e-8: rank 0, and the draws' bound holds or not
+    scale = 10.0 ** rng.uniform(-14, -8)
+    return nilker.NilpotentFamily([scale * A for A in nilker.random_general_family(rng, n=n, m=2).matrices])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "torsion", "zero", "tiny"]), st.integers(2, 8))
+def test_max_rank_element_matches_the_candidate_loop_on_random_families(seed, kind, n):
+    _assert_rank_search_matches_the_loop(_random_family(seed, kind, n), seed)
+
+
+def test_the_rank_search_ranks_its_draws_unless_none_can_reach_atol():
+    # the two-block family draws a combination of rank 2; the zero family and
+    # families far below atol skip the stacked SVD and keep member 0 at rank
+    # 0, and those just below atol rank their draws
+    two_block = nilker.family_from_torsion(nilker.two_block_chain_tensor())
+    assert _assert_rank_search_matches_the_loop(two_block, 0)[1:] == (True, True)
+    searches = [_assert_rank_search_matches_the_loop(_random_family(seed, kind, 4), seed)
+                for seed in range(8) for kind in ("zero", "tiny")]
+    assert {ranked for _, drew, ranked in searches if drew} == {False, True}
+    assert all(index == 0 for index, drew, ranked in searches if drew and not ranked)
 
 
 def test_family_check_names_the_first_bad_pair():

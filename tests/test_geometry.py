@@ -9,14 +9,14 @@ import io
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlab import catalog, cli
-from hermlab.chern import _DERIVED, arrays_at, chern_at
+from hermlab.chern import chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
@@ -24,6 +24,20 @@ from hermlab.geometry import CHUNK, block_size, chunk_size, geometry_chunks, run
 from hermlab.levicivita import riemann_at
 
 from test_highdim import perturbed_metric
+
+# the derivative-level Chern arrays and the Levi-Civita fields, each computed on first read
+DERIVED = ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar")
+RIEMANN = ("G", "Gi", "Gamma", "R4", "W", "Rc", "Ric", "Scal")
+
+
+def arrays_at(data, index):
+    """The array fields of the Chern data ``data``, each indexed by ``index``."""
+    return {f.name: getattr(data, f.name)[index] for f in fields(data) if isinstance(getattr(data, f.name), np.ndarray)}
+
+
+def _derived(data):
+    """The derivative-level Chern arrays and the Levi-Civita fields of ``data``, computed here if need be."""
+    return {name: getattr(data, name) for name in DERIVED + RIEMANN}
 
 
 def test_sizes_scale_with_the_riemann_temporaries():
@@ -60,12 +74,12 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
         want = points[c.start : c.start + chunk]  # the chunk's points are a view of the report's
         assert np.array_equal(c.ch.point, want) and np.shares_memory(c.ch.point, want)
         assert c.rd.chern is c.ch and c.ch.metric is m
+        _derived(c.ch)  # on the whole chunk, so that each part below carries its share
         for s in range(0, len(c.ch.point), CHUNK):
             part = slice(s, s + CHUNK)
             ch = chern_at(m, c.ch.point[part].copy())
-            rd = riemann_at(ch)
             _assert_same(arrays_at(c.ch.at(part), slice(None)), arrays_at(ch, slice(None)))
-            _assert_same(arrays_at(c.rd.at(part), slice(None)), arrays_at(rd, slice(None)))
+            _assert_same(_derived(c.rd.at(part)), _derived(riemann_at(ch)))
         calls.clear()
     # the metric is evaluated once a block, and the core chunks restart at each block
     assert evaluated == [block, 3]
@@ -97,11 +111,10 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     view, again = suite.read  # both rows, on the first chunk only
     assert view is again and view.start == 0 and len(view.ch.point) == 5
     assert view.rd.chern is view.ch
-    for data, whole in ((view.ch, chunk.ch), (view.rd, chunk.rd)):
-        for name, x in arrays_at(data, slice(None)).items():
-            assert np.shares_memory(x, getattr(whole, name)), name
-            assert np.array_equal(x, getattr(whole, name)[:5]), name
-    for name in _DERIVED:
+    for name, x in arrays_at(view.ch, slice(None)).items():
+        assert np.shares_memory(x, getattr(chunk.ch, name)), name
+        assert np.array_equal(x, getattr(chunk.ch, name)[:5]), name
+    for name in DERIVED:
         assert name in vars(view.ch) and np.shares_memory(vars(view.ch)[name], getattr(chunk.ch, name)), name
     # each row covers the first five points and no later one
     assert list(suite.best.values()) == [(4.0, 4), (4.0, 4)]
@@ -109,21 +122,31 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     assert len(checks) == 2 and all(np.shares_memory(c.worst_point, points[4]) for c in checks)
 
 
-def test_once_keys_by_function_and_arguments():
-    metric = catalog.get("euclidean").metric
-    chunk = next(geometry_chunks(metric, sample_points(metric, 2)))
-    calls = []
+def test_a_name_is_computed_on_first_read_once_per_batch(monkeypatch):
+    metric = catalog.get("iwasawa").metric
+    chunk, other = (next(geometry_chunks(metric, sample_points(metric, 4, seed=s))) for s in (3, 4))
+    calls, sigma_psd = [], cli._sigma_psd
+    monkeypatch.setattr(cli, "_sigma_psd", lambda d: calls.append(d) or sigma_psd(d))  # looked up when it runs
+    first = chunk.ch.sigma1_psd
+    assert len(calls) == 1 and "sigma2_psd" in vars(chunk.ch)  # computed along with it
+    assert vars(calls[0]).keys() == {"metric", "point", "n", "T", "_inputs"}  # the producer saw its inputs only
+    assert chunk.ch.sigma1_psd is first and chunk.ch.sigma2_psd is vars(chunk.ch)["sigma2_psd"]
+    view = chunk.first(2)
+    assert chunk.first(2) is view and np.shares_memory(view.ch.sigma1_psd, first)  # carried, not recomputed
+    assert len(calls) == 1
+    other.ch.sigma1_psd  # another batch is another entry
+    assert len(calls) == 2 and calls[1].point is other.ch.point
 
-    def shape(x):
-        calls.append(x)
-        return x.shape
 
-    a, b = np.zeros(2), np.zeros(3)
-    assert chunk.once(shape, a) == (2,)
-    assert chunk.once(shape, b) == (3,)  # another argument is another entry
-    assert chunk.once(shape, a) == (2,) and chunk.once(len, a) == 2
-    assert len(calls) == 2 and calls[0] is a and calls[1] is b
-    assert chunk.once(shape, np.zeros(4)) == (4,)  # a temporary's identity is held, not reused
+def test_a_producer_reads_only_its_declared_inputs():
+    metric = catalog.get("iwasawa").metric
+    ch = chern_at(metric, sample_points(metric, 2, seed=3))
+    view = ch.reading(["T", "dT"])
+    assert view.T is ch.T and view.dT is ch.dT and view.metric is metric and view.n == 3
+    for name in ("Rh", "covT", "Rc"):  # a field, a derived array and a Levi-Civita field
+        with pytest.raises(AttributeError, match=f"'{name}' is not among the inputs"):
+            getattr(view, name)
+    assert "covT" not in vars(ch) and "Rc" not in vars(ch)
 
 
 # what run_suites hands every suite; the report's points are kept by the report
@@ -174,8 +197,7 @@ def test_no_kept_residual_shares_memory_with_a_chunk(monkeypatch):
     chunks = []
     suites = _run_suites(monkeypatch, entry, points, chunks)
     assert len(chunks) == 2
-    held = [vars(c.ch) for c in chunks] + [arrays_at(c.rd, slice(None)) for c in chunks]
-    held = [x for data in held for x in data.values() if isinstance(x, np.ndarray)]
+    held = [x for c in chunks for x in vars(c.ch).values() if isinstance(x, np.ndarray)]
     kept = [x for s in suites for x in _kept(s) if isinstance(x, (np.ndarray, np.generic))]
     # every row's and flag's running maximum, compare's two and nilker's torsion
     assert len(kept) > 50 and any(x is s.T for s in suites if isinstance(s, cli.Nilker) for x in kept)
@@ -355,7 +377,7 @@ def test_riemann_reads_only_the_metric_arrays_and_the_frame():
     read = set()
     for name in arrays_at(ch, ...):
         rd = riemann_at(replace(ch, **{name: np.full_like(getattr(ch, name), np.nan)}))
-        if not all(np.isfinite(x).all() for x in arrays_at(rd, ...).values()):
+        if not all(np.isfinite(getattr(rd, field)).all() for field in RIEMANN):
             read.add(name)
     assert read == {"gv", "dg", "ddg", "Pv"}
 
@@ -363,17 +385,15 @@ def test_riemann_reads_only_the_metric_arrays_and_the_frame():
 def test_the_oracle_reads_only_metric_values_and_points(monkeypatch):
     m = catalog.get("iwasawa").metric
     chunk = next(geometry_chunks(m, sample_points(m, 3, seed=42)))
-    want = cli._fd(chunk)
-    ch = _nan(chunk.ch, keep=("point",))
-    poisoned = replace(chunk, ch=ch, rd=_nan(replace(chunk.rd, chern=ch)), memo={})
+    want = cli._fd(chunk.ch)
 
     def evaluate(points):
         raise AssertionError("the oracle evaluated the analytic jets")
 
     monkeypatch.setattr(m, "evaluate", evaluate)
-    got = cli._fd(poisoned)
-    for have, expect in ((got, want), (got.chern, want.chern)):
-        _assert_same(arrays_at(have, ...), arrays_at(expect, ...))
+    got = cli._fd(_nan(chunk.ch, keep=("point",)))
+    _assert_same(arrays_at(got, ...), arrays_at(want, ...))
+    _assert_same(_derived(got), _derived(want))
 
 
 def test_the_oracle_checks_its_jets_at_its_own_tolerance(monkeypatch):
@@ -383,7 +403,7 @@ def test_the_oracle_checks_its_jets_at_its_own_tolerance(monkeypatch):
 
     def skewed(by):  # the oracle on metric values with a non-Hermitian defect ``by``
         monkeypatch.setattr(m, "values_at", lambda q: values_at(q) + by * np.eye(m.n, k=1))
-        return cli._fd(chunk)
+        return cli._fd(chunk.ch)
 
     skewed(3e-10)  # above the evaluated jets' Hermitian tolerance, below the oracle's
     with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(chunk.ch.point[0]))):

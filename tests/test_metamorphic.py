@@ -11,7 +11,7 @@ import pytest
 
 from hermlab import catalog, cli, dsl
 from hermlab.catalog import CatalogEntry
-from hermlab.chern import _DERIVED, chern_at
+from hermlab.chern import chern_at
 from hermlab.classify import KAHLER_IMPLIES, classify_at, curvature_difference_suite
 from hermlab.dsl import BinOp, Call, Coord, Lit, MetricField
 from hermlab.geometry import sample_points
@@ -25,7 +25,8 @@ WEIGHTS = {
     0: ("theta", "dtheta", "Theta", "theta_u_vals", "Gamma", "Ric"),
     -1: ("Rh", "covT", "covT_bar", "Rc", "Gi", "Scal"),
 }
-CHERN_ARRAYS = ("gv", "dg", "ddg", "Lv", "Pv", "theta", "dtheta", "Theta", "T", "Rh", "eta") + _DERIVED
+CHERN_ARRAYS = ("gv", "dg", "ddg", "Lv", "Pv", "theta", "dtheta", "Theta", "T", "Rh", "eta")
+CHERN_ARRAYS += ("dL", "dP", "dT", "theta_u_vals", "covT", "covT_bar")  # computed on first read
 RIEMANN_ARRAYS = ("G", "Gi", "Gamma", "R4", "W", "Rc", "Ric", "Scal")
 
 
