@@ -17,13 +17,16 @@ host's speed drifts over seconds, and the two reports of a pair run within
 a fraction of one, so their ratio sees little of the drift that whole-run
 pairs do.
 
-It prints the median of the per-pair ratios NEW/OLD with its quartiles, the
-median ratio in each tenth of the run, each tree's median report time and
-points per second (a report that raised adds no points), and the number of
-pairs NEW was faster in, over the run and in each half.  Each pair's two
-outcomes are compared by ``pool_diff.py``'s helpers: it prints how many
-pairs differ, and its roundoff summary.  The last line of standard output is the same data as one
-JSON object.
+Each worker runs with ``WORKER_ENV`` added to its environment, which pins
+BLAS to one thread.  The driver prints the median of the per-pair ratios
+NEW/OLD with its quartiles, the median ratio in each tenth of the run, each
+tree's median report time and points per second (a report that raised adds
+no points), the number of pairs NEW was faster in, over the run and in each
+half, and the workers' environment setting.  Each pair's two outcomes are
+compared by ``pool_diff.py``'s helpers: it prints how many pairs differ, and
+its roundoff summary, which names the check and report of each largest
+value.  The last line of standard output is the same data as one JSON
+object.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,6 +45,11 @@ from pathlib import Path
 import pool_diff
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Set in each worker's environment: two workers with BLAS's default thread
+# count compete for the CPUs, and their ratios spread far more than with one
+# thread each.  A report's bytes do not depend on the thread count.
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 WORKER = """\
 import contextlib, io, json, sys, time
@@ -67,7 +76,7 @@ class Worker:
 
     def __init__(self, tree):
         self.tree = Path(tree).resolve()
-        self.proc = subprocess.Popen([sys.executable, "-c", WORKER, str(self.tree)],
+        self.proc = subprocess.Popen([sys.executable, "-c", WORKER, str(self.tree)], env=os.environ | WORKER_ENV,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def __call__(self, argv):
@@ -133,6 +142,15 @@ def _wins(pairs):
     return sum(b[0] < a[0] for _, a, b in pairs)
 
 
+def _report(outcome):
+    """The report's "metric|seed", from the JSON config an outcome printed, or None if it printed none."""
+    try:
+        config = json.loads(outcome["stdout"])["config"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
+    return f"{config['metric']}|{config['seed']}"
+
+
 def _tree(results):
     """One tree's median report time and points per second over its (points, (seconds, outcome))."""
     seconds = [s for _, (s, _) in results]
@@ -146,8 +164,7 @@ def summarize(*halves):
     ratios = [b[0] / a[0] for _, a, b in pairs]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     tenths = [ratios[len(ratios) * k // 10 : len(ratios) * (k + 1) // 10] for k in range(10)]
-    outcomes = [(a[1], b[1]) for _, a, b in pairs]
-    changed, largest, moved, moved_largest = pool_diff.moves(outcomes)
+    outcomes = [(_report(a[1]), a[1], b[1]) for _, a, b in pairs]
     return {
         "pairs": len(pairs),
         "ratio": {"median": median, "q1": q1, "q3": q3},
@@ -156,11 +173,8 @@ def summarize(*halves):
         "new": _tree([(p, b) for p, _, b in pairs]),
         "wins": _wins(pairs),
         "halves": [{"pairs": len(half), "wins": _wins(half)} for half in halves],
-        "differ": sum(bool(pool_diff.differences(*o)) for o in outcomes),
-        "changed": changed,
-        "largest_delta_over_tol": largest,
-        "moved": moved,
-        "moved_largest_over_tol": moved_largest,
+        "differ": sum(bool(pool_diff.differences(a, b)) for _, a, b in outcomes),
+        **pool_diff.moves(outcomes),
     }
 
 
@@ -177,10 +191,10 @@ def render(stats):
     for name in ("old", "new"):
         tree = stats[name]
         lines.append(f"{name.upper()}: report_p50_s {tree['report_p50_s']:.4f}, points_per_s {tree['points_per_s']:.1f}")
+    lines.append("each worker ran with " + " ".join(f"{k}={v}" for k, v in WORKER_ENV.items()))
     lines.append(
         f"{stats['differ']} pairs differ; {stats['changed']} changed their exit code or a check's passed; "
-        f"largest |delta residual|/tolerance {stats['largest_delta_over_tol']:.2g}; "
-        f"{stats['moved']} worst points moved, the largest at residual/tolerance {stats['moved_largest_over_tol']:.2g}"
+        + pool_diff.render_moves(stats)
     )
     return lines
 
@@ -209,7 +223,7 @@ def main(argv):
             return workers[0], workers[1]
 
         halves = run_halves(start, tasks, args.seconds)
-    stats = {"workload": workload.name, "seed": args.seed, **summarize(*halves)}
+    stats = {"workload": workload.name, "seed": args.seed, "worker_env": WORKER_ENV, **summarize(*halves)}
     print("\n".join(render(stats)))
     print(json.dumps(stats))
     return 0

@@ -19,7 +19,8 @@ differ; the exit code is 0 only when no report differs.  A last line
 accounts for values that moved by roundoff: the reports whose exit code
 or some check's ``passed`` changed, the largest |delta residual| /
 tolerance over the checks, and the checks whose ``worst_point`` moved,
-with the largest residual / tolerance on either side of such a move.
+with the largest residual / tolerance on either side of such a move; each
+largest value names its check and report.
 
 Each tree also runs ``ERROR_CONFIGS``, a fixed list of metric configs
 whose reports end in an error (a singular entry at a sampled point, a
@@ -151,30 +152,49 @@ def _checks(outcome):
     return {(suite, check["name"]): check for suite, block in suites.items() for check in block.get("checks", [])}
 
 
-def moves(pairs):
-    """How far the (old, new) outcomes of each report moved, over all ``pairs``.
+def moves(reports):
+    """How far the outcomes moved, over ``reports`` of (report, old outcome, new outcome).
 
-    Returns the number of reports whose exit code or some check's
-    ``passed`` changed, the largest |delta residual| / tolerance over the
-    checks both sides report, the number of checks whose ``worst_point``
-    moved, and the largest residual / tolerance on either side of a move.
-    A check with no bound (``"tolerance": null``) counts its moves at
+    Returns a dict: ``changed``, the number of reports whose exit code or
+    some check's ``passed`` changed; ``largest_delta_over_tol``, the largest
+    |delta residual| / tolerance over the checks both sides report;
+    ``moved``, the number of checks whose ``worst_point`` moved; and
+    ``moved_largest_over_tol``, the largest residual / tolerance on either
+    side of such a move.  ``largest_at`` and ``moved_largest_at`` name where
+    each largest value is, as (report, "suite/check"), or are None while it
+    is 0.  A check with no bound (``"tolerance": null``) counts its moves at
     residual / tolerance 0.
     """
-    changed, largest, moved, moved_largest = 0, 0.0, 0, 0.0
-    for old, new in pairs:
+    out = {"changed": 0, "largest_delta_over_tol": 0.0, "largest_at": None,
+           "moved": 0, "moved_largest_over_tol": 0.0, "moved_largest_at": None}
+    for report, old, new in reports:
         a, b = _checks(old), _checks(new)
-        changed += old["exit"] != new["exit"] or any(
+        out["changed"] += old["exit"] != new["exit"] or any(
             a.get(key, {}).get("passed") != b.get(key, {}).get("passed") for key in set(a) | set(b)
         )
-        for key in set(a) & set(b):
+        for key in sorted(set(a) & set(b)):
             x, y, tol = a[key]["residual"], b[key]["residual"], a[key]["tolerance"] or float("inf")
-            if x != y:
-                largest = max(largest, abs(y - x) / tol)
+            where = (report, "/".join(key))
+            if abs(y - x) / tol > out["largest_delta_over_tol"]:
+                out["largest_delta_over_tol"], out["largest_at"] = abs(y - x) / tol, where
             if a[key].get("worst_point") != b[key].get("worst_point"):
-                moved += 1
-                moved_largest = max(moved_largest, x / tol, y / tol)
-    return changed, largest, moved, moved_largest
+                out["moved"] += 1
+                if max(x, y) / tol > out["moved_largest_over_tol"]:
+                    out["moved_largest_over_tol"], out["moved_largest_at"] = max(x, y) / tol, where
+    return out
+
+
+def render_moves(m):
+    """The roundoff part of a summary line, for :func:`moves`' ``m``."""
+
+    def at(where):
+        return f" ({where[1]} of {where[0]})" if where else ""
+
+    return (
+        f"largest |delta residual|/tolerance {m['largest_delta_over_tol']:.2g}{at(m['largest_at'])}; "
+        f"{m['moved']} worst points moved, the largest at residual/tolerance "
+        f"{m['moved_largest_over_tol']:.2g}{at(m['moved_largest_at'])}"
+    )
 
 
 def _print_differences(keys, old, new):
@@ -239,12 +259,8 @@ def main(argv):
         f"{len(tasks)} reports: {differing} differ, {len(tasks) - differing} identical "
         f"({raised} of them raise, with the same text)"
     )
-    changed, largest, moved, moved_largest = moves([(old[key], new[key]) for key, _ in tasks])
-    print(
-        f"{changed} reports changed their exit code or a check's passed; "
-        f"largest |delta residual|/tolerance {largest:.2g}; "
-        f"{moved} worst points moved, the largest at residual/tolerance {moved_largest:.2g}"
-    )
+    m = moves((key, old[key], new[key]) for key, _ in tasks)
+    print(f"{m['changed']} reports changed their exit code or a check's passed; {render_moves(m)}")
     failing = _print_differences([key for key, _ in errors], old, new)
     print(f"{len(errors)} error inputs: {failing} differ in exit code or stderr")
     return 1 if differing or failing else 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 
@@ -571,7 +572,9 @@ def render_human(report):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once: argparse copies the ``append`` defaults before appending."""
     parser = argparse.ArgumentParser(
         prog="hermlab",
         description="Pointwise curvature checks for Hermitian metrics on charts.",

@@ -9,6 +9,16 @@ nabla_{[X,Y]} Z with R_{XYZW} = <R(X,Y)Z, W>; this sign is locked by two
 tests: components with four unbarred slots vanish on every Hermitian
 metric, and R agrees with the Chern curvature on Kahler metrics.
 
+The Christoffel route is closed form: with the first-kind symbols
+G1[f, a, b] = (d_a G_fb + d_b G_fa - d_f G_ab) / 2 and
+Gamma^f_ab = G^{fe} G1[e, a, b],
+R_abcd = (d_a d_c G_bd - d_a d_d G_bc - d_b d_c G_ad + d_b d_d G_ac) / 2
+         - G1[f, b, c] Gamma^f_ad + G1[f, a, c] Gamma^f_bd.
+The frame components Rc contract R_abcd with W's rows one slot at a time,
+the first slot with the e rows only; the ebar rows follow exactly as
+Rc[ebar_A, B, C, D] = conj(Rc[e_A, Bbar, Cbar, Dbar]), since R is real and
+W's ebar rows are the conjugates of its e rows.
+
 :class:`RiemannData` reads its fields from a batch's
 :class:`~hermlab.chern.ChernData`, which computes each on first read by
 the producers that :data:`~hermlab.chern.TABLE` names here (the Christoffel
@@ -83,29 +93,6 @@ def _real_metric_arrays(gv, dg, ddg):
     )
 
 
-def _christoffel(G, dG, d2G):
-    Gi = np.linalg.inv(G)
-    # Gamma[c, a, b] = Gamma^c_{ab}; sym[a, e, b] = d_a G_eb + d_b G_ea - d_e G_ab
-    sym = dG + dG.swapaxes(-3, -1) - dG.swapaxes(-3, -2)
-    Gi1 = Gi[..., None, :, :]
-    Gamma = 0.5 * np.swapaxes(Gi1 @ sym, -3, -2)  # Gi @ sym[a] is [c, b]
-    dGi = -(Gi1 @ dG @ Gi1)  # [e, c, g]
-    # dsym[e, a, f, b] = d_e sym[a, f, b]; both products below are [e, a, c, b]
-    dsym = d2G + d2G.swapaxes(-3, -1) - d2G.swapaxes(-3, -2)
-    dGamma = dGi[..., :, None, :, :] @ sym[..., None, :, :, :] + Gi1[..., None, :, :] @ dsym
-    return Gi, Gamma, 0.5 * np.swapaxes(dGamma, -3, -2)
-
-
-def _riemann_real(G, Gamma, dGamma):
-    # R(d_a, d_b) d_c = Rup[e, a, b, c] d_e; both contractions are one GEMM per point
-    m = G.shape[-1]
-    lead = G.shape[:-2]
-    GG = (Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))).reshape(lead + (m,) * 4)
-    Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG
-    Rup -= GG.swapaxes(-3, -2)
-    return (Rup.reshape(lead + (m, m**3)).swapaxes(-2, -1) @ G).reshape(lead + (m,) * 4)
-
-
 def complex_frame_coefficients(Pv):
     """Rows of (e_1..e_n, ebar_1..ebar_n) over the 2n real coordinate basis.
 
@@ -118,22 +105,30 @@ def complex_frame_coefficients(Pv):
 
 
 def _frame_components(W, R4):
-    """Rc[..., A, B, C, D] = sum W[A, a] W[B, b] W[C, c] W[D, d] R4[..., a, b, c, d].
-
-    As matrices over slot pairs, Rc = M R4 M^T with M = W (x) W.
-    """
+    """Rc[..., A, B, C, D] = sum W[A, a] W[B, b] W[C, c] W[D, d] R4[..., a, b, c, d], a slot at a time."""
     m = W.shape[-1]
     lead = W.shape[:-2]
-    M = (W[..., :, None, :, None] * W[..., None, :, None, :]).reshape(lead + (m * m, m * m))
-    R = R4.reshape(lead + (m * m, m * m))
-    return (M @ R @ M.swapaxes(-2, -1)).reshape(R4.shape)
+    X = R4.reshape(lead + (m, -1)).swapaxes(-2, -1)  # [(b, c, d), a]
+    E = W[..., : m // 2, :].swapaxes(-2, -1)  # the e rows
+    X = X @ E.real + 1j * (X @ E.imag)  # [(b, c, d), A]
+    for _ in range(3):  # [(c, d, A), B], [(d, A, B), C], [(A, B, C), D]
+        X = X.reshape(lead + (m, -1)).swapaxes(-2, -1) @ W.swapaxes(-2, -1)
+    # each slot as (h, i), h = 0 for e_i and 1 for ebar_i: reversing h bars the slot
+    e = X.reshape(lead + (m // 2,) + (2, m // 2) * 3)
+    return np.stack([e, e[..., ::-1, :, ::-1, :, ::-1, :].conj()], axis=-8).reshape(lead + (m,) * 4)
 
 
 def christoffel_route(gv, dg, ddg):
     """G, its inverse Gi, the Christoffel symbols Gamma and R4 = R_{abcd}, from the metric jets only."""
     G, dG, d2G = _real_metric_arrays(gv, dg, ddg)
-    Gi, Gamma, dGamma = _christoffel(G, dG, d2G)
-    return G, Gi, Gamma, _riemann_real(G, Gamma, dGamma)
+    m = G.shape[-1]
+    lead = G.shape[:-2]
+    Gi = np.linalg.inv(G)
+    G1 = 0.5 * (dG + dG.swapaxes(-3, -1) - dG.swapaxes(-3, -2)).swapaxes(-3, -2).reshape(lead + (m, m * m))
+    Gamma = Gi @ G1  # [c, (a, b)]
+    Q = (G1.swapaxes(-2, -1) @ Gamma).reshape(d2G.shape)  # [a, c, b, d] = G1[f, a, c] Gamma^f_bd
+    B = (0.5 * (d2G - d2G.swapaxes(-3, -1)) + Q).swapaxes(-3, -2)  # R4 = B[a, b, c, d] - B[b, a, c, d]
+    return G, Gi, Gamma.reshape(lead + (m,) * 3), B - B.swapaxes(-4, -3)
 
 
 @dataclass

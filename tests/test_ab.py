@@ -22,7 +22,7 @@ NEW_SECONDS = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4]
 
 
 def _outcome(residual=1e-10, error=None):
-    doc = {"timestamp": "t", "suites": {"compare": {"checks": [
+    doc = {"timestamp": "t", "config": {"metric": "iwasawa", "seed": 42}, "suites": {"compare": {"checks": [
         {"name": "c", "residual": residual, "tolerance": 1e-8, "passed": True, "worst_point": [[0.1, 0.0]]},
     ]}}}
     if error is not None:
@@ -73,9 +73,12 @@ def test_summary_statistics_and_differing_reports():
     assert stats["new"] == pytest.approx({"report_p50_s": 0.95, "points_per_s": 180 / sum(NEW_SECONDS)})
     assert stats["differ"] == 2 and stats["changed"] == 1
     assert stats["largest_delta_over_tol"] == pytest.approx(0.02) and stats["moved"] == 0
+    assert stats["largest_at"] == ("iwasawa|42", "compare/c") and stats["moved_largest_at"] is None
     lines = ab.render(stats)
     assert lines[0] == "10 pairs: NEW/OLD median 0.950 (IQR 0.675-1.225); NEW faster in 5 of 10"
+    assert lines[-2] == "each worker ran with OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1"
     assert lines[-1].startswith("2 pairs differ; 1 changed their exit code or a check's passed")
+    assert "0.02 (compare/c of iwasawa|42)" in lines[-1]
     json.dumps(stats)  # the last line of the script's output
 
 
@@ -99,3 +102,20 @@ def test_the_second_half_starts_the_workers_in_the_other_order():
     assert stats["pairs"] == 6 and stats["wins"] == 5
     assert stats["halves"] == [{"pairs": 3, "wins": 3}, {"pairs": 3, "wins": 2}]  # 1.0 s is no win
     assert ab.render(stats)[2] == "NEW faster by half (OLD's worker started first, then NEW's): 3 of 3, 2 of 3"
+
+
+def test_each_worker_runs_blas_on_one_thread(monkeypatch):
+    seen = {}
+
+    def popen(cmd, env=None, **kwargs):
+        seen["cmd"], seen["env"] = cmd, env
+        return None
+
+    monkeypatch.setattr(ab.subprocess, "Popen", popen)
+    monkeypatch.setenv("AB_PARENT", "kept")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    ab.Worker(SCRIPTS)
+    assert seen["cmd"][-1] == str(SCRIPTS)
+    env = seen["env"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] == "1"
+    assert env["AB_PARENT"] == "kept"  # the rest of the environment is passed on

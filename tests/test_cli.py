@@ -7,6 +7,7 @@ from hermlab import catalog
 from hermlab.cli import (
     DEFAULT_TOLERANCES,
     SUITES,
+    build_parser,
     load_metric,
     main,
     render_csv,
@@ -224,6 +225,19 @@ def test_tolerance_override(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["config"]["tolerances"]["identities"] == 1e-3
+
+
+def test_a_second_main_call_sees_none_of_the_firsts_appended_values(capsys):
+    # the parser is built once per process, so its append defaults must stay empty
+    argv = ["--metric", "euclidean", "--points", "1", "--format", "json"]
+    assert main(argv + ["--suite", "identities", "--tol", "identities=1e-3"]) == 0
+    first = json.loads(capsys.readouterr().out)["config"]
+    assert first["suites"] == ["identities"] and first["tolerances"]["identities"] == 1e-3
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out)["config"]
+    assert second["suites"] == ["classify"] and second["tolerances"] == DEFAULT_TOLERANCES
+    assert build_parser() is build_parser()
+    assert build_parser().get_default("suite") == [] and build_parser().get_default("tol") == []
 
 
 def test_load_metric_from_file(tmp_path):

@@ -1,16 +1,19 @@
 import itertools
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hermlab import catalog
 from hermlab.chern import chern_at
 from hermlab.dsl import parse
 from hermlab.forms import Form, mat_wedge
 from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
 from hermlab.levicivita import (
-    _riemann_real,
+    _real_metric_arrays,
     canonical_theta2,
     dsigma2_check,
     levi_civita_frame_connection,
@@ -27,6 +30,9 @@ from hermlab.levicivita import (
 from conftest import jet2
 from test_highdim import base_point, perturbed_metric
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import generated_config  # noqa: E402
+
 
 def test_euclidean_curvature_vanishes(geo, metric):
     _, rd = geo(metric("euclidean"), [0.3 - 0.2j, 0.1 + 0.5j])
@@ -34,26 +40,56 @@ def test_euclidean_curvature_vanishes(geo, metric):
     assert np.max(np.abs(rd.Gamma)) == 0.0
 
 
-def _riemann_real_einsum(G, Gamma, dGamma):
-    """``_riemann_real`` as two einsum calls, the reference for its GEMM form."""
+def _christoffel_by_dgamma(G, dG, d2G):
+    """Gamma and R4 by differentiating Gamma through the product rule on Gi, and lowering R^e_abc by G.
+
+    The reference for :func:`christoffel_route`'s closed form.
+    """
+    Gi = np.linalg.inv(G)
+    # sym[a, e, b] = d_a G_eb + d_b G_ea - d_e G_ab; Gamma[c, a, b] = Gamma^c_{ab}
+    sym = dG + dG.swapaxes(-3, -1) - dG.swapaxes(-3, -2)
+    Gi1 = Gi[..., None, :, :]
+    Gamma = 0.5 * np.swapaxes(Gi1 @ sym, -3, -2)
+    dGi = -(Gi1 @ dG @ Gi1)
+    dsym = d2G + d2G.swapaxes(-3, -1) - d2G.swapaxes(-3, -2)
+    dGamma = dGi[..., :, None, :, :] @ sym[..., None, :, :, :] + Gi1[..., None, :, :] @ dsym
+    dGamma = 0.5 * np.swapaxes(dGamma, -3, -2)  # [e, c, a, b] = d_e Gamma^c_{ab}
+    # R(d_a, d_b) d_c = Rup[e, a, b, c] d_e
     GG = np.einsum("...eaf,...fbc->...eabc", Gamma, Gamma)
-    Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG
-    Rup -= GG.swapaxes(-3, -2)
-    return np.einsum("...eabc,...ed->...abcd", Rup, G)
+    Rup = dGamma.swapaxes(-4, -3) - dGamma.swapaxes(-4, -3).swapaxes(-3, -2) + GG - GG.swapaxes(-3, -2)
+    return Gamma, np.einsum("...eabc,...ed->...abcd", Rup, G)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_riemann_real_gemm_matches_einsum(n):
-    m = 2 * n
-    rng = np.random.default_rng(n)
-    G = rng.normal(size=(7, m, m))
-    G = G + G.swapaxes(-2, -1)
-    # Gamma as _christoffel makes it: a view with two axes swapped
-    Gamma = rng.normal(size=(7, m, m, m)).swapaxes(-3, -2)
-    dGamma = rng.normal(size=(7, m, m, m, m))
-    want = _riemann_real_einsum(G, Gamma, dGamma)
-    got = _riemann_real(G, Gamma, dGamma)
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+def _frame_components_by_kronecker(W, R4):
+    """Rc = M R4 M^T over slot pairs, with M = W (x) W: the reference for :func:`_frame_components`."""
+    m = W.shape[-1]
+    lead = W.shape[:-2]
+    M = (W[..., :, None, :, None] * W[..., None, :, None, :]).reshape(lead + (m * m, m * m))
+    return (M @ R4.reshape(lead + (m * m, m * m)) @ M.swapaxes(-2, -1)).reshape(R4.shape)
+
+
+def _core_metric(name):
+    if name.startswith("hd"):
+        return catalog.from_config(generated_config(name)).metric
+    return catalog.get(name).metric
+
+
+@pytest.mark.parametrize("name", [*catalog.names()[:-1], "random_polynomial(12)", "hd4-0", "hd5-0"])
+def test_closed_form_core_matches_the_derivative_of_gamma(name):
+    metric = _core_metric(name)
+    ch = chern_at(metric, sample_points(metric, 8, seed=24))
+    G, dG, d2G = _real_metric_arrays(ch.gv, ch.dg, ch.ddg)
+    Gamma, R4 = _christoffel_by_dgamma(G, dG, d2G)
+    Rc = _frame_components_by_kronecker(ch.W, R4)
+    assert np.array_equal(ch.Gamma, Gamma)
+    # conformal_gklike is flat: its curvature is the roundoff of terms the size of d2G
+    scale = max(np.abs(R4).max(), np.abs(d2G).max())
+    for got, want in ((ch.R4, R4), (ch.Rc, Rc)):
+        assert np.abs(got - want).max() <= 1e-13 * scale
+    # the ebar rows are the conjugates of the e rows with the other slots barred
+    n = metric.n
+    bar = np.roll(Rc[:, :n], n, axis=(-3, -2, -1)).conj()
+    assert np.abs(Rc[:, n:] - bar).max() <= 1e-13 * scale
 
 
 def test_fubini_study_kahler_agreement(geo, metric):

@@ -32,18 +32,33 @@ def test_differences_and_moves_on_synthetic_outcomes():
     lines = pool_diff.differences(old, new)
     assert any(line.startswith("/suites/identities/checks/a/residual: 1e-10 -> 1.5e-10") for line in lines)
     assert any(line.startswith("/suites/identities/checks/b/worst_point[0][0]") for line in lines)
-    changed, largest, moved, moved_largest = pool_diff.moves([(old, new), (old, old)])
-    assert changed == 0 and moved == 1
-    assert largest == abs(1.5e-10 - 1e-10) / 1e-8
-    assert moved_largest == 3e-12 / 1e-6
+    m = pool_diff.moves([("r1", old, new), ("r2", old, old)])
+    assert m["changed"] == 0 and m["moved"] == 1
+    assert m["largest_delta_over_tol"] == abs(1.5e-10 - 1e-10) / 1e-8
+    assert m["moved_largest_over_tol"] == 3e-12 / 1e-6
+    # each largest value names its check and report
+    assert m["largest_at"] == ("r1", "identities/a") and m["moved_largest_at"] == ("r1", "identities/b")
+    assert pool_diff.render_moves(m) == (
+        "largest |delta residual|/tolerance 0.005 (identities/a of r1); "
+        "1 worst points moved, the largest at residual/tolerance 3e-06 (identities/b of r1)"
+    )
+    # the largest of several reports is the one named
+    larger = _outcome([_check("a", 1e-10, 1e-8, 0.1), _check("b", 2e-7, 1e-6, 0.3)])
+    m = pool_diff.moves([("r1", old, new), ("r2", old, larger)])
+    assert m["largest_at"] == ("r2", "identities/b") and m["moved_largest_at"] == ("r2", "identities/b")
+    assert m["largest_delta_over_tol"] == (2e-7 - 2e-12) / 1e-6 and m["moved"] == 2
     # a changed exit code and a changed passed each count their report once
     failing = _outcome([_check("a", 2e-8, 1e-8, 0.1), _check("b", 2e-12, 1e-6, 0.2)])
     crashed = {"exit": None, "error": "ValueError: x", "stdout": ""}
-    assert pool_diff.moves([(old, failing), (old, crashed), (old, old)])[0] == 2
+    assert pool_diff.moves([("r1", old, failing), ("r2", old, crashed), ("r3", old, old)])["changed"] == 2
     assert pool_diff.differences(old, crashed)[:2] == ["exit: 0 -> None", "error: None -> 'ValueError: x'"]
-    # a check with no bound moves at residual/tolerance 0
+    # a check with no bound moves at residual/tolerance 0, and then no place is named
     unbounded = _outcome([_check("a", 1e-10, None, 0.1)]), _outcome([_check("a", 2e-10, None, 0.2)])
-    assert pool_diff.moves([unbounded]) == (0, 0.0, 1, 0.0)
+    assert pool_diff.moves([("r1", *unbounded)]) == {
+        "changed": 0, "largest_delta_over_tol": 0.0, "largest_at": None,
+        "moved": 1, "moved_largest_over_tol": 0.0, "moved_largest_at": None,
+    }
+    assert pool_diff.render_moves(pool_diff.moves([])).endswith("residual/tolerance 0")
 
 
 # the exit code and the start of the stderr text of each error input
