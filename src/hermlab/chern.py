@@ -20,13 +20,14 @@ first and second derivative arrays of g.  :class:`ChernData` holds a
 batch's data: the value-level arrays, the torsion T included, computed at
 once, and every other name of the derivation table :data:`TABLE` (here:
 dL, dP, dT, theta_u_vals, covT, covT_bar, the Levi-Civita fields and what
-the CLI's suites share), computed on first read from a copy that holds only
-the names its producer declares, and kept; :meth:`ChernData.at` carries the
-arrays computed so far.  A producer looks its function up as a module
-attribute when it runs.  :func:`chern_at` takes one point
-or a batch of P points; on a batch every array gains a leading point axis
-(all index patterns below start with ``...``), and one point is the batch
-of one.  Derivative slots run over the 2n
+the rows of :mod:`hermlab.suites` share), computed on first read from a
+copy that holds only the names its producer declares, and kept;
+:meth:`ChernData.at` carries the arrays computed so far.  Each producer
+lives in the module of its mathematics, where it is looked up as a module
+attribute when it runs.  :func:`chern_at` takes one point or a batch of P
+points; on a batch every array gains a leading point axis (all index
+patterns below start with ``...``), and one point is the batch of one.
+Derivative slots run over the 2n
 Wirtinger directions (d/dz_1 .. d/dz_n, d/dzbar_1 .. d/dzbar_n) and always
 come last: ``dg[i, j, c]``, ``ddg[i, j, c, d]``, ``dT[k, i, j, c]``.  Form
 slots come first and endomorphism slots after them: ``theta[a, i, j]`` is
@@ -166,16 +167,16 @@ _ROWS = (
     ("Rc", "W R4", lambda d: _mod("levicivita")._frame_components(d.W, d.R4)),
     ("Ric", "Gi R4", lambda d: np.einsum("...cd,...cabd->...ab", d.Gi, d.R4)),
     ("Scal", "Gi Ric", lambda d: np.einsum("...ab,...ab->...", d.Gi, d.Ric)),
-    # what several rows of the CLI's suites read
+    # what several rows of hermlab.suites read, each producer beside its mathematics
     ("flags", "T eta Rh ddg Rc", lambda d: _mod("classify").flag_residuals_at(d, _mod("levicivita").riemann_at(d))),
     ("torsion_route", "T Lv dL dT theta_u_vals", lambda d: _mod("levicivita").torsion_route(d)),
     ("canonical_theta2", "Gamma Pv dP", lambda d: _mod("levicivita").canonical_theta2(d)),
-    ("sigma1_psd sigma2_psd", "T", lambda d: _mod("cli")._sigma_psd(d)),
+    ("sigma1_psd sigma2_psd", "T", lambda d: _mod("levicivita").sigma_psd(d)),
     ("curvature_difference", "T Rh covT covT_bar Rc", lambda d: _mod("classify").curvature_difference_suite(d)),
     ("normal_frame_theta normal_frame_covT", "theta dtheta Pv dP theta_u_vals covT covT_bar",
-     lambda d: _mod("cli")._normal_frame_residuals(d)),
-    ("transforms", "metric point Lv Pv dP T Gamma", lambda d: _mod("cli")._transforms(d)),
-    ("fd", "metric point", lambda d: _mod("cli")._fd(d)),
+     lambda d: normal_frame_residuals(d)),
+    ("transforms", "metric point Lv Pv dP T Gamma", lambda d: _mod("conformal").transforms(d)),
+    ("fd", "metric point", lambda d: _mod("fd").fd_data(d)),
 )
 TABLE = {name: (names.split(), inputs.split(), producer) for names, inputs, producer in _ROWS for name in names.split()}
 
@@ -541,4 +542,22 @@ def normal_frame_at(data):
         C_hol=data.theta_u_vals[..., :n, :, :].copy(),
         C_anti=data.theta_u_vals[..., n:, :, :].copy(),
         base=data,
+    )
+
+
+def normal_frame_residuals(ch):
+    """The normal frame's two checks, each one residual per point of the Chern data ``ch``.
+
+    Frame normalization is costly, so its rows read the report's first two
+    points: the connection of the normal frame at its base point, and the
+    covariant torsion derivatives from its raw derivatives against the
+    Chern data's.
+    """
+    nf = normal_frame_at(ch)
+    _, dT = nf.torsion_jets_at(ch.point)
+    n = ch.n
+    Pt = ch.Pv.swapaxes(-2, -1)[:, None, None]
+    return nf.theta_norm_at_base(), np.maximum(
+        ch.pointwise_max(dT[..., :n] @ Pt - ch.covT),
+        ch.pointwise_max(dT[..., n:] @ Pt.conj() - ch.covT_bar),
     )

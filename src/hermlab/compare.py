@@ -15,8 +15,8 @@ vectors per point.  One vector is the batch of one.  Results carry the
 broadcast leading axes.  The four-index contractions run as staged
 ``matmul`` over ``Rh`` and the block ``Rc[:n, n:, :n, n:]``.
 
-The CLI's compare suite draws all of a point's random directions first,
-in a fixed ``rng`` order (see ``hermlab.cli.compare_draws``), then runs each
+The compare suite draws all of a point's random directions first,
+in a fixed ``rng`` order (see ``hermlab.suites.compare_draws``), then runs each
 function once per chunk of points over all of its directions (a degenerate
 plane is masked, not skipped), and reduces each check to its largest
 residual and the first point that reaches it.

@@ -12,8 +12,8 @@ constant in the Hessian criterion below (locked by the |z - p|^{-4} worked
 example and by the trace consequence lambda * lap(lambda) = n |grad lambda|^2).
 
 The transformation-law residuals take precomputed data over a batch of
-points (leading point axes): the base metric's Chern/Riemann data (the
-CLI takes them from the report's first chunk), the scaled metric's, computed
+points (leading point axes): the base metric's Chern/Riemann data at the
+report's first points (:func:`transforms`), the scaled metric's, computed
 by one batched ``chern_at``/``riemann_at`` call per exponent, and the
 exponent's value and first derivatives (:meth:`ConformalFactor.u_values`).
 They return one residual per point.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import chern_at, kahler_like_residual
-from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, real_from_wirtinger, to_source
+from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, parse, real_from_wirtinger, to_source
 from .errors import HermlabError
 from .levicivita import levi_civita_frame_connection, riemann_at
 
@@ -126,6 +126,25 @@ def connection_transform_residuals(base_rd, new_rd, u):
         "theta1": np.abs(r1).max(axis=(-3, -2, -1)),
         "theta2": np.abs(r2).max(axis=(-3, -2, -1)),
     }
+
+
+CONFORMAL_EXPONENTS = ("re(z1)", "ln(1 + abs2(z1)) / 2")
+
+
+def transforms(ch):
+    """Each exponent's torsion, theta_1 and theta_2 transformation residuals at ``ch``'s points, by (exponent, law)."""
+    batch, out = ch.point, {}
+    for src in CONFORMAL_EXPONENTS:
+        factor = ConformalFactor(parse(src, ch.n), name=src)
+        # the scaled metric once per exponent, over all the points at once
+        scaled = conformal_metric(ch.metric, factor)
+        new_ch = chern_at(scaled, batch)
+        u = factor.u_values(batch)
+        new_rd = riemann_at(new_ch)
+        res = connection_transform_residuals(riemann_at(ch), new_rd, u)
+        out[src, "theta1"], out[src, "theta2"] = res["theta1"], res["theta2"]
+        out[src, "torsion"] = torsion_transform_residual(ch, new_ch, u)
+    return out
 
 
 # ----------------------------------------------------------------------

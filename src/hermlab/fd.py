@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chern import chern_from_jets
 from .dsl import real_from_wirtinger, wirtinger_from_real
 
 DEFAULT_STEP = 1e-4
+# the oracle's finite-difference jets, which override the evaluated ones,
+# carry a Hermitian defect of 2-5e-10 in their second derivatives
+OVERRIDE_HERMITIAN_TOL = 1e-6
 
 
 def _stencil(p, n):
@@ -70,6 +74,18 @@ def fd_jet(f, p, n):
     d2 = B @ rd2 @ B.T
     d2 = (d2 + np.swapaxes(d2, -1, -2)) / 2
     return f0, d1, d2
+
+
+def fd_data(ch):
+    """The data at the points of ``ch`` from FD jets: one value evaluation per stencil, one batched Chern core.
+
+    Reads only the metric values and the points, and checks the jets as
+    :func:`~hermlab.geometry.geometry_chunks` checks the evaluated ones.
+    """
+    metric, points = ch.metric, ch.point
+    jets = [np.stack(x) for x in zip(*(fd_jet(metric.values_at, p, metric.n) for p in points))]
+    metric.check_jets(points, *jets, OVERRIDE_HERMITIAN_TOL)
+    return chern_from_jets(metric, points, *jets)
 
 
 def fd_direction_derivative(f, p, direction, h=DEFAULT_STEP):

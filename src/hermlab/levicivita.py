@@ -388,6 +388,11 @@ def sigma_matrices(ch):
     return S1, S2
 
 
+def sigma_psd(ch):
+    """How far sigma_1 and sigma_2 fall below 0, [2, P], from one stacked eigvalsh (``sigma1_psd sigma2_psd``)."""
+    return np.maximum(0.0, -np.linalg.eigvalsh(np.stack(sigma_matrices(ch))).min(axis=-1))
+
+
 def _sigma2_coefficients(ch):
     """sigma_2 as the unnormalised 2-form H[a, b] and its derivatives dH[c, a, b].
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlab import catalog, cli, compare, nilker
+from hermlab import catalog, compare, nilker, suites
 from hermlab.chern import ChernData, chern_at, chern_from_jets
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
-from hermlab.conformal import ConformalFactor, conformal_metric
+from hermlab.conformal import CONFORMAL_EXPONENTS, ConformalFactor, conformal_metric
 from hermlab.dsl import MetricField, eval_value, parse, wirtinger_from_real
 from hermlab.errors import DomainSamplingError, SingularEvaluationError
 from hermlab.fd import DEFAULT_STEP, _stencil, fd_jet
@@ -270,7 +270,7 @@ def test_values_keep_exact_conjugate_symmetry():
 # the compare suite: stacked directions against one direction at a time
 def _run(suite, entry, points, tols, seed):
     """(checks, extra) of one suite, as ``cli.run`` computes it."""
-    return cli.run_suites(entry, points, tols, [suite], seed)[suite]
+    return suites.run_suites(entry, points, tols, [suite], seed)[suite]
 
 
 def _compare_cases():
@@ -345,11 +345,11 @@ def test_compare_batch_equals_single_directions(m, points):
 
 def _per_call_compare_draws(rng, count, n):
     """The compare suite's draws as they ran before filling preallocated rows: one call per vector."""
-    dirs = np.empty((count, cli.COMPARE_DIRECTIONS, 4 * n))
-    a = np.empty((count, cli.COMPARE_DIRECTIONS))
-    rest = np.empty((count, 2 * n + 4 * n * cli.COMPARE_PLANES))
+    dirs = np.empty((count, suites.COMPARE_DIRECTIONS, 4 * n))
+    a = np.empty((count, suites.COMPARE_DIRECTIONS))
+    rest = np.empty((count, 2 * n + 4 * n * suites.COMPARE_PLANES))
     for p in range(count):
-        for d in range(cli.COMPARE_DIRECTIONS):
+        for d in range(suites.COMPARE_DIRECTIONS):
             dirs[p, d] = rng.normal(size=4 * n)
             a[p, d] = rng.uniform(-1.5, 1.5)
         rest[p] = rng.normal(size=rest.shape[1])
@@ -360,7 +360,7 @@ def _per_call_compare_draws(rng, count, n):
 def test_compare_draws_match_the_per_call_loop_bit_for_bit(n):
     for seed in range(10):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        X, Y, a, ricci, u, v = cli.compare_draws(got_rng, 3, n)
+        X, Y, a, ricci, u, v = suites.compare_draws(got_rng, 3, n)
         dirs, want_a, rest = _per_call_compare_draws(want_rng, 3, n)
         dirs = dirs.swapaxes(0, 1)
         want_X, want_Y = dirs[..., :n] + 1j * dirs[..., n : 2 * n], dirs[..., 2 * n : 3 * n] + 1j * dirs[..., 3 * n :]
@@ -368,7 +368,7 @@ def test_compare_draws_match_the_per_call_loop_bit_for_bit(n):
         assert np.array_equal(Y, want_Y / np.linalg.norm(want_Y, axis=-1, keepdims=True))
         assert np.array_equal(a, want_a.T)
         assert np.array_equal(ricci, rest[:, :n] + 1j * rest[:, n : 2 * n])
-        planes = rest[:, 2 * n :].reshape(3, cli.COMPARE_PLANES, 2, 2 * n)
+        planes = rest[:, 2 * n :].reshape(3, suites.COMPARE_PLANES, 2, 2 * n)
         assert np.array_equal(u, planes[:, :, 0].swapaxes(0, 1)) and np.array_equal(v, planes[:, :, 1].swapaxes(0, 1))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -442,7 +442,7 @@ def test_run_compare_matches_the_per_direction_loop(name):
     entry = catalog.get(name)
     seed = 42
     points = sample_points(entry.metric, CHUNK + 3, seed=seed)
-    checks, _ = _run("compare", entry, points, cli.DEFAULT_TOLERANCES, seed)
+    checks, _ = _run("compare", entry, points, suites.DEFAULT_TOLERANCES, seed)
     want, want_rng = _parent_compare(entry.metric, points, seed)
     assert sorted(c.name for c in checks) == sorted(want)
     for c in checks:
@@ -452,7 +452,7 @@ def test_run_compare_matches_the_per_direction_loop(name):
             assert np.shares_memory(c.worst_point, point), c.name
     # the draws leave the stream where the loop left it
     rng = np.random.default_rng(seed + 1)
-    cli.compare_draws(rng, len(points), entry.metric.n)
+    suites.compare_draws(rng, len(points), entry.metric.n)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -462,7 +462,7 @@ def test_compare_keeps_the_first_worst_point():
     entry = catalog.get("gkl_surface")
     points = sample_points(entry.metric, 5, seed=97)
     points = np.concatenate([points, points])
-    checks, _ = _run("compare", entry, points, cli.DEFAULT_TOLERANCES, 3)
+    checks, _ = _run("compare", entry, points, suites.DEFAULT_TOLERANCES, 3)
     got = {c.name: c for c in checks}["scalar_half_trace"]
     cache = GeometryCache()
     residuals = [compare.scalar_relation_residual(cache(entry.metric, p)[1]) for p in points]
@@ -702,7 +702,7 @@ def _parent_conformal(entry, points):
     base = entry.metric
     n = base.n
     out = {}
-    for src in cli._CONFORMAL_EXPONENTS:
+    for src in CONFORMAL_EXPONENTS:
         factor = ConformalFactor(parse(src, n), name=src)
         new = conformal_metric(base, factor)
         tag = src.replace(" ", "")
@@ -744,8 +744,8 @@ def test_run_nilker_and_conformal_match_the_parent_loops(name, monkeypatch):
         patched.setattr(nilker, "_max_rank_element", lambda *a, **k: _per_candidate_max_rank_element(*a, **k)[:2])
         want_nilker = _parent_nilker(entry, points, cache, seed)
     for (checks, _), want in (
-        (_run("nilker", entry, points, cli.DEFAULT_TOLERANCES, seed), want_nilker),
-        (_run("conformal", entry, points, cli.DEFAULT_TOLERANCES, seed), _parent_conformal(entry, points)),
+        (_run("nilker", entry, points, suites.DEFAULT_TOLERANCES, seed), want_nilker),
+        (_run("conformal", entry, points, suites.DEFAULT_TOLERANCES, seed), _parent_conformal(entry, points)),
     ):
         assert [c.name for c in checks] == list(want)
         for c in checks:
@@ -769,7 +769,7 @@ _IDENTITY_ORDER = [
 _CONDITIONAL = ["klike_ddbar_sigma", "klike_eta_holomorphic", "gklike_eta_trace"]
 
 
-def _parent_identities(entry, points, cache, tols=cli.DEFAULT_TOLERANCES):
+def _parent_identities(entry, points, cache, tols=suites.DEFAULT_TOLERANCES):
     """The identities suite as it ran before the check table: one point at a
     time, strict-max worst points, conditional checks where their flag holds."""
     from hermlab import chern, classify, levicivita
@@ -857,12 +857,12 @@ def _table_cases():
 def test_run_identities_nilker_and_oracle_match_the_parent_loops(entry, points):
     seed = 42
     cache = GeometryCache()
-    tols = cli.DEFAULT_TOLERANCES
+    tols = suites.DEFAULT_TOLERANCES
     want_identities = _parent_identities(entry, points, cache)
     conditional = {"iwasawa": "klike_ddbar_sigma", "conformal_gklike": "gklike_eta_trace"}
     if entry.name in conditional:  # both kinds of conditional check appear
         assert conditional[entry.name] in want_identities
-    got = cli.run_suites(entry, points, tols, ["identities", "nilker", "oracle"], seed)
+    got = suites.run_suites(entry, points, tols, ["identities", "nilker", "oracle"], seed)
     for (checks, _), want in (
         (got["identities"], want_identities),
         (got["nilker"], _parent_nilker(entry, points, cache, seed)),
@@ -890,7 +890,7 @@ def test_conditional_identities_apply_where_their_flag_holds(flag):
     points = sample_points(entry.metric, CHUNK + 3, seed=42)
     cache = GeometryCache()
     residuals = [flag_residuals_at(*cache(entry.metric, p))[flag] for p in points]
-    tols = dict(cli.DEFAULT_TOLERANCES, flags=float(np.median(residuals)))
+    tols = dict(suites.DEFAULT_TOLERANCES, flags=float(np.median(residuals)))
     assert 0 < sum(r < tols["flags"] for r in residuals) < len(points)
     got, _ = _run("identities", entry, points, tols, 42)
     want = _parent_identities(entry, points, cache, tols)

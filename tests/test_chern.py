@@ -221,7 +221,7 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
 def test_chern_at_rejects_bad_metric_jets(metric):
     # the jet check of the evaluated metric, at the FD oracle's tolerance
     from hermlab.chern import chern_from_jets
-    from hermlab.cli import OVERRIDE_HERMITIAN_TOL
+    from hermlab.fd import OVERRIDE_HERMITIAN_TOL
     from hermlab.errors import DegenerateMetricError
     from hermlab.levicivita import riemann_at
 

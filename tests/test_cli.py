@@ -14,10 +14,10 @@ from hermlab.cli import (
     render_human,
     render_json,
     run,
-    run_suites,
     sample_points,
 )
 from hermlab.errors import DomainSamplingError
+from hermlab.suites import run_suites
 
 
 def _run_config(name, suites, points=4, seed=9, oracle=False):

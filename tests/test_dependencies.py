@@ -99,3 +99,32 @@ def test_no_production_module_uses_the_jet_and_form_objects():
             layer = _hermlab_modules_imported(node) & _OBJECT_LAYER
             users += [f"{path.name}:{node.lineno} {name}" for name in sorted(layer)]
     assert not users
+
+
+def _looks_up_cli(node):
+    """Whether a call passes ``"cli"`` to ``_mod`` or ``import_module`` (``hermlab.cli`` too)."""
+    if not isinstance(node, ast.Call) or not node.args:
+        return False
+    func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+    arg = node.args[0]
+    return (
+        func in ("_mod", "import_module")
+        and isinstance(arg, ast.Constant)
+        and arg.value in ("cli", "hermlab.cli", ".cli")
+    )
+
+
+def test_only_the_command_line_reaches_the_command_line_module():
+    # the laboratory lives below the command line: no module but cli imports
+    # or looks up hermlab.cli, and the suites parse no arguments
+    reaches, suites_imports = [], set()
+    for path in sorted((SRC / "hermlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if path.name != "cli.py" and ("cli" in _hermlab_modules_imported(node) or _looks_up_cli(node)):
+                reaches.append(f"{path.name}:{node.lineno}")
+            if path.name == "suites.py" and isinstance(node, ast.Import):
+                suites_imports.update(alias.name.split(".")[0] for alias in node.names)
+            elif path.name == "suites.py" and isinstance(node, ast.ImportFrom) and node.level == 0:
+                suites_imports.add(node.module.split(".")[0])
+    assert not reaches
+    assert "argparse" not in suites_imports

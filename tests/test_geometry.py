@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlab import catalog, cli
+from hermlab import catalog, cli, fd, levicivita
+from hermlab import suites as suite_module
 from hermlab.chern import chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
@@ -86,7 +87,7 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
     assert starts == list(range(0, block, chunk)) + [block]
 
 
-class _FirstFive(cli.Suite):
+class _FirstFive(suite_module.Suite):
     """Two rows over the report's first five points that record the chunks they read."""
 
     def __init__(self, *args):
@@ -105,7 +106,7 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     chunk, second = geometry_chunks(entry.metric, points)  # one block, two chunks
     assert not np.shares_memory(chunk.ch.ddg, second.ch.ddg)
     chunk.ch.covT  # computed on the chunk before the row reads it
-    suite = _FirstFive(entry, points, cli.DEFAULT_TOLERANCES, 0)
+    suite = _FirstFive(entry, points, suite_module.DEFAULT_TOLERANCES, 0)
     suite.add(chunk)
     suite.add(second)
     view, again = suite.read  # both rows, on the first chunk only
@@ -125,8 +126,8 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
 def test_a_name_is_computed_on_first_read_once_per_batch(monkeypatch):
     metric = catalog.get("iwasawa").metric
     chunk, other = (next(geometry_chunks(metric, sample_points(metric, 4, seed=s))) for s in (3, 4))
-    calls, sigma_psd = [], cli._sigma_psd
-    monkeypatch.setattr(cli, "_sigma_psd", lambda d: calls.append(d) or sigma_psd(d))  # looked up when it runs
+    calls, sigma_psd = [], levicivita.sigma_psd
+    monkeypatch.setattr(levicivita, "sigma_psd", lambda d: calls.append(d) or sigma_psd(d))  # looked up when it runs
     first = chunk.ch.sigma1_psd
     assert len(calls) == 1 and "sigma2_psd" in vars(chunk.ch)  # computed along with it
     assert vars(calls[0]).keys() == {"metric", "point", "n", "T", "_inputs"}  # the producer saw its inputs only
@@ -182,12 +183,12 @@ def _run_suites(monkeypatch, entry, points, chunks=None):
     suites = []
     with monkeypatch.context() as patched:
         if chunks is not None:
-            stream = cli.geometry_chunks
-            patched.setattr(cli, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
-        for name, cls in cli._SUITE_CLASSES.items():
-            patched.setitem(cli._SUITE_CLASSES, name, lambda *a, cls=cls: suites.append(cls(*a)) or suites[-1])
-        cli.run_suites(entry, points, cli.DEFAULT_TOLERANCES, list(cli._SUITE_CLASSES), 42)
-    assert len(suites) == len(cli._SUITE_CLASSES)
+            stream = suite_module.geometry_chunks
+            patched.setattr(suite_module, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
+        for name, cls in suite_module._SUITE_CLASSES.items():
+            patched.setitem(suite_module._SUITE_CLASSES, name, lambda *a, cls=cls: suites.append(cls(*a)) or suites[-1])
+        suite_module.run_suites(entry, points, suite_module.DEFAULT_TOLERANCES, list(suite_module._SUITE_CLASSES), 42)
+    assert len(suites) == len(suite_module._SUITE_CLASSES)
     return suites
 
 
@@ -200,7 +201,7 @@ def test_no_kept_residual_shares_memory_with_a_chunk(monkeypatch):
     held = [x for c in chunks for x in vars(c.ch).values() if isinstance(x, np.ndarray)]
     kept = [x for s in suites for x in _kept(s) if isinstance(x, (np.ndarray, np.generic))]
     # every row's and flag's running maximum, compare's two and nilker's torsion
-    assert len(kept) > 50 and any(x is s.T for s in suites if isinstance(s, cli.Nilker) for x in kept)
+    assert len(kept) > 50 and any(x is s.T for s in suites if isinstance(s, suite_module.Nilker) for x in kept)
     for x in kept:
         assert not any(np.shares_memory(x, y) for y in held)
 
@@ -267,7 +268,7 @@ def test_running_max_reads_the_documented_edge_cases():
     assert best == (2.0, 3)  # a tie keeps the earlier point
 
 
-class _Rows(cli.Suite):
+class _Rows(suite_module.Suite):
     """Three rows over fixed residuals: every point, the first two points, and a flag that never holds."""
 
     def __init__(self, *args):
@@ -282,7 +283,7 @@ class _Rows(cli.Suite):
 def test_a_row_reads_its_running_maximum():
     entry = catalog.get("iwasawa")  # not Kahler at any point
     points = sample_points(entry.metric, 2 * CHUNK, seed=42)
-    suite = _Rows(entry, points, cli.DEFAULT_TOLERANCES, 0)
+    suite = _Rows(entry, points, suite_module.DEFAULT_TOLERANCES, 0)
     for chunk in geometry_chunks(entry.metric, points):
         suite.add(chunk)
     every, first = suite.checks()[0]  # the flagged row is absent
@@ -293,14 +294,14 @@ def test_a_row_reads_its_running_maximum():
 def test_a_flagged_row_with_no_qualifying_point_is_absent():
     entry = catalog.get("random_polynomial(12)")
     points = sample_points(entry.metric, 2 * CHUNK, seed=42)
-    tols = dict(cli.DEFAULT_TOLERANCES, flags=1e-300)  # no point is Kahler-like or G-Kahler-like
-    suite = cli.Identities(entry, points, tols, 42)
+    tols = dict(suite_module.DEFAULT_TOLERANCES, flags=1e-300)  # no point is Kahler-like or G-Kahler-like
+    suite = suite_module.Identities(entry, points, tols, 42)
     for chunk in geometry_chunks(entry.metric, points):
         suite.add(chunk)
-    flagged = {name for name, _, _, where, _ in cli._IDENTITY_ROWS if isinstance(where, str)}
+    flagged = {name for name, _, _, where, _ in suite_module._IDENTITY_ROWS if isinstance(where, str)}
     assert flagged and all(suite.best[name][1] is None for name in flagged)
     names = [c.name for c in suite.checks()[0]]
-    assert names == [row[0] for row in cli._IDENTITY_ROWS if row[0] not in flagged]
+    assert names == [row[0] for row in suite_module._IDENTITY_ROWS if row[0] not in flagged]
 
 
 @pytest.mark.parametrize("bad", [[[0.1]] * 4, [[0.1, 0.2, 0.3]], np.zeros((2, 2, 2)), [0.1, 0.2], np.zeros((0, 2))])
@@ -385,13 +386,13 @@ def test_riemann_reads_only_the_metric_arrays_and_the_frame():
 def test_the_oracle_reads_only_metric_values_and_points(monkeypatch):
     m = catalog.get("iwasawa").metric
     chunk = next(geometry_chunks(m, sample_points(m, 3, seed=42)))
-    want = cli._fd(chunk.ch)
+    want = fd.fd_data(chunk.ch)
 
     def evaluate(points):
         raise AssertionError("the oracle evaluated the analytic jets")
 
     monkeypatch.setattr(m, "evaluate", evaluate)
-    got = cli._fd(_nan(chunk.ch, keep=("point",)))
+    got = fd.fd_data(_nan(chunk.ch, keep=("point",)))
     _assert_same(arrays_at(got, ...), arrays_at(want, ...))
     _assert_same(_derived(got), _derived(want))
 
@@ -403,7 +404,7 @@ def test_the_oracle_checks_its_jets_at_its_own_tolerance(monkeypatch):
 
     def skewed(by):  # the oracle on metric values with a non-Hermitian defect ``by``
         monkeypatch.setattr(m, "values_at", lambda q: values_at(q) + by * np.eye(m.n, k=1))
-        return cli._fd(chunk.ch)
+        return fd.fd_data(chunk.ch)
 
     skewed(3e-10)  # above the evaluated jets' Hermitian tolerance, below the oracle's
     with pytest.raises(DegenerateMetricError, match="not Hermitian at " + re.escape(str(chunk.ch.point[0]))):

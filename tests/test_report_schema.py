@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermlab import catalog, cli
+from hermlab import catalog, suites
 from hermlab.classify import flag_residuals_at
 from hermlab.cli import DEFAULT_TOLERANCES, main
 from hermlab.geometry import geometry_chunks, sample_points
@@ -91,10 +91,10 @@ def test_report_rows_are_the_documented_rows(name, capsys):
 
 
 TABLES = {
-    "identities": cli._IDENTITY_ROWS,
-    "compare": cli._COMPARE_ROWS,
-    "conformal": cli._CONFORMAL_ROWS,
-    "oracle": cli._ORACLE_ROWS,
+    "identities": suites._IDENTITY_ROWS,
+    "compare": suites._COMPARE_ROWS,
+    "conformal": suites._CONFORMAL_ROWS,
+    "oracle": suites._ORACLE_ROWS,
 }
 
 

@@ -7,7 +7,7 @@ import io
 
 import pytest
 
-from hermlab import catalog, cli
+from hermlab import catalog, cli, suites
 from hermlab.chern import TABLE, chern_at
 from hermlab.geometry import sample_points
 
@@ -46,8 +46,8 @@ def _ancestors(names):
 
 def _computed(monkeypatch, *argv):
     """The exit code of one report at 20 points, and the names its chunks and their views computed."""
-    chunks, stream = [], cli.geometry_chunks
-    monkeypatch.setattr(cli, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
+    chunks, stream = [], suites.geometry_chunks
+    monkeypatch.setattr(suites, "geometry_chunks", lambda *a: (chunks.append(c) or c for c in stream(*a)))
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--points", "20", "--format", "csv", *argv])
     batches = [b for c in chunks for b in (c, *c.views.values())]
@@ -77,7 +77,7 @@ def test_the_routes_of_a_check_share_only_the_metric_jets_and_the_frame(monkeypa
     code, computed = _computed(monkeypatch, "--metric", "iwasawa", "--suite", "all", "--oracle")
     routes = dict(ROUTES, **{row: ({"fd"}, {name}) for row, name in ORACLE.items()})
     assert code == 0
-    assert routes.keys() <= {row[0] for table in (cli._IDENTITY_ROWS, cli._ORACLE_ROWS) for row in table}
+    assert routes.keys() <= {row[0] for table in (suites._IDENTITY_ROWS, suites._ORACLE_ROWS) for row in table}
     for row, (one, other) in routes.items():
         assert one | other <= computed, row  # the walk is over what the report computed
         shared = _ancestors(one) & _ancestors(other)
