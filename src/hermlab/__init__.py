@@ -12,7 +12,7 @@ from . import catalog
 from .chern import ChernData, chern_at, normal_frame_at
 from .classify import ClassificationReport, classify_at, curvature_difference_suite
 from .dsl import MetricField, parse, to_source
-from .levicivita import RiemannData, riemann_at
+from .levicivita import riemann_at
 from .nilker import (
     NilpotentFamily,
     common_kernel_constructive,
@@ -27,7 +27,6 @@ __all__ = [
     "ClassificationReport",
     "MetricField",
     "NilpotentFamily",
-    "RiemannData",
     "catalog",
     "chern_at",
     "classify_at",

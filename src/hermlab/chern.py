@@ -168,7 +168,7 @@ _ROWS = (
     ("Ric", "Gi R4", lambda d: np.einsum("...cd,...cabd->...ab", d.Gi, d.R4)),
     ("Scal", "Gi Ric", lambda d: np.einsum("...ab,...ab->...", d.Gi, d.Ric)),
     # what several rows of hermlab.suites read, each producer beside its mathematics
-    ("flags", "T eta Rh ddg Rc", lambda d: _mod("classify").flag_residuals_at(d, _mod("levicivita").riemann_at(d))),
+    ("flags", "T eta Rh ddg Rc", lambda d: _mod("classify").flag_residuals_at(d)),
     ("torsion_route", "T Lv dL dT theta_u_vals", lambda d: _mod("levicivita").torsion_route(d)),
     ("canonical_theta2", "Gamma Pv dP", lambda d: _mod("levicivita").canonical_theta2(d)),
     ("sigma1_psd sigma2_psd", "T", lambda d: _mod("levicivita").sigma_psd(d)),
@@ -190,8 +190,8 @@ class ChernData:
     are the jets and the value-level Chern data, the torsion T included.
     Every other name of :data:`TABLE` (the derivative-level arrays ``dL``,
     ``dP``, ``dT``, ``theta_u_vals``, ``covT`` and ``covT_bar``, the
-    Levi-Civita fields that :class:`~hermlab.levicivita.RiemannData` reads,
-    and what the suites share) is computed on first read, with the names
+    Levi-Civita fields that the functions of :mod:`hermlab.levicivita`
+    read, and what the suites share) is computed on first read, with the names
     its producer returns along with it, and then kept; :meth:`at` carries
     the arrays computed so far.
     """

@@ -22,6 +22,7 @@ from .chern import (
     kahler_like_residual,
 )
 from .geometry import as_points, geometry_chunks, running_max
+from .levicivita import theta2_norm
 
 DEFAULT_TOL = 1e-7
 
@@ -68,19 +69,19 @@ class ClassificationReport:
         }
 
 
-def curvature_scale(ch, rd):
-    return 1.0 + np.maximum(ch.pointwise_max(ch.Rh), ch.pointwise_max(rd.Rc))
+def curvature_scale(ch):
+    return 1.0 + np.maximum(ch.pointwise_max(ch.Rh), ch.pointwise_max(ch.Rc))
 
 
-def flag_residuals_at(ch, rd):
+def flag_residuals_at(ch):
     """Raw (unnormalized) flag residuals at one point or at each point of a batch."""
-    scale = curvature_scale(ch, rd)
+    scale = curvature_scale(ch)
     T_max = ch.pointwise_max(ch.T)
     return {
         "kahler": T_max,
         "balanced": ch.pointwise_max(ch.eta),
         "kahler_like": kahler_like_residual(ch) / scale,
-        "g_kahler_like": rd.theta2_norm() / scale,
+        "g_kahler_like": theta2_norm(ch) / scale,
         "pluriclosed": ddbar_omega_residual(ch) / scale,
         "hermitian_flat": ch.pointwise_max(ch.Rh) / (1.0 + T_max),
     }
@@ -111,22 +112,20 @@ def classify_at(metric, points, tol=DEFAULT_TOL):
 
 # ----------------------------------------------------------------------
 # curvature-torsion difference identities (two independent routes per side)
-def curvature_difference_suite(rd):
+def curvature_difference_suite(ch):
     """Residuals of the four curvature difference identities, per point.
 
     Each left side comes from the Christoffel route (or the Chern-curvature
     transform for the first), each right side from torsion data and its
     covariant derivatives; the routes never share intermediate results.
-    ``rd`` is :class:`~hermlab.levicivita.RiemannData`, or the Chern data
-    that Riemann data read every name from.
     """
-    n = rd.n
-    T, cT, cTb, Rh, Rc = rd.T, rd.covT, rd.covT_bar, rd.Rh, rd.Rc
+    n = ch.n
+    T, cT, cTb, Rh, Rc = ch.T, ch.covT, ch.covT_bar, ch.Rh, ch.Rc
     Tb = T.conj()
-    scale = curvature_scale(rd, rd)
+    scale = curvature_scale(ch)
 
     def residual(lhs, rhs):
-        return rd.pointwise_max(lhs - rhs) / scale
+        return ch.pointwise_max(lhs - rhs) / scale
 
     res = {}
     rhs = np.einsum("...jlik->...kijl", Rh) - np.einsum("...iljk->...kijl", Rh)

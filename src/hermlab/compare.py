@@ -6,10 +6,11 @@ Direction vectors live in the canonical unitary frame, where |X|^2 is the
 plain Hermitian square norm of the coefficient vector; real tangent vectors
 have components along (x_1, y_1, ..., x_n, y_n) (README, Conventions).
 
-Every direction function is batched.  It takes one point's data (``rd`` from
-``riemann_at`` at a point) or a batch of P points, and stacked vectors
-``[..., n]`` (``[..., 2n]`` for real tangent vectors) whose leading axes
-broadcast against the point axes of ``rd`` as numpy broadcasts: at a batch
+Every direction function is batched.  It takes the Chern data ``ch`` of
+one point (``chern_at`` at a point) or of a batch of P points, whose
+Levi-Civita fields it reads as well, and stacked vectors ``[..., n]``
+(``[..., 2n]`` for real tangent vectors) whose leading axes broadcast
+against the point axes of ``ch`` as numpy broadcasts: at a batch
 of P points, ``[P, n]`` is one vector per point and ``[D, P, n]`` is D
 vectors per point.  One vector is the batch of one.  Results carry the
 broadcast leading axes.  The four-index contractions run as staged
@@ -41,6 +42,7 @@ import functools
 import numpy as np
 
 from .dsl import real_from_wirtinger, wirtinger_from_real
+from .levicivita import R_11bar, ricci_direction
 
 _MIN_NORM = 1e-12
 
@@ -101,13 +103,13 @@ def hermitian_pairings(R, X, rest):
     return [_contract_rest(t, np.conj(Y), Z, np.conj(W)) for Y, Z, W in rest]
 
 
-def bisectional(rd, X, Y, a):
+def bisectional(ch, X, Y, a):
     """Riemannian bisectional curvature B_a plus both Chern pairings.
 
     B_a = [a R_{X Xbar Y Ybar} + (1-a) R_{X Ybar Y Xbar}] / (|X|^2 |Y|^2).
     """
     X, Y = _check_pair(X, Y)
-    Rh, B = rd.chern.Rh, rd.R_11bar()
+    Rh, B = ch.Rh, R_11bar(ch)
     norm = (_norm(X) * _norm(Y)) ** 2
     rxxyy = hermitian_pairing(B, X, X, Y, Y)
     rxyyx = hermitian_pairing(B, X, Y, Y, X)
@@ -122,14 +124,14 @@ def bisectional(rd, X, Y, a):
     }
 
 
-def bisectional_difference_residuals(rd, X, Y):
+def bisectional_difference_residuals(ch, X, Y):
     """Residuals of the three curvature-difference formulas for (X, Y).
 
     Left sides use the two curvature tensors, right sides only torsion
     contractions; both sides are normalized by |X|^2 |Y|^2.
     """
     X, Y = _check_pair(X, Y)
-    T, Rh, B = rd.chern.T, rd.chern.Rh, rd.R_11bar()
+    T, Rh, B = ch.T, ch.Rh, R_11bar(ch)
     norm = (_norm(X) * _norm(Y)) ** 2
 
     TkXY = np.einsum("...kij,...i,...j->...k", T, X, Y)
@@ -167,28 +169,38 @@ def bisectional_difference_residuals(rd, X, Y):
     }
 
 
-def monotonicity_gap(rd, X):
+def monotonicity_gap(ch, X):
     """H^h(X) - H(X), computed from the two curvature tensors only."""
     X = np.asarray(X, dtype=complex)
-    rh = hermitian_pairing(rd.chern.Rh, X, X, X, X)
-    r = hermitian_pairing(rd.R_11bar(), X, X, X, X)
+    rh = hermitian_pairing(ch.Rh, X, X, X, X)
+    r = hermitian_pairing(R_11bar(ch), X, X, X, X)
     return (rh - r).real / _norm(X) ** 4
 
 
 # ----------------------------------------------------------------------
 # Ricci combinations and the scalar-curvature relation
+def _sum_rows(B):
+    """B[0] + B[1] + ... in this order, over the first axis of B.
+
+    ``np.sum`` adds the first axis pairwise when it is contiguous, as it is
+    in a batch of one point, so that point would read other bits than it
+    does in a larger batch.
+    """
+    return functools.reduce(np.add, B)
+
+
 def _frame(n, axes):
     """The unitary frame vectors e_1..e_n on a new leading axis, before ``axes`` more."""
     return np.eye(n, dtype=complex).reshape((n,) + (1,) * axes + (n,))
 
 
-def ricci_a(rd, X, a):
+def ricci_a(ch, X, a):
     """Ric_a(X) = sum_i B_a(X, e_i) over the unitary frame."""
     X = np.asarray(X, dtype=complex)
-    return np.sum(bisectional(rd, X, _frame(rd.n, X.ndim - 1), a)["B_a"], axis=0)
+    return _sum_rows(bisectional(ch, X, _frame(ch.n, X.ndim - 1), a)["B_a"])
 
 
-def real_vector_from_holomorphic(rd, X):
+def real_vector_from_holomorphic(ch, X):
     """The real vector u with X = (u - i J u) / sqrt(2), over real coords.
 
     u = (X + conj(X)) / sqrt(2) expanded over the real coordinate basis;
@@ -196,7 +208,7 @@ def real_vector_from_holomorphic(rd, X):
     the conjugates of the unbarred ones.
     """
     ucplx = np.concatenate([X / np.sqrt(2), np.conj(X) / np.sqrt(2)], axis=-1)
-    return np.real(np.einsum("...A,...As->...s", ucplx, rd.W))
+    return np.real(np.einsum("...A,...As->...s", ucplx, ch.W))
 
 
 def J_action(n):
@@ -210,7 +222,7 @@ def _apply(M, u):
     return u @ M.T
 
 
-def ricci_identity_residuals(rd, X):
+def ricci_identity_residuals(ch, X):
     """Checks the affine identity in a and the J-invariant Ricci relation.
 
     Ric_a is affine in a, so Ric_{-1} = 2 Ric_0 - Ric_1 identically; the
@@ -219,24 +231,24 @@ def ricci_identity_residuals(rd, X):
     """
     X = np.asarray(X, dtype=complex)
     X = X / _norm(X)[..., None]
-    r0 = ricci_a(rd, X, 0.0)
-    r1 = ricci_a(rd, X, 1.0)
-    rm1 = ricci_a(rd, X, -1.0)
+    r0 = ricci_a(ch, X, 0.0)
+    r1 = ricci_a(ch, X, 1.0)
+    rm1 = ricci_a(ch, X, -1.0)
     affine = abs(rm1 - (2 * r0 - r1))
 
-    u = real_vector_from_holomorphic(rd, X)
-    Ju = _apply(J_action(rd.n), u)
-    j_invariant = abs(rm1 - 0.5 * (rd.ricci_direction(u) + rd.ricci_direction(Ju)))
+    u = real_vector_from_holomorphic(ch, X)
+    Ju = _apply(J_action(ch.n), u)
+    j_invariant = abs(rm1 - 0.5 * (ricci_direction(ch, u) + ricci_direction(ch, Ju)))
     return {"affine": affine, "j_invariant_ricci": j_invariant}
 
 
-def scalar_relation_residual(rd):
-    """sum_{ij} B_{-1}(e_i, e_j) = Scal / 2, at each point of ``rd``."""
-    n, axes = rd.n, rd.point.ndim - 1
+def scalar_relation_residual(ch):
+    """sum_{ij} B_{-1}(e_i, e_j) = Scal / 2, at each point of ``ch``."""
+    n, axes = ch.n, ch.point.ndim - 1
     E = _frame(n, axes + 1)
-    B = bisectional(rd, E, np.swapaxes(E, 0, 1), -1.0)["B_a"]  # [i, j, points]
-    total = np.sum(B.reshape((n * n,) + B.shape[2:]), axis=0)
-    return abs(total - 0.5 * rd.Scal) / (1.0 + abs(rd.Scal))
+    B = bisectional(ch, E, np.swapaxes(E, 0, 1), -1.0)["B_a"]  # [i, j, points]
+    total = _sum_rows(B.reshape((n * n,) + B.shape[2:]))
+    return abs(total - 0.5 * ch.Scal) / (1.0 + abs(ch.Scal))
 
 
 # ----------------------------------------------------------------------
@@ -246,24 +258,24 @@ def _gram(u, G, v):
     return np.einsum("...a,...ab,...b->...", u, G, v)
 
 
-def sectional_curvature(rd, u, v):
+def sectional_curvature(ch, u, v):
     """K = -R_{uvuv} / |u ^ v|^2 for real vectors; NaN where u || v."""
-    G = rd.G
+    G = ch.G
     gram = _gram(u, G, u) * _gram(v, G, v) - _gram(u, G, v) ** 2
     flat = gram < 1e-10
-    r = _contract4(rd.R4, u, v, u, v)
+    r = _contract4(ch.R4, u, v, u, v)
     return np.where(flat, np.nan, -r / np.where(flat, 1.0, gram))
 
 
-def plane_decomposition_check(rd, u, v):
+def plane_decomposition_check(ch, u, v):
     """Residuals of the real/complex sectional decomposition for B_{-1}.
 
     ``u``, ``v`` are real tangent vectors (over (x_1, y_1, ...)).  A plane
     is ``degenerate`` where an input vector is numerically zero or all four
     angle factors collapse; its residuals are NaN there.
     """
-    n = rd.n
-    G = rd.G
+    n = ch.n
+    G = ch.G
     J = J_action(n)
     u = np.asarray(u, float)
     v = np.asarray(v, float)
@@ -276,7 +288,7 @@ def plane_decomposition_check(rd, u, v):
 
     # X = (u - iJu)/sqrt2 over the unitary frame: solve the real components
     # against all 2n frame rows; the barred coefficients vanish
-    WT = np.swapaxes(rd.W, -1, -2)
+    WT = np.swapaxes(ch.W, -1, -2)
 
     def holomorphic_part(w):
         comp = (w - 1j * _apply(J, w)) / np.sqrt(2)
@@ -285,11 +297,11 @@ def plane_decomposition_check(rd, u, v):
     X = holomorphic_part(u)
     Y = holomorphic_part(v)
 
-    B = rd.R_11bar()
+    B = R_11bar(ch)
     lhs = -hermitian_pairing(B, X, X, Y, Y) + 2 * hermitian_pairing(B, X, Y, Y, X)
 
     def R(a, b):
-        return _contract4(rd.R4, a, b, a, b)
+        return _contract4(ch.R4, a, b, a, b)
 
     rhs = -0.5 * (R(u, v) + R(Ju, Jv) + R(Ju, v) + R(u, Jv))
     first = abs(lhs - rhs)
@@ -305,11 +317,11 @@ def plane_decomposition_check(rd, u, v):
     degenerate |= ~(np.maximum(s_uv, s_uJv) >= 1e-8)
     terms = np.where(
         s_uv > 1e-10,
-        0.5 * s_uv * (sectional_curvature(rd, u, v) + sectional_curvature(rd, Ju, Jv)),
+        0.5 * s_uv * (sectional_curvature(ch, u, v) + sectional_curvature(ch, Ju, Jv)),
         0.0,
     ) + np.where(
         s_uJv > 1e-10,
-        0.5 * s_uJv * (sectional_curvature(rd, Ju, v) + sectional_curvature(rd, u, Jv)),
+        0.5 * s_uJv * (sectional_curvature(ch, Ju, v) + sectional_curvature(ch, u, Jv)),
         0.0,
     )
     second = abs(b_m1 - terms)

@@ -12,10 +12,11 @@ constant in the Hessian criterion below (locked by the |z - p|^{-4} worked
 example and by the trace consequence lambda * lap(lambda) = n |grad lambda|^2).
 
 The transformation-law residuals take precomputed data over a batch of
-points (leading point axes): the base metric's Chern/Riemann data at the
-report's first points (:func:`transforms`), the scaled metric's, computed
-by one batched ``chern_at``/``riemann_at`` call per exponent, and the
-exponent's value and first derivatives (:meth:`ConformalFactor.u_values`).
+points (leading point axes): the base metric's Chern data at the report's
+first points (:func:`transforms`), the scaled metric's, computed by one
+batched ``chern_at`` call per exponent (each read for its Levi-Civita
+fields too), and the exponent's value and first derivatives
+(:meth:`ConformalFactor.u_values`).
 They return one residual per point.
 
 The preservation criteria take one point [n] or a batch [..., n] and also
@@ -34,7 +35,7 @@ import numpy as np
 from .chern import chern_at, kahler_like_residual
 from .dsl import BinOp, Call, Lit, _batch_jet, conformal_scale, parse, real_from_wirtinger, to_source
 from .errors import HermlabError
-from .levicivita import levi_civita_frame_connection, riemann_at
+from .levicivita import levi_civita_frame_connection, theta2_norm
 
 _REAL_TOL = 1e-12
 
@@ -90,7 +91,7 @@ def torsion_transform_residual(base_ch, new_ch, u):
     return np.abs(eu * new_ch.T - expected).max(axis=(-3, -2, -1))
 
 
-def connection_transform_residuals(base_rd, new_rd, u):
+def connection_transform_residuals(base_ch, new_ch, u):
     """Residuals of the mixed-connection transformation laws, per point.
 
     theta~_1 = theta_1 + v tphi - phibar v*  and
@@ -98,15 +99,13 @@ def connection_transform_residuals(base_rd, new_rd, u):
     in the matched unitary frames.  Both sides are evaluated over the
     coordinate cotangent slots; the base-frame coframe phi is expanded as
     psi_i = sum_a L_{ai} dz_a.  The arguments are as for
-    :func:`torsion_transform_residual`, with Riemann data.
+    :func:`torsion_transform_residual`.
     """
-    n = base_rd.n
-    ch0, ch1 = base_rd.chern, new_rd.chern
-    th1_0, th2_0 = levi_civita_frame_connection(base_rd, (ch0.Pv, ch0.dP))
-    th1_1, th2_1 = levi_civita_frame_connection(new_rd, (ch1.Pv, ch1.dP))
+    th1_0, th2_0 = levi_civita_frame_connection(base_ch, (base_ch.Pv, base_ch.dP))
+    th1_1, th2_1 = levi_civita_frame_connection(new_ch, (new_ch.Pv, new_ch.dP))
 
-    v = _frame_gradient(ch0, u[1])
-    vbar, Lv = np.conj(v), ch0.Lv  # psi_i = sum_a L[a, i] dz_a
+    v = _frame_gradient(base_ch, u[1])
+    vbar, Lv = np.conj(v), base_ch.Lv  # psi_i = sum_a L[a, i] dz_a
     # over slot c: (v tphi)_{ij} has dz_a coefficient v_i L[a, j]
     vtphi = np.einsum("...i,...aj->...aij", v, Lv)
     vbar_tphi = np.einsum("...i,...aj->...aij", vbar, Lv)
@@ -140,8 +139,7 @@ def transforms(ch):
         scaled = conformal_metric(ch.metric, factor)
         new_ch = chern_at(scaled, batch)
         u = factor.u_values(batch)
-        new_rd = riemann_at(new_ch)
-        res = connection_transform_residuals(riemann_at(ch), new_rd, u)
+        res = connection_transform_residuals(ch, new_ch, u)
         out[src, "theta1"], out[src, "theta2"] = res["theta1"], res["theta2"]
         out[src, "torsion"] = torsion_transform_residual(ch, new_ch, u)
     return out
@@ -165,18 +163,18 @@ def _exp_times(c, expr):
     return Call("exp", BinOp("*", Lit(complex(c)), expr))
 
 
-def _real_hessian(rd, expr, z):
+def _real_hessian(ch, expr, z):
     """Value, real gradient [..., 2n] and covariant real Hessian of a real ``expr``."""
     n = z.shape[-1]
     C = real_from_wirtinger(n)
     value, d1, d2 = _batch_jet(expr, z)
     grad = np.zeros(z.shape[:-1] + (2 * n,)) if d1 is None else np.real(d1 @ C.T)
     hess = np.zeros(grad.shape + (2 * n,)) if d2 is None else np.real(C @ d2 @ C.T)
-    hess = hess - np.einsum("...cab,...c->...ab", rd.Gamma, grad)
+    hess = hess - np.einsum("...cab,...c->...ab", ch.Gamma, grad)
     return np.real(value), grad, hess
 
 
-def hessian_conditions(base_rd, factor, points):
+def hessian_conditions(base_ch, factor, points):
     """Conditions on lambda = e^{-u} preserving the Riemannian symmetry, per point.
 
     H(X, Y) = 0 and lambda H(X, Ybar) = <X, Ybar> |grad lambda|^2 / 2 for
@@ -186,8 +184,8 @@ def hessian_conditions(base_rd, factor, points):
     z = np.asarray(points, dtype=complex)
     n = z.shape[-1]
     factor.u_values(z)  # raises unless u is real at every point
-    lam, grad, hess = _real_hessian(base_rd, _exp_times(-1, factor.u_expr), z)
-    Gi, W = base_rd.Gi, base_rd.W
+    lam, grad, hess = _real_hessian(base_ch, _exp_times(-1, factor.u_expr), z)
+    Gi, W = base_ch.Gi, base_ch.W
     gradsq = np.einsum("...a,...ab,...b->...", grad, Gi, grad)
 
     Hc = W @ hess @ W.swapaxes(-2, -1)
@@ -197,7 +195,7 @@ def hessian_conditions(base_rd, factor, points):
     scalar = np.abs(lam * np.einsum("...ab,...ab->...", Gi, hess) - n * gradsq)
 
     # harmonicity of e^{(n-1)u} = lambda^{-(n-1)}
-    hess_w = _real_hessian(base_rd, _exp_times(n - 1, factor.u_expr), z)[2]
+    hess_w = _real_hessian(base_ch, _exp_times(n - 1, factor.u_expr), z)[2]
     harmonic = np.abs(np.einsum("...ab,...ab->...", Gi, hess_w))
 
     scale = 1.0 + np.abs(lam) + gradsq
@@ -209,8 +207,8 @@ def hessian_conditions(base_rd, factor, points):
     }
 
 
-def _relative_theta2(rd):
-    return rd.theta2_norm() / (1.0 + rd.chern.pointwise_max(rd.Rc))
+def _relative_theta2(ch):
+    return theta2_norm(ch) / (1.0 + ch.pointwise_max(ch.Rc))
 
 
 def _relative_kahler_like(ch):
@@ -226,12 +224,12 @@ def gk_conformal_conditions(base, factor, points):
     the biconditional.
     """
     z = np.asarray(points, dtype=complex)
-    base_rd = riemann_at(chern_at(base, z))
-    if np.any(_relative_theta2(base_rd) > 1e-6):
+    base_ch = chern_at(base, z)
+    if np.any(_relative_theta2(base_ch) > 1e-6):
         raise HermlabError("base metric lacks the Riemannian Kahler symmetry at some point")
-    conditions = hessian_conditions(base_rd, factor, z)
-    new_rd = riemann_at(chern_at(conformal_metric(base, factor), z))
-    conditions["transformed_theta2"] = _relative_theta2(new_rd)
+    conditions = hessian_conditions(base_ch, factor, z)
+    new_ch = chern_at(conformal_metric(base, factor), z)
+    conditions["transformed_theta2"] = _relative_theta2(new_ch)
     return conditions
 
 

@@ -1,4 +1,4 @@
-"""Sample points and the Chern and Riemann data at them, a batch at a time.
+"""Sample points and the Chern and Levi-Civita data at them, a batch at a time.
 
 The CLI samples a report's points once and streams their data through
 :func:`geometry_chunks`, in two sizes that depend on the chart dimension n
@@ -24,7 +24,8 @@ sizes scale like 1/(2n)^4: a chunk is ``CHUNK`` points at n >= 3 and
 0.6-0.9 MB at n = 2..5.  A report holds the jets of one block, the data of
 one chunk and each check's :func:`running_max` at a time, and its points as
 one [N, n] complex array (32 B a point at n = 2).  Evaluation and the cores
-work point by point, so the sizes change no bit of any result.  They do
+work point by point, so the sizes change no bit of any result (a test
+compares whole reports at three sizes, one-point chunks among them).  They do
 change which error a bad point raises: every evaluation error in a block (a
 constraint, a singular expression) is raised before that block's jet checks
 (not finite, not Hermitian, not positive definite), even where the jet
@@ -41,7 +42,6 @@ import numpy as np
 from .catalog import DEFAULT_SEED
 from .chern import ChernData, chern_from_jets
 from .errors import DomainSamplingError, SingularEvaluationError
-from .levicivita import RiemannData, riemann_at
 
 # points per batched call of the Chern and Riemann cores at n >= 3: large
 # enough to amortise the per-call overhead, small enough to keep the
@@ -111,21 +111,19 @@ class Chunk:
     """Consecutive points of a report (``ch.point``) and their data, as one batch.
 
     ``start`` is the index of ``ch.point[0]`` among the report's points;
-    ``ch`` holds the data, each name of :data:`~hermlab.chern.TABLE`
-    computed on first read, and ``rd`` reads its Levi-Civita side.
-    ``views`` keeps the views of :meth:`first`.
+    ``ch`` holds the data, the Levi-Civita side included, each name of
+    :data:`~hermlab.chern.TABLE` computed on first read.  ``views`` keeps
+    the views of :meth:`first`.
     """
 
     start: int
     ch: ChernData
-    rd: RiemannData
     views: dict = field(default_factory=dict, repr=False)
 
     def first(self, k):
         """The chunk's first k points, as one view per k of the arrays computed so far."""
         if k not in self.views:
-            ch = self.ch.at(slice(k))
-            self.views[k] = Chunk(self.start, ch, riemann_at(ch))
+            self.views[k] = Chunk(self.start, self.ch.at(slice(k)))
         return self.views[k]
 
 
@@ -161,6 +159,5 @@ def geometry_chunks(metric, points):
             # a chunk copies its part of a larger block, so that the chunk a
             # suite still holds while the next block is evaluated pins no block
             own = [x[part].copy() if len(batch) > chunk else x for x in jets]
-            ch = chern_from_jets(metric, batch[part], *own)
-            yield Chunk(first + start, ch, riemann_at(ch))
+            yield Chunk(first + start, chern_from_jets(metric, batch[part], *own))
         del jets, own  # before the next block is evaluated

@@ -19,13 +19,15 @@ the first slot with the e rows only; the ebar rows follow exactly as
 Rc[ebar_A, B, C, D] = conj(Rc[e_A, Bbar, Cbar, Dbar]), since R is real and
 W's ebar rows are the conjugates of its e rows.
 
-:class:`RiemannData` reads its fields from a batch's
-:class:`~hermlab.chern.ChernData`, which computes each on first read by
-the producers that :data:`~hermlab.chern.TABLE` names here (the Christoffel
-route from the metric arrays gv, dg, ddg; W from P, the unitary frame) and
-looks up when they run.  Like :func:`~hermlab.chern.chern_at` it takes one
-point or a batch: every array then gains the leading point axes of the
-Chern data.
+The Levi-Civita fields G, Gi, Gamma, R4 (real components R_{abcd}), W
+(the unitary complexified frame over the real basis), Rc (complexified
+components in the unitary frame, (2n)^4), Ric and Scal are names of a
+batch's :class:`~hermlab.chern.ChernData`, which computes each on first
+read by the producers that :data:`~hermlab.chern.TABLE` names here (the
+Christoffel route from the metric arrays gv, dg, ddg; W from P, the unitary
+frame) and looks up when they run.  Every function below takes that one
+data object, at one point or a batch: every array then carries the leading
+point axes of the Chern data, and ``Scal`` is a float at one point.
 
 The torsion route to the mixed curvature block Theta_2 reads only
 :class:`~hermlab.chern.ChernData` (T, dT, L, dL, P, theta_u_vals), never
@@ -42,11 +44,10 @@ sigma_2 is ``H[a, b]`` with derivatives ``dH[a, b, c]`` in the same way.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import ChernData, _max_coefficient, chern_at
+from .chern import _max_coefficient, chern_at
 from .dsl import conj_slots, real_from_wirtinger, wirtinger_from_real
 from .fd import fd_jet
 
@@ -131,84 +132,66 @@ def christoffel_route(gv, dg, ddg):
     return G, Gi, Gamma.reshape(lead + (m,) * 3), B - B.swapaxes(-4, -3)
 
 
-@dataclass
-class RiemannData:
-    """Riemannian curvature data of a metric at one point or a batch, read from its data ``chern``.
+# ----------------------------------------------------------------------
+# distinguished blocks (unitary frame) of the Chern data's Levi-Civita
+# fields; first two indices are the 2-form slots, last two the
+# endomorphism slots
+def R_11bar(ch):  # R_{i jbar k lbar}
+    n = ch.n
+    return ch.Rc[..., :n, n:, :n, n:]
 
-    G, Gi, Gamma, R4 (real components R_{abcd}), W (the unitary
-    complexified frame over the real basis), Rc (complexified components in
-    the unitary frame, (2n)^4), Ric and Scal are names of
-    :data:`~hermlab.chern.TABLE`, each computed on first read and kept by
-    ``chern``, as is every other name read here.  The arrays carry the
-    leading point axes of ``chern``; ``Scal`` is a float at one point and
-    an array over a batch.
+
+def gray_residual(ch):
+    """Four-unbarred components must vanish on any Hermitian metric, per point."""
+    n = ch.n
+    return ch.pointwise_max(ch.Rc[..., :n, :n, :n, :n])
+
+
+def symmetry_residuals(ch):
+    """The algebraic symmetries of R_{abcd}, each per point."""
+    R = ch.R4
+    out = ch.pointwise_max
+    return {
+        "antisym_first": out(R + R.swapaxes(-4, -3)),
+        "antisym_last": out(R + R.swapaxes(-2, -1)),
+        "pair_swap": out(R - np.moveaxis(R, (-2, -1), (-4, -3))),
+        "first_bianchi": out(R + np.moveaxis(R, -4, -2) + np.moveaxis(R, -2, -4)),
+    }
+
+
+def theta2_blocks(ch):
+    """Curvature blocks of the ebar -> e part of the connection.
+
+    Returns (B20, B11, B02) indexed [i, j, k, l] with (Theta_2)_{ij} =
+    sum_{k<l} B20 psi_k^psi_l + sum B11 psi_k^psibar_l + ...
     """
+    n = ch.n
+    B20 = np.einsum("...klij->...ijkl", ch.Rc[..., :n, :n, n:, n:])
+    B11 = np.einsum("...klij->...ijkl", ch.Rc[..., :n, n:, n:, n:])
+    B02 = np.einsum("...klij->...ijkl", ch.Rc[..., n:, n:, n:, n:])
+    return B20, B11, B02
 
-    chern: ChernData
 
-    def __getattr__(self, name):
-        if name == "chern":  # not set yet, say while a copy is made
-            raise AttributeError(name)
-        return getattr(self.chern, name)
+def theta2_norm(ch):
+    """Largest curvature component of Theta_2, per point: of the Rc blocks of :func:`theta2_blocks`."""
+    n, Rc = ch.n, ch.Rc
+    blocks = Rc[..., :n, :n, n:, n:], Rc[..., :n, n:, n:, n:], Rc[..., n:, n:, n:, n:]
+    return np.maximum.reduce([ch.pointwise_max(B) for B in blocks])
 
-    def at(self, index):
-        """The data at point ``index`` of a batch, as views of the arrays computed so far."""
-        return RiemannData(self.chern.at(index))
 
-    # ------------------------------------------------------------------
-    # distinguished blocks (unitary frame); first two indices are the
-    # 2-form slots, last two the endomorphism slots
-    def R_11bar(self):  # R_{i jbar k lbar}
-        n = self.n
-        return self.Rc[..., :n, n:, :n, n:]
-
-    def gray_residual(self):
-        """Four-unbarred components must vanish on any Hermitian metric, per point."""
-        n = self.n
-        return self.chern.pointwise_max(self.Rc[..., :n, :n, :n, :n])
-
-    def symmetry_residuals(self):
-        """The algebraic symmetries of R_{abcd}, each per point."""
-        R = self.R4
-        out = self.chern.pointwise_max
-        return {
-            "antisym_first": out(R + R.swapaxes(-4, -3)),
-            "antisym_last": out(R + R.swapaxes(-2, -1)),
-            "pair_swap": out(R - np.moveaxis(R, (-2, -1), (-4, -3))),
-            "first_bianchi": out(R + np.moveaxis(R, -4, -2) + np.moveaxis(R, -2, -4)),
-        }
-
-    def theta2_blocks(self):
-        """Curvature blocks of the ebar -> e part of the connection.
-
-        Returns (B20, B11, B02) indexed [i, j, k, l] with (Theta_2)_{ij} =
-        sum_{k<l} B20 psi_k^psi_l + sum B11 psi_k^psibar_l + ...
-        """
-        n = self.n
-        B20 = np.einsum("...klij->...ijkl", self.Rc[..., :n, :n, n:, n:])
-        B11 = np.einsum("...klij->...ijkl", self.Rc[..., :n, n:, n:, n:])
-        B02 = np.einsum("...klij->...ijkl", self.Rc[..., n:, n:, n:, n:])
-        return B20, B11, B02
-
-    def theta2_norm(self):
-        """Largest curvature component of Theta_2, per point: of the Rc blocks of :meth:`theta2_blocks`."""
-        n, Rc = self.n, self.Rc
-        blocks = Rc[..., :n, :n, n:, n:], Rc[..., :n, n:, n:, n:], Rc[..., n:, n:, n:, n:]
-        return np.maximum.reduce([self.chern.pointwise_max(B) for B in blocks])
-
-    def ricci_direction(self, u):
-        """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for real vectors ``[..., 2n]``."""
-        q = np.einsum("...a,...ab,...b->...", u, self.Ric, u)
-        return q / np.einsum("...a,...ab,...b->...", u, self.G, u)
+def ricci_direction(ch, u):
+    """Normalized Ricci quadratic form Ric(u, u) / |u|^2 for real vectors ``[..., 2n]``."""
+    q = np.einsum("...a,...ab,...b->...", u, ch.Ric, u)
+    return q / np.einsum("...a,...ab,...b->...", u, ch.G, u)
 
 
 def riemann_at(ch):
-    """Riemannian curvature at the point [n] or points [P, n] of the Chern data ``ch``.
+    """The Chern data ``ch`` itself, which holds the Levi-Civita fields too.
 
-    Computes nothing: each field is computed on first read, from the metric
-    arrays of ``ch`` and its frame P; one point as the batch of one.
+    Kept as a public name because the benchmark's layer table still traces
+    it; no module of hermlab calls it.
     """
-    return RiemannData(ch)
+    return ch
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +264,7 @@ def torsion_route(ch):
     return forms, theta2_structure_route(ch, forms)
 
 
-def theta2_gamma_check(ch, rd):
+def theta2_gamma_check(ch):
     """Residual report for the torsion-built mixed connection and curvature.
 
     Rebuilds theta_2 and gamma from the torsion coefficients, reassembles
@@ -291,17 +274,17 @@ def theta2_gamma_check(ch, rd):
     point.
     """
     S1, S2 = sigma_matrices(ch)
-    theta2 = canonical_theta2(rd)
+    theta2 = canonical_theta2(ch)
     return {
-        "theta2_vs_christoffel": theta2_two_route_residual(ch, rd, torsion_route(ch)[1]),
-        "theta2_01_part": theta2_zero_one_part_residual(rd, theta2),
-        "theta2_vs_torsion": theta2_matches_torsion_residual(rd, theta2),
+        "theta2_vs_christoffel": theta2_two_route_residual(ch, torsion_route(ch)[1]),
+        "theta2_01_part": theta2_zero_one_part_residual(ch, theta2),
+        "theta2_vs_torsion": theta2_matches_torsion_residual(ch, theta2),
         "sigma1_min_eig": np.linalg.eigvalsh(S1).min(axis=-1),
         "sigma2_min_eig": np.linalg.eigvalsh(S2).min(axis=-1),
     }
 
 
-def theta2_two_route_residual(ch, rd, Theta2):
+def theta2_two_route_residual(ch, Theta2):
     """Max deviation between the torsion route and the Christoffel route, per point.
 
     ``Theta2`` is :func:`theta2_structure_route` of ``ch``.
@@ -313,7 +296,7 @@ def theta2_two_route_residual(ch, rd, Theta2):
     M = M[..., None, None, :, :]
     # route2[i, j] = M^T (Theta2 - Theta2^T)[i, j] M
     route2 = M.swapaxes(-2, -1) @ (Theta2 - Theta2.swapaxes(-2, -1)) @ M
-    B20, B11, B02 = rd.theta2_blocks()
+    B20, B11, B02 = theta2_blocks(ch)
     return np.maximum.reduce(
         [
             ch.pointwise_max(route2[..., :n, :n] - B20),
@@ -325,7 +308,7 @@ def theta2_two_route_residual(ch, rd, Theta2):
 
 # ----------------------------------------------------------------------
 # Levi-Civita connection forms of an arbitrary frame field (real route)
-def levi_civita_frame_connection(rd, frame):
+def levi_civita_frame_connection(ch, frame):
     """theta_1 and theta_2 of the frame field, over coordinate cotangent slots.
 
     ``frame`` is the pair (F, dF) of the frame vectors
@@ -333,16 +316,16 @@ def levi_civita_frame_connection(rd, frame):
     Decomposes nabla e_i = theta_1[i,j] e_j + conj(theta_2)[i,j] ebar_j
     and nabla ebar_i = theta_2[i,j] e_j + conj(theta_1)[i,j] ebar_j,
     evaluated on all 2n real directions, then re-expressed over
-    (dz_1..dz_n, dzbar_1..dzbar_n).  Leading point axes of ``rd`` and the
+    (dz_1..dz_n, dzbar_1..dzbar_n).  Leading point axes of ``ch`` and the
     frame carry through: theta_1, theta_2 are [..., 2n, n, n].
     """
-    n = rd.n
+    n = ch.n
     Fv, dF = frame
     dF = np.einsum("rc,...iac->...ria", real_from_wirtinger(n), dF)  # [rho, i, a]
     # rows e_i, ebar_i over the real basis, and their derivative along each rho
     E, dE = complex_frame_coefficients(Fv), complex_frame_coefficients(dF)
     # nabla_rho e_i and nabla_rho ebar_i [rho, i, sigma], decomposed over (e, ebar)
-    cov = dE + np.einsum("...ik,...srk->...ris", E, rd.Gamma)
+    cov = dE + np.einsum("...ik,...srk->...ris", E, ch.Gamma)
     Mt = np.swapaxes(E, -1, -2)[..., None, :, :]
     theta_rho = np.swapaxes(np.linalg.solve(Mt, np.swapaxes(cov, -1, -2)), -1, -2)[..., :n]
     # real directions rho to dz / dzbar slots
@@ -350,26 +333,25 @@ def levi_civita_frame_connection(rd, frame):
     return theta[..., :n, :], theta[..., n:, :]
 
 
-def canonical_theta2(rd):
+def canonical_theta2(ch):
     """theta_2 of the canonical unitary frame, from the Christoffel symbols."""
-    return levi_civita_frame_connection(rd, (rd.Pv, rd.dP))[1]
+    return levi_civita_frame_connection(ch, (ch.Pv, ch.dP))[1]
 
 
-def theta2_zero_one_part_residual(rd, theta2):
+def theta2_zero_one_part_residual(ch, theta2):
     """The (0,1) part of theta_2 must vanish (canonical unitary frame), per point.
 
-    ``theta2`` is :func:`canonical_theta2` of ``rd``.
+    ``theta2`` is :func:`canonical_theta2` of ``ch``.
     """
-    return rd.chern.pointwise_max(theta2[..., rd.n :, :, :])
+    return ch.pointwise_max(theta2[..., ch.n :, :, :])
 
 
-def theta2_matches_torsion_residual(rd, theta2):
+def theta2_matches_torsion_residual(ch, theta2):
     """(theta_2)_{ij} evaluated on e_k equals conj(T^k_{ij}), per point.
 
-    ``theta2`` is :func:`canonical_theta2` of ``rd``.
+    ``theta2`` is :func:`canonical_theta2` of ``ch``.
     """
-    ch = rd.chern
-    n = rd.n
+    n = ch.n
     # slot values on frame vectors: theta2(e_k) = sum_a Pv[k,a] theta2[a]
     on_frame = ch.Pv @ theta2[..., :n, :, :].reshape(ch.Pv.shape[:-2] + (n, n * n))
     return ch.pointwise_max(on_frame - ch.T.conj().reshape(on_frame.shape))

@@ -47,6 +47,8 @@ from .conformal import CONFORMAL_EXPONENTS
 from .geometry import geometry_chunks, running_max
 from .levicivita import (
     dsigma2_check,
+    gray_residual,
+    symmetry_residuals,
     theta2_matches_torsion_residual,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
@@ -164,16 +166,16 @@ class Classify(Suite):
 
 
 _IDENTITY_ROWS = (
-    ("gray_vanishing", "exact", 1, None, lambda c: c.rd.gray_residual()),
-    ("riemann_symmetries", "exact", 1, None, lambda c: np.maximum.reduce([*c.rd.symmetry_residuals().values()])),
+    ("gray_vanishing", "exact", 1, None, lambda c: gray_residual(c.ch)),
+    ("riemann_symmetries", "exact", 1, None, lambda c: np.maximum.reduce([*symmetry_residuals(c.ch).values()])),
     ("structure_bianchi", "exact", 1, None, lambda c: bianchi_residual(c.ch)),
     ("ddbar_omega_vs_torsion_curvature", "exact", 1, None, lambda c: curvature_identity_residual(c.ch)),
     ("del_omega_vs_torsion", "exact", 1, None, lambda c: del_omega_residual(c.ch)),
     ("balanced_trace", "exact", 1, None, lambda c: balanced_identity_residual(c.ch)),
-    ("theta2_two_route", "two_route", 1, None, lambda c: theta2_two_route_residual(c.ch, c.rd, c.ch.torsion_route[1])),
-    ("theta2_type", "exact", 1, None, lambda c: theta2_zero_one_part_residual(c.rd, c.ch.canonical_theta2)),
+    ("theta2_two_route", "two_route", 1, None, lambda c: theta2_two_route_residual(c.ch, c.ch.torsion_route[1])),
+    ("theta2_type", "exact", 1, None, lambda c: theta2_zero_one_part_residual(c.ch, c.ch.canonical_theta2)),
     ("theta2_vs_torsion", "identities", 1, None,
-     lambda c: theta2_matches_torsion_residual(c.rd, c.ch.canonical_theta2)),
+     lambda c: theta2_matches_torsion_residual(c.ch, c.ch.canonical_theta2)),
     ("curvature_type", "exact", 1, None, lambda c: np.zeros(len(c.ch.point))),
     ("curvature_skew_hermitian", "exact", 1, None, lambda c: skew_hermitian_residual(c.ch)),
     ("dsigma2_trace", "fd", 1, None, lambda c: dsigma2_check(c.ch, c.ch.torsion_route)),
@@ -227,16 +229,16 @@ def compare_draws(rng, count, n):
     return X, Y, a.T, rest[:, :n] + 1j * rest[:, n : 2 * n], u, v
 
 
-def _compare_terms(rd, X, Y, a, ricci_dir, u, v):
-    """The compare functions on all draws of the batch ``rd``, which the compare rows read."""
+def _compare_terms(ch, X, Y, a, ricci_dir, u, v):
+    """The compare functions on all draws of the batch ``ch``, which the compare rows read."""
     return {
-        "rd": rd,
-        "diff": bisectional_difference_residuals(rd, X, Y),
-        "gap": monotonicity_gap(rd, X),
-        "bxy": bisectional(rd, X, Y, a),
-        "byx": bisectional(rd, Y, X, a),
-        "ricci": ricci_identity_residuals(rd, ricci_dir),
-        "plane": plane_decomposition_check(rd, u, v),
+        "ch": ch,
+        "diff": bisectional_difference_residuals(ch, X, Y),
+        "gap": monotonicity_gap(ch, X),
+        "bxy": bisectional(ch, X, Y, a),
+        "byx": bisectional(ch, Y, X, a),
+        "ricci": ricci_identity_residuals(ch, ricci_dir),
+        "plane": plane_decomposition_check(ch, u, v),
     }
 
 
@@ -255,7 +257,7 @@ _COMPARE_ROWS = (
     ("monotonicity_floor", "psd", 1, None, lambda t: (-t["gap"]).max(axis=0)),
     ("ricci_affine", "psd", 100, None, lambda t: t["ricci"]["affine"]),
     ("j_invariant_ricci", "identities", 1, None, lambda t: t["ricci"]["j_invariant_ricci"]),
-    ("scalar_half_trace", "exact", 1, None, lambda t: scalar_relation_residual(t["rd"])),
+    ("scalar_half_trace", "exact", 1, None, lambda t: scalar_relation_residual(t["ch"])),
     ("plane_complexified", "identities", 1, None, lambda t: _planes(t, "complexified_vs_real")),
     ("plane_angles", "identities", 1, None, lambda t: _planes(t, "angle_decomposition")),
 )
@@ -270,7 +272,7 @@ class Compare(Suite):
         self.best_gap = self.max_T = (-np.inf, None)
 
     def add(self, chunk):
-        terms = _compare_terms(chunk.rd, *compare_draws(self.rng, len(chunk.ch.point), self.metric.n))
+        terms = _compare_terms(chunk.ch, *compare_draws(self.rng, len(chunk.ch.point), self.metric.n))
         super().add(chunk, terms)
         self.best_gap = running_max(self.best_gap, terms["gap"].max(axis=0), chunk.start)
         self.max_T = running_max(self.max_T, chunk.ch.pointwise_max(chunk.ch.T), chunk.start)
@@ -348,7 +350,7 @@ _ORACLE_ROWS = (
     ("jet_second_vs_fd", None, 1e-4, 5, lambda c: c.ch.pointwise_max(c.ch.fd.ddg - c.ch.ddg)),
     ("torsion_vs_fd", "oracle_first", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.T - c.ch.T)),
     ("chern_curvature_vs_fd", "oracle_second", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.Rh - c.ch.Rh)),
-    ("riemann_curvature_vs_fd", "oracle_second", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.Rc - c.rd.Rc)),
+    ("riemann_curvature_vs_fd", "oracle_second", 1, 5, lambda c: c.ch.pointwise_max(c.ch.fd.Rc - c.ch.Rc)),
 )
 
 

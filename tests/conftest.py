@@ -6,25 +6,24 @@ from hermlab.chern import chern_at
 from hermlab.dsl import _batch_jet
 from hermlab.geometry import CHUNK
 from hermlab.jets import Jet2
-from hermlab.levicivita import riemann_at
 
 
 class GeometryCache:
-    """Chern and Riemann data per (metric name, point), computed in batches.
+    """Chern data, the Levi-Civita fields included, per (metric name, point), computed in batches.
 
     The tests' per-point reference: a point's data are computed once, ``CHUNK``
     points per call of the batched cores, and kept for every later test.
     """
 
     def __init__(self):
-        self.data = {}  # key -> (ChernData batch, RiemannData batch, index in it)
+        self.data = {}  # key -> (ChernData batch, index in it)
 
     @staticmethod
     def _key(metric, p):
         return (metric.name, tuple(np.round(np.asarray(p, dtype=complex), 14)))
 
     def fill(self, metric, points):
-        """(ch, rd, index) for each point, computing the missing ones ``CHUNK`` at a time."""
+        """(ch, index) for each point, computing the missing ones ``CHUNK`` at a time."""
         points = np.asarray(points, dtype=complex).reshape(-1, metric.n)
         keys = [self._key(metric, p) for p in points]
         first = {}
@@ -35,15 +34,14 @@ class GeometryCache:
         for start in range(0, len(todo), CHUNK):
             rows = todo[start : start + CHUNK]
             ch = chern_at(metric, points[rows])
-            rd = riemann_at(ch)
             for index, row in enumerate(rows):
-                self.data[keys[row]] = (ch, rd, index)
+                self.data[keys[row]] = (ch, index)
         return [self.data[k] for k in keys]
 
     def __call__(self, metric, p):
-        """(ChernData, RiemannData) at one point."""
-        ch, rd, index = self.fill(metric, [p])[0]
-        return ch.at(index), rd.at(index)
+        """The ChernData at one point."""
+        ch, index = self.fill(metric, [p])[0]
+        return ch.at(index)
 
 
 def jet_arrays(expr, points):

@@ -40,7 +40,7 @@ from hermlab.dsl import MetricField, parse
 from hermlab.fd import fd_jet
 from conftest import GeometryCache, fd_values, jet_arrays
 from hermlab.geometry import sample_points
-from hermlab.levicivita import riemann_at, theta2_two_route_residual, torsion_route
+from hermlab.levicivita import gray_residual, theta2_two_route_residual, torsion_route
 from hermlab.nilker import (
     common_kernel_constructive,
     common_kernel_inductive,
@@ -126,8 +126,8 @@ def test_criterion_02_four_unbarred_components_vanish(sweep):
     worst = 0.0
     for name, m, pts in entries:
         for p in pts:
-            _, rd = cache(m, p)
-            worst = max(worst, rd.gray_residual())
+            ch = cache(m, p)
+            worst = max(worst, gray_residual(ch))
     assert worst < 1e-8
     print(f"[PASS] criterion 2: unbarred curvature block < 1e-8 (worst {worst:.2e})")
 
@@ -137,8 +137,8 @@ def test_criterion_03_difference_identity_suite(sweep):
     worst = {}
     for name, m, pts in entries:
         for p in pts:
-            _, rd = cache(m, p)
-            for key, val in curvature_difference_suite(rd).items():
+            ch = cache(m, p)
+            for key, val in curvature_difference_suite(ch).items():
                 worst[key] = max(worst.get(key, 0.0), val)
     assert max(worst.values()) < 1e-7, worst
     print(
@@ -152,8 +152,8 @@ def test_criterion_04_two_route_theta2(sweep):
     worst = 0.0
     for name, m, pts in entries:
         for p in pts:
-            ch, rd = cache(m, p)
-            worst = max(worst, theta2_two_route_residual(ch, rd, torsion_route(ch)[1]))
+            ch = cache(m, p)
+            worst = max(worst, theta2_two_route_residual(ch, torsion_route(ch)[1]))
     assert worst < 1e-6
     print(f"[PASS] criterion 4: Christoffel vs torsion routes agree (worst {worst:.2e})")
 
@@ -167,20 +167,20 @@ def test_criterion_05_sectional_difference_and_monotonicity(sweep):
         max_T = 0.0
         best_gap = -np.inf
         for p in pts:
-            ch, rd = cache(m, p)
+            ch = cache(m, p)
             max_T = max(max_T, float(np.max(np.abs(ch.T))))
             # 50 directions (X, Y) per point, drawn as four normal(n) each
             draws = rng.normal(size=(50, 4, m.n))
             X = draws[:, 0] + 1j * draws[:, 1]
             Y = draws[:, 2] + 1j * draws[:, 3]
-            res = bisectional_difference_residuals(rd, X, Y)
+            res = bisectional_difference_residuals(ch, X, Y)
             worst_identity = max(
                 worst_identity,
                 res["sym_bisectional"].max(),
                 res["cross_bisectional"].max(),
                 res["holo_sectional"].max(),
             )
-            gap = monotonicity_gap(rd, X)
+            gap = monotonicity_gap(ch, X)
             floor = min(floor, gap.min())
             best_gap = max(best_gap, gap.max())
         if max_T > 1e-3:
@@ -199,15 +199,15 @@ def test_criterion_06_ricci_scalar_and_plane_decomposition(sweep):
     worst = {"scalar": 0.0, "ricci": 0.0, "plane": 0.0}
     for name, m, pts in entries:
         for p in pts[:5]:
-            _, rd = cache(m, p)
-            worst["scalar"] = max(worst["scalar"], scalar_relation_residual(rd))
+            ch = cache(m, p)
+            worst["scalar"] = max(worst["scalar"], scalar_relation_residual(ch))
             X = rng.normal(size=m.n) + 1j * rng.normal(size=m.n)
-            rr = ricci_identity_residuals(rd, X)
+            rr = ricci_identity_residuals(ch, X)
             worst["ricci"] = max(worst["ricci"], rr["affine"], rr["j_invariant_ricci"])
             done = 0
             while done < 3:
                 l12 = plane_decomposition_check(
-                    rd, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n)
+                    ch, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n)
                 )
                 if l12["degenerate"]:
                     continue
@@ -262,11 +262,11 @@ def test_criterion_07_conformal_biconditional():
     for base, src in [(eu, "re(z1)"), (catalog.get("iwasawa").metric, "ln(1 + abs2(z1)) / 2")]:
         f = ConformalFactor(parse(src, base.n))
         pts = np.array(sample_points(base, 3, seed=SEED))
-        base_rd = riemann_at(chern_at(base, pts))
-        new_rd = riemann_at(chern_at(conformal_metric(base, f), pts))
+        base_ch = chern_at(base, pts)
+        new_ch = chern_at(conformal_metric(base, f), pts)
         u = f.u_values(pts)
-        worst = max(worst, *torsion_transform_residual(base_rd.chern, new_rd.chern, u))
-        for res in connection_transform_residuals(base_rd, new_rd, u).values():
+        worst = max(worst, *torsion_transform_residual(base_ch, new_ch, u))
+        for res in connection_transform_residuals(base_ch, new_ch, u).values():
             worst = max(worst, *res)
     assert worst < 1e-8
     print(
@@ -334,9 +334,9 @@ def test_criterion_11_balanced_identity_and_klike_content(sweep):
     worst_klike = 0.0
     for name, m, pts in entries:
         for p in pts:
-            ch, rd = cache(m, p)
+            ch = cache(m, p)
             worst_balanced = max(worst_balanced, balanced_identity_residual(ch))
-            flags = flag_residuals_at(ch, rd)
+            flags = flag_residuals_at(ch)
             if flags["kahler_like"] < DEFAULT_TOL:
                 worst_klike = max(
                     worst_klike,
@@ -357,7 +357,7 @@ def test_criterion_12_no_double_flag_with_torsion(sweep):
         rep = classify_at(m, pts, tol=DEFAULT_TOL)
         max_T = 0.0
         for p in pts:
-            ch, _ = cache(m, p)
+            ch = cache(m, p)
             max_T = max(max_T, float(np.max(np.abs(ch.T))))
         if max_T > 1e-3:
             both = rep["kahler_like"].value and rep["g_kahler_like"].value

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlab import catalog, compare, nilker, suites
+from hermlab import catalog, compare, levicivita, nilker, suites
 from hermlab.chern import ChernData, chern_at, chern_from_jets
 from hermlab.classify import FLAG_NAMES, classify_at, flag_residuals_at
 from hermlab.conformal import CONFORMAL_EXPONENTS, ConformalFactor, conformal_metric
@@ -23,13 +23,7 @@ from hermlab.fd import DEFAULT_STEP, _stencil, fd_jet
 from conftest import GeometryCache, jet2
 from hermlab.geometry import CHUNK, sample_points
 from hermlab.jets import Jet2
-from hermlab.levicivita import (
-    _IMAG_TOL,
-    RiemannData,
-    _real_metric_arrays,
-    levi_civita_frame_connection,
-    riemann_at,
-)
+from hermlab.levicivita import _IMAG_TOL, _real_metric_arrays, levi_civita_frame_connection
 
 from test_highdim import base_point, perturbed_metric
 
@@ -38,9 +32,7 @@ CATALOG = ["fubini_study_chart", "euclidean", "gkl_surface", "conformal_gklike",
 
 
 def _arrays(data):
-    """The array fields of Chern data, or the Levi-Civita fields of Riemann data (computed on first read)."""
-    if isinstance(data, RiemannData):
-        return {name: getattr(data, name) for name in ("G", "Gi", "Gamma", "R4", "W", "Rc", "Ric", "Scal")}
+    """The array fields of Chern data: the value-level ones, computed with the data."""
     return {
         f.name: getattr(data, f.name)
         for f in dataclasses.fields(data)
@@ -59,22 +51,41 @@ def _batch_cases():
         yield pytest.param(m, base_point(n) + 0.2 * step, id=m.name)
 
 
+def _levi_civita(ch, u):
+    """The Levi-Civita fields of Chern data (computed on first read) and the levicivita functions of them."""
+    B20, B11, B02 = levicivita.theta2_blocks(ch)
+    return {
+        **{name: getattr(ch, name) for name in ("G", "Gi", "Gamma", "R4", "W", "Rc", "Ric", "Scal")},
+        "R_11bar": levicivita.R_11bar(ch),
+        "gray_residual": levicivita.gray_residual(ch),
+        **levicivita.symmetry_residuals(ch),
+        "B20": B20,
+        "B11": B11,
+        "B02": B02,
+        "theta2_norm": levicivita.theta2_norm(ch),
+        "ricci_direction": levicivita.ricci_direction(ch, u),
+    }
+
+
 @pytest.mark.parametrize("m,points", list(_batch_cases()))
 def test_batch_equals_single_points(m, points):
     ch = chern_at(m, points)
-    rd = riemann_at(ch)
     assert ch.point.shape == points.shape
-    assert np.shape(rd.Scal) == (len(points),)
+    assert np.shape(ch.Scal) == (len(points),)
+    u = np.random.default_rng(len(points)).normal(size=(len(points), 2 * m.n))
+    batch = _levi_civita(ch, u)
     for i, p in enumerate(points):
-        one_ch = chern_at(m, p)
-        one_rd = riemann_at(one_ch)
-        for one, batch in ((one_ch, ch.at(i)), (one_rd, rd.at(i))):
-            got, want = _arrays(batch), _arrays(one)
+        one = chern_at(m, p)
+        # the batch's values at point i, and the functions on the view of point i
+        for got, want in (
+            (_arrays(ch.at(i)), _arrays(one)),
+            ({key: value[i] for key, value in batch.items()}, _levi_civita(one, u[i])),
+            (_levi_civita(ch.at(i), u[i]), _levi_civita(one, u[i])),
+        ):
             assert got.keys() == want.keys()
             for key in want:
                 assert np.shape(got[key]) == np.shape(want[key]), key
                 assert np.max(np.abs(got[key] - want[key]), initial=0.0) <= 1e-12, key
-        assert abs(rd.Scal[i] - one_rd.Scal) <= 1e-12
 
 
 
@@ -231,8 +242,7 @@ def test_flags_keep_the_first_worst_point():
     for name in FLAG_NAMES:
         residuals = []
         for p in points:
-            ch = chern_at(m, p)
-            residuals.append(flag_residuals_at(ch, riemann_at(ch))[name])
+            residuals.append(flag_residuals_at(chern_at(m, p))[name])
         worst = int(np.argmax(residuals))
         assert report[name].residual == residuals[worst]
         assert np.shares_memory(report[name].worst_point, points[worst])
@@ -251,10 +261,10 @@ def test_cache_computes_each_point_once_in_chunks(monkeypatch):
     assert calls == [CHUNK, 4]
     assert cache.fill(m, points[::-1])  # all cached now
     assert calls == [CHUNK, 4]
-    ch, rd = cache(m, points[CHUNK + 1])
-    assert isinstance(ch, ChernData) and isinstance(rd, RiemannData)
+    ch = cache(m, points[CHUNK + 1])
+    assert isinstance(ch, ChernData)
     assert ch.point.shape == (m.n,) and np.array_equal(ch.point, points[CHUNK + 1])
-    assert filled[CHUNK + 1][2] == 1
+    assert filled[CHUNK + 1][1] == 1
 
 
 def test_values_keep_exact_conjugate_symmetry():
@@ -297,7 +307,6 @@ def _close(got, want, key):
 def test_compare_batch_equals_single_directions(m, points):
     n, D = m.n, 4
     ch = chern_at(m, points)
-    rd = riemann_at(ch)
     rng = np.random.default_rng(89)
 
     def cvec(*shape):
@@ -308,28 +317,28 @@ def test_compare_batch_equals_single_directions(m, points):
     a = rng.uniform(-1.5, 1.5, (D, P))
     u, v = rng.normal(size=(2, D, P, 2 * n))
     v[0, 0] = 0.0  # one degenerate plane
-    R = rd.R_11bar()
+    R = levicivita.R_11bar(ch)
     batched = {
         "pairing_Rh": compare.hermitian_pairing(ch.Rh, X, Y, Z, W),
         "pairing_Rc": compare.hermitian_pairing(R, X, Y, Z, W),
-        "bisectional": compare.bisectional(rd, X, Y, a),
-        "difference": compare.bisectional_difference_residuals(rd, X, Y),
-        "gap": compare.monotonicity_gap(rd, X),
-        "ricci": compare.ricci_identity_residuals(rd, X[0]),
-        "scalar": compare.scalar_relation_residual(rd),
-        "plane": compare.plane_decomposition_check(rd, u, v),
+        "bisectional": compare.bisectional(ch, X, Y, a),
+        "difference": compare.bisectional_difference_residuals(ch, X, Y),
+        "gap": compare.monotonicity_gap(ch, X),
+        "ricci": compare.ricci_identity_residuals(ch, X[0]),
+        "scalar": compare.scalar_relation_residual(ch),
+        "plane": compare.plane_decomposition_check(ch, u, v),
     }
     assert batched["plane"]["degenerate"].sum() == 1
     for i in range(P):
-        one = rd.at(i)
+        one = ch.at(i)
         assert np.shape(compare.scalar_relation_residual(one)) == ()
         _close(batched["scalar"][i], compare.scalar_relation_residual(one), "scalar")
         for key, value in compare.ricci_identity_residuals(one, X[0, i]).items():
             _close(batched["ricci"][key][i], value, key)
         for d in range(D):
             x, y, z, w = X[d, i], Y[d, i], Z[d, i], W[d, i]
-            _close(batched["pairing_Rh"][d, i], compare.hermitian_pairing(one.chern.Rh, x, y, z, w), "Rh")
-            _close(batched["pairing_Rc"][d, i], compare.hermitian_pairing(one.R_11bar(), x, y, z, w), "Rc")
+            _close(batched["pairing_Rh"][d, i], compare.hermitian_pairing(one.Rh, x, y, z, w), "Rh")
+            _close(batched["pairing_Rc"][d, i], compare.hermitian_pairing(levicivita.R_11bar(one), x, y, z, w), "Rc")
             _close(batched["gap"][d, i], compare.monotonicity_gap(one, x), "gap")
             singles = (
                 ("bisectional", compare.bisectional(one, x, y, a[d, i])),
@@ -341,6 +350,22 @@ def test_compare_batch_equals_single_directions(m, points):
                 for key, value in single.items():
                     assert np.shape(value) == (), key
                     _close(batched[group][key][d, i], value, key)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_frame_sums_read_the_same_bits_at_every_batch_size(n):
+    # np.sum adds a contiguous axis pairwise: in a batch of one point, the
+    # n^2 terms of the scalar relation and the n terms of Ric_a were one
+    m = catalog.get("iwasawa").metric if n == 3 else perturbed_metric(n)
+    points = sample_points(m, 4, seed=23)
+    X = np.random.default_rng(n).normal(size=(len(points), n, 2)) @ np.array([1, 1j])
+    ch = chern_at(m, points)
+    scalar, ricci = compare.scalar_relation_residual(ch), compare.ricci_identity_residuals(ch, X)
+    for i in range(len(points)):
+        one = chern_at(m, points[i : i + 1])
+        assert np.array_equal(compare.scalar_relation_residual(one), scalar[i : i + 1])
+        for key, value in compare.ricci_identity_residuals(one, X[i : i + 1]).items():
+            assert np.array_equal(value, ricci[key][i : i + 1]), key
 
 
 def _per_call_compare_draws(rng, count, n):
@@ -375,11 +400,11 @@ def test_compare_draws_match_the_per_call_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("m,points", list(_compare_cases()))
 def test_shared_pairings_match_each_pairing_bit_for_bit(m, points):
-    rd = riemann_at(chern_at(m, points))
+    ch = chern_at(m, points)
     rng = np.random.default_rng(90)
     X, Y = rng.normal(size=(2, 3, len(points), m.n, 2)) @ np.array([1, 1j])
     rest = [(X, Y, Y), (Y, Y, X), (X, X, X), (Y, X, Y)]
-    for R in (rd.chern.Rh, rd.R_11bar()):
+    for R in (ch.Rh, levicivita.R_11bar(ch)):
         for first in (X, Y):
             for got, (b, c, d) in zip(compare.hermitian_pairings(R, first, rest), rest):
                 assert np.array_equal(got, compare.hermitian_pairing(R, first, b, c, d))
@@ -400,31 +425,31 @@ def _parent_compare(m, points, seed):
 
     max_T, best_gap, gap_point = 0.0, -np.inf, None
     for p in points:
-        ch, rd = cache(m, p)
+        ch = cache(m, p)
         max_T = max(max_T, float(np.max(np.abs(ch.T))))
         for _ in range(50):
             X = rng.normal(size=n) + 1j * rng.normal(size=n)
             Y = rng.normal(size=n) + 1j * rng.normal(size=n)
             X /= np.linalg.norm(X)
             Y /= np.linalg.norm(Y)
-            res = compare.bisectional_difference_residuals(rd, X, Y)
+            res = compare.bisectional_difference_residuals(ch, X, Y)
             for name in ("sym_bisectional", "cross_bisectional", "holo_sectional"):
                 update(name, res[name], p)
-            gap = compare.monotonicity_gap(rd, X)
+            gap = compare.monotonicity_gap(ch, X)
             update("monotonicity_floor", -gap, p)
             if gap > best_gap:
                 best_gap, gap_point = gap, p
             a = float(rng.uniform(-1.5, 1.5))
-            bxy = compare.bisectional(rd, X, Y, a)
-            byx = compare.bisectional(rd, Y, X, a)
+            bxy = compare.bisectional(ch, X, Y, a)
+            byx = compare.bisectional(ch, Y, X, a)
             update("bisectional_symmetry", abs(bxy["B_a"] - byx["B_a"]), p)
             update("bisectional_reality", bxy["imag_max"], p)
-        rr = compare.ricci_identity_residuals(rd, rng.normal(size=n) + 1j * rng.normal(size=n))
+        rr = compare.ricci_identity_residuals(ch, rng.normal(size=n) + 1j * rng.normal(size=n))
         update("ricci_affine", rr["affine"], p)
         update("j_invariant_ricci", rr["j_invariant_ricci"], p)
-        update("scalar_half_trace", compare.scalar_relation_residual(rd), p)
+        update("scalar_half_trace", compare.scalar_relation_residual(ch), p)
         for _ in range(5):
-            plane = compare.plane_decomposition_check(rd, rng.normal(size=2 * n), rng.normal(size=2 * n))
+            plane = compare.plane_decomposition_check(ch, rng.normal(size=2 * n), rng.normal(size=2 * n))
             if plane["degenerate"]:
                 continue
             update("plane_complexified", plane["complexified_vs_real"], p)
@@ -465,7 +490,7 @@ def test_compare_keeps_the_first_worst_point():
     checks, _ = _run("compare", entry, points, suites.DEFAULT_TOLERANCES, 3)
     got = {c.name: c for c in checks}["scalar_half_trace"]
     cache = GeometryCache()
-    residuals = [compare.scalar_relation_residual(cache(entry.metric, p)[1]) for p in points]
+    residuals = [compare.scalar_relation_residual(cache(entry.metric, p)) for p in points]
     worst = int(np.argmax(residuals))
     assert worst < 5 and residuals[worst] == residuals[worst + 5]
     assert got.residual == residuals[worst]
@@ -664,7 +689,7 @@ def _parent_nilker(entry, points, cache, seed):
     """The nilker suite as it ran before batching: (residual, worst point) per check."""
     rng = np.random.default_rng(seed + 2)
     out = {}
-    ch, _rd = cache(entry.metric, points[0])
+    ch = cache(entry.metric, points[0])
     sym = nilker.torsion_symmetry_residual(ch.T)
     out["metric_torsion_symmetry"] = (sym, points[0])
     scale = float(np.max(np.abs(ch.T)))
@@ -707,15 +732,14 @@ def _parent_conformal(entry, points):
         new = conformal_metric(base, factor)
         tag = src.replace(" ", "")
         for p in points[:5]:
-            base_rd, new_rd = riemann_at(chern_at(base, p)), riemann_at(chern_at(new, p))
-            base_ch, new_ch = base_rd.chern, new_rd.chern
+            base_ch, new_ch = chern_at(base, p), chern_at(new, p)
             ujet = jet2(factor.u_expr, p)
             v = base_ch.Pv @ ujet.d1[:n]
             eye = np.eye(n)
             expected = base_ch.T + np.einsum("j,ik->ijk", v, eye) - np.einsum("k,ij->ijk", v, eye)
             torsion = np.max(np.abs(np.exp(ujet.value.real) * new_ch.T - expected))
-            th1_0, th2_0 = levi_civita_frame_connection(base_rd, (base_ch.Pv, base_ch.dP))
-            th1_1, th2_1 = levi_civita_frame_connection(new_rd, (new_ch.Pv, new_ch.dP))
+            th1_0, th2_0 = levi_civita_frame_connection(base_ch, (base_ch.Pv, base_ch.dP))
+            th1_1, th2_1 = levi_civita_frame_connection(new_ch, (new_ch.Pv, new_ch.dP))
             vtphi, phibar_vstar, vbar_tphi, phi_vstar = np.zeros((4, 2 * n, n, n), dtype=complex)
             for a in range(n):
                 L = base_ch.Lv[a]
@@ -783,26 +807,26 @@ def _parent_identities(entry, points, cache, tols=suites.DEFAULT_TOLERANCES):
             worst[name] = (float(value), p)
 
     for idx, p in enumerate(points):
-        ch, rd = cache(m, p)
-        update("gray_vanishing", rd.gray_residual(), p)
-        update("riemann_symmetries", max(rd.symmetry_residuals().values()), p)
+        ch = cache(m, p)
+        update("gray_vanishing", levicivita.gray_residual(ch), p)
+        update("riemann_symmetries", max(levicivita.symmetry_residuals(ch).values()), p)
         update("structure_bianchi", chern.bianchi_residual(ch), p)
         update("ddbar_omega_vs_torsion_curvature", chern.curvature_identity_residual(ch), p)
         update("del_omega_vs_torsion", chern.del_omega_residual(ch), p)
         update("balanced_trace", chern.balanced_identity_residual(ch), p)
-        route, theta2 = levicivita.torsion_route(ch), levicivita.canonical_theta2(rd)
-        update("theta2_two_route", levicivita.theta2_two_route_residual(ch, rd, route[1]), p)
-        update("theta2_type", levicivita.theta2_zero_one_part_residual(rd, theta2), p)
-        update("theta2_vs_torsion", levicivita.theta2_matches_torsion_residual(rd, theta2), p)
+        route, theta2 = levicivita.torsion_route(ch), levicivita.canonical_theta2(ch)
+        update("theta2_two_route", levicivita.theta2_two_route_residual(ch, route[1]), p)
+        update("theta2_type", levicivita.theta2_zero_one_part_residual(ch, theta2), p)
+        update("theta2_vs_torsion", levicivita.theta2_matches_torsion_residual(ch, theta2), p)
         update("curvature_type", 0.0, p)
         update("curvature_skew_hermitian", chern.skew_hermitian_residual(ch), p)
         update("dsigma2_trace", levicivita.dsigma2_check(ch, route), p)
         S1, S2 = levicivita.sigma_matrices(ch)
         update("sigma1_psd", max(0.0, -float(np.linalg.eigvalsh(S1).min())), p)
         update("sigma2_psd", max(0.0, -float(np.linalg.eigvalsh(S2).min())), p)
-        for name, value in classify.curvature_difference_suite(rd).items():
+        for name, value in classify.curvature_difference_suite(ch).items():
             update(name, value, p)
-        flags = flag_residuals_at(ch, rd)
+        flags = flag_residuals_at(ch)
         if flags["kahler_like"] < tols["flags"]:
             update("klike_ddbar_sigma", classify.klike_sigma_residual(ch), p)
             update("klike_eta_holomorphic", classify.holomorphic_eta_residual(ch), p)
@@ -830,15 +854,14 @@ def _parent_oracle(entry, points, cache):
             worst[name] = (float(value), p)
 
     for p in points[:5]:
-        ch, rd = cache(m, p)
+        ch = cache(m, p)
         gv, dg, ddg = fd_jet(m.values_at, p, m.n)
         update("jet_first_vs_fd", np.max(np.abs(dg - ch.dg)), p)
         update("jet_second_vs_fd", np.max(np.abs(ddg - ch.ddg)), p)
         ch_fd = chern_from_jets(m, np.asarray(p)[None], gv[None], dg[None], ddg[None]).at(0)
-        rd_fd = riemann_at(ch_fd)
         update("torsion_vs_fd", np.max(np.abs(ch_fd.T - ch.T)), p)
         update("chern_curvature_vs_fd", np.max(np.abs(ch_fd.Rh - ch.Rh)), p)
-        update("riemann_curvature_vs_fd", np.max(np.abs(rd_fd.Rc - rd.Rc)), p)
+        update("riemann_curvature_vs_fd", np.max(np.abs(ch_fd.Rc - ch.Rc)), p)
     return worst
 
 
@@ -889,7 +912,7 @@ def test_conditional_identities_apply_where_their_flag_holds(flag):
     entry = catalog.get("random_polynomial(12)")
     points = sample_points(entry.metric, CHUNK + 3, seed=42)
     cache = GeometryCache()
-    residuals = [flag_residuals_at(*cache(entry.metric, p))[flag] for p in points]
+    residuals = [flag_residuals_at(cache(entry.metric, p))[flag] for p in points]
     tols = dict(suites.DEFAULT_TOLERANCES, flags=float(np.median(residuals)))
     assert 0 < sum(r < tols["flags"] for r in residuals) < len(points)
     got, _ = _run("identities", entry, points, tols, 42)

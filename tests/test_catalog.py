@@ -66,7 +66,7 @@ def test_expected_flags_reproduced_on_seeded_sample():
 
 def test_notable_values(geo):
     entry = catalog.get("iwasawa")
-    ch, _ = geo(entry.metric, np.array([0j, 0.3 + 0.1j, -0.2 + 0.4j]))
+    ch = geo(entry.metric, np.array([0j, 0.3 + 0.1j, -0.2 + 0.4j]))
     assert ch.T[2, 0, 1] == pytest.approx(entry.notable["T312_at_z1_zero"], abs=1e-12)
     assert ch.torsion_norm_sq() == pytest.approx(entry.notable["torsion_norm_sq"], abs=1e-12)
 

@@ -24,7 +24,7 @@ from hermlab.geometry import chunk_size, sample_points
 
 
 def test_euclidean_everything_vanishes(geo, metric):
-    ch, _ = geo(metric("euclidean"), [0.3 + 0.1j, -0.2 + 0.4j])
+    ch = geo(metric("euclidean"), [0.3 + 0.1j, -0.2 + 0.4j])
     assert np.max(np.abs(ch.T)) == 0.0
     assert np.max(np.abs(ch.Rh)) == 0.0
     assert np.max(np.abs(ch.eta)) == 0.0
@@ -34,7 +34,7 @@ def test_euclidean_everything_vanishes(geo, metric):
 def test_iwasawa_flat_balanced_with_torsion(geo, metric):
     m = metric("iwasawa")
     for p in sample_points(m, 5, seed=21):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert np.max(np.abs(ch.Rh)) < 1e-9
         assert np.max(np.abs(ch.eta)) < 1e-9
         # the torsion norm is frame independent
@@ -46,7 +46,7 @@ def test_iwasawa_torsion_component_on_invariant_slice(geo, metric):
     # (dz1, dz2, dz3 - z1 dz2), whose third element differentiates to
     # -dz1^dz2; the all-ordered-pairs convention then reads off -1/2
     m = metric("iwasawa")
-    ch, _ = geo(m, [0j, 0.25 + 0.1j, -0.3 + 0.65j])
+    ch = geo(m, [0j, 0.25 + 0.1j, -0.3 + 0.65j])
     assert ch.T[2, 0, 1] == pytest.approx(-0.5, abs=1e-12)
     assert ch.T[2, 1, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -54,7 +54,7 @@ def test_iwasawa_torsion_component_on_invariant_slice(geo, metric):
 def test_torsion_antisymmetry_exact(geo, metric):
     m = metric("random_polynomial(3)")
     for p in sample_points(m, 3, seed=5):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert np.max(np.abs(ch.T + ch.T.transpose(0, 2, 1))) == 0.0
 
 
@@ -62,7 +62,7 @@ def test_structure_bianchi_on_catalog(geo, metric):
     for name in ["iwasawa", "gkl_surface", "conformal_klike", "random_polynomial(4)"]:
         m = metric(name)
         for p in sample_points(m, 4, seed=11):
-            ch, _ = geo(m, p)
+            ch = geo(m, p)
             assert bianchi_residual(ch) < 1e-8
 
 
@@ -70,7 +70,7 @@ def test_curvature_type_and_skew_hermitian(geo, metric):
     for name in ["fubini_study_chart_n2", "gkl_surface", "random_polynomial(6)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=3)[0]
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         # the (2,0) part of d theta - theta ^ theta vanishes: Theta = delbar theta is all of it
         n = ch.n
         X = np.moveaxis(ch.dtheta[..., :n], -1, 0) - np.einsum("cik,akj->caij", ch.theta, ch.theta)
@@ -83,7 +83,7 @@ def test_kahler_like_iff_theta_wedge_phi(geo, metric):
     for name, expect_zero in [("conformal_klike", True), ("gkl_surface", False)]:
         m = metric(name)
         p = sample_points(m, 1, seed=9)[0]
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         comp = kahler_like_residual(ch)
         wedge = theta_wedge_phi_residual(ch)
         if expect_zero:
@@ -96,7 +96,7 @@ def test_curvature_identity_eq_ddbar_omega(geo, metric):
     for name in ["iwasawa", "gkl_surface", "random_polynomial(7)"]:
         m = metric(name)
         for p in sample_points(m, 3, seed=13):
-            ch, _ = geo(m, p)
+            ch = geo(m, p)
             assert curvature_identity_residual(ch) < 1e-8
             assert del_omega_residual(ch) < 1e-8
 
@@ -104,7 +104,7 @@ def test_curvature_identity_eq_ddbar_omega(geo, metric):
 def test_balanced_identity_on_iwasawa(geo, metric):
     m = metric("iwasawa")
     for p in sample_points(m, 20, seed=17):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert balanced_identity_residual(ch) < 1e-9
 
 
@@ -114,7 +114,7 @@ def test_klike_content_on_scaled_flat_metric(geo, metric):
 
     m = metric("conformal_klike")
     for p in sample_points(m, 5, seed=19):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert klike_sigma_residual(ch) < 1e-8
         assert delbar_eta_residual(ch) < 1e-8
 
@@ -123,14 +123,14 @@ def test_covderiv_identity_on_klike_metric(geo, metric):
     # 2 T^k_{ij,lbar} agrees with the Chern curvature antisymmetrization
     m = metric("conformal_klike")
     p = sample_points(m, 1, seed=23)[0]
-    ch, _ = geo(m, p)
+    ch = geo(m, p)
     lhs = 2 * ch.covT_bar
     rhs = np.einsum("jlik->kijl", ch.Rh) - np.einsum("iljk->kijl", ch.Rh)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_covderiv_euclidean_zero(geo, metric):
-    ch, _ = geo(metric("euclidean"), [0.1 + 0.2j, 0.3 - 0.4j])
+    ch = geo(metric("euclidean"), [0.1 + 0.2j, 0.3 - 0.4j])
     assert np.max(np.abs(ch.covT)) == 0.0
     assert np.max(np.abs(ch.covT_bar)) == 0.0
 
@@ -141,7 +141,7 @@ def test_covderiv_against_fd_transport(geo, metric):
     m = metric("iwasawa")
     rng = np.random.default_rng(31)
     for p in sample_points(m, 3, seed=29):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         nf = normal_frame_at(ch)
         n = m.n
         for l in range(n):
@@ -178,7 +178,7 @@ def test_normal_frame_kills_connection(geo, metric):
 def test_normal_frame_covderiv_equals_raw_derivative(geo, metric):
     m = metric("gkl_surface")
     p = sample_points(m, 1, seed=41)[0]
-    ch, _ = geo(m, p)
+    ch = geo(m, p)
     nf = normal_frame_at(ch)
     _, dT = nf.torsion_jets_at(p)
     n = m.n
@@ -200,7 +200,7 @@ def test_dense_coefficients_match_form_algebra(geo, metric):
     for name in ["gkl_surface", "random_polynomial(7)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=43)[0]
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         n = m.n
         g = {(a, b): Jet2(n, ch.gv[a, b], ch.dg[a, b], ch.ddg[a, b]) for a in range(n) for b in range(n)}
         omega = Form(n, 2, {(a, n + b): g[a, b] * 1j for a in range(n) for b in range(n)})
@@ -223,7 +223,6 @@ def test_chern_at_rejects_bad_metric_jets(metric):
     from hermlab.chern import chern_from_jets
     from hermlab.fd import OVERRIDE_HERMITIAN_TOL
     from hermlab.errors import DegenerateMetricError
-    from hermlab.levicivita import riemann_at
 
     m = metric("gkl_surface")
     p = np.array([0.1 + 0.2j, 0.1 + 0.5j])
@@ -256,11 +255,10 @@ def test_chern_at_rejects_bad_metric_jets(metric):
         check(points, *skewed)
     # and the Chern core on a batch of jets gives each point's bit for bit
     ch = chern_from_jets(m, points, *batch)
-    rd = riemann_at(ch)
     for i, q in enumerate(points):
         one = chern_from_jets(m, q[None], *(x[i : i + 1] for x in batch)).at(0)
         assert np.array_equal(ch.T[i], one.T) and np.array_equal(ch.Rh[i], one.Rh)
-        assert np.array_equal(rd.Rc[i], riemann_at(one).Rc)
+        assert np.array_equal(ch.Rc[i], one.Rc)
 
 
 def test_normal_frame_evaluates_the_metric_once_per_call(metric, monkeypatch):

@@ -72,25 +72,25 @@ def test_difference_identities_small_across_sweep(geo, metric):
     for name in names:
         m = metric(name)
         for p in sample_points(m, 4, seed=44):
-            _, rd = geo(m, p)
-            res = curvature_difference_suite(rd)
+            ch = geo(m, p)
+            res = curvature_difference_suite(ch)
             assert max(res.values()) < 1e-7, (name, res)
 
 
 def test_difference_identities_reduce_on_kahler(geo, metric):
     m = metric("fubini_study_chart_n2")
     p = sample_points(m, 1, seed=46)[0]
-    ch, rd = geo(m, p)
+    ch = geo(m, p)
     n = m.n
     # torsion terms vanish, so the mixed blocks vanish and R = R^h
     assert np.max(np.abs(ch.T)) < 1e-12
-    assert np.max(np.abs(rd.Rc[:n, n:, :n, n:] - ch.Rh)) < 1e-8
+    assert np.max(np.abs(ch.Rc[:n, n:, :n, n:] - ch.Rh)) < 1e-8
 
 
 def test_bothlike_identities_on_kahler_metric(geo, metric):
     m = metric("fubini_study_chart_n2")
     p = sample_points(m, 1, seed=48)[0]
-    ch, _ = geo(m, p)
+    ch = geo(m, p)
     res = bothlike_residuals(ch.T, ch.covT, ch.covT_bar)
     assert max(res.values()) < 1e-10
 
@@ -100,7 +100,7 @@ def test_bothlike_reported_but_nonzero_on_iwasawa(geo, metric):
     # quadratic identities fail; the suite reports without asserting
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=52)[0]
-    ch, _ = geo(m, p)
+    ch = geo(m, p)
     res = bothlike_residuals(ch.T)
     assert res["quad_full"] > 1e-2
 
@@ -116,7 +116,7 @@ def test_bothlike_negative_control_random_torsion():
 def test_eta_trace_identity_on_gkl_surface(geo, metric):
     m = metric("gkl_surface")
     for p in sample_points(m, 5, seed=54):
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert eta_trace_residual(ch) < 1e-7
         # the identity is nontrivial here: eta does not vanish
         assert np.max(np.abs(ch.eta)) > 1e-3
@@ -128,10 +128,10 @@ def test_nonkahler_metrics_split_curvature_tensors(geo, metric):
         m = metric(name)
         found = False
         for p in sample_points(m, 5, seed=56):
-            ch, rd = geo(m, p)
+            ch = geo(m, p)
             if np.max(np.abs(ch.T)) > 1e-3:
                 n = m.n
-                diff = np.max(np.abs(rd.Rc[:n, n:, :n, n:] - ch.Rh))
+                diff = np.max(np.abs(ch.Rc[:n, n:, :n, n:] - ch.Rh))
                 if diff > 1e-6:
                     found = True
         assert found, name

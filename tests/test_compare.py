@@ -23,10 +23,10 @@ def _unit(n, rng):
 
 def test_euclidean_curvatures_zero(geo, metric):
     m = metric("euclidean")
-    _, rd = geo(m, [0.2 + 0.1j, -0.3 + 0.2j])
+    ch = geo(m, [0.2 + 0.1j, -0.3 + 0.2j])
     rng = np.random.default_rng(0)
     for _ in range(5):
-        out = bisectional(rd, _unit(2, rng), _unit(2, rng), rng.uniform(-2, 2))
+        out = bisectional(ch, _unit(2, rng), _unit(2, rng), rng.uniform(-2, 2))
         assert abs(out["B_a"]) < 1e-14
         assert abs(out["Bh_XY"]) < 1e-14
 
@@ -36,12 +36,12 @@ def test_bisectional_symmetry_and_reality(geo, metric):
     for name in ["iwasawa", "gkl_surface", "random_polynomial(31)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=3)[0]
-        _, rd = geo(m, p)
+        ch = geo(m, p)
         for _ in range(10):
             X, Y = _unit(m.n, rng), _unit(m.n, rng)
             a = rng.uniform(-1.5, 1.5)
-            bxy = bisectional(rd, X, Y, a)
-            byx = bisectional(rd, Y, X, a)
+            bxy = bisectional(ch, X, Y, a)
+            byx = bisectional(ch, Y, X, a)
             assert abs(bxy["B_a"] - byx["B_a"]) < 1e-10
             assert bxy["imag_max"] < 1e-10
 
@@ -49,11 +49,11 @@ def test_bisectional_symmetry_and_reality(geo, metric):
 def test_hermitian_bisectional_generally_asymmetric(geo, metric):
     m = metric("gkl_surface")
     p = sample_points(m, 1, seed=5)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     rng = np.random.default_rng(2)
     diffs = [
         abs(
-            bisectional(rd, X, Y, 0.0)["Bh_XY"] - bisectional(rd, X, Y, 0.0)["Bh_YX"]
+            bisectional(ch, X, Y, 0.0)["Bh_XY"] - bisectional(ch, X, Y, 0.0)["Bh_YX"]
         )
         for X, Y in [(_unit(2, rng), _unit(2, rng)) for _ in range(10)]
     ]
@@ -65,31 +65,31 @@ def test_holomorphic_sectional_numerator_independent_of_parameter(geo, metric):
     # H(X) = B_a(X, X) is single-valued in a
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=4)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     rng = np.random.default_rng(14)
     for _ in range(5):
         X = _unit(3, rng)
-        vals = [bisectional(rd, X, X, a)["B_a"] for a in (-1.0, 0.0, 0.7, 1.0)]
+        vals = [bisectional(ch, X, X, a)["B_a"] for a in (-1.0, 0.0, 0.7, 1.0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-14
 
 
 def test_gkl_bisectional_independent_of_parameter(geo, metric):
     m = metric("gkl_surface")
     p = sample_points(m, 1, seed=7)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     rng = np.random.default_rng(3)
     for _ in range(10):
         X, Y = _unit(2, rng), _unit(2, rng)
-        b0 = bisectional(rd, X, Y, 0.0)["B_a"]
-        b1 = bisectional(rd, X, Y, 1.0)["B_a"]
+        b0 = bisectional(ch, X, Y, 0.0)["B_a"]
+        b1 = bisectional(ch, X, Y, 1.0)["B_a"]
         assert abs(b0 - b1) < 1e-9
 
 
 def test_zero_direction_rejected(geo, metric):
     m = metric("euclidean")
-    _, rd = geo(m, [0.1 + 0j, 0.2 + 0j])
+    ch = geo(m, [0.1 + 0j, 0.2 + 0j])
     with pytest.raises(ValueError):
-        bisectional(rd, np.zeros(2), np.ones(2), 0.5)
+        bisectional(ch, np.zeros(2), np.ones(2), 0.5)
 
 
 def test_difference_formulas_on_sweep(geo, metric):
@@ -99,10 +99,10 @@ def test_difference_formulas_on_sweep(geo, metric):
     for name in names:
         m = metric(name)
         for p in sample_points(m, 2, seed=9):
-            _, rd = geo(m, p)
+            ch = geo(m, p)
             for _ in range(50):
                 X, Y = _unit(m.n, rng), _unit(m.n, rng)
-                res = bisectional_difference_residuals(rd, X, Y)
+                res = bisectional_difference_residuals(ch, X, Y)
                 assert res["sym_bisectional"] < 1e-7
                 assert res["cross_bisectional"] < 1e-7
                 assert res["holo_sectional"] < 1e-7
@@ -111,10 +111,10 @@ def test_difference_formulas_on_sweep(geo, metric):
 def test_kahler_difference_sides_vanish(geo, metric):
     m = metric("fubini_study_chart_n2")
     p = sample_points(m, 1, seed=11)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     rng = np.random.default_rng(5)
     X, Y = _unit(2, rng), _unit(2, rng)
-    res = bisectional_difference_residuals(rd, X, Y)
+    res = bisectional_difference_residuals(ch, X, Y)
     assert res["sym_bisectional"] < 1e-10
     assert abs(res["monotonicity_gap"]) < 1e-10
 
@@ -124,8 +124,8 @@ def test_monotonicity_nonnegative_and_strict(geo, metric):
     for name in ["iwasawa", "gkl_surface", "conformal_klike", "random_polynomial(34)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=13)[0]
-        ch, rd = geo(m, p)
-        gaps = [monotonicity_gap(rd, _unit(m.n, rng)) for _ in range(50)]
+        ch = geo(m, p)
+        gaps = [monotonicity_gap(ch, _unit(m.n, rng)) for _ in range(50)]
         assert min(gaps) >= -1e-10
         if np.max(np.abs(ch.T)) > 1e-3:
             assert max(gaps) > 1e-6
@@ -136,9 +136,9 @@ def test_ricci_identities(geo, metric):
     for name in ["iwasawa", "fubini_study_chart", "random_polynomial(35)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=15)[0]
-        _, rd = geo(m, p)
+        ch = geo(m, p)
         for _ in range(20):
-            res = ricci_identity_residuals(rd, _unit(m.n, rng))
+            res = ricci_identity_residuals(ch, _unit(m.n, rng))
             assert res["affine"] < 1e-10
             assert res["j_invariant_ricci"] < 1e-7
 
@@ -147,8 +147,8 @@ def test_scalar_relation(geo, metric):
     for name in ["fubini_study_chart", "fubini_study_chart_n2", "iwasawa", "gkl_surface"]:
         m = metric(name)
         p = sample_points(m, 1, seed=17)[0]
-        _, rd = geo(m, p)
-        assert scalar_relation_residual(rd) < 1e-8
+        ch = geo(m, p)
+        assert scalar_relation_residual(ch) < 1e-8
 
 
 def test_plane_decomposition(geo, metric):
@@ -156,10 +156,10 @@ def test_plane_decomposition(geo, metric):
     for name in ["iwasawa", "gkl_surface", "random_polynomial(36)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=19)[0]
-        _, rd = geo(m, p)
+        ch = geo(m, p)
         done = 0
         while done < 10:
-            res = plane_decomposition_check(rd, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n))
+            res = plane_decomposition_check(ch, rng.normal(size=2 * m.n), rng.normal(size=2 * m.n))
             if res["degenerate"]:
                 continue
             assert res["complexified_vs_real"] < 1e-7
@@ -171,17 +171,17 @@ def test_degenerate_plane_is_masked(geo, metric):
     # vanishing draws cannot form the angle factors; the check masks the
     # plane instead of dividing by zero
     m = metric("euclidean")
-    _, rd = geo(m, [0.1 + 0j, 0.2 + 0j])
+    ch = geo(m, [0.1 + 0j, 0.2 + 0j])
     u = np.array([1.0, 0.0, 0.0, 0.0])
-    res = plane_decomposition_check(rd, u, np.zeros(4))
+    res = plane_decomposition_check(ch, u, np.zeros(4))
     assert res["degenerate"]
     assert np.isnan(res["complexified_vs_real"]) and np.isnan(res["angle_decomposition"])
     # v parallel to u is fine: the vanishing angle factor drops that plane
-    res = plane_decomposition_check(rd, u, 2.0 * u)
+    res = plane_decomposition_check(ch, u, 2.0 * u)
     assert not res["degenerate"]
     assert res["angle_decomposition"] < 1e-12
     # in a stack, the mask marks only the degenerate plane
-    res = plane_decomposition_check(rd, np.stack([u, u]), np.stack([np.zeros(4), 2.0 * u]))
+    res = plane_decomposition_check(ch, np.stack([u, u]), np.stack([np.zeros(4), 2.0 * u]))
     assert res["degenerate"].tolist() == [True, False]
     assert res["angle_decomposition"][1] < 1e-12
 
@@ -192,19 +192,19 @@ def test_nonnegative_sectional_gives_nonnegative_b_minus_one(geo, metric):
 
     m = metric("gkl_surface")
     p = sample_points(m, 1, seed=21)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     rng = np.random.default_rng(9)
     J = J_action(m.n)
     for _ in range(20):
         u = rng.normal(size=2 * m.n)
         v = rng.normal(size=2 * m.n)
         ks = [
-            sectional_curvature(rd, u, v),
-            sectional_curvature(rd, J @ u, J @ v),
-            sectional_curvature(rd, J @ u, v),
-            sectional_curvature(rd, u, J @ v),
+            sectional_curvature(ch, u, v),
+            sectional_curvature(ch, J @ u, J @ v),
+            sectional_curvature(ch, J @ u, v),
+            sectional_curvature(ch, u, J @ v),
         ]
-        res = plane_decomposition_check(rd, u, v)
+        res = plane_decomposition_check(ch, u, v)
         if np.any(np.isnan(ks)) or res["degenerate"]:
             continue
         if min(ks) >= 0:

@@ -15,7 +15,6 @@ from hermlab.conformal import (
 from hermlab.dsl import MetricField, parse
 from hermlab.errors import HermlabError
 from hermlab.geometry import sample_points
-from hermlab.levicivita import riemann_at
 
 TOL = 1e-7
 
@@ -25,15 +24,14 @@ def _factor(src, n):
 
 
 def _transform(base, f, points):
-    """Base and scaled Riemann data and the exponent's value and derivatives, one batch."""
+    """Base and scaled Chern data and the exponent's value and derivatives, one batch."""
     points = np.atleast_2d(points)
-    new = riemann_at(chern_at(conformal_metric(base, f), points))
-    return riemann_at(chern_at(base, points)), new, f.u_values(points)
+    new = chern_at(conformal_metric(base, f), points)
+    return chern_at(base, points), new, f.u_values(points)
 
 
 def _torsion_residual(base, f, points):
-    base_rd, new_rd, u = _transform(base, f, points)
-    return torsion_transform_residual(base_rd.chern, new_rd.chern, u)
+    return torsion_transform_residual(*_transform(base, f, points))
 
 
 def _euclidean_shifted():

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlab import catalog, cli, fd, levicivita
+from hermlab import catalog, cli, fd, geometry, levicivita
 from hermlab import suites as suite_module
 from hermlab.chern import chern_at
 from hermlab.classify import classify_at
 from hermlab.dsl import MetricField
 from hermlab.errors import DegenerateMetricError, SingularEvaluationError
 from hermlab.geometry import CHUNK, block_size, chunk_size, geometry_chunks, running_max, sample_points
-from hermlab.levicivita import riemann_at
 
 from test_highdim import perturbed_metric
 
@@ -74,17 +73,39 @@ def test_chunks_match_16_point_calls(n, monkeypatch):
         starts.append(c.start)
         want = points[c.start : c.start + chunk]  # the chunk's points are a view of the report's
         assert np.array_equal(c.ch.point, want) and np.shares_memory(c.ch.point, want)
-        assert c.rd.chern is c.ch and c.ch.metric is m
+        assert c.ch.metric is m
         _derived(c.ch)  # on the whole chunk, so that each part below carries its share
         for s in range(0, len(c.ch.point), CHUNK):
             part = slice(s, s + CHUNK)
             ch = chern_at(m, c.ch.point[part].copy())
             _assert_same(arrays_at(c.ch.at(part), slice(None)), arrays_at(ch, slice(None)))
-            _assert_same(_derived(c.rd.at(part)), _derived(riemann_at(ch)))
+            _assert_same(_derived(c.ch.at(part)), _derived(ch))
         calls.clear()
     # the metric is evaluated once a block, and the core chunks restart at each block
     assert evaluated == [block, 3]
     assert starts == list(range(0, block, chunk)) + [block]
+
+
+# (CHUNK, EVAL_BLOCK): one-point chunks and blocks at n >= 3; chunks of
+# three points at n >= 3, whose boundaries fall inside the first-5 rows and
+# outside the first-2; and the defaults
+_SIZES = [(1, 1), (3, 7), (geometry.CHUNK, geometry.EVAL_BLOCK)]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [catalog.get("gkl_surface"), catalog.get("iwasawa"), catalog.CatalogEntry(perturbed_metric(4))],
+    ids=lambda e: f"n{e.metric.n}",
+)
+def test_a_report_does_not_depend_on_the_chunk_sizes(entry, monkeypatch):
+    # 23 points are no multiple of any chunk size above 1
+    reports = []
+    for chunk, block in _SIZES:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+        monkeypatch.setattr(geometry, "EVAL_BLOCK", block)
+        report, _ = cli.run(entry, 23, 7, ["all"], suite_module.DEFAULT_TOLERANCES, True, None)
+        reports.append(cli.render_json(report))
+    assert reports[0] == reports[1] == reports[2]
 
 
 class _FirstFive(suite_module.Suite):
@@ -111,7 +132,6 @@ def test_a_first_k_row_reads_a_shared_view_of_the_first_chunk():
     suite.add(second)
     view, again = suite.read  # both rows, on the first chunk only
     assert view is again and view.start == 0 and len(view.ch.point) == 5
-    assert view.rd.chern is view.ch
     for name, x in arrays_at(view.ch, slice(None)).items():
         assert np.shares_memory(x, getattr(chunk.ch, name)), name
         assert np.array_equal(x, getattr(chunk.ch, name)[:5]), name
@@ -377,8 +397,8 @@ def test_riemann_reads_only_the_metric_arrays_and_the_frame():
     ch = chern_at(m, np.array(sample_points(m, 3, seed=42)))
     read = set()
     for name in arrays_at(ch, ...):
-        rd = riemann_at(replace(ch, **{name: np.full_like(getattr(ch, name), np.nan)}))
-        if not all(np.isfinite(getattr(rd, field)).all() for field in RIEMANN):
+        bad = replace(ch, **{name: np.full_like(getattr(ch, name), np.nan)})
+        if not all(np.isfinite(getattr(bad, field)).all() for field in RIEMANN):
             read.add(name)
     assert read == {"gv", "dg", "ddg", "Pv"}
 

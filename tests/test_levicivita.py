@@ -13,15 +13,18 @@ from hermlab.forms import Form, mat_wedge
 from hermlab.geometry import sample_points
 from hermlab.jets import Jet2
 from hermlab.levicivita import (
+    R_11bar,
     _real_metric_arrays,
     canonical_theta2,
     dsigma2_check,
+    gray_residual,
     levi_civita_frame_connection,
-    riemann_at,
     _sigma2_coefficients,
     sigma_matrices,
+    symmetry_residuals,
     theta2_matches_torsion_residual,
     theta2_gamma_forms,
+    theta2_norm,
     theta2_structure_route,
     theta2_two_route_residual,
     theta2_zero_one_part_residual,
@@ -35,9 +38,9 @@ from inputs import generated_config  # noqa: E402
 
 
 def test_euclidean_curvature_vanishes(geo, metric):
-    _, rd = geo(metric("euclidean"), [0.3 - 0.2j, 0.1 + 0.5j])
-    assert np.max(np.abs(rd.R4)) == 0.0
-    assert np.max(np.abs(rd.Gamma)) == 0.0
+    ch = geo(metric("euclidean"), [0.3 - 0.2j, 0.1 + 0.5j])
+    assert np.max(np.abs(ch.R4)) == 0.0
+    assert np.max(np.abs(ch.Gamma)) == 0.0
 
 
 def _christoffel_by_dgamma(G, dG, d2G):
@@ -96,13 +99,13 @@ def test_fubini_study_kahler_agreement(geo, metric):
     # on a Kahler metric the two curvature tensors coincide
     m = metric("fubini_study_chart")
     for p in sample_points(m, 5, seed=2):
-        ch, rd = geo(m, p)
-        assert abs(rd.R_11bar()[0, 0, 0, 0] - ch.Rh[0, 0, 0, 0]) < 1e-8
+        ch = geo(m, p)
+        assert abs(R_11bar(ch)[0, 0, 0, 0] - ch.Rh[0, 0, 0, 0]) < 1e-8
     m2 = metric("fubini_study_chart_n2")
     for p in sample_points(m2, 3, seed=2):
-        ch, rd = geo(m2, p)
+        ch = geo(m2, p)
         # full block comparison, slots aligned as [k, l, i, j]
-        diff = rd.Rc[: m2.n, m2.n :, : m2.n, m2.n :] - ch.Rh
+        diff = ch.Rc[: m2.n, m2.n :, : m2.n, m2.n :] - ch.Rh
         assert np.max(np.abs(diff)) < 1e-8
 
 
@@ -119,16 +122,16 @@ def test_gkl_surface_mixed_curvature_block_vanishes(geo, metric):
         )
         pts.append(p)
     for p in pts:
-        rd = riemann_at(chern_at(m, p))
-        assert rd.theta2_norm() < 1e-9
+        ch = chern_at(m, p)
+        assert theta2_norm(ch) < 1e-9
 
 
 def test_full_riemann_symmetries(geo, metric):
     for name in ["iwasawa", "gkl_surface", "random_polynomial(11)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=4)[0]
-        _, rd = geo(m, p)
-        assert max(rd.symmetry_residuals().values()) < 1e-8
+        ch = geo(m, p)
+        assert max(symmetry_residuals(ch).values()) < 1e-8
 
 
 def test_gray_vanishing_everywhere(geo, metric):
@@ -137,37 +140,37 @@ def test_gray_vanishing_everywhere(geo, metric):
     for name in names:
         m = metric(name)
         for p in sample_points(m, 3, seed=6):
-            _, rd = geo(m, p)
-            assert rd.gray_residual() < 1e-8
+            ch = geo(m, p)
+            assert gray_residual(ch) < 1e-8
 
 
 def test_theta2_two_routes_agree(geo, metric):
     for name in ["iwasawa", "gkl_surface", "conformal_gklike", "random_polynomial(13)"]:
         m = metric(name)
         for p in sample_points(m, 3, seed=8):
-            ch, rd = geo(m, p)
-            assert theta2_two_route_residual(ch, rd, torsion_route(ch)[1]) < 1e-7
+            ch = geo(m, p)
+            assert theta2_two_route_residual(ch, torsion_route(ch)[1]) < 1e-7
 
 
 def test_theta2_has_no_antiholomorphic_part(geo, metric):
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=10)[0]
-    _, rd = geo(m, p)
-    assert theta2_zero_one_part_residual(rd, canonical_theta2(rd)) < 1e-9
-    assert theta2_matches_torsion_residual(rd, canonical_theta2(rd)) < 1e-9
+    ch = geo(m, p)
+    assert theta2_zero_one_part_residual(ch, canonical_theta2(ch)) < 1e-9
+    assert theta2_matches_torsion_residual(ch, canonical_theta2(ch)) < 1e-9
 
 
 def test_theta2_gamma_report(geo, metric):
     from hermlab.levicivita import theta2_gamma_check
 
-    ch, rd = geo(metric("euclidean"), [0.1 + 0.1j, 0.2 - 0.3j])
-    rep = theta2_gamma_check(ch, rd)
+    ch = geo(metric("euclidean"), [0.1 + 0.1j, 0.2 - 0.3j])
+    rep = theta2_gamma_check(ch)
     assert rep["theta2_vs_christoffel"] == 0.0
     assert rep["sigma2_min_eig"] >= -1e-10
 
     m = metric("iwasawa")
-    ch, rd = geo(m, sample_points(m, 1, seed=20)[0])
-    rep = theta2_gamma_check(ch, rd)
+    ch = geo(m, sample_points(m, 1, seed=20)[0])
+    rep = theta2_gamma_check(ch)
     assert rep["theta2_vs_christoffel"] < 1e-7
     assert rep["sigma1_min_eig"] >= -1e-10
 
@@ -176,7 +179,7 @@ def test_sigma_forms_nonnegative(geo, metric):
     for name in ["iwasawa", "gkl_surface", "conformal_klike", "random_polynomial(14)"]:
         m = metric(name)
         p = sample_points(m, 1, seed=12)[0]
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         S1, S2 = sigma_matrices(ch)
         assert np.linalg.eigvalsh(S1).min() >= -1e-10
         assert np.linalg.eigvalsh(S2).min() >= -1e-10
@@ -194,13 +197,13 @@ def test_dsigma2_trace_identity(geo, metric):
     for name in ["euclidean", "iwasawa", "gkl_surface"]:
         m = metric(name)
         p = sample_points(m, 1, seed=14)[0]
-        ch, _ = geo(m, p)
+        ch = geo(m, p)
         assert dsigma2_check(ch, torsion_route(ch)) < 1e-5
         assert dsigma2_check(ch, torsion_route(ch), use_fd=True) < 1e-5
 
 
 def _torsion_geometry(geo, metric, n):
-    """(ch, rd) on a torsionful metric: iwasawa at n = 3, a generated one above."""
+    """The Chern data of a torsionful metric: iwasawa at n = 3, a generated one above."""
     if n == 3:
         m = metric("iwasawa")
         return geo(m, sample_points(m, 1, seed=20)[0])
@@ -216,16 +219,16 @@ def _antisymmetric_noise(shape, seed, size=1e-3):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_theta2_two_route_detects_perturbed_torsion(geo, metric, n):
-    ch, rd = _torsion_geometry(geo, metric, n)
-    assert theta2_two_route_residual(ch, rd, torsion_route(ch)[1]) < 1e-7
+    ch = _torsion_geometry(geo, metric, n)
+    assert theta2_two_route_residual(ch, torsion_route(ch)[1]) < 1e-7
     bad = replace(ch, T=ch.T + _antisymmetric_noise(ch.T.shape, seed=n))
-    assert theta2_two_route_residual(bad, rd, torsion_route(bad)[1]) > 1e-6
+    assert theta2_two_route_residual(bad, torsion_route(bad)[1]) > 1e-6
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_dsigma2_fd_detects_perturbed_torsion_derivative(geo, metric, n):
     # the finite-difference side sees the metric, the right side the data
-    ch, _ = _torsion_geometry(geo, metric, n)
+    ch = _torsion_geometry(geo, metric, n)
     assert dsigma2_check(ch, torsion_route(ch), use_fd=True) < 1e-5
     bad = replace(ch)  # dT is computed on first read, not passed: set it on a copy
     bad.dT = ch.dT + _antisymmetric_noise(ch.dT.shape, seed=n)
@@ -276,9 +279,9 @@ def test_dense_theta2_matches_form_algebra(geo, metric, n):
     # dense structure equation against the Form primitives
     if n == 3:
         m = metric("random_polynomial(7)")
-        ch, _ = geo(m, sample_points(m, 1, seed=22)[0])
+        ch = geo(m, sample_points(m, 1, seed=22)[0])
     else:
-        ch, _ = _torsion_geometry(geo, metric, n)
+        ch = _torsion_geometry(geo, metric, n)
     reference = _theta2_by_form_algebra(ch)
     assert np.max(np.abs(reference)) > 1e-3
     dense = theta2_structure_route(ch, theta2_gamma_forms(ch))
@@ -290,11 +293,11 @@ def test_gkl_equivalence_theta2_blocks(geo, metric):
     # the mixed blocks vanish together with the remaining symmetry defect
     m = metric("conformal_gklike")
     p = sample_points(m, 1, seed=16)[0]
-    _, rd = geo(m, p)
+    ch = geo(m, p)
     n = m.n
-    assert rd.theta2_norm() < 1e-8 * (1 + np.max(np.abs(rd.Rc)))
+    assert theta2_norm(ch) < 1e-8 * (1 + np.max(np.abs(ch.Rc)))
     # on such points R_{i jbar k lbar} = R_{k jbar i lbar}
-    blk = rd.R_11bar()
+    blk = R_11bar(ch)
     assert np.max(np.abs(blk - blk.transpose(2, 1, 0, 3))) < 1e-7 * (
         1 + np.max(np.abs(blk))
     )
@@ -305,10 +308,10 @@ def test_surface_closed_form_connection_blocks(geo, metric):
     # theta_2 = [[0, -lam*nu], [nu, 0]] with nu = u_zbar2 dz1, lam = e^{2u}
     m = metric("gkl_surface")
     p = np.array([0.35 - 0.6j, 0.4 + 0.8j])
-    rd = riemann_at(chern_at(m, p))
+    ch = chern_at(m, p)
     n = 2
     coord_frame = (np.eye(n), np.zeros((n, n, 2 * n)))
-    th1, th2 = levi_civita_frame_connection(rd, coord_frame)
+    th1, th2 = levi_civita_frame_connection(ch, coord_frame)
     u = jet2(parse("ln(-i*z2 + i*conj(z2))", n), p)
     lam = np.exp(2 * u.value)
     u2 = u.d1[1]
@@ -330,7 +333,7 @@ def test_ricci_and_scalar_consistency(geo, metric):
     # trace consistency: Scal equals the double Ricci trace
     m = metric("fubini_study_chart")
     p = sample_points(m, 1, seed=18)[0]
-    _, rd = geo(m, p)
-    assert rd.Scal == pytest.approx(
-        float(np.einsum("ab,ab->", rd.Gi, rd.Ric)), rel=1e-12
+    ch = geo(m, p)
+    assert ch.Scal == pytest.approx(
+        float(np.einsum("ab,ab->", ch.Gi, ch.Ric)), rel=1e-12
     )

@@ -15,7 +15,7 @@ from hermlab.chern import chern_at
 from hermlab.classify import KAHLER_IMPLIES, classify_at, curvature_difference_suite
 from hermlab.dsl import BinOp, Call, Coord, Lit, MetricField
 from hermlab.geometry import sample_points
-from hermlab.levicivita import riemann_at
+from hermlab.levicivita import symmetry_residuals
 
 # the homothety weight w of each array: it scales by c^w under g -> c g
 WEIGHTS = {
@@ -37,8 +37,7 @@ def _scaled(metric, c):
 
 def _arrays(metric, points):
     ch = chern_at(metric, points)
-    rd = riemann_at(ch)
-    return {**{name: getattr(ch, name) for name in CHERN_ARRAYS}, **{name: getattr(rd, name) for name in RIEMANN_ARRAYS}}
+    return {name: getattr(ch, name) for name in CHERN_ARRAYS + RIEMANN_ARRAYS}
 
 
 def test_weights_name_every_array():
@@ -116,10 +115,9 @@ def test_product_has_the_flags_of_both_factors_and_no_cross_blocks(first, second
     assert {f"flag_{f}_expected_{v}" for f, v in product.expected_flags.items()} <= checks
     n, n1 = product.metric.n, a.metric.n
     ch = chern_at(product.metric, sample_points(product.metric, 4, seed=42))
-    rd = riemann_at(ch)
     assert _cross_block_max(ch.T, n, n1, 3) == 0.0
     assert _cross_block_max(ch.Rh, n, n1, 4) == 0.0
-    assert _cross_block_max(rd.Rc, n, n1, 4) == 0.0
+    assert _cross_block_max(ch.Rc, n, n1, 4) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +174,5 @@ def test_a_kahler_potential_has_every_kahler_flag_and_no_torsion(n):
     ch = chern_at(metric, np.array(points))
     assert np.abs(ch.T).max() < 1e-15
     # with no torsion the Riemannian curvature is the Chern curvature
-    rd = riemann_at(ch)
-    assert curvature_difference_suite(rd)["riemann_vs_chern"].max() < 1e-13
-    assert max(r.max() for r in rd.symmetry_residuals().values()) < 1e-13
+    assert curvature_difference_suite(ch)["riemann_vs_chern"].max() < 1e-13
+    assert max(r.max() for r in symmetry_residuals(ch).values()) < 1e-13

@@ -130,7 +130,7 @@ def test_iwasawa_torsion_feeds_the_construction(geo, metric):
     # sides zero, so the family construction applies and is cracked
     m = metric("iwasawa")
     p = sample_points(m, 1, seed=91)[0]
-    ch, _ = geo(m, p)
+    ch = geo(m, p)
     assert torsion_symmetry_residual(ch.T) < 1e-12
     fam = family_from_torsion(ch.T)
     w = common_kernel_inductive(fam, seed=0)

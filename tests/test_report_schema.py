@@ -41,7 +41,7 @@ def _tolerance(cell):
 def _facts(entry, points):
     """What the conditions read, computed from the metric's data at ``points``."""
     chunks = list(geometry_chunks(entry.metric, points))
-    flags = [flag_residuals_at(c.ch, c.rd) for c in chunks]
+    flags = [flag_residuals_at(c.ch) for c in chunks]
     T = chunks[0].ch.T[0]
     size = float(np.max(np.abs(T)))
     return {
